@@ -441,6 +441,9 @@ def cmd_residuals(args):
         for x in points:
             rows.append((x, "sum", max_abs(modified_eom_residual(v, x))))
     elif eq == "maxmod":
+        if scenario != "planewave":
+            raise ConfigError(f"--eq maxmod is the N = 2 electromagnetic plane-wave "
+                              f"residual and needs scenario 'planewave'; got {scenario!r}")
         params = cfg.get("params", {})
         p = em.plane_wave_params(st, params.get("k", [1, 0, 0, 1]),
                                  params.get("n", [0, 1, 0, 0]))

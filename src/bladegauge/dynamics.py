@@ -315,17 +315,17 @@ def sigma_lattice_directional(lat: LatticeBlade, b):
 
 def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:
     """R_s -> e^{i eps b_s} R_s e^{-i eps b_s} (frozen sites move too: test use)."""
+    u = unitary_exp(hermitian_part(b), eps)
     out = lat.copy()
-    for idx in np.ndindex(lat.grid_shape):
-        u = unitary_exp(hermitian_part(b[idx]), eps)
-        out.sites[idx] = u @ lat.sites[idx] @ dagger(u)
+    out.sites = u @ lat.sites @ dagger(u)
     return out
 
 
 def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     """Gradient descent by per-site unitary conjugation.
 
-    Each step conjugates by exp(-i eta G_s) with G_s the energy gradient, so
+    Each step conjugates every non-frozen site at once, as one (K, N, N)
+    stack, by exp(-i eta G_s) with G_s the energy gradient, so
     R^2 = I is preserved exactly and the recorded energy trace is
     non-increasing for sufficiently small eta.  Ten consecutive increasing
     steps raise DivergenceError (step size too large).
@@ -333,17 +333,15 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     if eta <= 0:
         raise ParameterError("eta must be positive")
     current = lat.copy()
+    moving = (np.ones(current.grid_shape, dtype=bool) if current.frozen is None
+              else ~current.frozen)
     best = sigma_lattice_energy(current)
     trace = [best]
     bad_streak = 0
     for step in range(steps):
         grad = sigma_lattice_gradient(current)
-        for idx in np.ndindex(current.grid_shape):
-            if current.frozen is not None and current.frozen[idx]:
-                continue
-            g = hermitian_part(grad[idx])
-            u = unitary_exp(g, -eta)
-            current.sites[idx] = u @ current.sites[idx] @ dagger(u)
+        u = unitary_exp(hermitian_part(grad[moving]), -eta)
+        current.sites[moving] = u @ current.sites[moving] @ dagger(u)
         energy = sigma_lattice_energy(current)
         # a descending flow sets a new best (or plateaus) every step; staying
         # above the best energy for many steps means eta overshoots

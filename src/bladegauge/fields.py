@@ -8,16 +8,13 @@ propagate analytic derivatives by the product/chain rule, so pipelines built
 from analytic ingredients stay analytic.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
-reduce in a fixed order for reproducibility (BLADEGAUGE_THREADS > 1 enables a
-thread pool over points, preserving the reduction order).
+reduce in a fixed order for reproducibility.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +29,7 @@ __all__ = [
     "partial", "OneForm", "TwoForm", "exterior_d", "closedness_residual",
     "one_form_values", "two_form_values", "wedge", "wedge_power_values",
     "wedge_power_nonzero", "form_rank", "sphere_flux",
-    "Grid", "lattice_integral", "map_points",
+    "Grid", "lattice_integral",
 ]
 
 
@@ -512,14 +509,10 @@ def sphere_flux(f: TwoForm, radius=1.0, quadrature_order=16, n_phi=None):
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     dphi = 2.0 * np.pi / n_phi
     comp = f.component(1, 2)
-    points = [np.array([radius, th, ph]) for th in thetas for ph in phis]
-    vals = map_points(lambda p: complex(comp(p)), points)
     total = 0.0
-    i = 0
-    for wt in wtheta:
-        for _ in phis:
-            total += wt * dphi * vals[i].real
-            i += 1
+    for th, wt in zip(thetas, wtheta):
+        for ph in phis:
+            total += wt * dphi * complex(comp(np.array([radius, th, ph]))).real
     return total
 
 
@@ -565,19 +558,5 @@ class Grid:
 
 def lattice_integral(f, grid: Grid):
     """Midpoint-rule integral of a scalar field over the grid box."""
-    pts = grid.centers()
-    vals = map_points(lambda p: complex(f(p)), list(pts))
+    vals = [complex(f(p)) for p in grid.centers()]
     return float(np.real(np.sum(vals))) * grid.cell_volume
-
-
-def map_points(func, points):
-    """Apply func over points, reducing in input order.
-
-    BLADEGAUGE_THREADS > 1 switches to a thread pool; results are still
-    collected in input order, so reductions stay deterministic.
-    """
-    nthreads = int(os.environ.get("BLADEGAUGE_THREADS", "1") or "1")
-    if nthreads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return list(pool.map(func, points))
-    return [func(p) for p in points]

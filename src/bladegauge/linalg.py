@@ -5,6 +5,12 @@ reproducible bit-for-bit for identical inputs and seeds.  Matrix sizes stay
 small (N <= ~8), so the unitary exponential goes through an eigendecomposition
 of its Hermitian argument rather than scaling-and-squaring: that keeps the
 unitarity of the result exact up to rounding.
+
+`dagger`, `hermitian_part`, `max_abs`, `is_hermitian` and `unitary_exp` take
+stacks of matrices shaped (..., N, N): the last two axes are the matrix and
+every leading axis is a batch axis, as in numpy's stacked `@` and
+`np.linalg.eigh`.  A single (N, N) matrix is the stack with no batch axes and
+gives bit-identical results to the same matrix taken out of a larger stack.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from .errors import DimensionMismatchError, DomainError
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "dagger", "hermitian_part", "antihermitian_part", "commutator",
-    "matmul", "add", "scale", "max_abs", "is_hermitian",
+    "dagger", "hermitian_part", "commutator", "max_abs", "is_hermitian",
     "unitary_exp", "unitary_exp_frechet",
     "random_hermitian", "random_unitary",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
@@ -28,18 +33,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def dagger(m):
-    """Conjugate transpose."""
-    return np.conjugate(np.asarray(m)).T
+    """Conjugate transpose of each matrix in the stack."""
+    return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
 
 
 def hermitian_part(m):
     m = np.asarray(m, dtype=complex)
     return 0.5 * (m + dagger(m))
-
-
-def antihermitian_part(m):
-    m = np.asarray(m, dtype=complex)
-    return 0.5 * (m - dagger(m))
 
 
 def commutator(m, n):
@@ -52,26 +52,6 @@ def commutator(m, n):
     return m @ n - n @ m
 
 
-def matmul(m, n):
-    m = np.asarray(m)
-    n = np.asarray(n)
-    if m.shape[-1] != n.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {m.shape} by {n.shape}")
-    return m @ n
-
-
-def add(m, n):
-    m = np.asarray(m)
-    n = np.asarray(n)
-    if m.shape != n.shape:
-        raise DimensionMismatchError(f"cannot add {m.shape} and {n.shape}")
-    return m + n
-
-
-def scale(m, c):
-    return np.asarray(m) * c
-
-
 def max_abs(m):
     """Max-abs (entrywise sup) norm; the norm used by all tolerance checks."""
     m = np.asarray(m)
@@ -81,22 +61,26 @@ def max_abs(m):
 
 
 def is_hermitian(m, tol=TOL.hermitian_input):
+    """True when every matrix in the stack is Hermitian to within tol."""
     return max_abs(np.asarray(m) - dagger(m)) <= tol
 
 
 def unitary_exp(h, t=1.0):
-    """exp(i t H) for Hermitian H, via eigendecomposition.
+    """exp(i t H) for each Hermitian H in a (..., N, N) stack, via eigh.
 
-    Raises DomainError if H deviates from Hermiticity by more than the
-    input tolerance.
+    Raises DomainError if any H deviates from Hermiticity by more than the
+    input tolerance; the message names the worst matrix's stack index.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
+        skew = np.max(np.abs(h - dagger(h)), axis=(-2, -1))
+        worst = np.unravel_index(np.argmax(skew), skew.shape)
+        where = f" at stack index {tuple(int(i) for i in worst)}" if worst else ""
         raise DomainError(
-            f"unitary_exp requires a Hermitian argument "
-            f"(max anti-hermitian part {max_abs(h - dagger(h)):.3e})")
+            f"unitary_exp requires a Hermitian argument{where} "
+            f"(max anti-hermitian part {skew[worst]:.3e})")
     lam, q = np.linalg.eigh(hermitian_part(h))
-    return (q * np.exp(1j * t * lam)) @ dagger(q)
+    return (q * np.exp(1j * t * lam)[..., None, :]) @ dagger(q)
 
 
 def unitary_exp_frechet(h, e, t=1.0):

@@ -82,7 +82,7 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> GaugePotential:
         if "tabulated" in cfg:
             return _with_potential_step(_tabulated_potential(cfg, spacetime), fd_step)
         name = cfg["scenario"]
-        params = dict(cfg.get("params", {}))
+        params = _builtin_params(cfg)
         spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
         mapping = {"planewave": "plane_wave", "monopole": "monopole_plus",
                    "pure_gauge": "pure_gauge", "constant_F": "constant_F"}
@@ -108,6 +108,13 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> GaugePotential:
     return _with_potential_step(a, fd_step)
 
 
+def _builtin_params(cfg):
+    """cfg["params"], with the seed taken from params, else the top level, else 0."""
+    params = dict(cfg.get("params", {}))
+    params.setdefault("seed", cfg.get("seed", 0))
+    return params
+
+
 def _with_potential_step(a, fd_step):
     if fd_step is None:
         return a
@@ -124,7 +131,7 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
         if "tabulated" in cfg:
             return _with_frame_step(_tabulated_frame(cfg, spacetime), fd_step)
         name = cfg["scenario"]
-        params = dict(cfg.get("params", {}))
+        params = _builtin_params(cfg)
         spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
         name = {"planewave": "plane_wave"}.get(name, name)
     else:

@@ -2,8 +2,10 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from bladegauge.cli import main
+from bladegauge.tolerances import DEFAULT as TOL
 
 
 def read_json(path):
@@ -219,3 +221,36 @@ def test_sigma_flow_command(tmp_path):
     assert code == 0
     rep2 = read_json(out2)
     assert abs(rep2["energy_trace"][0] - trace[-1]) < 1e-9
+
+
+def test_residuals_seed_selects_random_smooth_frame(tmp_path):
+    def run(tag, seed):
+        path = tmp_path / f"{tag}.csv"
+        assert main(["residuals", "--scenario", "random_smooth", "--eq", "sigma",
+                     "--grid", "0:1:1,0:1:1,0:1:1,0:1:1", "--seed", str(seed),
+                     "--csv", str(path), "--report", str(tmp_path / f"{tag}.json")]) == 0
+        return path.read_text()
+
+    first = run("a", 3)
+    assert run("b", 4) != first
+    assert run("c", 3) == first
+
+
+@pytest.mark.parametrize("scenario", ["pure_gauge", "constant_F", "random_smooth", "darboux"])
+def test_residuals_maxmod_needs_planewave(scenario, capsys):
+    code = main(["residuals", "--scenario", scenario, "--eq", "maxmod",
+                 "--grid", "0:1:1,0:1:1,0:1:1,0:1:1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "maxmod" in err and "planewave" in err and repr(scenario) in err
+
+
+def test_sigma_flow_large_lattice(tmp_path):
+    out = tmp_path / "rep.json"
+    code = main(["sigma-flow", "--cells", "64x128", "--steps", "10",
+                 "--report", str(out)])
+    assert code == 0
+    rep = read_json(out)
+    trace = rep["energy_trace"]
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert rep["final_reflection_defect"] <= TOL.algebraic

@@ -16,7 +16,7 @@ from bladegauge.em import em_frame, monopole_blade, plane_wave_params, plane_wav
 from bladegauge.errors import DivergenceError, ParameterError
 from bladegauge.fields import Grid, constant
 from bladegauge.gauge import field_strength, gauge_potential, gauge_transform
-from bladegauge.linalg import dagger, hermitian_part, max_abs
+from bladegauge.linalg import dagger, hermitian_part, max_abs, unitary_exp
 from bladegauge.scenarios import constant_f_potential
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -299,3 +299,51 @@ def test_flow_rejects_nonpositive_eta():
     lat = monopole_band_lattice(cells=(4, 6))
     with pytest.raises(ParameterError):
         sigma_flow(lat, steps=1, eta=0.0)
+
+
+def random_hermitian_sites(rng, shape):
+    g = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    return hermitian_part(g)
+
+
+def test_conjugate_sites_matches_per_site_reference(rng):
+    lat = monopole_band_lattice(cells=(6, 8))
+    b = random_hermitian_sites(rng, lat.grid_shape)
+    out = conjugate_sites(lat, b, 0.3)
+    for idx in np.ndindex(lat.grid_shape):
+        u = unitary_exp(b[idx], 0.3)
+        np.testing.assert_allclose(out.sites[idx], u @ lat.sites[idx] @ dagger(u),
+                                   rtol=0, atol=1e-14)
+    # frozen rows move too, and the input lattice is left alone
+    assert max_abs(out.sites[0] - lat.sites[0]) > 1e-3
+    assert max_abs(lat.sites - monopole_band_lattice(cells=(6, 8)).sites) == 0.0
+
+
+def per_site_flow(lat, steps, eta):
+    """Reference flow: one unitary_exp per non-frozen site and step."""
+    current = lat.copy()
+    trace = [sigma_lattice_energy(current)]
+    for _ in range(steps):
+        grad = sigma_lattice_gradient(current)
+        for idx in np.ndindex(current.grid_shape):
+            if current.frozen is not None and current.frozen[idx]:
+                continue
+            u = unitary_exp(hermitian_part(grad[idx]), -eta)
+            current.sites[idx] = u @ current.sites[idx] @ dagger(u)
+        trace.append(sigma_lattice_energy(current))
+    return current, trace
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_flow_matches_per_site_reference(frozen):
+    lat = monopole_band_lattice(cells=(6, 10))
+    if not frozen:
+        lat.frozen = None
+    final, trace = sigma_flow(lat, steps=8, eta=2e-3)
+    ref, ref_trace = per_site_flow(lat, steps=8, eta=2e-3)
+    np.testing.assert_allclose(final.sites, ref.sites, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=1e-14)
+    if frozen:
+        assert np.array_equal(final.sites[lat.frozen], lat.sites[lat.frozen])
+    else:
+        assert max_abs(final.sites[0] - lat.sites[0]) > 0.0

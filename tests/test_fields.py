@@ -5,7 +5,7 @@ from bladegauge.errors import ChartError, ParameterError, RankError
 from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
-                               form_rank, lattice_integral, linear, map_points,
+                               form_rank, lattice_integral, linear,
                                matrix_of, partial, scalar_field, sin_of,
                                sphere_flux, wedge, wedge_power_nonzero,
                                wedge_power_values, TwoForm)
@@ -296,11 +296,3 @@ def test_grid_from_json_and_validation():
     assert grid.centers().shape == (8, 2)
     with pytest.raises(ParameterError):
         Grid(lo=(0,), hi=(1,), cells=(0,))
-
-
-def test_map_points_thread_pool_matches_serial(monkeypatch):
-    pts = [np.array([float(i)]) for i in range(20)]
-    serial = map_points(lambda p: float(p[0]) ** 2, pts)
-    monkeypatch.setenv("BLADEGAUGE_THREADS", "4")
-    threaded = map_points(lambda p: float(p[0]) ** 2, pts)
-    assert serial == threaded

@@ -96,3 +96,31 @@ def test_random_unitary_contract():
 def test_random_hermitian_rejects_bad_dim():
     with pytest.raises(DimensionMismatchError):
         random_hermitian(0, 1)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_unitary_exp_stack_matches_per_matrix(rng, n):
+    g = rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n))
+    h = hermitian_part(g)
+    stacked = unitary_exp(h, t=0.7)
+    assert stacked.shape == (3, 5, n, n)
+    for idx in np.ndindex(3, 5):
+        np.testing.assert_allclose(stacked[idx], unitary_exp(h[idx], t=0.7),
+                                   rtol=0, atol=1e-14)
+
+
+def test_stack_helpers_act_per_matrix(rng):
+    m = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    for k in range(4):
+        assert max_abs(dagger(m)[k] - dagger(m[k])) == 0.0
+        assert max_abs(hermitian_part(m)[k] - hermitian_part(m[k])) == 0.0
+    assert is_hermitian(hermitian_part(m))
+    assert not is_hermitian(m)
+
+
+def test_unitary_exp_stack_rejects_one_non_hermitian(rng):
+    g = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+    h = hermitian_part(g)
+    h[1, 3, 0, 1] += 1e-3
+    with pytest.raises(DomainError, match=r"\(1, 3\).*1\.000e-03"):
+        unitary_exp(h)
