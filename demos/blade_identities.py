@@ -15,7 +15,7 @@ makes the blade variables work:
 import numpy as np
 
 from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
-                              extract_potential, random_gauge_map,
+                              extract_potential, four_way, random_gauge_map,
                               random_smooth_frame, shape_identity_residual,
                               shape_operator)
 from bladegauge.fields import MINKOWSKI4
@@ -55,7 +55,7 @@ def main():
     print(f"|dS - dS + 2i[S, S]|     = "
           f"{max_abs(shape_identity_residual(s, 0, 2, x)):.2e}")
 
-    vals, disc = omega.four_way(x, 0, 2)
+    vals, disc = four_way(blade, x, 0, 2)
     print("-" * 64)
     print("four expressions for Omega_02 (first entry shown):")
     for name, m in vals.items():

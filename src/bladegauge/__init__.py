@@ -2,10 +2,12 @@
 
 Gauge potentials are traded for frames V with V^dag dV = i A; the
 gauge-invariant content lives in the rotating blade R = 2 V V^dag - I and its
-shape operator S_mu = -(i/2) R dR.  The library constructs these objects,
-verifies the matrix identities connecting them, evaluates equation-of-motion
-residuals, and reproduces the electromagnetic plane-wave and monopole
-scenarios plus the stacked-block frame construction for abelian potentials.
+shape operator S_mu = -(i/2) R dR.  S is a connection like A (both are
+`OneForm`s), and its curvature Omega is a `TwoForm` like F.  The library
+constructs these objects, verifies the matrix identities connecting them,
+evaluates equation-of-motion residuals, and reproduces the electromagnetic
+plane-wave and monopole scenarios plus the stacked-block frame construction
+for abelian potentials.
 """
 
 __version__ = "0.1.0"
@@ -13,16 +15,15 @@ __version__ = "0.1.0"
 from .tolerances import Tolerances, DEFAULT as TOLERANCES
 from .fields import (Spacetime, MINKOWSKI4, SPHERICAL3, euclidean, FieldFn,
                      OneForm, TwoForm, Grid, constant, coordinate, linear,
-                     exterior_d, form_rank, wedge_power_nonzero, sphere_flux,
-                     lattice_integral, partial)
-from .gauge import (GaugePotential, FieldStrength, MatterField, GaugeMap,
-                    gauge_potential, gauge_map, field_strength,
-                    covariant_derivative, covariant_derivative_matrix,
+                     two_form, exterior_d, form_rank, wedge_power_nonzero,
+                     sphere_flux, lattice_integral)
+from .gauge import (MatterField, GaugeMap, gauge_potential, gauge_map,
+                    field_strength, covariant_derivative, covariant_derivative_matrix,
                     gauge_transform, gauge_transform_field_strength,
                     gauge_transform_matter, pure_gauge_potential)
-from .blade import (Frame, RotatingBlade, ShapeOperator, BladeCurvature,
-                    frame, extract_potential, blade_from_frame, shape_operator,
-                    blade_curvature, lifted_covariant_derivative,
+from .blade import (Frame, RotatingBlade, frame, extract_potential,
+                    blade_from_frame, shape_operator, blade_curvature,
+                    four_way, check_four_way, lifted_covariant_derivative,
                     shape_identity_residual, complement_frame, complement_field,
                     shape_gauge_decompose, canonical_frame, direct_rotation,
                     random_smooth_frame, random_gauge_map, reference_frame)

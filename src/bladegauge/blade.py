@@ -3,7 +3,8 @@
 A frame V(x) is an N x n matrix field with orthonormal columns; the rotating
 blade R = 2 V V^dag - I is the gauge-invariant reflection encoding only the
 column span.  The shape operator S_mu = -(i/2) R dR plays the role of
-connection coefficients for the lifted covariant derivative, and the blade
+connection coefficients for the lifted covariant derivative, so it is a
+`OneForm` like any gauge potential and its curvature a `TwoForm`.  The blade
 curvature admits four algebraically equivalent expressions that are all kept
 as independent code paths for cross-validation.
 """
@@ -16,18 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import FieldFn, Spacetime, constant, hstack, identity_field
-from .gauge import FieldStrength, GaugeMap, GaugePotential, gauge_map, gauge_potential
+from .fields import (FieldFn, OneForm, Spacetime, TwoForm, constant, hstack,
+                     identity_field, two_form)
+from .gauge import GaugeMap, field_strength, gauge_map, gauge_potential
 from .linalg import (commutator, dagger, hermitian_part, max_abs,
                      random_hermitian, unitary_exp, unitary_exp_frechet)
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "Frame", "RotatingBlade", "ShapeOperator", "BladeCurvature",
+    "Frame", "RotatingBlade",
     "frame", "validate_frame", "extract_potential", "blade_from_frame",
-    "shape_operator", "blade_curvature", "lifted_field",
-    "lifted_covariant_derivative", "lifted_covariant_derivative_projected",
-    "lifted_matrix_derivative", "shape_identity_residual",
+    "shape_operator", "blade_curvature", "four_way", "check_four_way",
+    "lifted_field", "lifted_covariant_derivative",
+    "lifted_covariant_derivative_projected", "shape_identity_residual",
     "complement_frame", "complement_field", "ShapeGaugeDecomposition",
     "shape_gauge_decompose", "canonical_frame", "direct_rotation",
     "canonical_frame_field", "reference_frame",
@@ -65,21 +67,6 @@ class RotatingBlade:
         return self.R(x)
 
 
-@dataclass(frozen=True)
-class ShapeOperator:
-    """d Hermitian N x N fields S_mu anti-commuting with the blade."""
-
-    spacetime: Spacetime
-    N: int
-    components: tuple  # d FieldFns
-
-    def component(self, mu):
-        return self.components[mu]
-
-    def at(self, x, mu):
-        return self.components[mu](x)
-
-
 def frame(spacetime, V: FieldFn, check_points=(), tol=TOL.algebraic) -> Frame:
     if len(V.shape) != 2:
         raise DimensionMismatchError("a frame must be matrix valued")
@@ -107,7 +94,7 @@ def reference_frame(spacetime, N, n) -> Frame:
     return Frame(spacetime, N, n, constant(v0, spacetime))
 
 
-def extract_potential(f: Frame, tol=TOL.frame_consistency) -> GaugePotential:
+def extract_potential(f: Frame, tol=TOL.frame_consistency) -> OneForm:
     """A_mu = -i V^dag dV.
 
     The result is Hermitian when the frame is genuinely orthonormal; the
@@ -133,7 +120,7 @@ def extract_potential(f: Frame, tol=TOL.frame_consistency) -> GaugePotential:
         if raw.deriv is not None:
             deriv = lambda x, nu, raw=raw: hermitian_part(raw.deriv(x, nu))
         comps.append(FieldFn(f.spacetime, (f.n, f.n), checked, deriv, None, f.V.fd_step))
-    return GaugePotential(f.spacetime, f.n, tuple(comps))
+    return OneForm(f.spacetime, tuple(comps))
 
 
 def blade_from_frame(f: Frame) -> RotatingBlade:
@@ -142,21 +129,21 @@ def blade_from_frame(f: Frame) -> RotatingBlade:
     return RotatingBlade(f.spacetime, f.N, f.n, R)
 
 
-def shape_operator(blade: RotatingBlade) -> ShapeOperator:
-    """S_mu = -(i/2) R dR."""
+def shape_operator(blade: RotatingBlade) -> OneForm:
+    """S_mu = -(i/2) R dR: d Hermitian N x N fields anti-commuting with R."""
     comps = tuple((-0.5j) * (blade.R @ blade.R.partial(mu))
                   for mu in range(blade.spacetime.dim))
-    return ShapeOperator(blade.spacetime, blade.N, comps)
+    return OneForm(blade.spacetime, comps)
 
 
-def lifted_field(shape_op: ShapeOperator, psi: FieldFn, mu) -> FieldFn:
+def lifted_field(shape_op: OneForm, psi: FieldFn, mu) -> FieldFn:
     """The field x -> D_mu psi = d_mu psi + i S_mu psi, as a FieldFn."""
     return psi.partial(mu) + 1j * (shape_op.components[mu] @ psi)
 
 
 def lifted_covariant_derivative(blade_or_shape, psi: FieldFn, mu, x):
     """d_mu psi + i S_mu psi at x, for any C^N-valued field psi."""
-    s = blade_or_shape if isinstance(blade_or_shape, ShapeOperator) else shape_operator(blade_or_shape)
+    s = blade_or_shape if isinstance(blade_or_shape, OneForm) else shape_operator(blade_or_shape)
     return psi.d(x, mu) + 1j * s.at(x, mu) @ psi(x)
 
 
@@ -169,14 +156,7 @@ def lifted_covariant_derivative_projected(blade: RotatingBlade, psi: FieldFn, mu
     return a(x) + b(x)
 
 
-def lifted_matrix_derivative(shape_op: ShapeOperator, m: FieldFn, mu, x):
-    """d_mu M + i [S_mu, M] for N x N matrix fields."""
-    s = shape_op.at(x, mu)
-    mv = m(x)
-    return m.d(x, mu) + 1j * (s @ mv - mv @ s)
-
-
-def shape_identity_residual(shape_op: ShapeOperator, mu, nu, x):
+def shape_identity_residual(shape_op: OneForm, mu, nu, x):
     """d_mu S_nu - d_nu S_mu + 2i [S_mu, S_nu]; zero for genuine blades."""
     smu, snu = shape_op.components[mu], shape_op.components[nu]
     return (snu.d(x, mu) - smu.d(x, nu)
@@ -190,43 +170,26 @@ _FOUR_WAY_NAMES = ("commutator_probe", "shape_commutator", "blade_derivative",
                    "projector_derivative")
 
 
-@dataclass(frozen=True)
-class BladeCurvature:
-    """Omega_mu nu = -i [S_mu, S_nu]; upper triangle stored."""
+def four_way(blade: RotatingBlade, x, mu, nu):
+    """Evaluate all four equivalent curvature expressions of the blade at x.
 
-    spacetime: Spacetime
-    N: int
-    upper: dict
-    blade: RotatingBlade
+    Returns (values dict keyed by expression name, max pairwise
+    discrepancy in the max-abs norm).
+    """
+    vals = _four_way_values(blade, x, mu, nu)
+    disc = max(max_abs(vals[a] - vals[b])
+               for a, b in itertools.combinations(_FOUR_WAY_NAMES, 2))
+    return vals, disc
 
-    def component(self, mu, nu):
-        if mu == nu:
-            return constant(np.zeros((self.N, self.N), dtype=complex), self.spacetime)
-        if mu < nu:
-            return self.upper[(mu, nu)]
-        return -1.0 * self.upper[(nu, mu)]
 
-    def at(self, x, mu, nu):
-        return self.component(mu, nu)(x)
-
-    def four_way(self, x, mu, nu):
-        """Evaluate all four equivalent curvature expressions at x.
-
-        Returns (values dict keyed by expression name, max pairwise
-        discrepancy in the max-abs norm).
-        """
-        vals = _four_way_values(self.blade, x, mu, nu)
-        disc = max(max_abs(vals[a] - vals[b])
-                   for a, b in itertools.combinations(_FOUR_WAY_NAMES, 2))
-        return vals, disc
-
-    def check(self, x, mu, nu, tol=None):
-        tol = TOL.fd_nested() if tol is None else tol
-        _, disc = self.four_way(x, mu, nu)
-        if disc > tol:
-            raise ConsistencyError(
-                f"curvature expressions disagree by {disc:.3e} > {tol:.1e} at {x}")
-        return disc
+def check_four_way(blade: RotatingBlade, x, mu, nu, tol=None):
+    """The four-way discrepancy at x; ConsistencyError if it exceeds tol."""
+    tol = TOL.fd_nested() if tol is None else tol
+    _, disc = four_way(blade, x, mu, nu)
+    if disc > tol:
+        raise ConsistencyError(
+            f"curvature expressions disagree by {disc:.3e} > {tol:.1e} at {x}")
+    return disc
 
 
 def _four_way_values(blade: RotatingBlade, x, mu, nu):
@@ -254,21 +217,17 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     }
 
 
-def blade_curvature(blade: RotatingBlade, check_points=(), tol=None) -> BladeCurvature:
+def blade_curvature(blade: RotatingBlade, check_points=(), tol=None) -> TwoForm:
     """Curvature of the lifted covariant derivative, as -i [S_mu, S_nu].
 
     check_points, when given, cross-validate the four equivalent expressions
     and raise a ConsistencyError beyond the combined FD tolerance.
     """
-    s = shape_operator(blade)
-    upper = {}
-    for mu, nu in itertools.combinations(range(blade.spacetime.dim), 2):
-        smu, snu = s.components[mu], s.components[nu]
-        upper[(mu, nu)] = (-1j) * (smu @ snu - snu @ smu)
-    omega = BladeCurvature(blade.spacetime, blade.N, upper, blade)
+    s = shape_operator(blade).components
+    omega = two_form(blade.spacetime, lambda mu, nu: (-1j) * (s[mu] @ s[nu] - s[nu] @ s[mu]))
     for x in check_points:
-        for mu, nu in itertools.combinations(range(blade.spacetime.dim), 2):
-            omega.check(x, mu, nu, tol)
+        for mu, nu in omega.upper:
+            check_four_way(blade, x, mu, nu, tol)
     return omega
 
 
@@ -301,12 +260,11 @@ class ShapeGaugeDecomposition:
 
     frame: Frame
     W: FieldFn
-    C: GaugePotential
-    G: FieldStrength
+    C: OneForm
+    G: TwoForm
 
     def reconstruction_residual(self, x, mu):
         """S_mu - [U (A oplus C) U^dag - i U dU^dag] at x."""
-        from .gauge import field_strength  # local to avoid import noise
         f = self.frame
         u = hstack(f.V, self.W)
         a = extract_potential(f)
@@ -320,7 +278,6 @@ class ShapeGaugeDecomposition:
 
     def omega_block_residual(self, x, mu, nu):
         """Omega - U (F oplus G) U^dag at x, plus the G = W^dag Omega W gap."""
-        from .gauge import field_strength
         f = self.frame
         a = extract_potential(f)
         fs = field_strength(a)
@@ -341,7 +298,6 @@ def shape_gauge_decompose(f: Frame, w: FieldFn, check_points=(), tol=None) -> Sh
     the combined potential and the block form of the curvature; raises a
     ConsistencyError when a residual exceeds the tolerance.
     """
-    from .gauge import field_strength
     tol = TOL.fd_nested() if tol is None else tol
     comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(f.spacetime.dim)]
     c = gauge_potential(f.spacetime, comps)

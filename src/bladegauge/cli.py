@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from . import em
 from .blade import (Frame, blade_curvature, blade_from_frame, complement_field,
-                    extract_potential, random_gauge_map, random_smooth_frame,
-                    shape_operator)
-from .darboux import darboux_data, frame_residual_report, verify_rank
+                    extract_potential, four_way, random_gauge_map,
+                    random_smooth_frame, shape_operator)
+from .darboux import frame_residual_report, verify_rank
 from .dynamics import (INDEX_HANDLING_NOTE, blade_lattice_from_field,
                        maxwell_mod_residual, modified_eom_residual,
                        shape_gauge_ym_residual, sigma_flow,
@@ -37,10 +37,10 @@ from .embedded import (cylinder, embedded_curvature_paths, gauss_curvature,
                        christoffel_riemann, induced_metric, plane,
                        embedded_shape_identity_residual, sphere, torus)
 from .errors import BladeGaugeError, ConfigError
-from .fields import Grid, MINKOWSKI4, sphere_flux
+from .fields import Grid, MINKOWSKI4, sphere_flux, two_form_values, wedge
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs
-from .scenarios import (load_frame, load_potential, validate_config,
+from .scenarios import (load_darboux, load_frame, load_potential, validate_config,
                         resolve_spacetime)
 from .tolerances import DEFAULT as TOL
 
@@ -259,7 +259,7 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
                                                 max_abs(sv - s2.at(x, mu)))
             worst["gauge_invariance"] = max(worst["gauge_invariance"],
                                             max_abs(r - blade2.at(x)))
-            _, disc = omega.four_way(x, 0, 2)
+            _, disc = four_way(blade, x, 0, 2)
             worst["four_way"] = max(worst["four_way"], disc)
             vv = v.at(x)
             wv = w(x)
@@ -315,7 +315,9 @@ def _planewave_checks(params, tol=TOL):
     rng = np.random.default_rng(5)
     pts = [rng.uniform(-1.0, 1.0, 4) for _ in range(6)]
     veq = max(em.em_potential_residual(p, a, mu, x) for x in pts for mu in range(4))
-    ff = max(max(abs(c) for c in wedge_power_values_of(fs, x).values()) for x in pts)
+    # F wedge F, the 4-form obstruction to decomposability
+    ff_vals = [two_form_values(fs, x) for x in pts]
+    ff = max(abs(c) for vals in ff_vals for c in wedge(vals, vals).values())
     cond = abs(em.plane_wave_mod_condition(st, k, n))
     maxmod = max(max_abs(maxwell_mod_residual(p, x)) for x in pts[:3])
     checks = [
@@ -330,13 +332,6 @@ def _planewave_checks(params, tol=TOL):
         ym = max(max_abs(ym_residual(a, nu, x)) for x in pts[:3] for nu in range(4))
         checks.append(_check("planewave_maxwell_residual", ym, tol.fd_nested()))
     return checks
-
-
-def wedge_power_values_of(two_form, x):
-    # F wedge F, the 4-form obstruction to decomposability
-    from .fields import two_form_values, wedge
-    vals = two_form_values(two_form, x)
-    return wedge(vals, vals)
 
 
 def _monopole_checks(params, tol=TOL):
@@ -377,10 +372,7 @@ def _monopole_checks(params, tol=TOL):
 
 
 def _darboux_checks(params, tol=TOL):
-    st = MINKOWSKI4
-    box = params.get("domain", {"lo": [-0.8] * 4, "hi": [0.8] * 4})
-    pairs = [(p["pi"], p["phi"]) for p in params.get("pairs", [])]
-    data = darboux_data(st, pairs, box["lo"], box["hi"])
+    data = load_darboux(params)
     rep = frame_residual_report(data)
     measured = verify_rank(data)
     return [
@@ -542,10 +534,7 @@ def cmd_darboux(args):
         raw = json.load(fh)
     cfg = raw if "scenario" in raw else {"scenario": "darboux", "params": raw}
     validate_config(cfg)
-    params = cfg.get("params", {})
-    box = params.get("domain", {"lo": [-0.8] * 4, "hi": [0.8] * 4})
-    pairs = [(p["pi"], p["phi"]) for p in params.get("pairs", [])]
-    data = darboux_data(MINKOWSKI4, pairs, box["lo"], box["hi"])
+    data = load_darboux(cfg.get("params", {}))
     rep = frame_residual_report(data)
     measured = verify_rank(data)
     report = _report_skeleton("darboux", cfg)

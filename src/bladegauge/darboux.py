@@ -35,7 +35,7 @@ from .blade import Frame, frame
 from .errors import DomainError, ParameterError, RankError
 from .fields import (FieldFn, OneForm, Spacetime, constant, exp_i, form_rank,
                      matrix_of)
-from .gauge import GaugePotential, gauge_potential
+from .gauge import gauge_potential
 
 __all__ = [
     "DarbouxData", "darboux_data", "darboux_one_form", "darboux_potential",
@@ -337,7 +337,7 @@ def darboux_one_form(data: DarbouxData) -> OneForm:
     return OneForm(data.spacetime, tuple(comps))
 
 
-def darboux_potential(data: DarbouxData) -> GaugePotential:
+def darboux_potential(data: DarbouxData) -> OneForm:
     """The same one-form packaged as a rank-1 gauge potential."""
     a = darboux_one_form(data)
     comps = [matrix_of([[c]]) for c in a.components]

@@ -15,18 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blade import (Frame, RotatingBlade, ShapeOperator, blade_curvature,
-                    blade_from_frame, extract_potential, shape_operator)
+from .blade import (Frame, RotatingBlade, blade_curvature, blade_from_frame,
+                    extract_potential, shape_operator)
 from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
-from .fields import FieldFn, Grid, lattice_integral, scalar_field
-from .gauge import FieldStrength, GaugePotential, field_strength
-from .linalg import dagger, hermitian_part, max_abs, unitary_exp
+from .fields import FieldFn, Grid, OneForm, TwoForm, lattice_integral, scalar_field
+from .gauge import covariant_derivative_matrix, field_strength
+from .linalg import dagger, hermitian_part, unitary_exp
 
 __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
     "maxwell_mod_residual", "shape_gauge_ym_residual", "sigma_eom_residual",
-    "ResidualReport", "residual_report",
     "LatticeBlade", "blade_lattice_from_field", "sigma_lattice_energy",
     "sigma_lattice_gradient", "sigma_lattice_directional", "sigma_flow",
 ]
@@ -39,22 +38,19 @@ INDEX_HANDLING_NOTE = ("modified EOM evaluated as the nu-summed divergence "
 # ---------------------------------------------------------------------------
 # continuum residuals
 
-def ym_residual(a: GaugePotential, nu, x, fs: FieldStrength = None):
+def ym_residual(a: OneForm, nu, x, fs: TwoForm = None):
     """D^mu F_mu nu at x: sum_mu sign(mu) (d_mu F_mu nu + i [A_mu, F_mu nu])."""
     fs = field_strength(a) if fs is None else fs
     st = a.spacetime
-    total = np.zeros((a.n, a.n), dtype=complex)
+    total = np.zeros(a.components[0].shape, dtype=complex)
     for mu in range(st.dim):
-        if mu == nu:
-            continue
-        comp = fs.component(mu, nu)
-        fval = comp(x)
-        aval = a.at(x, mu)
-        total += st.raise_sign(mu) * (comp.d(x, mu) + 1j * (aval @ fval - fval @ aval))
+        if mu != nu:
+            total += st.raise_sign(mu) * covariant_derivative_matrix(
+                a, fs.component(mu, nu), mu, x)
     return total
 
 
-def ym_action(a: GaugePotential, grid: Grid, fs: FieldStrength = None):
+def ym_action(a: OneForm, grid: Grid, fs: TwoForm = None):
     """-1/4 integral Tr(F_mu nu F^mu nu) by the midpoint rule."""
     fs = field_strength(a) if fs is None else fs
     st = a.spacetime
@@ -83,8 +79,7 @@ def sigma_action(blade: RotatingBlade, grid: Grid):
     return lattice_integral(scalar_field(st, density), grid)
 
 
-def modified_eom_residual(v: Frame, x, a: GaugePotential = None,
-                          fs: FieldStrength = None):
+def modified_eom_residual(v: Frame, x, a: OneForm = None, fs: TwoForm = None):
     """sum_nu d^nu ( V (D^mu F_mu nu) V^dag ) at x.
 
     Solutions of the Yang-Mills equations annihilate the inner bracket and
@@ -123,24 +118,18 @@ def maxwell_mod_residual(params: EmFrameParams, x):
     return total
 
 
-def shape_gauge_ym_residual(v: Frame, x, nu, s: ShapeOperator = None):
-    """P D^mu Omega_mu nu at x: the shape-gauge image of the YM equations."""
+def shape_gauge_ym_residual(v: Frame, x, nu, s: OneForm = None):
+    """P D^mu Omega_mu nu at x: the shape-gauge image of the YM equations.
+
+    S is the connection and Omega its curvature, so this is P times the
+    Yang-Mills residual of S.
+    """
     blade = blade_from_frame(v)
     s = shape_operator(blade) if s is None else s
-    omega = blade_curvature(blade)
-    st = v.spacetime
-    total = np.zeros((v.N, v.N), dtype=complex)
-    for mu in range(st.dim):
-        if mu == nu:
-            continue
-        comp = omega.component(mu, nu)
-        oval = comp(x)
-        sval = s.at(x, mu)
-        total += st.raise_sign(mu) * (comp.d(x, mu) + 1j * (sval @ oval - oval @ sval))
-    return blade.projector(x) @ total
+    return blade.projector(x) @ ym_residual(s, nu, x, blade_curvature(blade))
 
 
-def sigma_eom_residual(blade: RotatingBlade, x, s: ShapeOperator = None):
+def sigma_eom_residual(blade: RotatingBlade, x, s: OneForm = None):
     """d_mu S^mu at x."""
     s = shape_operator(blade) if s is None else s
     st = blade.spacetime
@@ -148,33 +137,6 @@ def sigma_eom_residual(blade: RotatingBlade, x, s: ShapeOperator = None):
     for mu in range(st.dim):
         total += st.raise_sign(mu) * s.components[mu].d(x, mu)
     return total
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-point residual norms for one equation over a point set."""
-
-    equation: str
-    points: tuple
-    norms: tuple
-    max: float
-    mean: float
-    meta: dict
-
-    def to_dict(self):
-        return {"equation": self.equation,
-                "index_handling": INDEX_HANDLING_NOTE,
-                "max": self.max, "mean": self.mean,
-                "count": len(self.norms), "meta": self.meta}
-
-
-def residual_report(equation, evaluator, points, meta=None) -> ResidualReport:
-    """Evaluate `evaluator(x) -> matrix` over points and summarize max-abs norms."""
-    norms = tuple(max_abs(evaluator(np.asarray(x, dtype=float))) for x in points)
-    mx = max(norms) if norms else 0.0
-    mean = float(np.mean(norms)) if norms else 0.0
-    return ResidualReport(equation, tuple(tuple(float(c) for c in p) for p in points),
-                          norms, mx, mean, dict(meta or {}))
 
 
 # ---------------------------------------------------------------------------

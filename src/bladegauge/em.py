@@ -15,14 +15,15 @@ import numpy as np
 
 from .blade import Frame, RotatingBlade, blade_from_frame, frame
 from .errors import ChartError
-from .fields import (FieldFn, Spacetime, SPHERICAL3, TwoForm, constant,
-                     coordinate, cos_of, exp_i, linear, matrix_of, sin_of)
-from .gauge import GaugePotential, gauge_potential
+from .fields import (FieldFn, OneForm, Spacetime, SPHERICAL3, TwoForm, constant,
+                     coordinate, cos_of, exp_i, linear, matrix_of, sin_of,
+                     two_form)
+from .gauge import gauge_potential
 from .linalg import max_abs
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "EmFrameParams", "MonopoleScenario", "em_frame", "em_complement",
+    "EmFrameParams", "em_frame", "em_complement",
     "em_potential_residual", "em_faraday", "plane_wave_params",
     "plane_wave_potential", "plane_wave_mod_condition",
     "monopole_potential", "monopole_params", "monopole_blade",
@@ -44,18 +45,6 @@ class EmFrameParams:
         return self.rho.spacetime
 
 
-@dataclass(frozen=True)
-class MonopoleScenario:
-    """Monopole of strength g on one of the two patches (plus / minus)."""
-
-    g: float
-    patch: str  # "plus" excludes theta = pi, "minus" excludes theta = 0
-
-    def __post_init__(self):
-        if self.patch not in ("plus", "minus"):
-            raise ValueError("patch must be 'plus' or 'minus'")
-
-
 def em_frame(params: EmFrameParams) -> Frame:
     """V = (e^{i alpha} cos rho, e^{i beta} sin rho)^T; orthonormal by construction."""
     top = exp_i(params.alpha) * cos_of(params.rho)
@@ -75,7 +64,7 @@ def em_complement(params: EmFrameParams) -> FieldFn:
     return matrix_of([[top], [bottom]])
 
 
-def em_potential_residual(params: EmFrameParams, a: GaugePotential, mu, x):
+def em_potential_residual(params: EmFrameParams, a: OneForm, mu, x):
     """|cos^2 rho d_mu alpha + sin^2 rho d_mu beta - A_mu| at x."""
     r = params.rho(x)
     lhs = (np.cos(r) ** 2 * params.alpha.d(x, mu)
@@ -87,13 +76,8 @@ def em_faraday(params: EmFrameParams) -> TwoForm:
     """F = d(cos^2 rho) wedge d(alpha - beta), componentwise."""
     c2 = cos_of(params.rho) * cos_of(params.rho)
     delta = params.alpha - params.beta
-    d = params.spacetime.dim
-    upper = {}
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            upper[(mu, nu)] = (c2.partial(mu) * delta.partial(nu)
-                               - c2.partial(nu) * delta.partial(mu))
-    return TwoForm(params.spacetime, upper)
+    return two_form(params.spacetime, lambda mu, nu: (c2.partial(mu) * delta.partial(nu)
+                                                      - c2.partial(nu) * delta.partial(mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +92,7 @@ def plane_wave_params(spacetime: Spacetime, k, n) -> EmFrameParams:
                          rho=linear(spacetime, 0.5 * k, offset=-np.pi / 4.0))
 
 
-def plane_wave_potential(spacetime: Spacetime, k, n) -> GaugePotential:
+def plane_wave_potential(spacetime: Spacetime, k, n) -> OneForm:
     """A_mu = n_mu sin(k . x), as a rank-1 potential."""
     k = np.asarray(k, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -152,12 +136,12 @@ def _pole_guarded_phi_component(g, sign, guard=TOL.pole_guard):
     return FieldFn(SPHERICAL3, (1, 1), fn, deriv, deriv2)
 
 
-def monopole_potential(g, patch) -> GaugePotential:
+def monopole_potential(g, patch) -> OneForm:
     """A^(+-) = g (+-1 - cos theta) d phi on the spherical chart."""
     sign = 1.0 if patch == "plus" else -1.0
     zero = constant(np.zeros((1, 1), dtype=complex), SPHERICAL3)
     comps = [zero, zero, _pole_guarded_phi_component(g, sign)]
-    return GaugePotential(SPHERICAL3, 1, tuple(comps))
+    return OneForm(SPHERICAL3, tuple(comps))
 
 
 def monopole_params(g, patch) -> EmFrameParams:

@@ -26,7 +26,7 @@ __all__ = [
     "Spacetime", "MINKOWSKI4", "euclidean", "SPHERICAL3",
     "FieldFn", "constant", "identity_field", "coordinate", "linear",
     "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "hstack",
-    "partial", "OneForm", "TwoForm", "exterior_d", "closedness_residual",
+    "OneForm", "TwoForm", "two_form", "exterior_d", "closedness_residual",
     "one_form_values", "two_form_values", "wedge", "wedge_power_values",
     "wedge_power_nonzero", "form_rank", "sphere_flux",
     "Grid", "lattice_integral",
@@ -347,16 +347,13 @@ def hstack(a, b):
                    deriv, deriv2, _combine_step(a, b))
 
 
-def partial(f, mu, x):
-    """d f / d x^mu at x (analytic if available, else central difference)."""
-    return f.d(x, mu)
-
-
 # ---------------------------------------------------------------------------
 # differential forms
 
 @dataclass(frozen=True)
 class OneForm:
+    """d component fields A_mu; scalar for abelian forms, matrix for connections."""
+
     spacetime: Spacetime
     components: tuple  # d FieldFns
 
@@ -366,6 +363,9 @@ class OneForm:
 
     def component(self, mu):
         return self.components[mu]
+
+    def at(self, x, mu):
+        return self.components[mu](x)
 
 
 @dataclass(frozen=True)
@@ -377,31 +377,33 @@ class TwoForm:
 
     def component(self, mu, nu):
         if mu == nu:
-            return constant(_zero_like(self), self.spacetime)
+            shape = next(iter(self.upper.values())).shape
+            return constant(0.0 if shape == () else np.zeros(shape, dtype=complex),
+                            self.spacetime)
         if mu < nu:
             return self.upper[(mu, nu)]
         return -1.0 * self.upper[(nu, mu)]
 
+    def at(self, x, mu, nu):
+        return self.component(mu, nu)(x)
 
-def _zero_like(form):
-    any_c = next(iter(form.upper.values()))
-    return 0.0 if any_c.shape == () else np.zeros(any_c.shape, dtype=complex)
+
+def two_form(spacetime, entry) -> TwoForm:
+    """The 2-form whose (mu, nu) component, mu < nu, is the field entry(mu, nu)."""
+    return TwoForm(spacetime, {(mu, nu): entry(mu, nu) for mu, nu
+                               in itertools.combinations(range(spacetime.dim), 2)})
 
 
 def exterior_d(a: OneForm) -> TwoForm:
     """(dA)_{mu nu} = d_mu A_nu - d_nu A_mu."""
-    d = a.spacetime.dim
-    upper = {}
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            upper[(mu, nu)] = a.components[nu].partial(mu) - a.components[mu].partial(nu)
-    return TwoForm(a.spacetime, upper)
+    c = a.components
+    return two_form(a.spacetime, lambda mu, nu: c[nu].partial(mu) - c[mu].partial(nu))
 
 
 def closedness_residual(f, x):
     """Cyclic derivative sums d_mu F_nu rho + d_nu F_rho mu + d_rho F_mu nu.
 
-    Works for any object with .spacetime and .component(mu, nu) -> FieldFn;
+    Works for any TwoForm, field strengths and blade curvature included;
     vanishes for exact forms (d^2 = 0) and realizes the abelian Bianchi
     identity for field strengths.  Returns {(mu, nu, rho): value}.
     """

@@ -7,19 +7,18 @@ so corrections below a warning threshold are silent and larger ones warn.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import FieldFn, Spacetime
+from .fields import FieldFn, OneForm, TwoForm, two_form
 from .linalg import dagger, hermitian_part, max_abs
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "GaugePotential", "FieldStrength", "MatterField", "GaugeMap",
+    "MatterField", "GaugeMap",
     "gauge_potential", "gauge_map", "field_strength",
     "covariant_derivative", "covariant_derivative_matrix",
     "gauge_transform", "gauge_transform_field_strength", "gauge_transform_matter",
@@ -44,22 +43,8 @@ def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
     return FieldFn(f.spacetime, f.shape, lambda x: fix(f.fn(x)), deriv, deriv2, f.fd_step)
 
 
-@dataclass(frozen=True)
-class GaugePotential:
-    """d Hermitian n x n matrix fields A_mu(x); i A_mu lives in u(n)."""
-
-    spacetime: Spacetime
-    n: int
-    components: tuple  # d FieldFns, each (n, n)-valued
-
-    def component(self, mu):
-        return self.components[mu]
-
-    def at(self, x, mu):
-        return self.components[mu](x)
-
-
-def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> GaugePotential:
+def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> OneForm:
+    """d Hermitian n x n matrix fields A_mu(x) as a one-form; i A_mu lives in u(n)."""
     components = tuple(components)
     if len(components) != spacetime.dim:
         raise DimensionMismatchError("need one component per spacetime axis")
@@ -74,27 +59,7 @@ def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> Gau
                            0.0 if all(c.deriv is not None for c in components)
                            else TOL.fd(components[0].fd_step))
         components = tuple(_hermitized(c, warn_tol) for c in components)
-    return GaugePotential(spacetime, n, components)
-
-
-@dataclass(frozen=True)
-class FieldStrength:
-    """Antisymmetric array of Hermitian n x n fields; upper triangle stored."""
-
-    spacetime: Spacetime
-    n: int
-    upper: dict  # {(mu, nu): FieldFn} with mu < nu
-
-    def component(self, mu, nu):
-        if mu == nu:
-            from .fields import constant
-            return constant(np.zeros((self.n, self.n), dtype=complex), self.spacetime)
-        if mu < nu:
-            return self.upper[(mu, nu)]
-        return -1.0 * self.upper[(nu, mu)]
-
-    def at(self, x, mu, nu):
-        return self.component(mu, nu)(x)
+    return OneForm(spacetime, components)
 
 
 @dataclass(frozen=True)
@@ -135,33 +100,36 @@ def gauge_map(f: FieldFn, check=True, tol=TOL.hermitian_input) -> GaugeMap:
     return GaugeMap(FieldFn(f.spacetime, f.shape, checked, f.deriv, f.deriv2, f.fd_step))
 
 
-def covariant_derivative(a: GaugePotential, psi: MatterField, mu, x):
+def covariant_derivative(a: OneForm, psi: MatterField, mu, x):
     """D_mu psi = d_mu psi + i A_mu psi."""
     return psi.f.d(x, mu) + 1j * a.at(x, mu) @ psi.f(x)
 
 
-def covariant_derivative_matrix(a: GaugePotential, m: FieldFn, mu, x):
-    """Matrix-field covariant derivative d_mu M + i [A_mu, M]."""
+def covariant_derivative_matrix(a: OneForm, m: FieldFn, mu, x):
+    """Matrix-field covariant derivative d_mu M + i [A_mu, M].
+
+    Any matrix connection works as A, the shape operator S of a blade included.
+    """
     am = a.at(x, mu)
     mv = m(x)
     return m.d(x, mu) + 1j * (am @ mv - mv @ am)
 
 
-def field_strength(a: GaugePotential) -> FieldStrength:
+def field_strength(a: OneForm) -> TwoForm:
     """F_mu nu = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu]."""
-    d = a.spacetime.dim
     analytic = all(c.deriv is not None for c in a.components)
     warn_tol = TOL.hermitian_warn if analytic else max(TOL.hermitian_warn,
                                                        TOL.fd(a.components[0].fd_step))
-    upper = {}
-    for mu, nu in itertools.combinations(range(d), 2):
+
+    def entry(mu, nu):
         amu, anu = a.components[mu], a.components[nu]
         f = anu.partial(mu) - amu.partial(nu) + 1j * (amu @ anu - anu @ amu)
-        upper[(mu, nu)] = _hermitized(f, warn_tol)
-    return FieldStrength(a.spacetime, a.n, upper)
+        return _hermitized(f, warn_tol)
+
+    return two_form(a.spacetime, entry)
 
 
-def gauge_transform(a: GaugePotential, u: GaugeMap) -> GaugePotential:
+def gauge_transform(a: OneForm, u: GaugeMap) -> OneForm:
     """A' = u A u^dag - i u d u^dag."""
     uf = u.f
     comps = [uf @ a.components[mu] @ uf.dagger() + (-1j) * (uf @ uf.dagger().partial(mu))
@@ -169,11 +137,11 @@ def gauge_transform(a: GaugePotential, u: GaugeMap) -> GaugePotential:
     return gauge_potential(a.spacetime, comps)
 
 
-def gauge_transform_field_strength(f: FieldStrength, u: GaugeMap) -> FieldStrength:
+def gauge_transform_field_strength(f: TwoForm, u: GaugeMap) -> TwoForm:
     """F' = u F u^dag."""
     uf = u.f
-    upper = {key: _hermitized(uf @ c @ uf.dagger()) for key, c in f.upper.items()}
-    return FieldStrength(f.spacetime, f.n, upper)
+    return two_form(f.spacetime,
+                    lambda mu, nu: _hermitized(uf @ f.upper[(mu, nu)] @ uf.dagger()))
 
 
 def gauge_transform_matter(psi: MatterField, u: GaugeMap) -> MatterField:
@@ -181,7 +149,7 @@ def gauge_transform_matter(psi: MatterField, u: GaugeMap) -> MatterField:
     return MatterField(u.f @ psi.f)
 
 
-def pure_gauge_potential(u: GaugeMap) -> GaugePotential:
+def pure_gauge_potential(u: GaugeMap) -> OneForm:
     """A = -i u d u^dag: the flat potential gauge-equivalent to zero."""
     uf = u.f
     comps = [(-1j) * (uf @ uf.dagger().partial(mu)) for mu in range(uf.spacetime.dim)]

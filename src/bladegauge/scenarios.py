@@ -20,19 +20,21 @@ except ImportError:  # pragma: no cover - hard dependency, guarded for clarity
 
 from . import darboux as dx
 from . import em
-from .blade import Frame, frame, random_smooth_frame
+from .blade import Frame, extract_potential, frame, random_smooth_frame
 from .errors import ConfigError, ParameterError
-from .fields import FieldFn, MINKOWSKI4, SPHERICAL3, Spacetime, linear, matrix_of
-from .gauge import GaugePotential, gauge_potential, pure_gauge_potential
+from .fields import FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, linear, matrix_of
+from .gauge import gauge_potential, pure_gauge_potential
 __all__ = [
     "scenario_schema", "validate_config", "resolve_spacetime",
-    "load_potential", "load_frame", "tabulated_field",
+    "load_potential", "load_frame", "load_darboux", "tabulated_field",
     "constant_f_potential", "dump_blade", "load_blade_dump",
 ]
 
 BUILTIN_POTENTIALS = ("plane_wave", "monopole_plus", "monopole_minus",
                       "pure_gauge", "constant_F")
 BUILTIN_FRAMES = ("plane_wave", "monopole", "darboux", "random_smooth")
+# scenarios that only define a frame; their potential is A = -i V^dag dV
+FRAME_ONLY = ("random_smooth", "darboux")
 
 
 def scenario_schema():
@@ -60,7 +62,7 @@ def resolve_spacetime(cfg) -> Spacetime:
     return Spacetime(len(sig), tuple(int(s) for s in sig))
 
 
-def constant_f_potential(spacetime: Spacetime, b=1.0) -> GaugePotential:
+def constant_f_potential(spacetime: Spacetime, b=1.0) -> OneForm:
     """A = B x^1 dx^2: a constant abelian field strength F_12 = B."""
     x1 = linear(spacetime, np.eye(spacetime.dim)[1])
     comps = []
@@ -73,8 +75,11 @@ def constant_f_potential(spacetime: Spacetime, b=1.0) -> GaugePotential:
     return gauge_potential(spacetime, comps)
 
 
-def load_potential(name_or_cfg, spacetime=None, **params) -> GaugePotential:
-    """Builtin potential by name, or from a config dict (builtin / tabulated)."""
+def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
+    """Builtin potential by name, or from a config dict (builtin / tabulated).
+
+    The frame-only scenarios (FRAME_ONLY) give the potential of their frame.
+    """
     fd_step = None
     if isinstance(name_or_cfg, dict):
         cfg = name_or_cfg
@@ -102,9 +107,12 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> GaugePotential:
         a = pure_gauge_potential(u)
     elif name == "constant_F":
         a = constant_f_potential(spacetime, params.get("B", 1.0))
+    elif name in FRAME_ONLY:
+        # load_frame applies the config's fd_step to V, and so to A
+        return extract_potential(load_frame(name_or_cfg, spacetime, **params))
     else:
         raise ParameterError(f"unknown builtin potential {name!r}; "
-                             f"choices: {BUILTIN_POTENTIALS}")
+                             f"choices: {BUILTIN_POTENTIALS + FRAME_ONLY}")
     return _with_potential_step(a, fd_step)
 
 
@@ -118,8 +126,7 @@ def _builtin_params(cfg):
 def _with_potential_step(a, fd_step):
     if fd_step is None:
         return a
-    comps = tuple(c.with_step(float(fd_step)) for c in a.components)
-    return GaugePotential(a.spacetime, a.n, comps)
+    return OneForm(a.spacetime, tuple(c.with_step(float(fd_step)) for c in a.components))
 
 
 def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
@@ -145,11 +152,7 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
         p = em.monopole_params(params.get("g", 0.5), params.get("patch", "plus"))
         v = em.em_frame(p)
     elif name == "darboux":
-        box = params.get("domain", {"lo": [-0.8] * spacetime.dim,
-                                    "hi": [0.8] * spacetime.dim})
-        pairs = [(p["pi"], p["phi"]) for p in params.get("pairs", [])]
-        data = dx.darboux_data(spacetime, pairs, box["lo"], box["hi"])
-        v = dx.darboux_frame(data)
+        v = dx.darboux_frame(load_darboux(params, spacetime))
     elif name == "random_smooth":
         v = random_smooth_frame(spacetime, params.get("ambient", 4),
                                 params.get("rank", 2), params.get("seed", 0))
@@ -162,6 +165,17 @@ def _with_frame_step(v, fd_step):
     if fd_step is None:
         return v
     return Frame(v.spacetime, v.N, v.n, v.V.with_step(float(fd_step)))
+
+
+def load_darboux(params, spacetime=MINKOWSKI4) -> dx.DarbouxData:
+    """Darboux data from scenario params: the (pi, phi) pairs on the domain box.
+
+    The box defaults to [-0.8, 0.8] on every axis.
+    """
+    d = spacetime.dim
+    box = params.get("domain", {"lo": [-0.8] * d, "hi": [0.8] * d})
+    pairs = [(p["pi"], p["phi"]) for p in params.get("pairs", [])]
+    return dx.darboux_data(spacetime, pairs, box["lo"], box["hi"])
 
 
 # ---------------------------------------------------------------------------

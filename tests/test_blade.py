@@ -4,7 +4,8 @@ import pytest
 from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
                               canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
-                              direct_rotation, extract_potential, frame,
+                              check_four_way, direct_rotation,
+                              extract_potential, four_way, frame,
                               lifted_covariant_derivative,
                               lifted_covariant_derivative_projected,
                               random_gauge_map,
@@ -14,7 +15,7 @@ from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError
-from bladegauge.fields import FieldFn, constant, matrix_of
+from bladegauge.fields import FieldFn, OneForm, constant, matrix_of
 from bladegauge.gauge import field_strength, gauge_transform
 from bladegauge.linalg import dagger, max_abs, random_unitary
 from bladegauge.tolerances import DEFAULT as TOL
@@ -155,23 +156,21 @@ def test_curvature_constant_blade(st4):
 
 def test_curvature_four_way_agreement(points4, st4):
     blade = blade_from_frame(random_smooth_frame(st4, 4, 2, seed=37))
-    omega = blade_curvature(blade)
     for x in points4[:2]:
         for mu, nu in ((0, 1), (0, 3), (1, 2)):
-            vals, disc = omega.four_way(x, mu, nu)
+            vals, disc = four_way(blade, x, mu, nu)
             assert set(vals) == {"commutator_probe", "shape_commutator",
                                  "blade_derivative", "projector_derivative"}
             assert disc < TOL.fd_nested()
-            omega.check(x, mu, nu)
+            check_four_way(blade, x, mu, nu)
 
 
 def test_curvature_four_way_monopole():
     blade = blade_from_frame(em_frame(monopole_params(0.5, "plus")))
-    omega = blade_curvature(blade)
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = np.array([1.0, rng.uniform(0.5, 2.5), rng.uniform(0, 6)])
-        _, disc = omega.four_way(x, 1, 2)
+        _, disc = four_way(blade, x, 1, 2)
         assert disc < TOL.fd_nested()
 
 
@@ -246,10 +245,9 @@ def test_shape_identity_residual_zero_for_blades(st4, points4):
 
 def test_shape_identity_negative_control(st4):
     # generic hermitian fields do not satisfy the blade identity
-    from bladegauge.blade import ShapeOperator
     comps = tuple(random_hermitian_field(st4, 4, seed=61 + mu, amplitude=1.0)
                   for mu in range(4))
-    s = ShapeOperator(st4, 4, comps)
+    s = OneForm(st4, comps)
     x = np.array([0.3, 0.1, -0.2, 0.4])
     assert max_abs(shape_identity_residual(s, 0, 1, x)) > 1e-3
 

@@ -254,3 +254,20 @@ def test_sigma_flow_large_lattice(tmp_path):
     trace = rep["energy_trace"]
     assert all(b <= a for a, b in zip(trace, trace[1:]))
     assert rep["final_reflection_defect"] <= TOL.algebraic
+
+
+@pytest.mark.parametrize("scenario", ["random_smooth", "darboux"])
+def test_residuals_ym_on_frame_scenarios(scenario, tmp_path):
+    # frame-only scenarios sweep the potential A = -i V^dag dV of their frame
+    cfg = {"scenario": scenario, "seed": 2}
+    if scenario == "darboux":
+        cfg["params"] = {"pairs": [{"pi": "0.5*sin(x0)", "phi": "x1"}]}
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    code = main(["residuals", "--input", str(inp), "--eq", "ym",
+                 "--grid", "0:1:1,0:1:1,0:1:1,0:1:1", "--report", str(out)])
+    assert code == 0
+    summary = read_json(out)["summary"]
+    assert summary["count"] == 4
+    assert np.isfinite(summary["max"]) and np.isfinite(summary["mean"])

@@ -6,7 +6,7 @@ from bladegauge.blade import (blade_from_frame, extract_potential,
                               reference_frame)
 from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
                                  conjugate_sites, maxwell_mod_residual,
-                                 modified_eom_residual, residual_report,
+                                 modified_eom_residual,
                                  shape_gauge_ym_residual, sigma_action,
                                  sigma_eom_residual, sigma_flow,
                                  sigma_lattice_directional,
@@ -224,15 +224,6 @@ def test_shape_gauge_ym_equivalence(st4, points4):
 def test_sigma_eom_residual_constant(st4):
     blade = blade_from_frame(reference_frame(st4, 4, 2))
     assert max_abs(sigma_eom_residual(blade, np.zeros(4))) == 0.0
-
-
-def test_residual_report_summary(st4, points4):
-    a = plane_wave_potential(st4, *MAXWELL_KN)
-    rep = residual_report("ym", lambda x: ym_residual(a, 0, x), points4)
-    assert rep.max >= rep.mean >= 0.0
-    d = rep.to_dict()
-    assert d["count"] == len(points4)
-    assert "nu-summed" in d["index_handling"]
 
 
 # ---------------------------------------------------------------------------

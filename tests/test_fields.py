@@ -6,7 +6,7 @@ from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, lattice_integral, linear,
-                               matrix_of, partial, scalar_field, sin_of,
+                               matrix_of, scalar_field, sin_of,
                                sphere_flux, wedge, wedge_power_nonzero,
                                wedge_power_values, TwoForm)
 from bladegauge.linalg import max_abs
@@ -37,8 +37,8 @@ def test_minkowski_dot():
 def test_partial_of_linear_coordinate():
     st = MINKOWSKI4
     f = coordinate(st, 1)
-    assert partial(f, 1, np.zeros(4)) == 1.0
-    assert partial(f, 0, np.ones(4)) == 0.0
+    assert f.d(np.zeros(4), 1) == 1.0
+    assert f.d(np.ones(4), 0) == 0.0
 
 
 def test_partial_of_sine_closed_form(points4):
