@@ -8,7 +8,10 @@ propagate analytic derivatives by the product/chain rule, so pipelines built
 from analytic ingredients stay analytic.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
-reduce in a fixed order for reproducibility.
+reduce in a fixed order for reproducibility.  Leaf caches, such as the
+bounded per-point LRU of the seeded exp(iH) fields in `blade`, are invisible
+to callers: they return read-only arrays with the bits a fresh evaluation
+would give.
 """
 
 from __future__ import annotations

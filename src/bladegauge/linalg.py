@@ -72,15 +72,9 @@ def unitary_exp(h, t=1.0):
     input tolerance; the message names the worst matrix's stack index.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        skew = np.max(np.abs(h - dagger(h)), axis=(-2, -1))
-        worst = np.unravel_index(np.argmax(skew), skew.shape)
-        where = f" at stack index {tuple(int(i) for i in worst)}" if worst else ""
-        raise DomainError(
-            f"unitary_exp requires a Hermitian argument{where} "
-            f"(max anti-hermitian part {skew[worst]:.3e})")
+    _require_hermitian(h, "unitary_exp")
     lam, q = np.linalg.eigh(hermitian_part(h))
-    return (q * np.exp(1j * t * lam)[..., None, :]) @ dagger(q)
+    return _exp_in_eigenbasis(lam, q, t)
 
 
 def unitary_exp_frechet(h, e, t=1.0):
@@ -89,15 +83,42 @@ def unitary_exp_frechet(h, e, t=1.0):
     Uses the eigenbasis divided-difference (Daleckii-Krein) formula for
     f(x) = exp(i t x); near-degenerate eigenvalue pairs fall back to the
     midpoint derivative, which keeps the formula second-order accurate.
+    Raises DomainError, as `unitary_exp` does, if H is not Hermitian.
     """
     h = np.asarray(h, dtype=complex)
     e = np.asarray(e, dtype=complex)
+    _require_hermitian(h, "unitary_exp_frechet")
     lam, q = np.linalg.eigh(hermitian_part(h))
+    return _frechet_in_eigenbasis(q, _divided_differences(lam, t), e)
+
+
+def _require_hermitian(h, caller):
+    """DomainError naming `caller` and the worst stack index unless h is Hermitian."""
+    if not is_hermitian(h):
+        skew = np.max(np.abs(h - dagger(h)), axis=(-2, -1))
+        worst = np.unravel_index(np.argmax(skew), skew.shape)
+        where = f" at stack index {tuple(int(i) for i in worst)}" if worst else ""
+        raise DomainError(
+            f"{caller} requires a Hermitian argument{where} "
+            f"(max anti-hermitian part {skew[worst]:.3e})")
+
+
+def _exp_in_eigenbasis(lam, q, t):
+    """exp(i t H) from the eigendecomposition H = q diag(lam) q^dag."""
+    return (q * np.exp(1j * t * lam)[..., None, :]) @ dagger(q)
+
+
+def _divided_differences(lam, t):
+    """Daleckii-Krein matrix of f(x) = exp(i t x) on the eigenvalues lam."""
     f = np.exp(1j * t * lam)
     den = lam[:, None] - lam[None, :]
     close = np.abs(den) < 1e-12
     mid = 1j * t * np.exp(1j * t * 0.5 * (lam[:, None] + lam[None, :]))
-    gamma = np.where(close, mid, (f[:, None] - f[None, :]) / np.where(close, 1.0, den))
+    return np.where(close, mid, (f[:, None] - f[None, :]) / np.where(close, 1.0, den))
+
+
+def _frechet_in_eigenbasis(q, gamma, e):
+    """Derivative of exp(i t H) along E from H's eigenvectors q and their divided differences."""
     return q @ (gamma * (dagger(q) @ e @ q)) @ dagger(q)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
-                              canonical_frame, canonical_frame_field,
+from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, blade_curvature,
+                              blade_from_frame, canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
                               check_four_way, direct_rotation,
                               extract_potential, four_way, frame,
@@ -17,7 +17,8 @@ from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_p
 from bladegauge.errors import ChartError, ConsistencyError
 from bladegauge.fields import FieldFn, OneForm, constant, matrix_of
 from bladegauge.gauge import field_strength, gauge_transform
-from bladegauge.linalg import dagger, max_abs, random_unitary
+from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
+                               unitary_exp_frechet)
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -45,6 +46,77 @@ def test_random_smooth_frame_analytic_deriv_matches_fd(st4, points4):
     for x in points4[:3]:
         for mu in range(4):
             assert max_abs(v.V.d(x, mu) - vfd.d(x, mu)) < 1e-5
+
+
+def _reference_exp_field(h, right):
+    """The seeded exp(iH) leaf through unitary_exp and unitary_exp_frechet, uncached."""
+    def value(x):
+        u = unitary_exp(h(x))
+        return u if right is None else u @ right
+
+    def deriv(x, mu):
+        du = unitary_exp_frechet(h(x), h.d(x, mu))
+        return du if right is None else du @ right
+
+    return value, deriv
+
+
+def _assert_exp_leaf_bits(points4, field, value, deriv, monkeypatch):
+    # FD stencil neighbours differ from the first point in one coordinate
+    stencil = [points4[0] + s * 1e-4 * np.eye(4)[mu] for mu in range(4) for s in (1, -1)]
+    for x in list(points4) + stencil:
+        for _ in range(2):  # a cold query, then the cached record
+            assert np.array_equal(field(x), value(x))
+            for mu in range(4):
+                assert np.array_equal(field.d(x, mu), deriv(x, mu))
+    # push the first point out of the LRU, then ask for it again
+    rng = np.random.default_rng(7)
+    for _ in range(_EXP_CACHE_POINTS + 1):
+        field(rng.uniform(-0.6, 0.6, 4))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    x = points4[0]
+    got = field(x)
+    monkeypatch.undo()
+    assert len(calls) == 1  # evicted, so evaluated afresh
+    assert np.array_equal(got, value(x))
+    for mu in range(4):
+        assert np.array_equal(field.d(x, mu), deriv(x, mu))
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (4, 2)])
+def test_random_smooth_frame_bit_identical_to_unitary_exp(st4, points4, N, n, monkeypatch):
+    v0 = np.zeros((N, n), dtype=complex)
+    v0[:n, :n] = np.eye(n)
+    h = random_hermitian_field(st4, N, 17)
+    value, deriv = _reference_exp_field(h, v0)
+    v = random_smooth_frame(st4, N, n, seed=17)
+    _assert_exp_leaf_bits(points4, v.V, value, deriv, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_random_gauge_map_bit_identical_to_unitary_exp(st4, points4, n, monkeypatch):
+    h = random_hermitian_field(st4, n, 23)
+    value, deriv = _reference_exp_field(h, None)
+    u = random_gauge_map(st4, n, seed=23)
+    _assert_exp_leaf_bits(points4, u.f, value, deriv, monkeypatch)
+
+
+def test_exp_leaf_arrays_are_read_only(st4, points4):
+    v = random_smooth_frame(st4, 4, 2, seed=3)
+    x = points4[0]
+    before = v.V(x).copy()
+    with pytest.raises(ValueError):
+        v.V(x)[0, 0] += 1.0
+    with pytest.raises(ValueError):
+        v.V.d(x, 1)[0, 0] = 0.0
+    assert np.array_equal(v.V(x), before)
 
 
 def test_extract_potential_constant_frame(st4, points4):

@@ -221,6 +221,27 @@ def test_shape_gauge_ym_equivalence(st4, points4):
             assert max_abs(lhs - rhs) < 5e-3
 
 
+def test_residual_points_make_one_eigh_per_distinct_point(st4, monkeypatch):
+    # exp(iH) leaves keep one spectral record per distinct point: one
+    # modified point touches 89 distinct points, four shape queries 9
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    modified_eom_residual(random_smooth_frame(st4, 4, 2, 1), x)
+    assert len(calls) == 89
+    calls.clear()
+    v = random_smooth_frame(st4, 4, 2, 1)
+    for nu in range(4):
+        shape_gauge_ym_residual(v, x, nu)
+    assert len(calls) == 9
+
+
 def test_sigma_eom_residual_constant(st4):
     blade = blade_from_frame(reference_frame(st4, 4, 2))
     assert max_abs(sigma_eom_residual(blade, np.zeros(4))) == 0.0

@@ -62,6 +62,13 @@ def test_unitary_exp_rejects_non_hermitian():
         unitary_exp(m)
 
 
+def test_unitary_exp_frechet_rejects_non_hermitian():
+    h = random_hermitian(3, 42)
+    h[0, 2] += 1e-3
+    with pytest.raises(DomainError, match=r"unitary_exp_frechet requires a Hermitian.*1\.000e-03"):
+        unitary_exp_frechet(h, random_hermitian(3, 43))
+
+
 def test_frechet_derivative_matches_finite_difference():
     h = random_hermitian(3, 42)
     e = random_hermitian(3, 43)
