@@ -40,11 +40,9 @@ from .errors import BladeGaugeError, ConfigError
 from .fields import Grid, MINKOWSKI4, sphere_flux, two_form_values, wedge
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs
-from .scenarios import (load_darboux, load_frame, load_potential, validate_config,
-                        resolve_spacetime)
+from .scenarios import (SCENARIOS, load_darboux, load_frame, load_potential,
+                        resolve_spacetime, scenario_params, validate_config)
 from .tolerances import DEFAULT as TOL
-
-RESIDUAL_SCENARIOS = ("planewave", "pure_gauge", "constant_F", "random_smooth", "darboux")
 
 
 def main(argv=None):
@@ -187,17 +185,18 @@ def cmd_verify(args):
     checks = _generic_identity_checks(seed, tol=tol)
     checks += _embedded_cross_checks(tol)
     scenario = cfg["scenario"]
-    params = cfg.get("params", {})
+    params = scenario_params(cfg)
+    st = resolve_spacetime(cfg)
     extras = {}
     if scenario == "planewave":
-        checks += _planewave_checks(params, tol)
+        checks += _planewave_checks(params, st, tol)
     elif scenario == "monopole":
         more, extras = _monopole_checks(params, tol)
         checks += more
     elif scenario == "darboux":
-        checks += _darboux_checks(params, tol)
+        checks += _darboux_checks(params, st, tol)
     elif scenario == "pure_gauge":
-        checks += _pure_gauge_checks(params, seed, tol)
+        checks += _pure_gauge_checks(params, st, tol)
     report = _report_skeleton("verify", cfg)
     report["checks"] = checks
     report.update(extras)
@@ -305,19 +304,18 @@ def _embedded_cross_checks(tol=TOL):
     ]
 
 
-def _planewave_checks(params, tol=TOL):
-    st = MINKOWSKI4
-    k = np.asarray(params.get("k", [1, 0, 0, 1]), dtype=float)
-    n = np.asarray(params.get("n", [0, 1, 0, 0]), dtype=float)
+def _planewave_checks(params, st, tol=TOL):
+    k = np.asarray(params["k"], dtype=float)
+    n = np.asarray(params["n"], dtype=float)
     p = em.plane_wave_params(st, k, n)
     a = em.plane_wave_potential(st, k, n)
     fs = em.em_faraday(p)
     rng = np.random.default_rng(5)
-    pts = [rng.uniform(-1.0, 1.0, 4) for _ in range(6)]
-    veq = max(em.em_potential_residual(p, a, mu, x) for x in pts for mu in range(4))
-    # F wedge F, the 4-form obstruction to decomposability
+    pts = [rng.uniform(-1.0, 1.0, st.dim) for _ in range(6)]
+    veq = max(em.em_potential_residual(p, a, mu, x) for x in pts for mu in range(st.dim))
+    # F wedge F, the 4-form obstruction to decomposability (none below dimension 4)
     ff_vals = [two_form_values(fs, x) for x in pts]
-    ff = max(abs(c) for vals in ff_vals for c in wedge(vals, vals).values())
+    ff = max((abs(c) for vals in ff_vals for c in wedge(vals, vals).values()), default=0.0)
     cond = abs(em.plane_wave_mod_condition(st, k, n))
     maxmod = max(max_abs(maxwell_mod_residual(p, x)) for x in pts[:3])
     checks = [
@@ -329,13 +327,13 @@ def _planewave_checks(params, tol=TOL):
     kk = st.dot(k, k)
     kn = st.dot(k, n)
     if abs(kk) <= 1e-12 and abs(kn) <= 1e-12:
-        ym = max(max_abs(ym_residual(a, nu, x)) for x in pts[:3] for nu in range(4))
+        ym = max(max_abs(ym_residual(a, nu, x)) for x in pts[:3] for nu in range(st.dim))
         checks.append(_check("planewave_maxwell_residual", ym, tol.fd_nested()))
     return checks
 
 
 def _monopole_checks(params, tol=TOL):
-    g = float(params.get("g", 0.5))
+    g = float(params["g"])
     quantized = em.quantization_satisfied(g)
     rep = em.monopole_blade_glue(g)
     flux = sphere_flux(em.monopole_field_strength(g))
@@ -371,8 +369,8 @@ def _monopole_checks(params, tol=TOL):
     return checks, extras
 
 
-def _darboux_checks(params, tol=TOL):
-    data = load_darboux(params)
+def _darboux_checks(params, st, tol=TOL):
+    data = load_darboux(params, st)
     rep = frame_residual_report(data)
     measured = verify_rank(data)
     return [
@@ -381,15 +379,13 @@ def _darboux_checks(params, tol=TOL):
     ]
 
 
-def _pure_gauge_checks(params, seed, tol=TOL):
-    a = load_potential("pure_gauge", seed=params.get("seed", seed),
-                       rank=params.get("rank", 2))
-    fs = field_strength(a)
+def _pure_gauge_checks(params, st, tol=TOL):
+    fs = field_strength(load_potential("pure_gauge", st, **params))
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(4):
-        x = rng.uniform(-0.5, 0.5, 4)
-        for mu, nu in itertools.combinations(range(4), 2):
+        x = rng.uniform(-0.5, 0.5, st.dim)
+        for mu, nu in itertools.combinations(range(st.dim), 2):
             worst = max(worst, max_abs(fs.at(x, mu, nu)))
     return [_check("pure_gauge_flatness", worst, tol.fd())]
 
@@ -413,9 +409,10 @@ def _parse_grid(text, dim):
 def cmd_residuals(args):
     cfg = _resolve_config(args)
     scenario = cfg["scenario"]
-    if scenario not in RESIDUAL_SCENARIOS:
-        raise ConfigError(f"residual sweeps support scenarios {RESIDUAL_SCENARIOS} "
-                          f"(cartesian flat charts); got {scenario!r}")
+    chart = SCENARIOS[scenario].chart
+    if chart != "cartesian":
+        raise ConfigError(f"residual sweeps assume a flat Cartesian chart; scenario "
+                          f"{scenario!r} is on the {chart} chart", schema_path=["scenario"])
     st = resolve_spacetime(cfg)
     grid = _parse_grid(args.grid, st.dim)
     points = list(grid.centers())
@@ -436,9 +433,8 @@ def cmd_residuals(args):
         if scenario != "planewave":
             raise ConfigError(f"--eq maxmod is the N = 2 electromagnetic plane-wave "
                               f"residual and needs scenario 'planewave'; got {scenario!r}")
-        params = cfg.get("params", {})
-        p = em.plane_wave_params(st, params.get("k", [1, 0, 0, 1]),
-                                 params.get("n", [0, 1, 0, 0]))
+        params = scenario_params(cfg)
+        p = em.plane_wave_params(st, params["k"], params["n"])
         for x in points:
             rows.append((x, "sum", max_abs(maxwell_mod_residual(p, x))))
     elif eq == "shape":
@@ -534,7 +530,10 @@ def cmd_darboux(args):
         raw = json.load(fh)
     cfg = raw if "scenario" in raw else {"scenario": "darboux", "params": raw}
     validate_config(cfg)
-    data = load_darboux(cfg.get("params", {}))
+    if cfg["scenario"] != "darboux":
+        raise ConfigError(f"the darboux command needs scenario 'darboux'; got "
+                          f"{cfg['scenario']!r}", schema_path=["scenario"])
+    data = load_darboux(cfg.get("params", {}), resolve_spacetime(cfg))
     rep = frame_residual_report(data)
     measured = verify_rank(data)
     report = _report_skeleton("darboux", cfg)

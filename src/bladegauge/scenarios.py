@@ -1,60 +1,161 @@
-"""Scenario configuration: builtin registries, JSON loading, and dumps.
+"""Scenario configuration: one registry of named scenarios, and JSON loading.
 
-Gauge potentials and frames can be requested by builtin name plus parameters
-("plane_wave", "monopole_plus", "pure_gauge", ...) or supplied as samples
-tabulated on a grid.  Configurations are validated against the published
-JSON schema before anything runs.
+`SCENARIOS` maps each config name to its chart, the params it reads (with
+their defaults) and a frame builder, a potential builder or both.  A scenario
+with only a frame gives the potential A = -i V^dag dV of that frame.  A config
+names a scenario plus params, or supplies samples tabulated on a grid.
+`validate_config` checks it against the JSON schema, whose scenario enum is
+the registry's names, and rejects params the scenario does not read.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from typing import Callable
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - hard dependency, guarded for clarity
-    jsonschema = None
 
 from . import darboux as dx
 from . import em
-from .blade import Frame, extract_potential, frame, random_smooth_frame
+from .blade import Frame, extract_potential, frame, random_gauge_map, random_smooth_frame
 from .errors import ConfigError, ParameterError
-from .fields import FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, linear, matrix_of
+from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, constant,
+                     linear, matrix_of)
 from .gauge import gauge_potential, pure_gauge_potential
 __all__ = [
-    "scenario_schema", "validate_config", "resolve_spacetime",
-    "load_potential", "load_frame", "load_darboux", "tabulated_field",
-    "constant_f_potential", "dump_blade", "load_blade_dump",
+    "Scenario", "SCENARIOS", "scenario_schema", "validate_config", "resolve_spacetime",
+    "scenario_params", "load_potential", "load_frame", "load_darboux", "tabulated_field",
+    "constant_f_potential",
 ]
 
-BUILTIN_POTENTIALS = ("plane_wave", "monopole_plus", "monopole_minus",
-                      "pure_gauge", "constant_F")
-BUILTIN_FRAMES = ("plane_wave", "monopole", "darboux", "random_smooth")
-# scenarios that only define a frame; their potential is A = -i V^dag dV
-FRAME_ONLY = ("random_smooth", "darboux")
+
+@dataclass(frozen=True)
+class Scenario:
+    """One config name: its chart, its params (name -> default), its builders.
+
+    A builder takes (params, spacetime) with every param filled in.  Without
+    a potential builder the potential is A = -i V^dag dV of the frame.
+    """
+
+    chart: str                # "cartesian" (metric from `signature`) or "spherical"
+    params: dict
+    frame: Callable
+    potential: Callable | None = None
+
+
+def constant_f_potential(spacetime: Spacetime, b=1.0) -> OneForm:
+    """A = B x^1 dx^2: a constant abelian field strength F_12 = B."""
+    zero = constant(np.zeros((1, 1), dtype=complex), spacetime)
+    x1 = linear(spacetime, np.eye(spacetime.dim)[1])
+    return gauge_potential(spacetime, [matrix_of([[float(b) * x1]]) if mu == 2 else zero
+                                       for mu in range(spacetime.dim)])
+
+
+def _constant_f_frame(p, spacetime) -> Frame:
+    """The frame of the single Darboux pair (B x^1, x^2), whose A is B x^1 dx^2."""
+    e = np.eye(spacetime.dim)
+    return dx.darboux_frame(dx.darboux_data(
+        spacetime, [(linear(spacetime, float(p["B"]) * e[1]), linear(spacetime, e[2]))],
+        *_default_box(spacetime)))
+
+
+def _pure_gauge_map(p, spacetime):
+    return random_gauge_map(spacetime, p["rank"], p["seed"])
+
+
+def _pure_gauge_frame(p, spacetime) -> Frame:
+    """V = V0 u^dag, V0 the first `rank` columns of I_ambient: A = -i u du^dag."""
+    v0 = constant(np.eye(p["ambient"], p["rank"], dtype=complex), spacetime)
+    return frame(spacetime, v0 @ _pure_gauge_map(p, spacetime).f.dagger())
+
+
+def load_darboux(params, spacetime=MINKOWSKI4) -> dx.DarbouxData:
+    """Darboux data from scenario params: the (pi, phi) pairs on the domain box.
+
+    Unset params take the registry defaults: the pair (0.5 sin x0, x1) and
+    the box [-0.8, 0.8] on every axis.
+    """
+    p = {**SCENARIOS["darboux"].params, **params}
+    lo, hi = (p["domain"]["lo"], p["domain"]["hi"]) if p["domain"] else _default_box(spacetime)
+    return dx.darboux_data(spacetime, [(q["pi"], q["phi"]) for q in p["pairs"]], lo, hi)
+
+
+def _default_box(spacetime):
+    return [-0.8] * spacetime.dim, [0.8] * spacetime.dim
+
+
+SCENARIOS = {
+    "planewave": Scenario(
+        "cartesian", {"k": (1, 0, 0, 1), "n": (0, 1, 0, 0)},
+        frame=lambda p, st: em.em_frame(em.plane_wave_params(st, p["k"], p["n"])),
+        potential=lambda p, st: em.plane_wave_potential(st, p["k"], p["n"])),
+    "monopole": Scenario(
+        "spherical", {"g": 0.5, "patch": "plus"},
+        frame=lambda p, st: em.em_frame(em.monopole_params(p["g"], p["patch"])),
+        potential=lambda p, st: em.monopole_potential(p["g"], p["patch"])),
+    "pure_gauge": Scenario(
+        "cartesian", {"ambient": 4, "rank": 2, "seed": 0}, frame=_pure_gauge_frame,
+        potential=lambda p, st: pure_gauge_potential(_pure_gauge_map(p, st))),
+    "constant_F": Scenario(
+        "cartesian", {"B": 1.0}, frame=_constant_f_frame,
+        potential=lambda p, st: constant_f_potential(st, p["B"])),
+    "random_smooth": Scenario(
+        "cartesian", {"ambient": 4, "rank": 2, "seed": 0},
+        frame=lambda p, st: random_smooth_frame(st, p["ambient"], p["rank"], p["seed"])),
+    "darboux": Scenario(
+        "cartesian", {"pairs": ({"pi": "0.5*sin(x0)", "phi": "x1"},), "domain": None},
+        frame=lambda p, st: dx.darboux_frame(load_darboux(p, st))),
+}
+
+
+def _entry(name) -> Scenario:
+    if name not in SCENARIOS:
+        raise ParameterError(f"unknown scenario {name!r}; choices: {list(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def scenario_schema():
+    """The config JSON schema; its scenario enum is the registry's names."""
     with resources.files("bladegauge.schemas").joinpath("scenario.schema.json").open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    schema["properties"]["scenario"]["enum"] = list(SCENARIOS)
+    return schema
+
+
+@cache
+def _validator():
+    schema = scenario_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_config(cfg):
-    """Validate a scenario config dict; raises ConfigError with the schema path."""
-    try:
-        jsonschema.validate(cfg, scenario_schema())
-    except jsonschema.ValidationError as exc:
-        path = list(exc.absolute_path)
+    """Validate a scenario config dict; raises ConfigError with the schema path.
+
+    Past the schema, params must be ones the scenario reads, and only a
+    Cartesian chart takes a signature.
+    """
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        path = list(error.absolute_path)
         raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: "
-                          f"{exc.message}", schema_path=path) from exc
+                          f"{error.message}", schema_path=path) from error
+    scenario_params(cfg)  # raises on a param the scenario does not read
+    chart = SCENARIOS[cfg["scenario"]].chart
+    if "signature" in cfg and chart != "cartesian":
+        raise ConfigError(f"scenario {cfg['scenario']!r} is on the fixed {chart} chart and "
+                          f"does not read a signature", schema_path=["signature"])
     return cfg
 
 
 def resolve_spacetime(cfg) -> Spacetime:
-    if cfg.get("scenario") == "monopole":
+    """The scenario's chart: spherical, or Cartesian with the config's signature."""
+    if _entry(cfg["scenario"]).chart == "spherical":
         return SPHERICAL3
     sig = cfg.get("signature")
     if sig is None:
@@ -62,120 +163,62 @@ def resolve_spacetime(cfg) -> Spacetime:
     return Spacetime(len(sig), tuple(int(s) for s in sig))
 
 
-def constant_f_potential(spacetime: Spacetime, b=1.0) -> OneForm:
-    """A = B x^1 dx^2: a constant abelian field strength F_12 = B."""
-    x1 = linear(spacetime, np.eye(spacetime.dim)[1])
-    comps = []
-    for mu in range(spacetime.dim):
-        if mu == 2:
-            comps.append(matrix_of([[float(b) * x1]]))
-        else:
-            from .fields import constant
-            comps.append(constant(np.zeros((1, 1), dtype=complex), spacetime))
-    return gauge_potential(spacetime, comps)
+def scenario_params(cfg) -> dict:
+    """Every param the config's scenario reads: the config's value, else the default.
 
-
-def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
-    """Builtin potential by name, or from a config dict (builtin / tabulated).
-
-    The frame-only scenarios (FRAME_ONLY) give the potential of their frame.
+    The seed comes from params, else the top-level seed, else 0.  A param the
+    scenario does not read raises ConfigError.
     """
-    fd_step = None
-    if isinstance(name_or_cfg, dict):
-        cfg = name_or_cfg
-        fd_step = cfg.get("fd_step")
-        if "tabulated" in cfg:
-            return _with_potential_step(_tabulated_potential(cfg, spacetime), fd_step)
-        name = cfg["scenario"]
-        params = _builtin_params(cfg)
-        spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
-        mapping = {"planewave": "plane_wave", "monopole": "monopole_plus",
-                   "pure_gauge": "pure_gauge", "constant_F": "constant_F"}
-        name = mapping.get(name, name)
-    else:
-        name = name_or_cfg
-    spacetime = MINKOWSKI4 if spacetime is None else spacetime
-    if name == "plane_wave":
-        a = em.plane_wave_potential(spacetime, params.get("k", [1, 0, 0, 1]),
-                                    params.get("n", [0, 1, 0, 0]))
-    elif name in ("monopole_plus", "monopole_minus"):
-        a = em.monopole_potential(params.get("g", 0.5),
-                                  "plus" if name.endswith("plus") else "minus")
-    elif name == "pure_gauge":
-        from .blade import random_gauge_map
-        u = random_gauge_map(spacetime, params.get("rank", 2), params.get("seed", 0))
-        a = pure_gauge_potential(u)
-    elif name == "constant_F":
-        a = constant_f_potential(spacetime, params.get("B", 1.0))
-    elif name in FRAME_ONLY:
-        # load_frame applies the config's fd_step to V, and so to A
-        return extract_potential(load_frame(name_or_cfg, spacetime, **params))
-    else:
-        raise ParameterError(f"unknown builtin potential {name!r}; "
-                             f"choices: {BUILTIN_POTENTIALS + FRAME_ONLY}")
-    return _with_potential_step(a, fd_step)
-
-
-def _builtin_params(cfg):
-    """cfg["params"], with the seed taken from params, else the top level, else 0."""
-    params = dict(cfg.get("params", {}))
-    params.setdefault("seed", cfg.get("seed", 0))
+    name, given = cfg["scenario"], cfg.get("params", {})
+    entry = _entry(name)
+    for key in given:
+        if key not in entry.params:
+            raise ConfigError(f"scenario {name!r} does not read params.{key}; it reads "
+                              f"{list(entry.params)}", schema_path=["params", key])
+    params = {**entry.params, **given}
+    if "seed" in params and "seed" not in given:
+        params["seed"] = cfg.get("seed", 0)
     return params
 
 
-def _with_potential_step(a, fd_step):
+def _config(name_or_cfg, spacetime, params):
+    """A config dict (a registry name plus params makes one) and its spacetime."""
+    if not isinstance(name_or_cfg, dict):
+        name_or_cfg = {"scenario": name_or_cfg, "params": params}
+    return name_or_cfg, resolve_spacetime(name_or_cfg) if spacetime is None else spacetime
+
+
+def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
+    """A scenario's potential, by registry name plus params or from a config dict.
+
+    A scenario without a potential builder gives A = -i V^dag dV of its frame.
+    """
+    cfg, spacetime = _config(name_or_cfg, spacetime, params)
+    if "tabulated" in cfg:
+        a = _tabulated_potential(cfg["tabulated"], spacetime)
+    else:
+        build = _entry(cfg["scenario"]).potential
+        if build is None:
+            # the frame carries fd_step, and so A does too
+            return extract_potential(load_frame(cfg, spacetime))
+        a = build(scenario_params(cfg), spacetime)
+    fd_step = cfg.get("fd_step")
     if fd_step is None:
         return a
     return OneForm(a.spacetime, tuple(c.with_step(float(fd_step)) for c in a.components))
 
 
 def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
-    """Builtin frame by name, or from a config dict (builtin / tabulated)."""
-    fd_step = None
-    if isinstance(name_or_cfg, dict):
-        cfg = name_or_cfg
-        fd_step = cfg.get("fd_step")
-        if "tabulated" in cfg:
-            return _with_frame_step(_tabulated_frame(cfg, spacetime), fd_step)
-        name = cfg["scenario"]
-        params = _builtin_params(cfg)
-        spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
-        name = {"planewave": "plane_wave"}.get(name, name)
+    """A scenario's frame, by registry name plus params or from a config dict."""
+    cfg, spacetime = _config(name_or_cfg, spacetime, params)
+    if "tabulated" in cfg:
+        v = _tabulated_frame(cfg["tabulated"], spacetime)
     else:
-        name = name_or_cfg
-    spacetime = MINKOWSKI4 if spacetime is None else spacetime
-    if name == "plane_wave":
-        p = em.plane_wave_params(spacetime, params.get("k", [1, 0, 0, 1]),
-                                 params.get("n", [0, 1, 0, 0]))
-        v = em.em_frame(p)
-    elif name == "monopole":
-        p = em.monopole_params(params.get("g", 0.5), params.get("patch", "plus"))
-        v = em.em_frame(p)
-    elif name == "darboux":
-        v = dx.darboux_frame(load_darboux(params, spacetime))
-    elif name == "random_smooth":
-        v = random_smooth_frame(spacetime, params.get("ambient", 4),
-                                params.get("rank", 2), params.get("seed", 0))
-    else:
-        raise ParameterError(f"unknown builtin frame {name!r}; choices: {BUILTIN_FRAMES}")
-    return _with_frame_step(v, fd_step)
-
-
-def _with_frame_step(v, fd_step):
+        v = _entry(cfg["scenario"]).frame(scenario_params(cfg), spacetime)
+    fd_step = cfg.get("fd_step")
     if fd_step is None:
         return v
     return Frame(v.spacetime, v.N, v.n, v.V.with_step(float(fd_step)))
-
-
-def load_darboux(params, spacetime=MINKOWSKI4) -> dx.DarbouxData:
-    """Darboux data from scenario params: the (pi, phi) pairs on the domain box.
-
-    The box defaults to [-0.8, 0.8] on every axis.
-    """
-    d = spacetime.dim
-    box = params.get("domain", {"lo": [-0.8] * d, "hi": [0.8] * d})
-    pairs = [(p["pi"], p["phi"]) for p in params.get("pairs", [])]
-    return dx.darboux_data(spacetime, pairs, box["lo"], box["hi"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +241,7 @@ def tabulated_field(axes, values, spacetime: Spacetime, shape) -> FieldFn:
     return FieldFn(spacetime, shape, fn, None, None)
 
 
-def _tabulated_potential(cfg, spacetime):
-    spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
-    tab = cfg["tabulated"]
+def _tabulated_potential(tab, spacetime):
     arr = np.asarray(tab["values"], dtype=float)  # (*grid, d, n, n, 2)
     n = arr.shape[-2]
     comps = [tabulated_field(tab["axes"], arr[..., mu, :, :, :], spacetime, (n, n))
@@ -208,9 +249,7 @@ def _tabulated_potential(cfg, spacetime):
     return gauge_potential(spacetime, comps)
 
 
-def _tabulated_frame(cfg, spacetime):
-    spacetime = resolve_spacetime(cfg) if spacetime is None else spacetime
-    tab = cfg["tabulated"]
+def _tabulated_frame(tab, spacetime):
     raw = tabulated_field(tab["axes"], tab["values"], spacetime,
                           tuple(np.asarray(tab["values"], dtype=float).shape[len(tab["axes"]):-1]))
 
@@ -222,30 +261,3 @@ def _tabulated_frame(cfg, spacetime):
 
     V = FieldFn(spacetime, raw.shape, orthonormalized, None, None)
     return frame(spacetime, V)
-
-
-# ---------------------------------------------------------------------------
-# blade dumps
-
-def dump_blade(blade, points, path):
-    """Write a blade as a JSON array of {point, R} records ([re, im] entries)."""
-    records = []
-    for x in points:
-        r = np.asarray(blade.at(np.asarray(x, dtype=float)))
-        records.append({
-            "point": [float(c) for c in x],
-            "R": [[[float(e.real), float(e.imag)] for e in row] for row in r],
-        })
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=1, sort_keys=True)
-    return path
-
-
-def load_blade_dump(path):
-    """Read a blade dump back as (points array, R values array)."""
-    with open(path) as fh:
-        records = json.load(fh)
-    pts = np.array([rec["point"] for rec in records], dtype=float)
-    rs = np.array([[[complex(e[0], e[1]) for e in row] for row in rec["R"]]
-                   for rec in records])
-    return pts, rs

@@ -187,6 +187,17 @@ def test_darboux_command(tmp_path):
     assert rep["near_singular_points"] == []
 
 
+def test_darboux_command_default_pair_and_other_scenarios(tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text("{}")
+    out = tmp_path / "rep.json"
+    assert main(["darboux", "--input", str(inp), "--report", str(out)]) == 0
+    assert read_json(out)["N"] == 2
+    inp.write_text(json.dumps({"scenario": "planewave"}))
+    assert main(["darboux", "--input", str(inp)]) == 2
+    assert "needs scenario 'darboux'" in capsys.readouterr().err
+
+
 def test_embedded_command(tmp_path):
     out = tmp_path / "rep.json"
     csv_path = tmp_path / "table.csv"
@@ -271,3 +282,84 @@ def test_residuals_ym_on_frame_scenarios(scenario, tmp_path):
     summary = read_json(out)["summary"]
     assert summary["count"] == 4
     assert np.isfinite(summary["max"]) and np.isfinite(summary["mean"])
+
+
+SCENARIOS_MATRIX = ["planewave", "monopole", "pure_gauge", "constant_F", "random_smooth",
+                    "darboux"]
+EQUATIONS = ["ym", "modified", "maxmod", "shape", "sigma"]
+
+
+def _residuals_refusal(scenario, eq):
+    """The reason a residuals pair exits 2, or None where it must run.
+
+    21 of the 30 pairs run; monopole x 5 and maxmod outside planewave x 4 exit 2.
+    """
+    if scenario == "monopole":
+        return "flat Cartesian chart"
+    if eq == "maxmod" and scenario != "planewave":
+        return "needs scenario 'planewave'"
+    return None
+
+
+@pytest.mark.parametrize("eq", EQUATIONS)
+@pytest.mark.parametrize("scenario", SCENARIOS_MATRIX)
+def test_residuals_matrix(scenario, eq, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code = main(["residuals", "--scenario", scenario, "--eq", eq,
+                 "--grid", "0:1:1,0:1:1,0:1:1,0:1:1", "--report", str(out)])
+    reason = _residuals_refusal(scenario, eq)
+    if reason is None:
+        assert code == 0
+        summary = read_json(out)["summary"]
+        assert summary["count"] == (4 if eq in ("ym", "shape") else 1)
+        assert np.isfinite(summary["max"]) and np.isfinite(summary["mean"])
+    else:
+        assert code == 2
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_planewave_honours_signature(tmp_path):
+    reports = {}
+    for tag, extra in (("minkowski", {}), ("euclidean", {"signature": [1, 1, 1, 1]})):
+        cfgfile = tmp_path / f"{tag}.json"
+        cfgfile.write_text(json.dumps({"scenario": "planewave", **extra}))
+        out = tmp_path / f"{tag}_rep.json"
+        assert main(["verify", "--input", str(cfgfile), "--report", str(out)]) == 0
+        reports[tag] = {c["name"]: c for c in read_json(out)["checks"]}
+    # k = (1, 0, 0, 1) is null only in Minkowski signature
+    assert "planewave_maxwell_residual" in reports["minkowski"]
+    assert "planewave_maxwell_residual" not in reports["euclidean"]
+    mod = "planewave_modified_eom_residual"
+    assert reports["minkowski"][mod]["expected_pass"] is True
+    assert reports["euclidean"][mod]["expected_pass"] is False
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["verify", "--scenario", "random_smooth", "--g", "0.5"], "params/g"),
+    (["residuals", "--scenario", "random_smooth", "--g", "0.5", "--eq", "ym"], "params/g"),
+    (["verify", "--scenario", "monopole", "--k", "1,0,0,1"], "params/k"),
+    (["verify", "--scenario", "planewave", "--g", "0.5"], "params/g"),
+])
+def test_params_the_scenario_does_not_read_exit_2(argv, path, capsys):
+    assert main(argv) == 2
+    assert f"schema path: {path}" in capsys.readouterr().err
+
+
+def test_signature_on_the_monopole_chart_exits_2(tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": "monopole", "signature": [1, 1, 1]}))
+    assert main(["verify", "--input", str(inp)]) == 2
+    assert "schema path: signature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", {"axes": [{"min": 0, "max": 1, "cells": 1}]}),
+    ("output", "out.json"),
+])
+def test_config_keys_no_command_reads_exit_2(key, value, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": "planewave", key: value}))
+    assert main(["residuals", "--input", str(inp), "--eq", "ym",
+                 "--grid", "0:1:1,0:1:1,0:1:1,0:1:1"]) == 2
+    assert f"'{key}' was unexpected" in capsys.readouterr().err

@@ -1,16 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from bladegauge.blade import validate_frame
-from bladegauge.em import monopole_blade
+from bladegauge.blade import extract_potential, validate_frame
 from bladegauge.errors import ConfigError, ParameterError
 from bladegauge.fields import MINKOWSKI4, SPHERICAL3, euclidean
 from bladegauge.gauge import field_strength
 from bladegauge.linalg import max_abs
-from bladegauge.scenarios import (constant_f_potential, dump_blade,
-                                  load_blade_dump, load_frame, load_potential,
-                                  resolve_spacetime, scenario_schema,
+from bladegauge.scenarios import (SCENARIOS, constant_f_potential, load_frame,
+                                  load_potential, resolve_spacetime, scenario_schema,
                                   tabulated_field, validate_config)
+from bladegauge.tolerances import DEFAULT as TOL
 
 
 def test_schema_loads_and_validates_good_configs():
@@ -43,10 +44,10 @@ def test_resolve_spacetime():
 
 
 def test_load_potential_builtins(points4):
-    a = load_potential("plane_wave", k=[1, 0, 0, 1], n=[0, 1, 0, 0])
+    a = load_potential("planewave", k=[1, 0, 0, 1], n=[0, 1, 0, 0])
     x = points4[0]
     assert abs(a.at(x, 1)[0, 0] - np.sin(x[0] + x[3])) < 1e-12
-    ap = load_potential("monopole_plus", g=0.5)
+    ap = load_potential("monopole", g=0.5)
     assert abs(ap.at(np.array([1.0, np.pi / 2, 0.1]), 2)[0, 0] - 0.5) < 1e-13
     apure = load_potential("pure_gauge", seed=4, rank=2)
     fs = field_strength(apure)
@@ -64,7 +65,7 @@ def test_constant_f_builtin(points4):
 
 
 def test_load_frame_builtins(points4):
-    v = load_frame("plane_wave", k=[1, 0, 0, 1], n=[0, 1, 0, 0])
+    v = load_frame("planewave", k=[1, 0, 0, 1], n=[0, 1, 0, 0])
     validate_frame(v, points4[0])
     vm = load_frame("monopole", g=0.5)
     validate_frame(vm, np.array([1.0, 1.0, 2.0]))
@@ -121,12 +122,68 @@ def test_fd_step_is_wired_through_loaders():
     assert all(c.fd_step == 5e-3 for c in load_potential(cfg).components)
 
 
-def test_blade_dump_roundtrip(tmp_path):
-    blade = monopole_blade(0.5)
-    pts = [np.array([1.0, 0.7, 0.3]), np.array([1.0, 1.9, 4.0])]
-    path = tmp_path / "blade.json"
-    dump_blade(blade, pts, str(path))
-    loaded_pts, loaded_rs = load_blade_dump(str(path))
-    assert np.allclose(loaded_pts, np.array(pts))
-    for x, r in zip(pts, loaded_rs):
-        assert max_abs(r - blade.at(x)) < 1e-12
+def test_schema_scenario_enum_is_the_registry():
+    assert scenario_schema()["properties"]["scenario"]["enum"] == list(SCENARIOS)
+
+
+def test_validate_rejects_params_the_scenario_does_not_read():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"scenario": "random_smooth", "params": {"g": 0.5}})
+    assert err.value.schema_path == ["params", "g"]
+    declared = scenario_schema()["properties"]["params"]["properties"]
+    for entry in SCENARIOS.values():
+        assert set(entry.params) <= set(declared)
+
+
+def test_name_form_takes_registry_names_and_params_only():
+    for old in ("plane_wave", "monopole_plus"):
+        with pytest.raises(ParameterError):
+            load_potential(old)
+    with pytest.raises(ConfigError):
+        load_frame("random_smooth", g=0.5)
+
+
+def test_monopole_patch_reaches_potential_and_frame():
+    x = np.array([1.0, 0.4, 0.3])
+    cfg = {"scenario": "monopole", "params": {"patch": "minus"}}
+    want = 0.5 * (-1.0 - np.cos(0.4))
+    assert abs(load_potential(cfg).at(x, 2)[0, 0] - want) < 1e-13
+    assert abs(extract_potential(load_frame(cfg)).at(x, 2)[0, 0] - want) < 1e-13
+
+
+@pytest.mark.parametrize("name, params", [
+    ("planewave", {"k": [0.2, 1.0, 0.3, 0.4], "n": [0, 1, 0, 0]}),
+    ("monopole", {"g": 1.5, "patch": "minus"}),
+    ("pure_gauge", {"seed": 3}),
+    ("pure_gauge", {"seed": 1, "rank": 3, "ambient": 5}),
+    ("constant_F", {"B": 0.7}),
+])
+def test_frame_gives_the_potential_builder_potential(name, params, points4):
+    # A = -i V^dag dV of the scenario's frame is its potential
+    a = load_potential(name, **params)
+    a_frame = extract_potential(load_frame(name, **params))
+    pts = points4 if name != "monopole" else [np.array([1.0, t, 2 * t]) for t in (0.4, 1.3, 2.5)]
+    for x in pts:
+        for mu in range(a.spacetime.dim):
+            assert max_abs(a.at(x, mu) - a_frame.at(x, mu)) < TOL.algebraic
+
+
+def test_darboux_default_pair(points4):
+    v = load_frame({"scenario": "darboux"})
+    assert (v.N, v.n) == (2, 1)
+    validate_frame(v, points4[0])
+    a = extract_potential(v)  # A = pi d phi = 0.5 sin(x0) dx1
+    x = points4[0]
+    assert abs(a.at(x, 1)[0, 0] - 0.5 * np.sin(x[0])) < 1e-12
+
+
+def test_formats_scenario_table_matches_registry():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    rows = ["| scenario | chart | params | frame | potential |",
+            "| --- | --- | --- | --- | --- |"]
+    for name, entry in SCENARIOS.items():
+        params = ", ".join(f"`{p}`" for p in entry.params)
+        potential = "yes" if entry.potential is not None else "from the frame"
+        rows.append(f"| `{name}` | {entry.chart} | {params} | yes | {potential} |")
+    table = "\n".join(rows)
+    assert table in doc, "docs/formats.md scenario table should read:\n" + table
