@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,10 +120,7 @@ def extract_potential(f: Frame, tol=TOL.frame_consistency) -> OneForm:
                     "frame orthonormality is broken or the FD step is too coarse")
             return h
 
-        deriv = None
-        if raw.deriv is not None:
-            deriv = lambda x, nu, raw=raw: hermitian_part(raw.deriv(x, nu))
-        comps.append(FieldFn(f.spacetime, (f.n, f.n), checked, deriv, None, f.V.fd_step))
+        comps.append(replace(raw.hermitian_part(), fn=checked, deriv2=None))
     return OneForm(f.spacetime, tuple(comps))
 
 

@@ -71,18 +71,19 @@ def _build_parser():
 
     r = sub.add_parser("residuals", help="equation-of-motion residual sweep")
     _common_flags(r)
+    r.add_argument("--fd-step", type=float, default=None)
     r.add_argument("--eq", required=True,
                    choices=["ym", "modified", "maxmod", "shape", "sigma"])
-    r.add_argument("--grid", default=None,
+    r.add_argument("--grid", type=_grid, default=None,
                    help="axis spec lo:hi:cells[,lo:hi:cells...] (one per dimension)")
     r.add_argument("--csv", default=None, help="write per-point CSV here")
     r.set_defaults(func=cmd_residuals)
 
     f = sub.add_parser("sigma-flow", help="gradient flow of the lattice energy")
     f.add_argument("--g", type=float, default=0.5, help="monopole strength for the band fixture")
-    f.add_argument("--theta-band", default="0.35:0.65",
+    f.add_argument("--theta-band", type=_theta_band, default="0.35:0.65",
                    help="theta band as fractions of pi, lo:hi")
-    f.add_argument("--cells", default="10x16", help="lattice cells as THETAxPHI")
+    f.add_argument("--cells", type=_cells, default="10x16", help="lattice cells as THETAxPHI")
     f.add_argument("--steps", type=int, default=200)
     f.add_argument("--eta", type=float, default=2e-3)
     f.add_argument("--init", default=None, help="lattice JSON to start from instead")
@@ -112,16 +113,59 @@ def _common_flags(sp):
     sp.add_argument("--scenario", default=None,
                     help="builtin scenario name (or use --input)")
     sp.add_argument("--input", default=None, help="scenario config JSON file")
-    sp.add_argument("--k", default=None, help="wave vector, comma separated")
-    sp.add_argument("--n", default=None, help="polarization vector, comma separated")
+    sp.add_argument("--k", type=_vector, default=None, help="wave vector, comma separated")
+    sp.add_argument("--n", type=_vector, default=None,
+                    help="polarization vector, comma separated")
     sp.add_argument("--g", type=float, default=None, help="monopole strength")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--fd-step", type=float, default=None)
     sp.add_argument("--report", default=None, help="write the JSON report here")
 
 
-def _vector(text):
-    return [float(c) for c in text.split(",")]
+# -- argparse types: a malformed spec is a usage error (exit 2) -----------------
+
+def _spec(form, parse):
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return convert
+
+
+def _split(text, sep, count):
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise ValueError
+    return parts
+
+
+def _parse_grid(text):
+    axes = [_split(ax, ":", 3) for ax in text.split(",")]
+    return Grid(lo=tuple(float(a[0]) for a in axes), hi=tuple(float(a[1]) for a in axes),
+                cells=tuple(int(a[2]) for a in axes))
+
+
+_vector = _spec("comma-separated numbers", lambda t: [float(c) for c in t.split(",")])
+_grid = _spec("lo:hi:cells on each axis, cells >= 1", _parse_grid)
+_cells = _spec("THETAxPHI cell counts", lambda t: tuple(int(c) for c in _split(t, "x", 2)))
+_theta_band = _spec("lo:hi fractions of pi",
+                    lambda t: tuple(float(c) for c in _split(t, ":", 2)))
+
+
+# top-level config keys each command reads; setting any other one exits 2
+_READS = {
+    "verify": {"scenario", "params", "seed", "signature", "tolerances"},
+    "residuals": {"scenario", "params", "seed", "signature", "fd_step", "tabulated"},
+    "darboux": {"scenario", "params", "signature"},
+}
+
+
+def _check_reads(cfg, command):
+    for key in cfg:
+        if key not in _READS[command]:
+            raise ConfigError(f"the {command} command does not read {key!r}",
+                              schema_path=[key])
+    return cfg
 
 
 def _resolve_config(args):
@@ -133,9 +177,9 @@ def _resolve_config(args):
         cfg["scenario"] = args.scenario
     params = cfg.setdefault("params", {})
     if getattr(args, "k", None):
-        params["k"] = _vector(args.k)
+        params["k"] = args.k
     if getattr(args, "n", None):
-        params["n"] = _vector(args.n)
+        params["n"] = args.n
     if getattr(args, "g", None) is not None:
         params["g"] = args.g
     if getattr(args, "seed", None) is not None:
@@ -146,7 +190,7 @@ def _resolve_config(args):
         cfg.pop("params")
     if "scenario" not in cfg:
         raise ConfigError("a scenario is required (--scenario or --input)")
-    return validate_config(cfg)
+    return _check_reads(validate_config(cfg), args.command)
 
 
 def _report_skeleton(command, cfg):
@@ -188,15 +232,9 @@ def cmd_verify(args):
     params = scenario_params(cfg)
     st = resolve_spacetime(cfg)
     extras = {}
-    if scenario == "planewave":
-        checks += _planewave_checks(params, st, tol)
-    elif scenario == "monopole":
-        more, extras = _monopole_checks(params, tol)
+    if scenario in _SCENARIO_CHECKS:
+        more, extras = _SCENARIO_CHECKS[scenario](params, st, tol)
         checks += more
-    elif scenario == "darboux":
-        checks += _darboux_checks(params, st, tol)
-    elif scenario == "pure_gauge":
-        checks += _pure_gauge_checks(params, st, tol)
     report = _report_skeleton("verify", cfg)
     report["checks"] = checks
     report.update(extras)
@@ -304,7 +342,7 @@ def _embedded_cross_checks(tol=TOL):
     ]
 
 
-def _planewave_checks(params, st, tol=TOL):
+def _planewave_checks(params, st, tol):
     k = np.asarray(params["k"], dtype=float)
     n = np.asarray(params["n"], dtype=float)
     p = em.plane_wave_params(st, k, n)
@@ -329,10 +367,10 @@ def _planewave_checks(params, st, tol=TOL):
     if abs(kk) <= 1e-12 and abs(kn) <= 1e-12:
         ym = max(max_abs(ym_residual(a, nu, x)) for x in pts[:3] for nu in range(st.dim))
         checks.append(_check("planewave_maxwell_residual", ym, tol.fd_nested()))
-    return checks
+    return checks, {}
 
 
-def _monopole_checks(params, tol=TOL):
+def _monopole_checks(params, st, tol):
     g = float(params["g"])
     quantized = em.quantization_satisfied(g)
     rep = em.monopole_blade_glue(g)
@@ -369,17 +407,17 @@ def _monopole_checks(params, tol=TOL):
     return checks, extras
 
 
-def _darboux_checks(params, st, tol=TOL):
+def _darboux_checks(params, st, tol):
     data = load_darboux(params, st)
     rep = frame_residual_report(data)
     measured = verify_rank(data)
     return [
         _check("darboux_frame_equation_residual", rep["max_residual"], tol.fd()),
         _check("darboux_rank_matches_pairs", abs(measured - data.r), 0.5),
-    ]
+    ], {}
 
 
-def _pure_gauge_checks(params, st, tol=TOL):
+def _pure_gauge_checks(params, st, tol):
     fs = field_strength(load_potential("pure_gauge", st, **params))
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -387,24 +425,21 @@ def _pure_gauge_checks(params, st, tol=TOL):
         x = rng.uniform(-0.5, 0.5, st.dim)
         for mu, nu in itertools.combinations(range(st.dim), 2):
             worst = max(worst, max_abs(fs.at(x, mu, nu)))
-    return [_check("pure_gauge_flatness", worst, tol.fd())]
+    return [_check("pure_gauge_flatness", worst, tol.fd())], {}
+
+
+# each scenario's own checks, (params, spacetime, tol) -> (checks, report extras);
+# constant_F and random_smooth have none past the generic suites
+_SCENARIO_CHECKS = {
+    "planewave": _planewave_checks,
+    "monopole": _monopole_checks,
+    "darboux": _darboux_checks,
+    "pure_gauge": _pure_gauge_checks,
+}
 
 
 # ---------------------------------------------------------------------------
 # residuals
-
-def _parse_grid(text, dim):
-    if text is None:
-        return Grid(lo=(0.0,) * dim, hi=(1.0,) * dim, cells=(3,) * dim)
-    axes = text.split(",")
-    lo, hi, cells = [], [], []
-    for ax in axes:
-        a, b, c = ax.split(":")
-        lo.append(float(a))
-        hi.append(float(b))
-        cells.append(int(c))
-    return Grid(lo=tuple(lo), hi=tuple(hi), cells=tuple(cells))
-
 
 def cmd_residuals(args):
     cfg = _resolve_config(args)
@@ -414,7 +449,10 @@ def cmd_residuals(args):
         raise ConfigError(f"residual sweeps assume a flat Cartesian chart; scenario "
                           f"{scenario!r} is on the {chart} chart", schema_path=["scenario"])
     st = resolve_spacetime(cfg)
-    grid = _parse_grid(args.grid, st.dim)
+    grid = args.grid or Grid(lo=(0.0,) * st.dim, hi=(1.0,) * st.dim, cells=(3,) * st.dim)
+    if grid.dim != st.dim:
+        raise ConfigError(f"--grid has {grid.dim} axes; scenario {scenario!r} lives in "
+                          f"dimension {st.dim}")
     points = list(grid.centers())
     eq = args.eq
     rows = []  # (point, index, norm)
@@ -473,15 +511,15 @@ def cmd_sigma_flow(args):
         lat = _load_lattice(args.init)
         cfg = {"init": args.init}
     else:
-        lo_frac, hi_frac = (float(t) for t in args.theta_band.split(":"))
-        ct, cp = (int(t) for t in args.cells.split("x"))
+        lo_frac, hi_frac = args.theta_band
+        ct, cp = args.cells
         grid = Grid(lo=(lo_frac * np.pi, 0.0), hi=(hi_frac * np.pi, 2 * np.pi),
                     cells=(ct, cp))
         blade = em.monopole_blade(args.g)
         lat = blade_lattice_from_field(
             blade, grid, point_map=lambda p: np.array([1.0, p[0], p[1]]),
             periodic=(False, True), frozen_boundary_axes=(0,))
-        cfg = {"g": args.g, "theta_band": args.theta_band, "cells": args.cells}
+        cfg = {"g": args.g, "theta_band": f"{lo_frac}:{hi_frac}", "cells": f"{ct}x{cp}"}
     cfg.update({"steps": args.steps, "eta": args.eta})
     final, trace = sigma_flow(lat, args.steps, args.eta)
     report = _report_skeleton("sigma-flow", cfg)
@@ -529,7 +567,7 @@ def cmd_darboux(args):
     with open(args.input) as fh:
         raw = json.load(fh)
     cfg = raw if "scenario" in raw else {"scenario": "darboux", "params": raw}
-    validate_config(cfg)
+    _check_reads(validate_config(cfg), "darboux")
     if cfg["scenario"] != "darboux":
         raise ConfigError(f"the darboux command needs scenario 'darboux'; got "
                           f"{cfg['scenario']!r}", schema_path=["scenario"])

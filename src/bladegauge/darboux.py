@@ -11,21 +11,23 @@ potential come out as A / (r+1), because the 1/sqrt(r+1) normalization squares
 inside V^dag dV; the blocks here carry alpha_k = -beta_k = (r+1) phi_k, which
 restores V^dag dV = i A exactly.  The residual contract test enforces this.
 
-Pair functions come either as FieldFns or as strings over a small expression
-grammar (see `parse_expr`):
+Pair functions come either as FieldFns or as expression strings (see
+`expr_field`).  The grammar is a whitelisted subset of Python expressions:
 
-    expr  := term (("+" | "-") term)*
-    term  := unary (("*" | "/") unary)*
-    unary := "-" unary | atom
-    atom  := NUMBER | "pi" | COORD | FUNC "(" expr ")" | "(" expr ")"
+    expr := NUMBER | "pi" | COORD | expr ("+" | "-" | "*" | "/") expr
+          | "-" expr | FUNC "(" expr ")" | "(" expr ")"
     COORD := "x0" | "x1" | ... (one per spacetime axis)
     FUNC  := "sin" | "cos" | "arccos" | "sqrt"
 
-Parsed expressions carry symbolic first and second derivatives.
+NUMBER is a Python int or float literal, and precedence is Python's.  Each
+node becomes the matching `fields` combinator, so expression derivatives
+come from the same rules as every other field.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -33,231 +35,84 @@ import numpy as np
 
 from .blade import Frame, frame
 from .errors import DomainError, ParameterError, RankError
-from .fields import (FieldFn, OneForm, Spacetime, constant, exp_i, form_rank,
-                     matrix_of)
+from .fields import (FieldFn, OneForm, Spacetime, constant, coordinate, cos_of, exp_i,
+                     form_rank, mapped, matrix_of, sin_of)
 from .gauge import gauge_potential
 
 __all__ = [
     "DarbouxData", "darboux_data", "darboux_one_form", "darboux_potential",
     "darboux_frame", "verify_rank", "frame_residual_report",
-    "parse_expr", "expr_field",
+    "expr_field",
 ]
 
 NEAR_SINGULAR_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# expression grammar
+# expressions
 
-class _Node:
-    def eval(self, x):
-        raise NotImplementedError
+# deepest syntax tree accepted; Python's own limit for nested parentheses
+MAX_EXPR_DEPTH = 200
 
-    def diff(self, mu):
-        raise NotImplementedError
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
-
-class _Num(_Node):
-    def __init__(self, v):
-        self.v = float(v)
-
-    def eval(self, x):
-        return self.v
-
-    def diff(self, mu):
-        return _Num(0.0)
-
-
-class _Coord(_Node):
-    def __init__(self, axis):
-        self.axis = axis
-
-    def eval(self, x):
-        return float(x[self.axis])
-
-    def diff(self, mu):
-        return _Num(1.0 if mu == self.axis else 0.0)
-
-
-class _Bin(_Node):
-    def __init__(self, op, a, b):
-        self.op, self.a, self.b = op, a, b
-
-    def eval(self, x):
-        a, b = self.a.eval(x), self.b.eval(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
-    def diff(self, mu):
-        da, db = self.a.diff(mu), self.b.diff(mu)
-        if self.op in "+-":
-            return _Bin(self.op, da, db)
-        if self.op == "*":
-            return _Bin("+", _Bin("*", da, self.b), _Bin("*", self.a, db))
-        # quotient rule
-        num = _Bin("-", _Bin("*", da, self.b), _Bin("*", self.a, db))
-        return _Bin("/", num, _Bin("*", self.b, self.b))
-
-
-class _Neg(_Node):
-    def __init__(self, a):
-        self.a = a
-
-    def eval(self, x):
-        return -self.a.eval(x)
-
-    def diff(self, mu):
-        return _Neg(self.a.diff(mu))
-
-
-class _Fun(_Node):
-    def __init__(self, name, a):
-        self.name, self.a = name, a
-
-    def eval(self, x):
-        u = self.a.eval(x)
-        if self.name == "sin":
-            return np.sin(u)
-        if self.name == "cos":
-            return np.cos(u)
-        if self.name == "sqrt":
-            return np.sqrt(u)
-        return np.arccos(np.clip(u, -1.0, 1.0))
-
-    def diff(self, mu):
-        du = self.a.diff(mu)
-        if self.name == "sin":
-            outer = _Fun("cos", self.a)
-        elif self.name == "cos":
-            outer = _Neg(_Fun("sin", self.a))
-        elif self.name == "sqrt":
-            outer = _Bin("/", _Num(0.5), _Fun("sqrt", self.a))
-        else:  # arccos
-            one_minus = _Bin("-", _Num(1.0), _Bin("*", self.a, self.a))
-            outer = _Neg(_Bin("/", _Num(1.0), _Fun("sqrt", one_minus)))
-        return _Bin("*", outer, du)
-
-
-_FUNCS = ("sin", "cos", "arccos", "sqrt")
-
-
-def _tokenize(src):
-    tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "+-*/()":
-            tokens.append(c)
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < len(src) and (src[j].isdigit() or src[j] in ".eE"
-                                    or (src[j] in "+-" and src[j - 1] in "eE")):
-                j += 1
-            tokens.append(("num", src[i:j]))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j]))
-            i = j
-            continue
-        raise ParameterError(f"unexpected character {c!r} in expression")
-    return tokens
-
-
-def parse_expr(src, dim=4):
-    """Parse an expression string into an AST (see module docstring grammar)."""
-    tokens = _tokenize(src)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    def expect(t):
-        got = take()
-        if got != t:
-            raise ParameterError(f"expected {t!r}, got {got!r}")
-
-    def atom():
-        t = take()
-        if t is None:
-            raise ParameterError("unexpected end of expression")
-        if t == "(":
-            node = expr()
-            expect(")")
-            return node
-        if isinstance(t, tuple) and t[0] == "num":
-            return _Num(float(t[1]))
-        if isinstance(t, tuple) and t[0] == "name":
-            name = t[1]
-            if name == "pi":
-                return _Num(np.pi)
-            if name in _FUNCS:
-                expect("(")
-                node = expr()
-                expect(")")
-                return _Fun(name, node)
-            if name.startswith("x") and name[1:].isdigit():
-                axis = int(name[1:])
-                if axis >= dim:
-                    raise ParameterError(f"coordinate {name} outside dimension {dim}")
-                return _Coord(axis)
-            raise ParameterError(f"unknown name {name!r}")
-        raise ParameterError(f"unexpected token {t!r}")
-
-    def unary():
-        if peek() == "-":
-            take()
-            return _Neg(unary())
-        return atom()
-
-    def term():
-        node = unary()
-        while peek() in ("*", "/"):
-            op = take()
-            node = _Bin(op, node, unary())
-        return node
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            node = _Bin(op, node, term())
-        return node
-
-    root = expr()
-    if pos[0] != len(tokens):
-        raise ParameterError(f"trailing tokens from {tokens[pos[0]]!r}")
-    return root
+_FUNCS = {
+    "sin": sin_of,
+    "cos": cos_of,
+    "sqrt": lambda f: mapped(f, np.sqrt, lambda u: 0.5 / np.sqrt(u),
+                             lambda u: -0.25 / (u * np.sqrt(u))),
+    "arccos": lambda f: mapped(f, lambda u: np.arccos(np.clip(u, -1.0, 1.0)),
+                               lambda u: -(1.0 / np.sqrt(1.0 - u * u)),
+                               lambda u: -u / ((1.0 - u * u) * np.sqrt(1.0 - u * u))),
+}
 
 
 def expr_field(src, spacetime: Spacetime) -> FieldFn:
-    """Scalar field from an expression string, with symbolic d and d2."""
-    root = parse_expr(src, spacetime.dim)
-    d1 = [root.diff(mu) for mu in range(spacetime.dim)]
-    d2 = [[d1[mu].diff(nu) for nu in range(spacetime.dim)]
-          for mu in range(spacetime.dim)]
-    return FieldFn(spacetime, (),
-                   lambda x: float(root.eval(x)),
-                   lambda x, mu: float(d1[mu].eval(x)),
-                   lambda x, mu, nu: float(d2[mu][nu].eval(x)))
+    """Scalar field from an expression string (see the module docstring grammar).
+
+    The string is read by `ast.parse` and never evaluated as Python.
+    Anything outside the grammar, or deeper than MAX_EXPR_DEPTH, raises
+    ParameterError.
+    """
+    try:
+        tree = ast.parse(src.strip(), mode="eval").body
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        shown = src if len(src) <= 80 else src[:77] + "..."
+        raise ParameterError(f"cannot parse expression {shown!r}: {exc}") from None
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_EXPR_DEPTH:
+            raise ParameterError(f"expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in ast.iter_child_nodes(node)
+                     if isinstance(child, ast.expr))
+    return _expr_node(tree, spacetime)
+
+
+def _expr_node(node, spacetime):
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_expr_node(node.left, spacetime),
+                                      _expr_node(node.right, spacetime))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_expr_node(node.operand, spacetime)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return constant(float(node.value), spacetime)
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name == "pi":
+            return constant(np.pi, spacetime)
+        if name.startswith("x") and name[1:].isdecimal():
+            axis = int(name[1:])
+            if axis >= spacetime.dim:
+                raise ParameterError(f"coordinate {name} outside dimension {spacetime.dim}")
+            return coordinate(spacetime, axis)
+        raise ParameterError(f"unknown name {name!r}")
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        return _FUNCS[node.func.id](_expr_node(node.args[0], spacetime))
+    raise ParameterError(f"unsupported expression {ast.unparse(node)!r}; the grammar has "
+                         f"numbers, pi, x0.., + - * /, unary -, and {', '.join(_FUNCS)}(.)")
 
 
 # ---------------------------------------------------------------------------

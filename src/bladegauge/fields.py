@@ -3,9 +3,22 @@
 A `FieldFn` bundles a point evaluator with optional analytic first and second
 derivatives; whenever an analytic derivative is missing, queries fall back to
 central finite differences (second derivatives use nested first-order
-stencils).  Algebraic combinators (`+`, `@`, scalar `*`, `dagger`, `partial`)
-propagate analytic derivatives by the product/chain rule, so pipelines built
-from analytic ingredients stay analytic.
+stencils).
+
+Every combinator states its derivatives through one of three rules:
+
+- linear: `+`, `-`, scalar `*`, `dagger`, `hermitian_part`, `hstack` and
+  `matrix_of`; each derivative order is the same operation on the operands'
+  derivatives of that order;
+- product: pointwise `*` and `@` (Leibniz rule);
+- chain: `mapped`, and through it `sin_of`, `cos_of`, `exp_i` and `/`.
+
+A rule is analytic when its operands are, so pipelines built from analytic
+ingredients stay analytic.  The leaves state their derivatives in closed
+form: `constant`, `coordinate`, `linear`, `random_hermitian_field`, the
+exp(iH) fields of `blade`, and a few chart and Darboux leaves.  `partial`
+turns the second derivatives of a field into the first ones of its
+derivative field.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
 reduce in a fixed order for reproducibility.  Leaf caches, such as the
@@ -16,13 +29,16 @@ would give.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartError, DimensionMismatchError, ParameterError, RankError
+from .linalg import hermitian_part
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
@@ -121,28 +137,18 @@ class FieldFn:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        _check_compatible(self, other)
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"cannot add shapes {self.shape} and {other.shape}")
-        f, g = self, other
-        deriv = (lambda x, mu: f.d(x, mu) + g.d(x, mu)) if _both_d(f, g) else None
-        deriv2 = (lambda x, mu, nu: f.d2(x, mu, nu) + g.d2(x, mu, nu)) if _both_d2(f, g) else None
-        return FieldFn(f.spacetime, f.shape, lambda x: f.fn(x) + g.fn(x),
-                       deriv, deriv2, _combine_step(f, g))
+        return _linear(operator.add, _sum_shape(self, other), self, other)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return _linear(operator.sub, _sum_shape(self, other), self, other)
 
     def __neg__(self):
-        return (-1.0) * self
+        return _linear(operator.neg, self.shape, self)
 
     def __rmul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        f = self
-        deriv = (lambda x, mu: c * f.deriv(x, mu)) if f.deriv is not None else None
-        deriv2 = (lambda x, mu, nu: c * f.deriv2(x, mu, nu)) if f.deriv2 is not None else None
-        return FieldFn(f.spacetime, f.shape, lambda x: c * f.fn(x), deriv, deriv2, f.fd_step)
+        return _linear(functools.partial(operator.mul, c), self.shape, self)
 
     def __mul__(self, other):
         """Pointwise product; at least one factor must be scalar-shaped."""
@@ -151,44 +157,31 @@ class FieldFn:
         _check_compatible(self, other)
         if self.shape != () and other.shape != ():
             raise DimensionMismatchError("pointwise * needs a scalar factor; use @ for matrices")
-        f, g = self, other
-        shape = f.shape if g.shape == () else g.shape
-        deriv = None
-        if _both_d(f, g):
-            deriv = lambda x, mu: f.d(x, mu) * g.fn(x) + f.fn(x) * g.d(x, mu)
-        deriv2 = None
-        if _both_d2(f, g):
-            deriv2 = lambda x, mu, nu: (f.d2(x, mu, nu) * g.fn(x) + f.fn(x) * g.d2(x, mu, nu)
-                                        + f.d(x, mu) * g.d(x, nu) + f.d(x, nu) * g.d(x, mu))
-        return FieldFn(f.spacetime, shape, lambda x: f.fn(x) * g.fn(x),
-                       deriv, deriv2, _combine_step(f, g))
+        return _product(operator.mul, self.shape if other.shape == () else other.shape,
+                        self, other)
+
+    def __truediv__(self, other):
+        """Division by a scalar-shaped field: self times its reciprocal."""
+        if not isinstance(other, FieldFn):
+            return NotImplemented
+        if other.shape != ():
+            raise DimensionMismatchError("/ needs a scalar-shaped divisor")
+        return self * mapped(other, lambda u: 1.0 / u, lambda u: -1.0 / (u * u),
+                             lambda u: 2.0 / (u * u * u))
 
     def __matmul__(self, other):
         _check_compatible(self, other)
-        f, g = self, other
-        shape = _matmul_shape(f.shape, g.shape)
-        deriv = None
-        if _both_d(f, g):
-            deriv = lambda x, mu: f.d(x, mu) @ g.fn(x) + f.fn(x) @ g.d(x, mu)
-        deriv2 = None
-        if _both_d2(f, g):
-            deriv2 = lambda x, mu, nu: (f.d2(x, mu, nu) @ g.fn(x) + f.fn(x) @ g.d2(x, mu, nu)
-                                        + f.d(x, mu) @ g.d(x, nu) + f.d(x, nu) @ g.d(x, mu))
-        return FieldFn(f.spacetime, shape, lambda x: f.fn(x) @ g.fn(x),
-                       deriv, deriv2, _combine_step(f, g))
+        return _product(operator.matmul, _matmul_shape(self.shape, other.shape), self, other)
 
     def dagger(self):
         """Conjugate transpose of a matrix-valued field (conjugate for scalars)."""
-        f = self
-        if len(f.shape) == 2:
-            shape = (f.shape[1], f.shape[0])
-            dag = lambda v: np.conjugate(v).T
-        else:
-            shape = f.shape
-            dag = np.conjugate
-        deriv = (lambda x, mu: dag(f.deriv(x, mu))) if f.deriv is not None else None
-        deriv2 = (lambda x, mu, nu: dag(f.deriv2(x, mu, nu))) if f.deriv2 is not None else None
-        return FieldFn(f.spacetime, shape, lambda x: dag(f.fn(x)), deriv, deriv2, f.fd_step)
+        if len(self.shape) == 2:
+            return _linear(lambda v: np.conjugate(v).T, self.shape[::-1], self)
+        return _linear(np.conjugate, self.shape, self)
+
+    def hermitian_part(self):
+        """(M + M^dag) / 2 of a square matrix-valued field."""
+        return _linear(hermitian_part, self.shape, self)
 
     def partial(self, mu):
         """The field x -> d self / d x^mu; its deriv taps self's second derivatives."""
@@ -211,6 +204,13 @@ def _check_compatible(f, g):
         raise DimensionMismatchError("fields live on different spacetimes")
 
 
+def _sum_shape(f, g):
+    _check_compatible(f, g)
+    if f.shape != g.shape:
+        raise DimensionMismatchError(f"cannot add shapes {f.shape} and {g.shape}")
+    return f.shape
+
+
 def _matmul_shape(a, b):
     if len(a) == 2 and len(b) == 2:
         if a[1] != b[0]:
@@ -223,20 +223,78 @@ def _matmul_shape(a, b):
     raise DimensionMismatchError(f"@ undefined for shapes {a} and {b}")
 
 
-def _both_d(f, g):
-    return f.deriv is not None and g.deriv is not None
-
-
-def _both_d2(f, g):
-    return (_both_d(f, g) and f.deriv2 is not None and g.deriv2 is not None)
-
-
 def _combine_step(*fields):
     """Step for a combined field: fully-analytic operands do not constrain it."""
     steps = [f.fd_step for f in fields if f.deriv is None or f.deriv2 is None]
     if not steps:
         steps = [f.fd_step for f in fields]
     return min(steps)
+
+
+# -- the three derivative rules ---------------------------------------------
+# A rule gives the combined field an analytic deriv when every operand has
+# one, and an analytic deriv2 when every operand has both; a missing order
+# falls back to finite differences of the combined field.  So a rule reads
+# its operands' fn, deriv and deriv2 directly, never the FD-aware d and d2.
+
+def _apply1(op, g, *args):
+    return op(g(*args))
+
+
+def _apply2(op, g, h, *args):
+    return op(g(*args), h(*args))
+
+
+def _apply_n(op, gs, *args):
+    return op(*[g(*args) for g in gs])
+
+
+def _lift(op, gs):
+    """x -> op(g1(x), ..., gk(x)) with the same arguments to every g; None if a g is."""
+    if None in gs:
+        return None
+    if len(gs) == 1:
+        return functools.partial(_apply1, op, gs[0])
+    if len(gs) == 2:
+        return functools.partial(_apply2, op, gs[0], gs[1])
+    return functools.partial(_apply_n, op, gs)
+
+
+def _linear(op, shape, *fs):
+    """The field op(f1, ..., fk) for op linear: every order is op of that order."""
+    deriv = _lift(op, [f.deriv for f in fs])
+    deriv2 = _lift(op, [f.deriv2 for f in fs]) if deriv is not None else None
+    return FieldFn(fs[0].spacetime, shape, _lift(op, [f.fn for f in fs]), deriv, deriv2,
+                   _combine_step(*fs))
+
+
+def _product_d(op, f, g, x, mu):
+    return op(f.deriv(x, mu), g.fn(x)) + op(f.fn(x), g.deriv(x, mu))
+
+
+def _product_d2(op, f, g, x, mu, nu):
+    return (op(f.deriv2(x, mu, nu), g.fn(x)) + op(f.fn(x), g.deriv2(x, mu, nu))
+            + op(f.deriv(x, mu), g.deriv(x, nu)) + op(f.deriv(x, nu), g.deriv(x, mu)))
+
+
+def _product(op, shape, f, g):
+    """The field op(f, g) for op bilinear (Leibniz rule)."""
+    deriv = deriv2 = None
+    if f.deriv is not None and g.deriv is not None:
+        deriv = functools.partial(_product_d, op, f, g)
+        if f.deriv2 is not None and g.deriv2 is not None:
+            deriv2 = functools.partial(_product_d2, op, f, g)
+    return FieldFn(f.spacetime, shape, functools.partial(_apply2, op, f.fn, g.fn),
+                   deriv, deriv2, _combine_step(f, g))
+
+
+def _chain_d(f, dfunc, x, mu):
+    return dfunc(f.fn(x)) * f.deriv(x, mu)
+
+
+def _chain_d2(f, dfunc, d2func, x, mu, nu):
+    u = f.fn(x)
+    return dfunc(u) * f.deriv2(x, mu, nu) + d2func(u) * f.deriv(x, mu) * f.deriv(x, nu)
 
 
 # -- constructors -----------------------------------------------------------
@@ -279,15 +337,13 @@ def mapped(f, func, dfunc=None, d2func=None):
     """Compose a scalar field with a smooth scalar function (chain rule)."""
     if f.shape != ():
         raise DimensionMismatchError("mapped requires a scalar field")
-    deriv = None
+    deriv = deriv2 = None
     if dfunc is not None and f.deriv is not None:
-        deriv = lambda x, mu: dfunc(f.fn(x)) * f.d(x, mu)
-    deriv2 = None
-    if dfunc is not None and d2func is not None and f.deriv is not None and f.deriv2 is not None:
-        def deriv2(x, mu, nu):
-            u = f.fn(x)
-            return dfunc(u) * f.d2(x, mu, nu) + d2func(u) * f.d(x, mu) * f.d(x, nu)
-    return FieldFn(f.spacetime, (), lambda x: func(f.fn(x)), deriv, deriv2, f.fd_step)
+        deriv = functools.partial(_chain_d, f, dfunc)
+        if d2func is not None and f.deriv2 is not None:
+            deriv2 = functools.partial(_chain_d2, f, dfunc, d2func)
+    return FieldFn(f.spacetime, (), functools.partial(_apply1, func, f.fn), deriv, deriv2,
+                   f.fd_step)
 
 
 def sin_of(f):
@@ -319,19 +375,8 @@ def matrix_of(rows):
     grid = [[e if isinstance(e, FieldFn) else constant(complex(e), spacetime) for e in row]
             for row in rows]
     shape = (len(grid), len(grid[0]))
-
-    def fn(x):
-        return np.array([[e.fn(x) for e in row] for row in grid], dtype=complex)
-
-    deriv = None
-    if all(e.deriv is not None for row in grid for e in row):
-        deriv = lambda x, mu: np.array([[e.d(x, mu) for e in row] for row in grid], dtype=complex)
-    deriv2 = None
-    if deriv is not None and all(e.deriv2 is not None for row in grid for e in row):
-        deriv2 = lambda x, mu, nu: np.array(
-            [[e.d2(x, mu, nu) for e in row] for row in grid], dtype=complex)
-    step = _combine_step(*[e for row in grid for e in row])
-    return FieldFn(spacetime, shape, fn, deriv, deriv2, step)
+    return _linear(lambda *entries: np.array(entries, dtype=complex).reshape(shape), shape,
+                   *[e for row in grid for e in row])
 
 
 def hstack(a, b):
@@ -339,15 +384,7 @@ def hstack(a, b):
     _check_compatible(a, b)
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"cannot hstack shapes {a.shape} and {b.shape}")
-    shape = (a.shape[0], a.shape[1] + b.shape[1])
-    deriv = None
-    if _both_d(a, b):
-        deriv = lambda x, mu: np.hstack([a.d(x, mu), b.d(x, mu)])
-    deriv2 = None
-    if _both_d2(a, b):
-        deriv2 = lambda x, mu, nu: np.hstack([a.d2(x, mu, nu), b.d2(x, mu, nu)])
-    return FieldFn(a.spacetime, shape, lambda x: np.hstack([a.fn(x), b.fn(x)]),
-                   deriv, deriv2, _combine_step(a, b))
+    return _linear(lambda u, v: np.hstack([u, v]), (a.shape[0], a.shape[1] + b.shape[1]), a, b)
 
 
 # ---------------------------------------------------------------------------

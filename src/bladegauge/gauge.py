@@ -8,7 +8,7 @@ so corrections below a warning threshold are silent and larger ones warn.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,18 +29,16 @@ __all__ = [
 def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
     """Wrap a matrix field so every evaluation returns its Hermitian part."""
 
-    def fix(m):
-        m = np.asarray(m, dtype=complex)
+    def fn(x):
+        m = np.asarray(f.fn(x), dtype=complex)
         h = hermitian_part(m)
         drift = max_abs(m - h)
         if drift > warn_tol:
             warnings.warn(f"hermitizing correction {drift:.3e} exceeds {warn_tol:.1e}",
-                          stacklevel=3)
+                          stacklevel=2)
         return h
 
-    deriv = (lambda x, mu: hermitian_part(f.deriv(x, mu))) if f.deriv is not None else None
-    deriv2 = (lambda x, mu, nu: hermitian_part(f.deriv2(x, mu, nu))) if f.deriv2 is not None else None
-    return FieldFn(f.spacetime, f.shape, lambda x: fix(f.fn(x)), deriv, deriv2, f.fd_step)
+    return replace(f.hermitian_part(), fn=fn)
 
 
 def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> OneForm:
@@ -97,7 +95,7 @@ def gauge_map(f: FieldFn, check=True, tol=TOL.hermitian_input) -> GaugeMap:
             raise DomainError(f"gauge map is not unitary at {x}")
         return u
 
-    return GaugeMap(FieldFn(f.spacetime, f.shape, checked, f.deriv, f.deriv2, f.fd_step))
+    return GaugeMap(replace(f, fn=checked))
 
 
 def covariant_derivative(a: OneForm, psi: MatterField, mu, x):

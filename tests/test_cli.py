@@ -363,3 +363,63 @@ def test_config_keys_no_command_reads_exit_2(key, value, tmp_path, capsys):
     assert main(["residuals", "--input", str(inp), "--eq", "ym",
                  "--grid", "0:1:1,0:1:1,0:1:1,0:1:1"]) == 2
     assert f"'{key}' was unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("verify", "fd_step", 2e-2),
+    ("verify", "tabulated", {"axes": [[0.0, 1.0]], "values": []}),
+    ("residuals", "tolerances", {"analytic": 1e-6}),
+    ("darboux", "seed", 1),
+    ("darboux", "fd_step", 2e-2),
+    ("darboux", "tolerances", {"analytic": 1e-6}),
+])
+def test_config_keys_the_command_does_not_read_exit_2(command, key, value, tmp_path,
+                                                      capsys):
+    inp = tmp_path / "cfg.json"
+    scenario = "darboux" if command == "darboux" else "planewave"
+    inp.write_text(json.dumps({"scenario": scenario, key: value}))
+    argv = [command, "--input", str(inp)]
+    if command == "residuals":
+        argv += ["--eq", "ym", "--grid", "0:1:1,0:1:1,0:1:1,0:1:1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"does not read '{key}'" in err and f"schema path: {key})" in err
+
+
+def test_verify_has_no_fd_step_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scenario", "planewave", "--fd-step", "2e-2"])
+    assert exc.value.code == 2
+    assert "--fd-step" in capsys.readouterr().err
+
+
+GRID4 = ",".join(["0:1:1"] * 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", "0:1"],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", "a:1:1,0:1:1,0:1:1,0:1:1"],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", "0:1:0,0:1:1,0:1:1,0:1:1"],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", "0:1:1,0:1:1,0:1:1"],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", GRID4, "--k", "1,a,0,1"],
+    ["verify", "--scenario", "planewave", "--n", "0,1,,0"],
+    ["sigma-flow", "--cells", "10", "--steps", "1"],
+    ["sigma-flow", "--theta-band", "0.3", "--steps", "1"],
+], ids=["grid_two_fields", "grid_not_a_number", "grid_zero_cells", "grid_three_axes",
+        "k_not_a_number", "n_empty_entry", "cells_one_count", "theta_band_one_bound"])
+def test_malformed_cli_specs_exit_2(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pi", ["0.5*1e", "(" * 300 + "x0" + ")" * 300],
+                         ids=["bad_literal", "300_parens"])
+def test_darboux_malformed_expression_exits_2(pi, tmp_path, capsys):
+    inp = tmp_path / "pairs.json"
+    inp.write_text(json.dumps({"pairs": [{"pi": pi, "phi": "x1"}]}))
+    assert main(["darboux", "--input", str(inp)]) == 2
+    assert "cannot parse expression" in capsys.readouterr().err

@@ -6,43 +6,62 @@ import pytest
 from bladegauge.blade import extract_potential
 from bladegauge.darboux import (darboux_data, darboux_frame,
                                 darboux_one_form, darboux_potential, expr_field,
-                                frame_residual_report, parse_expr, verify_rank)
+                                frame_residual_report, verify_rank)
 from bladegauge.em import em_frame, EmFrameParams
 from bladegauge.errors import DomainError, ParameterError, RankError
 from bladegauge.linalg import max_abs
+from bladegauge.tolerances import DEFAULT as TOL
 
 
 BOX = dict(lo=[-0.8] * 4, hi=[0.8] * 4)
 
 
-def test_parser_arithmetic_and_precedence():
-    e = parse_expr("1 + 2 * 3 - 4 / 2")
-    assert abs(e.eval(np.zeros(4)) - 5.0) < 1e-14
-    e2 = parse_expr("(1 + 2) * 3")
-    assert abs(e2.eval(np.zeros(4)) - 9.0) < 1e-14
-    e3 = parse_expr("-x1 * x1 + pi")
-    assert abs(e3.eval(np.array([0, 2.0, 0, 0])) - (np.pi - 4.0)) < 1e-14
+def test_parser_arithmetic_and_precedence(st4):
+    e = expr_field("1 + 2 * 3 - 4 / 2", st4)
+    assert abs(e(np.zeros(4)) - 5.0) < 1e-14
+    e2 = expr_field("(1 + 2) * 3", st4)
+    assert abs(e2(np.zeros(4)) - 9.0) < 1e-14
+    e3 = expr_field("-x1 * x1 + pi", st4)
+    assert abs(e3(np.array([0, 2.0, 0, 0])) - (np.pi - 4.0)) < 1e-14
 
 
-def test_parser_functions():
+def test_parser_functions(st4):
     x = np.array([0.3, 0.5, 0, 0])
-    assert abs(parse_expr("sin(x0)").eval(x) - np.sin(0.3)) < 1e-14
-    assert abs(parse_expr("cos(x0 * x1)").eval(x) - np.cos(0.15)) < 1e-14
-    assert abs(parse_expr("arccos(x1)").eval(x) - np.arccos(0.5)) < 1e-14
-    assert abs(parse_expr("sqrt(x1)").eval(x) - np.sqrt(0.5)) < 1e-14
+    assert abs(expr_field("sin(x0)", st4)(x) - np.sin(0.3)) < 1e-14
+    assert abs(expr_field("cos(x0 * x1)", st4)(x) - np.cos(0.15)) < 1e-14
+    assert abs(expr_field("arccos(x1)", st4)(x) - np.arccos(0.5)) < 1e-14
+    assert abs(expr_field("sqrt(x1)", st4)(x) - np.sqrt(0.5)) < 1e-14
 
 
-def test_parser_errors():
+def test_parser_errors(st4):
     with pytest.raises(ParameterError):
-        parse_expr("x9", dim=4)
+        expr_field("x9", st4)
     with pytest.raises(ParameterError):
-        parse_expr("foo(x0)")
+        expr_field("foo(x0)", st4)
     with pytest.raises(ParameterError):
-        parse_expr("1 +")
+        expr_field("1 +", st4)
     with pytest.raises(ParameterError):
-        parse_expr("x0 x1")
+        expr_field("x0 x1", st4)
     with pytest.raises(ParameterError):
-        parse_expr("@")
+        expr_field("@", st4)
+
+
+@pytest.mark.parametrize("src", [
+    "1e", "1..2", "(" * 300 + "x0" + ")" * 300, " + ".join(["x0"] * 5000), "x0**2", "1j",
+    "x0.real", "__import__('os')", "sin(x0, x1)", "sin(x=x0)", "+x0",
+], ids=["1e", "1..2", "300_parens", "5000_terms", "power", "complex", "attribute",
+        "import", "two_args", "keyword", "unary_plus"])
+def test_expr_field_rejects_what_the_grammar_lacks(src, st4):
+    with pytest.raises(ParameterError):
+        expr_field(src, st4)
+
+
+def test_expr_field_depth_cap(st4):
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    ok = " + ".join(["x0 * x1"] * 150)
+    assert abs(expr_field(ok, st4)(x) - 150 * 0.02) < 1e-12
+    with pytest.raises(ParameterError, match="deeper than 200"):
+        expr_field(" + ".join(["x0 * x1"] * 250), st4)
 
 
 def test_expr_field_symbolic_derivatives(points4, st4):
@@ -185,3 +204,15 @@ def test_darboux_two_pair_not_decomposable(st4, rng):
     vals = two_form_values(da, x)
     ff = wedge(vals, vals)
     assert max(abs(v) for v in ff.values()) > 1.0
+
+
+@pytest.mark.parametrize("src", ["sqrt(1.5 + x0 * x1)", "arccos(0.4 * x2 - 0.3 * x0)",
+                                 "x1 / (2 + cos(x3))"])
+def test_expr_field_derivatives_match_fd(src, points4, st4):
+    f = expr_field(src, st4)
+    fd = f.without_analytic_derivs()
+    for x in points4:
+        for mu in range(4):
+            assert abs(f.d(x, mu) - fd.d(x, mu)) < TOL.fd()
+            for nu in range(4):
+                assert abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested()

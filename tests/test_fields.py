@@ -5,11 +5,12 @@ from bladegauge.errors import ChartError, ParameterError, RankError
 from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
-                               form_rank, lattice_integral, linear,
-                               matrix_of, scalar_field, sin_of,
+                               form_rank, hstack, lattice_integral, linear,
+                               mapped, matrix_of, scalar_field, sin_of,
                                sphere_flux, wedge, wedge_power_nonzero,
                                wedge_power_values, TwoForm)
 from bladegauge.linalg import max_abs
+from bladegauge.tolerances import DEFAULT as TOL
 
 
 def test_spacetime_signature_validation():
@@ -53,15 +54,39 @@ def test_partial_of_sine_closed_form(points4):
             assert abs(fd.d(x, mu) - want) < 5e-7          # central difference
 
 
-def test_fd_halving_ratio_is_second_order():
+@pytest.mark.parametrize("order", ["d", "d2"])
+def test_fd_halving_ratio_is_second_order(order):
     st = MINKOWSKI4
     k = np.array([0.9, 0.4, -0.6, 0.3])
     f = sin_of(linear(st, k)).without_analytic_derivs()
     x = np.array([0.21, -0.37, 0.11, 0.53])
-    want = k[1] * np.cos(np.dot(k, x))
-    err_h = abs(f.with_step(1e-2).d(x, 1) - want)
-    err_h2 = abs(f.with_step(5e-3).d(x, 1) - want)
-    assert 3.5 <= err_h / err_h2 <= 4.5
+    if order == "d":
+        cases = [((1,), k[1] * np.cos(np.dot(k, x)))]
+    else:  # nested stencils: both levels step by h
+        cases = [((mu, nu), -k[mu] * k[nu] * np.sin(np.dot(k, x)))
+                 for mu, nu in ((1, 1), (0, 2), (1, 3))]
+    for idx, want in cases:
+        err_h = abs(getattr(f.with_step(1e-2), order)(x, *idx) - want)
+        err_h2 = abs(getattr(f.with_step(5e-3), order)(x, *idx) - want)
+        assert 3.5 <= err_h / err_h2 <= 4.5
+
+
+def _rule_inputs(st):
+    """One field per rule operand: linear, product and chain rules and division."""
+    s = sin_of(linear(st, [1, 0, 0.3, 0]))
+    z = exp_i(linear(st, [0, 0.5, 0, 0.2]))
+    m = matrix_of([[s, coordinate(st, 2)], [z, 2.0]])
+    return {
+        "+": m + m.dagger(),
+        "scalar *": 0.7 * m,
+        "*": s * m,
+        "@": m @ m.dagger(),
+        "dagger": m.dagger(),
+        "hstack": hstack(m, m @ m),
+        "matrix_of": m,
+        "mapped": mapped(s * z, np.exp, np.exp, np.exp),
+        "/": m / (constant(2.0, st) + s),
+    }
 
 
 def test_combinator_derivatives_match_fd(rng):
@@ -75,6 +100,14 @@ def test_combinator_derivatives_match_fd(rng):
         assert max_abs(b.d(x, mu) - fd) < 1e-5
     # second derivatives are symmetric
     assert max_abs(b.d2(x, 0, 2) - b.d2(x, 2, 0)) < 1e-6
+    # every rule operand: analytic d and d2 against one and two FD levels
+    for name, f in _rule_inputs(st).items():
+        assert f.deriv is not None and f.deriv2 is not None, name
+        fd = f.without_analytic_derivs()
+        for mu in range(4):
+            assert max_abs(f.d(x, mu) - fd.d(x, mu)) < TOL.fd(), name
+            for nu in range(4):
+                assert max_abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested(), name
 
 
 def test_exterior_d_hand_example():
