@@ -1,6 +1,8 @@
 """Shape operators on classical surfaces: curvature without second derivatives.
 
-For an embedded surface the curvature commutator Omega = -[S_mu, S_nu] is
+Each surface's Gauss map is a rotating blade, so its shape operator is
+`blade.shape_operator`; the real one is S_real = (1/2) R dR = i S.
+The curvature commutator Omega_real = -[S_real_mu, S_real_nu] is
 algebraic in the shape operator (first derivatives of the blade only), and its
 tangent part reproduces the Riemann tensor.  The demo tabulates the Gauss
 curvature of the sphere, cylinder, and torus this way and cross-checks an
@@ -9,7 +11,8 @@ intrinsic Christoffel-symbol oracle that differentiates only the metric.
 
 import numpy as np
 
-from bladegauge.embedded import (christoffel_riemann, cylinder, embedded_shape,
+from bladegauge.blade import shape_operator
+from bladegauge.embedded import (christoffel_riemann, cylinder, embedded_blade,
                                  gauss_curvature, induced_metric, sphere, torus)
 from bladegauge.linalg import max_abs
 
@@ -25,6 +28,7 @@ def surfaces():
 
 def main():
     for label, emb in surfaces():
+        s = shape_operator(embedded_blade(emb))
         print("=" * 70)
         print(label)
         print(f"{'u':>6s} {'v':>6s} {'K extrinsic':>14s} {'K oracle':>14s} "
@@ -34,7 +38,7 @@ def main():
             k = gauss_curvature(emb, x)
             riem = christoffel_riemann(lambda y: induced_metric(emb, y), x)
             k_oracle = riem[0, 1, 0, 1] / float(np.linalg.det(induced_metric(emb, x)))
-            s_u = max_abs(embedded_shape(emb, x, 0))
+            s_u = max_abs(s.at(x, 0))
             print(f"{u:6.2f} {v:6.2f} {k:14.8f} {k_oracle:14.8f} {s_u:9.4f}")
     print("=" * 70)
     print("the cylinder rows show the split: S != 0 (extrinsic bending) while")

@@ -39,6 +39,5 @@ from .dynamics import (ym_residual, ym_action, sigma_action,
                        LatticeBlade, blade_lattice_from_field, sigma_flow,
                        sigma_lattice_energy, sigma_lattice_gradient)
 from .embedded import (Embedding, plane, sphere, cylinder, torus,
-                       induced_metric, embedded_blade, embedded_shape,
-                       embedded_curvature, riemann_component, gauss_curvature,
-                       christoffel_riemann)
+                       induced_metric, embedded_blade, riemann_component,
+                       gauss_curvature, christoffel_riemann)

@@ -25,17 +25,16 @@ import numpy as np
 
 from . import __version__
 from . import em
-from .blade import (Frame, blade_curvature, blade_from_frame, complement_field,
-                    extract_potential, four_way, random_gauge_map,
-                    random_smooth_frame, shape_operator)
+from .blade import (Frame, blade_curvature, blade_from_frame, check_four_way,
+                    complement_field, extract_potential, four_way, random_gauge_map,
+                    random_smooth_frame, shape_identity_residual, shape_operator)
 from .darboux import frame_residual_report, verify_rank
 from .dynamics import (INDEX_HANDLING_NOTE, blade_lattice_from_field,
                        maxwell_mod_residual, modified_eom_residual,
                        shape_gauge_ym_residual, sigma_flow,
                        sigma_eom_residual, ym_residual)
-from .embedded import (cylinder, embedded_curvature_paths, gauss_curvature,
-                       christoffel_riemann, induced_metric, plane,
-                       embedded_shape_identity_residual, sphere, torus)
+from .embedded import (christoffel_riemann, cylinder, embedded_blade, gauss_curvature,
+                       induced_metric, plane, sphere, torus)
 from .errors import BladeGaugeError, ConfigError
 from .fields import Grid, MINKOWSKI4, sphere_flux, two_form_values, wedge
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
@@ -80,13 +79,16 @@ def _build_parser():
     r.set_defaults(func=cmd_residuals)
 
     f = sub.add_parser("sigma-flow", help="gradient flow of the lattice energy")
-    f.add_argument("--g", type=float, default=0.5, help="monopole strength for the band fixture")
-    f.add_argument("--theta-band", type=_theta_band, default="0.35:0.65",
-                   help="theta band as fractions of pi, lo:hi")
-    f.add_argument("--cells", type=_cells, default="10x16", help="lattice cells as THETAxPHI")
+    f.add_argument("--g", type=float, default=None,
+                   help="monopole strength for the band fixture (default 0.5)")
+    f.add_argument("--theta-band", type=_theta_band, default=None,
+                   help="theta band as fractions of pi, lo:hi (default 0.35:0.65)")
+    f.add_argument("--cells", type=_cells, default=None,
+                   help="lattice cells as THETAxPHI (default 10x16)")
     f.add_argument("--steps", type=int, default=200)
     f.add_argument("--eta", type=float, default=2e-3)
-    f.add_argument("--init", default=None, help="lattice JSON to start from instead")
+    f.add_argument("--init", default=None,
+                   help="lattice JSON to start from instead of the band fixture")
     f.add_argument("--dump-final", default=None, help="write the final lattice here")
     f.add_argument("--report", default=None)
     f.set_defaults(func=cmd_sigma_flow)
@@ -97,11 +99,10 @@ def _build_parser():
     d.set_defaults(func=cmd_darboux)
 
     e = sub.add_parser("embedded", help="embedded-surface curvature table")
-    e.add_argument("--surface", required=True,
-                   choices=["plane", "sphere", "cylinder", "torus"])
-    e.add_argument("--a", type=float, default=1.0, help="sphere radius")
-    e.add_argument("--rmaj", type=float, default=2.0)
-    e.add_argument("--rmin", type=float, default=0.5)
+    e.add_argument("--surface", required=True, choices=list(_SURFACES))
+    e.add_argument("--a", type=float, default=None, help="sphere radius (default 1)")
+    e.add_argument("--rmaj", type=float, default=None, help="torus major radius (default 2)")
+    e.add_argument("--rmin", type=float, default=None, help="torus minor radius (default 0.5)")
     e.add_argument("--samples", type=int, default=5)
     e.add_argument("--csv", default=None)
     e.add_argument("--report", default=None)
@@ -326,6 +327,7 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
 
 def _embedded_cross_checks(tol=TOL):
     emb = sphere(1.0)
+    s = shape_operator(embedded_blade(emb))
     rng = np.random.default_rng(17)
     worst_oracle = 0.0
     worst_ident = 0.0
@@ -334,8 +336,7 @@ def _embedded_cross_checks(tol=TOL):
         oracle = christoffel_riemann(lambda y: induced_metric(emb, y), x)
         k_oracle = oracle[0, 1, 0, 1] / float(np.linalg.det(induced_metric(emb, x)))
         worst_oracle = max(worst_oracle, abs(gauss_curvature(emb, x) - k_oracle))
-        worst_ident = max(worst_ident,
-                          max_abs(embedded_shape_identity_residual(emb, x, 0, 1)))
+        worst_ident = max(worst_ident, max_abs(shape_identity_residual(s, 0, 1, x)))
     return [
         _check("embedded_curvature_vs_christoffel_oracle", worst_oracle, 1e-6),
         _check("embedded_shape_identity", worst_ident, tol.fd()),
@@ -448,6 +449,9 @@ def cmd_residuals(args):
     if chart != "cartesian":
         raise ConfigError(f"residual sweeps assume a flat Cartesian chart; scenario "
                           f"{scenario!r} is on the {chart} chart", schema_path=["scenario"])
+    if "seed" in cfg and "seed" not in SCENARIOS[scenario].params:
+        raise ConfigError(f"scenario {scenario!r} has no seed param, so the residuals "
+                          f"command does not read 'seed' for it", schema_path=["seed"])
     st = resolve_spacetime(cfg)
     grid = args.grid or Grid(lo=(0.0,) * st.dim, hi=(1.0,) * st.dim, cells=(3,) * st.dim)
     if grid.dim != st.dim:
@@ -506,20 +510,31 @@ def cmd_residuals(args):
 # ---------------------------------------------------------------------------
 # sigma flow
 
+# the band fixture's flags and their defaults; none of them is read with --init
+_BAND_DEFAULTS = {"g": 0.5, "theta_band": (0.35, 0.65), "cells": (10, 16)}
+
+
 def cmd_sigma_flow(args):
+    band = {key: getattr(args, key) for key in _BAND_DEFAULTS}
     if args.init:
+        for key, value in band.items():
+            if value is not None:
+                raise ConfigError(f"--{key.replace('_', '-')} sets up the band fixture "
+                                  f"and is not read with --init", schema_path=[key])
         lat = _load_lattice(args.init)
         cfg = {"init": args.init}
     else:
-        lo_frac, hi_frac = args.theta_band
-        ct, cp = args.cells
+        band = {key: _BAND_DEFAULTS[key] if value is None else value
+                for key, value in band.items()}
+        lo_frac, hi_frac = band["theta_band"]
+        ct, cp = band["cells"]
         grid = Grid(lo=(lo_frac * np.pi, 0.0), hi=(hi_frac * np.pi, 2 * np.pi),
                     cells=(ct, cp))
-        blade = em.monopole_blade(args.g)
+        blade = em.monopole_blade(band["g"])
         lat = blade_lattice_from_field(
             blade, grid, point_map=lambda p: np.array([1.0, p[0], p[1]]),
             periodic=(False, True), frozen_boundary_axes=(0,))
-        cfg = {"g": args.g, "theta_band": f"{lo_frac}:{hi_frac}", "cells": f"{ct}x{cp}"}
+        cfg = {"g": band["g"], "theta_band": f"{lo_frac}:{hi_frac}", "cells": f"{ct}x{cp}"}
     cfg.update({"steps": args.steps, "eta": args.eta})
     final, trace = sigma_flow(lat, args.steps, args.eta)
     report = _report_skeleton("sigma-flow", cfg)
@@ -585,21 +600,30 @@ def cmd_darboux(args):
 # ---------------------------------------------------------------------------
 # embedded
 
+# surface -> (builder, the params it reads with their defaults, u range, v range)
+_SURFACES = {
+    "plane": (plane, {}, (-1.0, 1.0), (-1.0, 1.0)),
+    "sphere": (sphere, {"a": 1.0}, (0.4, np.pi - 0.4), (0.0, 2 * np.pi)),
+    "cylinder": (cylinder, {}, (0.0, 2 * np.pi), (-1.0, 1.0)),
+    "torus": (torus, {"rmaj": 2.0, "rmin": 0.5}, (0.0, 2 * np.pi), (0.0, 2 * np.pi)),
+}
+
+
 def cmd_embedded(args):
-    if args.surface == "sphere":
-        emb = sphere(args.a)
-        u_range = (0.4, np.pi - 0.4)
-        v_range = (0.0, 2 * np.pi)
-    elif args.surface == "plane":
-        emb = plane()
-        u_range = v_range = (-1.0, 1.0)
-    elif args.surface == "cylinder":
-        emb = cylinder()
-        u_range = (0.0, 2 * np.pi)
-        v_range = (-1.0, 1.0)
-    else:
-        emb = torus(args.rmaj, args.rmin)
-        u_range = v_range = (0.0, 2 * np.pi)
+    build, defaults, u_range, v_range = _SURFACES[args.surface]
+    params = dict(defaults)
+    for key in ("a", "rmaj", "rmin"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in defaults:
+            reads = ", ".join(f"--{k}" for k in defaults) or "no radius flag"
+            raise ConfigError(f"surface {args.surface!r} does not read --{key} (it reads "
+                              f"{reads})", schema_path=[key])
+        params[key] = value
+    emb = build(**params)
+    blade = embedded_blade(emb)
+    s = shape_operator(blade)
     us = np.linspace(*u_range, args.samples)
     vs = np.linspace(*v_range, args.samples)
     rows = []
@@ -610,11 +634,10 @@ def cmd_embedded(args):
             oracle = christoffel_riemann(lambda y: induced_metric(emb, y), x)
             g = induced_metric(emb, x)
             k_oracle = oracle[0, 1, 0, 1] / float(np.linalg.det(g))
-            _, _, disc = embedded_curvature_paths(emb, x, 0, 1)
-            ident = max_abs(embedded_shape_identity_residual(emb, x, 0, 1))
+            disc = check_four_way(blade, x, 0, 1)
+            ident = max_abs(shape_identity_residual(s, 0, 1, x))
             rows.append((u, v, k, k_oracle, disc, ident))
-    report = _report_skeleton("embedded", {"surface": args.surface, "a": args.a,
-                                           "rmaj": args.rmaj, "rmin": args.rmin,
+    report = _report_skeleton("embedded", {"surface": args.surface, **params,
                                            "samples": args.samples})
     ks = [r[2] for r in rows]
     report["summary"] = {

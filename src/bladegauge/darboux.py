@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,33 +209,17 @@ def _half_arccos_trig(pi_field: FieldFn, k, which):
     """
     sign = 1.0 if which == "cos" else -1.0
 
+    def checked(x):
+        u = pi_field.fn(x)
+        if abs(u) > 1.0 + 1e-12:
+            raise DomainError(f"|pi_{k}| > 1 at {np.round(x, 6).tolist()} (value {u:.6f})")
+        return u
+
     def val(u):
         return np.sqrt(max(0.0, (1.0 + sign * u) / 2.0))
 
-    def fn(x):
-        u = pi_field(x)
-        if abs(u) > 1.0 + 1e-12:
-            raise DomainError(f"|pi_{k}| > 1 at {np.round(x, 6).tolist()} (value {u:.6f})")
-        return val(u)
-
-    deriv = None
-    if pi_field.deriv is not None:
-        def deriv(x, mu):
-            u = pi_field(x)
-            w = val(u)
-            return sign * pi_field.d(x, mu) / (4.0 * w)
-
-    deriv2 = None
-    if pi_field.deriv is not None and pi_field.deriv2 is not None:
-        def deriv2(x, mu, nu):
-            u = pi_field(x)
-            w = val(u)
-            wp = sign / (4.0 * w)
-            wpp = -1.0 / (16.0 * w ** 3)
-            return (wp * pi_field.d2(x, mu, nu)
-                    + wpp * pi_field.d(x, mu) * pi_field.d(x, nu))
-
-    return FieldFn(pi_field.spacetime, (), fn, deriv, deriv2, pi_field.fd_step)
+    return mapped(replace(pi_field, fn=checked), val, lambda u: sign / (4.0 * val(u)),
+                  lambda u: -1.0 / (16.0 * val(u) ** 3))
 
 
 def darboux_frame(data: DarbouxData) -> Frame:

@@ -1,10 +1,18 @@
-"""Shape operators for real embedded surfaces.
+"""Rotating blades of real embedded surfaces.
 
-The same blade/shape machinery in its original habitat: a d-dimensional
-manifold embedded in R^N by f, with tangent projector P built from the
-tangent vectors f_mu, reflection R = 2P - I, real shape operator
-S_mu = (1/2) R dR, and curvature Omega = -[S_mu, S_nu] whose tangent part
-reproduces the Riemann tensor, R_{rho sigma mu nu} = f_rho . (Omega f_sigma).
+A d-dimensional manifold embedded in R^N by f has tangent vectors f_mu, the
+tangent projector P = F g^-1 F^T (F the N x d matrix of the f_mu, g = F^T F
+the induced metric) and the Gauss map R = 2P - I.  `embedded_blade` returns
+R as a `blade.RotatingBlade`, so the shape operator, the curvature and its
+four-way check, the shape identity and the covariant derivative of a real
+surface are the `blade` functions themselves.
+
+Convention: `blade` uses the Hermitian S_mu = -(i/2) R dR and
+Omega = -i [S_mu, S_nu].  The real (skew) shape operator of surface theory
+is S_real = (1/2) R dR = i S, and its curvature is
+Omega_real = -[S_real_mu, S_real_nu] = i Omega, whose tangent part is the
+Riemann tensor, R_{rho sigma mu nu} = f_rho . (Omega_real f_sigma).
+`riemann_component` applies the factor i.
 
 An independent intrinsic (Christoffel-symbol) oracle is included for
 acceptance cross-checks; it differentiates only the induced metric and is
@@ -17,34 +25,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartError, ConsistencyError
-from .fields import FieldFn, euclidean
-from .linalg import max_abs
-from .tolerances import DEFAULT as TOL
+from .blade import RotatingBlade, blade_curvature
+from .errors import ChartError
+from .fields import FieldFn, euclidean, identity_field
 
 __all__ = [
     "Embedding", "plane", "sphere", "cylinder", "torus",
-    "tangent_frame", "induced_metric", "embedded_blade", "embedded_shape",
-    "embedded_curvature", "embedded_curvature_paths", "riemann_component",
-    "embedded_shape_identity_residual", "embedded_covariant_derivative",
+    "tangent_frame", "induced_metric", "embedded_blade", "riemann_component",
     "christoffel_riemann", "gauss_curvature",
 ]
 
 
 @dataclass(frozen=True)
 class Embedding:
-    """Smooth f: R^d -> R^N with independent tangent vectors f_mu = d_mu f."""
+    """Smooth real f: R^d -> R^N, (N,)-valued, with independent tangent vectors f_mu.
 
-    d: int
-    N: int
-    f: FieldFn  # (N,)-valued, real
+    d is f.spacetime.dim and N is f.shape[0].
+    """
+
+    f: FieldFn
 
 
 def _chart_field(d, N, value, jac=None, hess=None):
-    st = euclidean(d)
     deriv = None if jac is None else (lambda x, mu: jac(x)[:, mu])
     deriv2 = None if hess is None else (lambda x, mu, nu: hess(x)[:, mu, nu])
-    return Embedding(d, N, FieldFn(st, (N,), value, deriv, deriv2))
+    return Embedding(FieldFn(euclidean(d), (N,), value, deriv, deriv2))
 
 
 def plane():
@@ -133,114 +138,64 @@ def torus(rmaj=2.0, rmin=0.5):
 
 
 # ---------------------------------------------------------------------------
-# pointwise machinery
+# the blade of the tangent projector
 
 def tangent_frame(emb: Embedding, x):
     """N x d matrix of tangent vectors f_mu."""
-    return np.stack([np.real(emb.f.d(x, mu)) for mu in range(emb.d)], axis=-1)
+    return np.stack([np.real(emb.f.d(x, mu)) for mu in range(emb.f.spacetime.dim)], axis=-1)
 
 
 def induced_metric(emb: Embedding, x, cond_limit=1e8):
     """g_mu nu = f_mu . f_nu; raises on a numerically degenerate chart."""
-    fr = tangent_frame(emb, x)
+    return _metric(tangent_frame(emb, x), x, cond_limit)
+
+
+def _metric(fr, x, cond_limit=1e8):
     g = fr.T @ fr
     if np.linalg.cond(g) > cond_limit:
         raise ChartError(f"degenerate chart at {x}: metric condition number too large")
     return g
 
 
-def embedded_blade(emb: Embedding, x):
-    """Reflection R = 2P - I with P the tangent projector F (F^T F)^-1 F^T."""
-    fr = tangent_frame(emb, x)
-    g = induced_metric(emb, x)
-    p = fr @ np.linalg.solve(g, fr.T)
-    return 2.0 * p - np.eye(emb.N)
+def _projector_field(emb: Embedding) -> FieldFn:
+    """P = F g^-1 F^T; d_mu P in closed form when the chart has a Hessian."""
+    f = emb.f
+
+    def fn(x):
+        fr = tangent_frame(emb, x)
+        return fr @ np.linalg.solve(_metric(fr, x), fr.T)
+
+    def deriv(x, mu):
+        fr = tangent_frame(emb, x)
+        dfr = np.stack([np.real(f.d2(x, nu, mu)) for nu in range(f.spacetime.dim)], axis=-1)
+        ginv = np.linalg.inv(fr.T @ fr)
+        dginv = -ginv @ (dfr.T @ fr + fr.T @ dfr) @ ginv
+        return dfr @ ginv @ fr.T + fr @ dginv @ fr.T + fr @ ginv @ dfr.T
+
+    return FieldFn(f.spacetime, (f.shape[0],) * 2, fn,
+                   None if f.deriv2 is None else deriv, None, f.fd_step)
 
 
-def _projector_derivative(emb: Embedding, x, mu):
-    """d_mu P, analytic when the embedding carries second derivatives."""
-    if emb.f.deriv2 is None:
-        h = emb.f.fd_step
-        e = np.zeros(emb.d)
-        e[mu] = h
-        pp = 0.5 * (embedded_blade(emb, x + e) + np.eye(emb.N))
-        pm = 0.5 * (embedded_blade(emb, x - e) + np.eye(emb.N))
-        return (pp - pm) / (2.0 * h)
-    fr = tangent_frame(emb, x)
-    dfr = np.stack([np.real(emb.f.d2(x, nu, mu)) for nu in range(emb.d)], axis=-1)
-    g = fr.T @ fr
-    ginv = np.linalg.inv(g)
-    dg = dfr.T @ fr + fr.T @ dfr
-    dginv = -ginv @ dg @ ginv
-    return dfr @ ginv @ fr.T + fr @ dginv @ fr.T + fr @ ginv @ dfr.T
-
-
-def embedded_shape(emb: Embedding, x, mu):
-    """S_mu = (1/2) R dR; skew, exchanging tangent and normal vectors."""
-    r = embedded_blade(emb, x)
-    dr = 2.0 * _projector_derivative(emb, x, mu)
-    return 0.5 * r @ dr
-
-
-def embedded_curvature(emb: Embedding, x, mu, nu):
-    """Omega_mu nu = -[S_mu, S_nu]."""
-    smu = embedded_shape(emb, x, mu)
-    snu = embedded_shape(emb, x, nu)
-    return -(smu @ snu - snu @ smu)
-
-
-def embedded_curvature_paths(emb: Embedding, x, mu, nu, tol=None):
-    """Both curvature expressions, cross-checked.
-
-    Returns (-[S, S] value, (1/4)[dR, dR] value, discrepancy); raises
-    ConsistencyError beyond the tolerance.
-    """
-    tol = TOL.fd_nested() if tol is None else tol
-    omega_s = embedded_curvature(emb, x, mu, nu)
-    dr_mu = 2.0 * _projector_derivative(emb, x, mu)
-    dr_nu = 2.0 * _projector_derivative(emb, x, nu)
-    omega_r = 0.25 * (dr_mu @ dr_nu - dr_nu @ dr_mu)
-    disc = max_abs(omega_s - omega_r)
-    if disc > tol:
-        raise ConsistencyError(f"curvature expressions disagree by {disc:.3e} at {x}")
-    return omega_s, omega_r, disc
+def embedded_blade(emb: Embedding) -> RotatingBlade:
+    """The Gauss map as a rotating blade: R = 2P - I, P the tangent projector."""
+    st, N = emb.f.spacetime, emb.f.shape[0]
+    R = 2.0 * _projector_field(emb) - identity_field(st, N)
+    return RotatingBlade(st, N, st.dim, R)
 
 
 def riemann_component(emb: Embedding, x, rho, sigma, mu, nu):
-    """R_{rho sigma mu nu} = f_rho . (Omega_mu nu f_sigma)."""
+    """R_{rho sigma mu nu} = f_rho . (Omega_real_mu nu f_sigma), Omega_real = i Omega."""
     fr = tangent_frame(emb, x)
-    omega = embedded_curvature(emb, x, mu, nu)
-    return float(fr[:, rho] @ omega @ fr[:, sigma])
+    omega = blade_curvature(embedded_blade(emb)).at(x, mu, nu)
+    return float(np.real(fr[:, rho] @ (1j * omega) @ fr[:, sigma]))
 
 
 def gauss_curvature(emb: Embedding, x):
     """R_0101 / det g for two-dimensional charts."""
-    if emb.d != 2:
+    if emb.f.spacetime.dim != 2:
         raise ChartError("gauss_curvature requires a 2d chart")
     g = induced_metric(emb, x)
     return riemann_component(emb, x, 0, 1, 0, 1) / float(np.linalg.det(g))
-
-
-def embedded_shape_identity_residual(emb: Embedding, x, mu, nu, h=None):
-    """d_mu S_nu - d_nu S_mu + 2 [S_mu, S_nu]; zero for genuine embeddings."""
-    h = emb.f.fd_step if h is None else h
-
-    def s(y, axis):
-        return embedded_shape(emb, y, axis)
-
-    emu = np.zeros(emb.d)
-    emu[mu] = h
-    enu = np.zeros(emb.d)
-    enu[nu] = h
-    dsnu = (s(x + emu, nu) - s(x - emu, nu)) / (2.0 * h)
-    dsmu = (s(x + enu, mu) - s(x - enu, mu)) / (2.0 * h)
-    smu, snu = s(x, mu), s(x, nu)
-    return dsnu - dsmu + 2.0 * (smu @ snu - snu @ smu)
-
-
-def embedded_covariant_derivative(emb: Embedding, v: FieldFn, mu, x):
-    """D_mu v = d_mu v + S_mu v for R^N-valued fields along the chart."""
-    return np.real(v.d(x, mu)) + embedded_shape(emb, x, mu) @ np.real(v(x))
 
 
 # ---------------------------------------------------------------------------

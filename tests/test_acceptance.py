@@ -9,7 +9,7 @@ import numpy as np
 from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
                               complement_field, extract_potential, four_way,
                               random_gauge_map, random_smooth_frame,
-                              shape_operator)
+                              shape_identity_residual, shape_operator)
 from bladegauge.darboux import darboux_data, darboux_frame, darboux_one_form, verify_rank
 from bladegauge.dynamics import (blade_lattice_from_field, conjugate_sites,
                                  maxwell_mod_residual, modified_eom_residual,
@@ -20,9 +20,8 @@ from bladegauge.em import (em_complement, em_faraday, em_frame,
                            monopole_params, plane_wave_mod_condition,
                            plane_wave_params, plane_wave_potential,
                            quantization_satisfied)
-from bladegauge.embedded import (christoffel_riemann, embedded_curvature_paths,
-                                 embedded_shape_identity_residual,
-                                 gauss_curvature, induced_metric, sphere)
+from bladegauge.embedded import (christoffel_riemann, embedded_blade, gauss_curvature,
+                                 induced_metric, sphere)
 from bladegauge.fields import (Grid, MINKOWSKI4, exterior_d, linear, sin_of,
                                two_form_values, wedge)
 from bladegauge.gauge import (field_strength, gauge_transform,
@@ -313,10 +312,11 @@ def test_criterion_09_embedded_demo():
                     for a in (0.5, 2.0))
     worst_ident = 0.0
     worst_paths = 0.0
+    blade1 = embedded_blade(s1)
+    shape1 = shape_operator(blade1)
     for x in pts[:2]:
-        worst_ident = max(worst_ident,
-                          max_abs(embedded_shape_identity_residual(s1, x, 0, 1)))
-        _, _, disc = embedded_curvature_paths(s1, x, 0, 1)
+        worst_ident = max(worst_ident, max_abs(shape_identity_residual(shape1, 0, 1, x)))
+        _, disc = four_way(blade1, x, 0, 1)
         worst_paths = max(worst_paths, disc)
     ok = (worst_unit <= 1e-6 and worst_oracle <= 1e-6 and radius_ok
           and worst_ident <= FD_TOL and worst_paths <= FD_TOL)

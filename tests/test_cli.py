@@ -234,6 +234,39 @@ def test_sigma_flow_command(tmp_path):
     assert abs(rep2["energy_trace"][0] - trace[-1]) < 1e-9
 
 
+@pytest.mark.parametrize("flag, value", [("--g", "1.5"), ("--cells", "9x9"),
+                                         ("--theta-band", "0.1:0.2")])
+def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):
+    dump = tmp_path / "lat.json"
+    assert main(["sigma-flow", "--cells", "4x6", "--steps", "1", "--dump-final", str(dump),
+                 "--report", str(tmp_path / "first.json")]) == 0
+    out = tmp_path / "rep.json"
+    code = main(["sigma-flow", "--init", str(dump), "--steps", "1", flag, value,
+                 "--report", str(out)])
+    assert code == 2 and not out.exists()
+    assert f"{flag} sets up the band fixture" in capsys.readouterr().err
+
+
+# the flags each surface reads; every other pairing exits 2
+EMBEDDED_READS = {"plane": (), "sphere": ("a",), "cylinder": (), "torus": ("rmaj", "rmin")}
+
+
+@pytest.mark.parametrize("flag", ["a", "rmaj", "rmin"])
+@pytest.mark.parametrize("surface", list(EMBEDDED_READS))
+def test_embedded_reads_only_its_surface_params(surface, flag, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code = main(["embedded", "--surface", surface, f"--{flag}", "1.5", "--samples", "2",
+                 "--report", str(out)])
+    if flag in EMBEDDED_READS[surface]:
+        assert code == 0
+        cfg = read_json(out)["config"]
+        assert set(cfg) == {"surface", "samples", *EMBEDDED_READS[surface]}
+        assert cfg[flag] == 1.5
+    else:
+        assert code == 2 and not out.exists()
+        assert f"does not read --{flag}" in capsys.readouterr().err
+
+
 def test_residuals_seed_selects_random_smooth_frame(tmp_path):
     def run(tag, seed):
         path = tmp_path / f"{tag}.csv"
@@ -245,6 +278,24 @@ def test_residuals_seed_selects_random_smooth_frame(tmp_path):
     first = run("a", 3)
     assert run("b", 4) != first
     assert run("c", 3) == first
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("scenario", ["planewave", "constant_F", "darboux", "pure_gauge",
+                                      "random_smooth"])
+def test_residuals_seed_needs_a_seed_param(scenario, via_config, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": scenario, "seed": 1}))
+    source = ["--input", str(inp)] if via_config else ["--scenario", scenario, "--seed", "1"]
+    out = tmp_path / "rep.json"
+    code = main(["residuals", *source, "--eq", "sigma", "--grid", "0:1:1,0:1:1,0:1:1,0:1:1",
+                 "--report", str(out)])
+    if scenario in ("pure_gauge", "random_smooth"):
+        assert code == 0
+        assert read_json(out)["config"]["seed"] == 1
+    else:
+        assert code == 2 and not out.exists()
+        assert "does not read 'seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["pure_gauge", "constant_F", "random_smooth", "darboux"])
@@ -270,9 +321,10 @@ def test_sigma_flow_large_lattice(tmp_path):
 @pytest.mark.parametrize("scenario", ["random_smooth", "darboux"])
 def test_residuals_ym_on_frame_scenarios(scenario, tmp_path):
     # frame-only scenarios sweep the potential A = -i V^dag dV of their frame
-    cfg = {"scenario": scenario, "seed": 2}
     if scenario == "darboux":
-        cfg["params"] = {"pairs": [{"pi": "0.5*sin(x0)", "phi": "x1"}]}
+        cfg = {"scenario": scenario, "params": {"pairs": [{"pi": "0.5*sin(x0)", "phi": "x1"}]}}
+    else:
+        cfg = {"scenario": scenario, "seed": 2}
     inp = tmp_path / "cfg.json"
     inp.write_text(json.dumps(cfg))
     out = tmp_path / "rep.json"

@@ -216,3 +216,15 @@ def test_expr_field_derivatives_match_fd(src, points4, st4):
             assert abs(f.d(x, mu) - fd.d(x, mu)) < TOL.fd()
             for nu in range(4):
                 assert abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested()
+
+
+def test_darboux_frame_derivatives_match_fd(points4, st4):
+    # the half-angle blocks cos(rho_k), sin(rho_k) get both orders from the chain rule
+    pairs = [("0.5*sin(x0)", "x1"), ("0.4*cos(x2)", "x3")]
+    v = darboux_frame(darboux_data(st4, pairs, [-0.8] * 4, [0.8] * 4)).V
+    fd = v.without_analytic_derivs()
+    for x in points4:
+        for mu in range(4):
+            assert max_abs(v.d(x, mu) - fd.d(x, mu)) < TOL.fd()
+            for nu in range(4):
+                assert max_abs(v.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested()

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from bladegauge.blade import (blade_curvature, four_way, lifted_covariant_derivative,
+                              shape_identity_residual, shape_operator)
 from bladegauge.embedded import (Embedding, christoffel_riemann, cylinder,
-                                 embedded_blade, embedded_covariant_derivative,
-                                 embedded_curvature, embedded_curvature_paths,
-                                 embedded_shape, embedded_shape_identity_residual,
-                                 gauss_curvature, induced_metric, plane,
+                                 embedded_blade, gauss_curvature, induced_metric, plane,
                                  riemann_component, sphere, tangent_frame, torus)
 from bladegauge.errors import ChartError
 from bladegauge.fields import FieldFn, euclidean
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
+
+
+def real_shape(emb, x, mu):
+    """S_real = (1/2) R dR = i S, the skew shape operator of surface theory."""
+    return 1j * shape_operator(embedded_blade(emb)).at(x, mu)
 
 
 def chart_points(rng, count=4):
@@ -22,11 +26,12 @@ def test_plane_metric_and_flatness():
     p = plane()
     x = np.array([0.3, -0.7])
     assert max_abs(induced_metric(p, x) - np.eye(2)) < 1e-12
-    r = embedded_blade(p, x)
+    blade = embedded_blade(p)
+    r = blade.at(x)
     assert max_abs(r @ r - np.eye(3)) < 1e-12
     for mu in range(2):
-        assert max_abs(embedded_shape(p, x, mu)) < 1e-12
-    assert max_abs(embedded_curvature(p, x, 0, 1)) < 1e-12
+        assert max_abs(shape_operator(blade).at(x, mu)) < 1e-12
+    assert max_abs(blade_curvature(blade).at(x, 0, 1)) < 1e-12
 
 
 def test_sphere_metric_hand_value(rng):
@@ -41,7 +46,7 @@ def test_cylinder_metric_flat_but_curved_extrinsically():
     c = cylinder()
     x = np.array([0.4, 0.9])
     assert max_abs(induced_metric(c, x) - np.eye(2)) < 1e-12
-    assert max_abs(embedded_shape(c, x, 0)) > 0.1     # extrinsic bending
+    assert max_abs(real_shape(c, x, 0)) > 0.1         # extrinsic bending
     assert abs(gauss_curvature(c, x)) < 1e-10         # intrinsically flat
 
 
@@ -52,11 +57,11 @@ def test_sphere_blade_and_shape_at_equator():
     fr = tangent_frame(s, x)
     assert max_abs(fr[:, 0] - np.array([0, 0, -1.0])) < 1e-12
     assert max_abs(fr[:, 1] - np.array([0, 1.0, 0])) < 1e-12
-    p = 0.5 * (embedded_blade(s, x) + np.eye(3))
+    p = embedded_blade(s).projector(x)
     assert max_abs(p - np.diag([0, 1.0, 1.0])) < 1e-12
     normal = np.array([1.0, 0, 0])
     for mu in range(2):
-        smu = embedded_shape(s, x, mu)
+        smu = real_shape(s, x, mu)
         assert max_abs(smu) > 0.1
         mapped = smu @ normal
         assert max_abs(p @ mapped - mapped) < 1e-10  # normal goes tangent
@@ -66,8 +71,24 @@ def test_shape_is_skew(rng):
     for emb in (sphere(1.3), cylinder(), torus()):
         for x in chart_points(rng, 2):
             for mu in range(2):
-                smu = embedded_shape(emb, x, mu)
+                smu = real_shape(emb, x, mu)
+                assert max_abs(smu.imag) == 0.0
                 assert max_abs(smu + smu.T) < 1e-9
+
+
+def test_shape_operator_is_half_r_dr_bit_for_bit(rng):
+    # S_real = (1/2) R dR with R = 2P - 1, P = F g^-1 F^T and its closed-form dP
+    for emb in (sphere(1.3), cylinder(), torus()):
+        for x in chart_points(rng, 2):
+            fr = tangent_frame(emb, x)
+            g = fr.T @ fr
+            ginv = np.linalg.inv(g)
+            r = 2.0 * (fr @ np.linalg.solve(g, fr.T)) - np.eye(3)
+            for mu in range(2):
+                dfr = np.stack([emb.f.d2(x, nu, mu) for nu in range(2)], axis=-1)
+                dginv = -ginv @ (dfr.T @ fr + fr.T @ dfr) @ ginv
+                dp = dfr @ ginv @ fr.T + fr @ dginv @ fr.T + fr @ ginv @ dfr.T
+                np.testing.assert_array_equal(real_shape(emb, x, mu), 0.5 * r @ (2.0 * dp))
 
 
 def test_unit_sphere_gauss_curvature_vs_oracle(rng):
@@ -99,16 +120,18 @@ def test_torus_gauss_curvature(rng):
 
 
 def test_curvature_two_paths_agree(rng):
+    # the blade's four curvature expressions, two more than -[S, S] and [dR, dR] / 4
     for emb in (sphere(1.0), torus()):
         for x in chart_points(rng, 2):
-            _, _, disc = embedded_curvature_paths(emb, x, 0, 1)
+            _, disc = four_way(embedded_blade(emb), x, 0, 1)
             assert disc < TOL.fd_nested()
 
 
 def test_shape_identity_residual(rng):
     for emb in (sphere(1.0), cylinder()):
+        s = shape_operator(embedded_blade(emb))
         for x in chart_points(rng, 2):
-            res = embedded_shape_identity_residual(emb, x, 0, 1)
+            res = shape_identity_residual(s, 0, 1, x)
             assert max_abs(res) < TOL.fd_nested()
 
 
@@ -134,10 +157,11 @@ def test_covariant_derivative_keeps_tangent_fields_tangent(rng):
         return fr[:, 0] * np.sin(x[1]) + fr[:, 1] * np.cos(x[0])
 
     v = FieldFn(st, (3,), v_fn, None, None)
+    blade = embedded_blade(s)
     for x in chart_points(rng, 3):
-        p = 0.5 * (embedded_blade(s, x) + np.eye(3))
+        p = blade.projector(x)
         for mu in range(2):
-            dv = embedded_covariant_derivative(s, v, mu, x)
+            dv = lifted_covariant_derivative(blade, v, mu, x)
             assert max_abs(p @ dv - dv) < 1e-5
 
 
@@ -146,12 +170,13 @@ def test_degenerate_chart_error():
     # both tangent vectors parallel: f(u, v) = (u + v, u + v, 0)
     f = FieldFn(st, (3,), lambda x: np.array([x[0] + x[1], x[0] + x[1], 0.0]),
                 lambda x, mu: np.array([1.0, 1.0, 0.0]), None)
-    emb = Embedding(2, 3, f)
+    emb = Embedding(f)
     with pytest.raises(ChartError):
         induced_metric(emb, np.array([0.1, 0.2]))
     with pytest.raises(ChartError):
-        gauss_curvature(Embedding(3, 3, FieldFn(euclidean(3), (3,),
-                                                lambda x: x, None, None)),
+        embedded_blade(emb).at(np.array([0.1, 0.2]))
+    with pytest.raises(ChartError):
+        gauss_curvature(Embedding(FieldFn(euclidean(3), (3,), lambda x: x, None, None)),
                         np.zeros(3))
 
 
@@ -159,7 +184,7 @@ def test_fd_fallback_without_analytic_derivs(rng):
     # strip the analytic jacobian/hessian: everything still works at FD accuracy
     s = sphere(1.0)
     st = euclidean(2)
-    fd_emb = Embedding(2, 3, FieldFn(st, (3,), s.f.fn, None, None))
+    fd_emb = Embedding(FieldFn(st, (3,), s.f.fn, None, None))
     x = np.array([1.2, 0.8])
     assert abs(gauss_curvature(fd_emb, x) - 1.0) < 5e-4
-    assert max_abs(embedded_shape(fd_emb, x, 0) - embedded_shape(s, x, 0)) < 1e-5
+    assert max_abs(real_shape(fd_emb, x, 0) - real_shape(s, x, 0)) < 1e-5

@@ -1,15 +1,17 @@
 """Property tests of the blade, gauge-invariance and curvature-block identities.
 
-Seeds, shapes (N, n) and points are drawn by hypothesis, derandomized so that
-every run draws the same examples.  Budgets are the ones the `verify` suite
-applies to the same identities.
+Seeds, shapes (N, n), surfaces and points are drawn by hypothesis,
+derandomized so that every run draws the same examples.  Budgets are the
+ones the `verify` suite applies to the same identities.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from bladegauge.blade import (Frame, blade_curvature, blade_from_frame, extract_potential,
-                              random_gauge_map, random_smooth_frame, shape_operator)
+                              four_way, random_gauge_map, random_smooth_frame,
+                              shape_identity_residual, shape_operator)
+from bladegauge.embedded import cylinder, embedded_blade, gauss_curvature, plane, sphere, torus
 from bladegauge.fields import MINKOWSKI4
 from bladegauge.gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from bladegauge.linalg import dagger, max_abs
@@ -22,6 +24,15 @@ seeds = st.integers(min_value=0, max_value=2 ** 16)
 shapes = st.sampled_from(SHAPES)
 points = st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=4, max_size=4).map(
     np.array)
+surfaces = st.one_of(
+    st.tuples(st.just("sphere"), st.floats(min_value=0.5, max_value=3.0)),
+    st.tuples(st.just("torus"), st.floats(min_value=1.5, max_value=3.0),
+              st.floats(min_value=0.2, max_value=1.0)),
+    st.tuples(st.sampled_from(["cylinder", "plane"])),
+)
+# (u, v) away from the sphere's poles at u = 0 and u = pi
+chart_points = st.tuples(st.floats(min_value=0.5, max_value=np.pi - 0.5),
+                         st.floats(min_value=0.0, max_value=2 * np.pi)).map(np.array)
 
 
 def _frame(shape, seed):
@@ -76,3 +87,31 @@ def test_curvature_blocks(seed, shape, x):
         om = omega.at(x, mu, nu)
         assert max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv) <= TOL.fd()
         assert max_abs(r @ om @ r - om) <= TOL.fd()
+
+
+def _surface(spec):
+    """The embedding and its Gauss curvature K(u, v) in closed form."""
+    name, *radii = spec
+    if name == "sphere":
+        a, = radii
+        return sphere(a), lambda x: 1.0 / a ** 2
+    if name == "torus":
+        rmaj, rmin = radii
+        return torus(rmaj, rmin), lambda x: np.cos(x[1]) / (rmin * (rmaj + rmin * np.cos(x[1])))
+    return (cylinder() if name == "cylinder" else plane()), lambda x: 0.0
+
+
+@PROPERTY
+@given(spec=surfaces, x=chart_points)
+def test_embedded_blade_identities(spec, x):
+    emb, k_closed = _surface(spec)
+    blade = embedded_blade(emb)
+    s = shape_operator(blade)
+    r = blade.at(x)
+    _, disc = four_way(blade, x, 0, 1)
+    assert disc <= TOL.fd_nested()
+    assert max_abs(shape_identity_residual(s, 0, 1, x)) <= TOL.fd_nested()
+    for mu in range(2):
+        sv = s.at(x, mu)
+        assert max_abs(r @ sv + sv @ r) <= TOL.analytic
+    assert abs(gauss_curvature(emb, x) - k_closed(x)) <= TOL.analytic
