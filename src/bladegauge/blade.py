@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, OneForm, Spacetime, TwoForm, constant, hstack,
-                     identity_field, two_form)
+from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _pointwise, _worst_point,
+                     constant, hstack, identity_field, two_form)
 from .gauge import GaugeMap, field_strength, gauge_map, gauge_potential
 from .linalg import (_divided_differences, _exp_in_eigenbasis,
                      _frechet_in_eigenbasis, _require_hermitian, commutator,
-                     dagger, hermitian_part, max_abs, random_hermitian)
+                     dagger, hermitian_part, max_abs, max_abs_each, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
 from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
@@ -113,10 +113,11 @@ def extract_potential(f: Frame, tol=TOL.frame_consistency) -> OneForm:
         def checked(x, raw=raw):
             m = np.asarray(raw.fn(x), dtype=complex)
             h = hermitian_part(m)
-            drift = max_abs(m - h)
-            if drift > tol:
+            if max_abs(m - h) > tol:
+                drifts = max_abs_each(m - h)
+                i, point = _worst_point(drifts, x)
                 raise ConsistencyError(
-                    f"extracted potential not Hermitian at {x} (drift {drift:.3e}); "
+                    f"extracted potential not Hermitian at {point} (drift {drifts[i]:.3e}); "
                     "frame orthonormality is broken or the FD step is too coarse")
             return h
 
@@ -251,7 +252,7 @@ def complement_frame(f: Frame, x, pivot_tol=TOL.gram_schmidt_pivot):
 def complement_field(f: Frame, pivot_tol=TOL.gram_schmidt_pivot) -> FieldFn:
     """The complement as a (finite-difference differentiable) field."""
     return FieldFn(f.spacetime, (f.N, f.N - f.n),
-                   lambda x: complement_frame(f, x, pivot_tol),
+                   _pointwise(lambda x: complement_frame(f, x, pivot_tol)),
                    None, None, f.V.fd_step)
 
 
@@ -381,7 +382,7 @@ def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
     """Pointwise canonical frame as a field (finite-difference derivatives)."""
     P = blade.projector
     return FieldFn(blade.spacetime, (blade.N, blade.n),
-                   lambda x: canonical_frame(P(x), v0),
+                   _pointwise(lambda x: canonical_frame(P(x), v0)),
                    None, None, blade.R.fd_step)
 
 
@@ -436,16 +437,20 @@ def random_hermitian_field(spacetime, n, seed, amplitude=0.4, waves=3):
     ws = rng.uniform(-1.0, 1.0, size=(waves, spacetime.dim))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=waves)
 
+    def waves_at(func, x):
+        # func(w_j . x + p_j) for every wave j at once, one factor per wave:
+        # scalars for a lone point, (..., 1, 1) stacks otherwise
+        s = func(np.vecdot(x[..., None, :], ws) + phases)
+        return s if x.ndim == 1 else np.moveaxis(s, -1, 0)[..., None, None]
+
     def fn(x):
-        return sum(m * np.sin(np.dot(w, x) + p) for m, w, p in zip(mats, ws, phases))
+        return sum(m * s for m, s in zip(mats, waves_at(np.sin, x)))
 
     def deriv(x, mu):
-        return sum(m * w[mu] * np.cos(np.dot(w, x) + p)
-                   for m, w, p in zip(mats, ws, phases))
+        return sum(m * w[mu] * c for m, w, c in zip(mats, ws, waves_at(np.cos, x)))
 
     def deriv2(x, mu, nu):
-        return sum(-m * w[mu] * w[nu] * np.sin(np.dot(w, x) + p)
-                   for m, w, p in zip(mats, ws, phases))
+        return sum(-m * w[mu] * w[nu] * s for m, w, s in zip(mats, ws, waves_at(np.sin, x)))
 
     return FieldFn(spacetime, (n, n), fn, deriv, deriv2)
 
@@ -455,8 +460,8 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
 
     The derivative of the matrix exponential is evaluated in the eigenbasis
     (divided differences), so frame identities hold to rounding accuracy.
-    One eigh per distinct point, kept in a bounded LRU (256 points) that
-    lives with the field; the arrays returned are read-only.
+    One stacked eigh per distinct point stack, kept in an LRU bounded by
+    points that lives with the field; the arrays returned are read-only.
     analytic=False strips the derivatives to exercise finite-difference paths.
     """
     h = random_hermitian_field(spacetime, N, seed, amplitude)
@@ -468,40 +473,46 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
 def random_gauge_map(spacetime, n, seed, amplitude=0.4, analytic=True) -> GaugeMap:
     """Seeded smooth U(n)-valued field u(x) = exp(i h(x)).
 
-    One eigh per distinct point, kept in a bounded LRU (256 points) that
-    lives with the field; the arrays returned are read-only.
+    One stacked eigh per distinct point stack, kept in an LRU bounded by
+    points that lives with the field; the arrays returned are read-only.
     """
     h = random_hermitian_field(spacetime, n, seed, amplitude)
     return gauge_map(_exp_i_field(h, None, analytic), check=False)
 
 
-# distinct points whose spectral record one seeded exp(iH) field keeps
-_EXP_CACHE_POINTS = 256
+# points whose spectral records one seeded exp(iH) field keeps: a stacked
+# `modified` sweep queries 89 shifted copies of its grid, so this holds all of
+# them for grids up to 16 points (about 2.5 MB for N = 4)
+_EXP_CACHE_POINTS = 2048
 
 
 class _ExpRecord:
-    """What one point of an exp(iH) field needs: eigh of H, value, derivatives."""
+    """What one point stack of an exp(iH) field needs: eigh of H, value, derivatives."""
 
-    __slots__ = ("lam", "q", "value", "gamma", "derivs")
+    __slots__ = ("lam", "q", "value", "gamma", "derivs", "points")
 
-    def __init__(self, lam, q, value):
+    def __init__(self, lam, q, value, points):
         self.lam, self.q, self.value = lam, q, value
-        self.gamma = None   # Daleckii-Krein matrix, made on the first derivative
-        self.derivs = {}    # mu -> d_mu value
+        self.gamma = None     # Daleckii-Krein matrices, made on the first derivative
+        self.derivs = {}      # mu -> d_mu value
+        self.points = points  # how many points the stack holds
 
 
 def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
     """The field x -> exp(i H(x)) @ right (no product when right is None).
 
-    Each distinct point costs one H(x), one Hermiticity check and one eigh;
-    the value, the divided differences and each d_mu value are made once and
-    kept in an LRU of `_EXP_CACHE_POINTS` points that lives with the field.
-    The arithmetic is that of `unitary_exp` and `unitary_exp_frechet`, so
-    results are bit-identical to them, and every array handed out is
-    read-only so that no caller can change what a later query returns.
-    analytic=False leaves the derivatives to finite differences.
+    Each distinct point stack costs one H(x), one Hermiticity check and one
+    stacked eigh; the value, the divided differences and each d_mu value are
+    made once and kept in an LRU that lives with the field.  A stack of P
+    points counts P toward the LRU's `_EXP_CACHE_POINTS`; the newest record
+    stays even when it alone holds more.  The arithmetic is that of
+    `unitary_exp` and `unitary_exp_frechet`, so results are bit-identical to
+    them, and every array handed out is read-only so that no caller can
+    change what a later query returns.  analytic=False leaves the derivatives
+    to finite differences.
     """
     cache = OrderedDict()
+    held = 0  # points held by the records in cache
 
     def publish(m):
         out = m if right is None else m @ right
@@ -509,7 +520,8 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         return out
 
     def record(x):
-        key = np.asarray(x, dtype=float).tobytes()
+        nonlocal held
+        key = (x.shape, x.tobytes())
         rec = cache.get(key)
         if rec is not None:
             cache.move_to_end(key)
@@ -517,9 +529,11 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         hx = np.asarray(h.fn(x), dtype=complex)
         _require_hermitian(hx, "unitary_exp")
         lam, q = np.linalg.eigh(hermitian_part(hx))
-        rec = cache[key] = _ExpRecord(lam, q, publish(_exp_in_eigenbasis(lam, q, 1.0)))
-        if len(cache) > _EXP_CACHE_POINTS:
-            cache.popitem(last=False)
+        rec = cache[key] = _ExpRecord(lam, q, publish(_exp_in_eigenbasis(lam, q, 1.0)),
+                                      x.size // x.shape[-1])
+        held += rec.points
+        while held > _EXP_CACHE_POINTS and len(cache) > 1:
+            held -= cache.popitem(last=False)[1].points
         return rec
 
     def fn(x):

@@ -35,8 +35,8 @@ import numpy as np
 
 from .blade import Frame, frame
 from .errors import DomainError, ParameterError, RankError
-from .fields import (FieldFn, OneForm, Spacetime, constant, coordinate, cos_of, exp_i,
-                     form_rank, mapped, matrix_of, sin_of)
+from .fields import (FieldFn, OneForm, Spacetime, _any, _worst_point, constant, coordinate,
+                     cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
 from .gauge import gauge_potential
 
 __all__ = [
@@ -211,15 +211,22 @@ def _half_arccos_trig(pi_field: FieldFn, k, which):
 
     def checked(x):
         u = pi_field.fn(x)
-        if abs(u) > 1.0 + 1e-12:
-            raise DomainError(f"|pi_{k}| > 1 at {np.round(x, 6).tolist()} (value {u:.6f})")
+        if _any(abs(u) > 1.0 + 1e-12):
+            i, point = _worst_point(abs(u), x)
+            raise DomainError(f"|pi_{k}| > 1 at {point} (value {np.asarray(u)[i]:.6f})")
         return u
 
     def val(u):
-        return np.sqrt(max(0.0, (1.0 + sign * u) / 2.0))
+        t = (1.0 + sign * u) / 2.0
+        return np.sqrt(0.5 * (t + abs(t)))  # max(t, 0), exactly, for scalars and stacks
 
-    return mapped(replace(pi_field, fn=checked), val, lambda u: sign / (4.0 * val(u)),
-                  lambda u: -1.0 / (16.0 * val(u) ** 3))
+    def d2val(u):
+        # v * v * v, not v ** 3: numpy's array power and its scalar power
+        # round differently, and stacked values must equal single-point ones
+        v = val(u)
+        return -1.0 / (16.0 * (v * v * v))
+
+    return mapped(replace(pi_field, fn=checked), val, lambda u: sign / (4.0 * val(u)), d2val)
 
 
 def darboux_frame(data: DarbouxData) -> Frame:

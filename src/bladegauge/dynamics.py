@@ -42,7 +42,7 @@ def ym_residual(a: OneForm, nu, x, fs: TwoForm = None):
     """D^mu F_mu nu at x: sum_mu sign(mu) (d_mu F_mu nu + i [A_mu, F_mu nu])."""
     fs = field_strength(a) if fs is None else fs
     st = a.spacetime
-    total = np.zeros(a.components[0].shape, dtype=complex)
+    total = 0
     for mu in range(st.dim):
         if mu != nu:
             total += st.raise_sign(mu) * covariant_derivative_matrix(
@@ -59,7 +59,8 @@ def ym_action(a: OneForm, grid: Grid, fs: TwoForm = None):
         total = 0.0
         for mu, nu in itertools.combinations(range(st.dim), 2):
             f = fs.at(x, mu, nu)
-            total += st.raise_sign(mu) * st.raise_sign(nu) * np.trace(f @ f).real
+            total += (st.raise_sign(mu) * st.raise_sign(nu)
+                      * np.trace(f @ f, axis1=-2, axis2=-1).real)
         return -0.5 * total  # both index orders of the antisymmetric pair
 
     return lattice_integral(scalar_field(st, density), grid)
@@ -73,7 +74,7 @@ def sigma_action(blade: RotatingBlade, grid: Grid):
         total = 0.0
         for mu in range(st.dim):
             dr = blade.R.d(x, mu)
-            total += st.raise_sign(mu) * np.trace(dr @ dr).real
+            total += st.raise_sign(mu) * np.trace(dr @ dr, axis1=-2, axis2=-1).real
         return -0.25 * total
 
     return lattice_integral(scalar_field(st, density), grid)
@@ -96,7 +97,7 @@ def modified_eom_residual(v: Frame, x, a: OneForm = None, fs: TwoForm = None):
             return v.V(y) @ ym_residual(a, nu, y, fs) @ dagger(v.V(y))
         return FieldFn(st, (v.N, v.N), fn, None, None, v.V.fd_step)
 
-    total = np.zeros((v.N, v.N), dtype=complex)
+    total = 0
     for nu in range(st.dim):
         total += st.raise_sign(nu) * inner(nu).d(x, nu)
     return total
@@ -107,14 +108,15 @@ def maxwell_mod_residual(params: EmFrameParams, x):
     st = params.spacetime
     fs = em_faraday(params)
     blade = blade_from_frame(em_frame(params))
-    total = np.zeros((2, 2), dtype=complex)
+    total = 0
     for nu in range(st.dim):
         j_nu = 0.0
         for mu in range(st.dim):
             if mu == nu:
                 continue
             j_nu += st.raise_sign(mu) * fs.component(mu, nu).d(x, mu)
-        total += st.raise_sign(nu) * complex(j_nu) * blade.R.d(x, nu)
+        j_nu = np.asarray(j_nu, dtype=complex)[..., None, None]
+        total += st.raise_sign(nu) * j_nu * blade.R.d(x, nu)
     return total
 
 
@@ -133,7 +135,7 @@ def sigma_eom_residual(blade: RotatingBlade, x, s: OneForm = None):
     """d_mu S^mu at x."""
     s = shape_operator(blade) if s is None else s
     st = blade.spacetime
-    total = np.zeros((blade.N, blade.N), dtype=complex)
+    total = 0
     for mu in range(st.dim):
         total += st.raise_sign(mu) * s.components[mu].d(x, mu)
     return total

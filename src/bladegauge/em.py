@@ -15,8 +15,8 @@ import numpy as np
 
 from .blade import Frame, RotatingBlade, blade_from_frame, frame
 from .errors import ChartError
-from .fields import (FieldFn, OneForm, Spacetime, SPHERICAL3, TwoForm, constant,
-                     coordinate, cos_of, exp_i, linear, matrix_of, sin_of,
+from .fields import (FieldFn, OneForm, Spacetime, SPHERICAL3, TwoForm, _any, _worst_point,
+                     constant, coordinate, cos_of, exp_i, linear, matrix_of, sin_of,
                      two_form)
 from .gauge import gauge_potential
 from .linalg import max_abs
@@ -115,23 +115,26 @@ def plane_wave_mod_condition(spacetime: Spacetime, k, n):
 def _pole_guarded_phi_component(g, sign, guard=TOL.pole_guard):
     """A_phi = g (sign - cos theta) with the excluded pole fenced off."""
 
+    def as_1x1(v):
+        return np.asarray(v, dtype=complex)[..., None, None]
+
     def fn(x):
-        theta = float(x[1])
-        if sign > 0 and theta > np.pi - guard:
-            raise ChartError(f"plus-patch potential undefined near theta = pi (theta={theta})")
-        if sign < 0 and theta < guard:
-            raise ChartError(f"minus-patch potential undefined near theta = 0 (theta={theta})")
-        return np.array([[g * (sign - np.cos(theta))]], dtype=complex)
+        theta = x[..., 1][()]  # a scalar for a lone point
+        # sign * theta peaks at the point deepest toward the excluded pole
+        if _any(theta > np.pi - guard if sign > 0 else theta < guard):
+            i, point = _worst_point(sign * theta, x)
+            pole = "theta = pi" if sign > 0 else "theta = 0"
+            raise ChartError(f"{'plus' if sign > 0 else 'minus'}-patch potential undefined "
+                             f"near {pole} at {point} (theta={theta[i]})")
+        return as_1x1(g * (sign - np.cos(theta)))
 
     def deriv(x, mu):
-        theta = float(x[1])
-        val = g * np.sin(theta) if mu == 1 else 0.0
-        return np.array([[val]], dtype=complex)
+        theta = x[..., 1]
+        return as_1x1(g * np.sin(theta) if mu == 1 else np.zeros_like(theta))
 
     def deriv2(x, mu, nu):
-        theta = float(x[1])
-        val = g * np.cos(theta) if (mu == 1 and nu == 1) else 0.0
-        return np.array([[val]], dtype=complex)
+        theta = x[..., 1]
+        return as_1x1(g * np.cos(theta) if (mu == 1 and nu == 1) else np.zeros_like(theta))
 
     return FieldFn(SPHERICAL3, (1, 1), fn, deriv, deriv2)
 

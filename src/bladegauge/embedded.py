@@ -27,7 +27,7 @@ import numpy as np
 
 from .blade import RotatingBlade, blade_curvature
 from .errors import ChartError
-from .fields import FieldFn, euclidean, identity_field
+from .fields import FieldFn, _any, _pointwise, _worst_point, euclidean, identity_field
 
 __all__ = [
     "Embedding", "plane", "sphere", "cylinder", "torus",
@@ -40,16 +40,22 @@ __all__ = [
 class Embedding:
     """Smooth real f: R^d -> R^N, (N,)-valued, with independent tangent vectors f_mu.
 
-    d is f.spacetime.dim and N is f.shape[0].
+    d is f.spacetime.dim and N is f.shape[0].  jac(x) -> (..., N, d) and
+    hess(x) -> (..., N, d, d), when given, are the whole Jacobian and Hessian
+    in one evaluation per point; without them both come from f's derivatives.
     """
 
     f: FieldFn
+    jac: object = None
+    hess: object = None
 
 
-def _chart_field(d, N, value, jac=None, hess=None):
-    deriv = None if jac is None else (lambda x, mu: jac(x)[:, mu])
-    deriv2 = None if hess is None else (lambda x, mu, nu: hess(x)[:, mu, nu])
-    return Embedding(FieldFn(euclidean(d), (N,), value, deriv, deriv2))
+def _chart_field(d, N, value, jac, hess):
+    """The chart of per-point value, Jacobian and Hessian functions, lifted to stacks."""
+    value, jac, hess = _pointwise(value), _pointwise(jac), _pointwise(hess)
+    f = FieldFn(euclidean(d), (N,), value, lambda x, mu: jac(x)[..., mu],
+                lambda x, mu, nu: hess(x)[..., mu, nu])
+    return Embedding(f, jac, hess)
 
 
 def plane():
@@ -142,7 +148,18 @@ def torus(rmaj=2.0, rmin=0.5):
 
 def tangent_frame(emb: Embedding, x):
     """N x d matrix of tangent vectors f_mu."""
+    x = np.asarray(x, dtype=float)
+    if emb.jac is not None:
+        return emb.jac(x)
     return np.stack([np.real(emb.f.d(x, mu)) for mu in range(emb.f.spacetime.dim)], axis=-1)
+
+
+def _tangent_derivative(emb: Embedding, x, mu):
+    """N x d matrix of the d_mu f_nu."""
+    if emb.hess is not None:
+        return emb.hess(x)[..., mu]
+    return np.stack([np.real(emb.f.d2(x, nu, mu)) for nu in range(emb.f.spacetime.dim)],
+                    axis=-1)
 
 
 def induced_metric(emb: Embedding, x, cond_limit=1e8):
@@ -151,9 +168,11 @@ def induced_metric(emb: Embedding, x, cond_limit=1e8):
 
 
 def _metric(fr, x, cond_limit=1e8):
-    g = fr.T @ fr
-    if np.linalg.cond(g) > cond_limit:
-        raise ChartError(f"degenerate chart at {x}: metric condition number too large")
+    g = fr.mT @ fr
+    cond = np.linalg.cond(g)
+    if _any(cond > cond_limit):
+        _, point = _worst_point(cond, x)
+        raise ChartError(f"degenerate chart at {point}: metric condition number too large")
     return g
 
 
@@ -163,17 +182,18 @@ def _projector_field(emb: Embedding) -> FieldFn:
 
     def fn(x):
         fr = tangent_frame(emb, x)
-        return fr @ np.linalg.solve(_metric(fr, x), fr.T)
+        return fr @ np.linalg.solve(_metric(fr, x), fr.mT)
 
     def deriv(x, mu):
-        fr = tangent_frame(emb, x)
-        dfr = np.stack([np.real(f.d2(x, nu, mu)) for nu in range(f.spacetime.dim)], axis=-1)
-        ginv = np.linalg.inv(fr.T @ fr)
-        dginv = -ginv @ (dfr.T @ fr + fr.T @ dfr) @ ginv
-        return dfr @ ginv @ fr.T + fr @ dginv @ fr.T + fr @ ginv @ dfr.T
+        fr, dfr = tangent_frame(emb, x), _tangent_derivative(emb, x, mu)
+        frt, dfrt = fr.mT, dfr.mT
+        ginv = np.linalg.inv(frt @ fr)
+        dginv = -ginv @ (dfrt @ fr + frt @ dfr) @ ginv
+        return dfr @ ginv @ frt + fr @ dginv @ frt + fr @ ginv @ dfrt
 
-    return FieldFn(f.spacetime, (f.shape[0],) * 2, fn,
-                   None if f.deriv2 is None else deriv, None, f.fd_step)
+    analytic = emb.hess is not None or f.deriv2 is not None
+    return FieldFn(f.spacetime, (f.shape[0],) * 2, fn, deriv if analytic else None, None,
+                   f.fd_step)
 
 
 def embedded_blade(emb: Embedding) -> RotatingBlade:

@@ -5,6 +5,14 @@ derivatives; whenever an analytic derivative is missing, queries fall back to
 central finite differences (second derivatives use nested first-order
 stencils).
 
+Every field takes a stack of points: x shaped (..., d) gives values shaped
+(...) + field shape, and so do `d` and `d2`.  A single point (d,) is the
+stack with no batch axes.  Entry i of a stacked result has the bits of the
+same query at the point x[i] alone, so a sweep over many points makes one
+call per query instead of one per point.  Leaves with no closed stacked form
+(the orthogonal complement, the canonical frame, the embedded charts) are
+lifted by the private `_pointwise` adapter, which loops over the points.
+
 Every combinator states its derivatives through one of three rules:
 
 - linear: `+`, `-`, scalar `*`, `dagger`, `hermitian_part`, `hstack` and
@@ -22,9 +30,9 @@ derivative field.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
 reduce in a fixed order for reproducibility.  Leaf caches, such as the
-bounded per-point LRU of the seeded exp(iH) fields in `blade`, are invisible
-to callers: they return read-only arrays with the bits a fresh evaluation
-would give.
+bounded LRU of the seeded exp(iH) fields in `blade`, are invisible to
+callers: they return read-only arrays with the bits a fresh evaluation would
+give.
 """
 
 from __future__ import annotations
@@ -103,7 +111,8 @@ class FieldFn:
     """Point-evaluable field with optional analytic derivatives.
 
     fn(x) -> value; deriv(x, mu) -> d value / d x^mu; deriv2(x, mu, nu)
-    symmetric in (mu, nu) within the finite-difference budget.
+    symmetric in (mu, nu) within the finite-difference budget.  Each takes
+    a (..., d) stack of points and returns a (...) + shape stack of values.
     """
 
     spacetime: Spacetime
@@ -157,8 +166,9 @@ class FieldFn:
         _check_compatible(self, other)
         if self.shape != () and other.shape != ():
             raise DimensionMismatchError("pointwise * needs a scalar factor; use @ for matrices")
-        return _product(operator.mul, self.shape if other.shape == () else other.shape,
-                        self, other)
+        ka, kb = len(self.shape), len(other.shape)
+        op = functools.partial(_pointwise_mul, ka, kb) if ka or kb else operator.mul
+        return _product(op, self.shape + other.shape, self, other)
 
     def __truediv__(self, other):
         """Division by a scalar-shaped field: self times its reciprocal."""
@@ -171,12 +181,13 @@ class FieldFn:
 
     def __matmul__(self, other):
         _check_compatible(self, other)
-        return _product(operator.matmul, _matmul_shape(self.shape, other.shape), self, other)
+        shape = _matmul_shape(self.shape, other.shape)
+        return _product(operator.matmul if len(other.shape) == 2 else _matvec, shape, self, other)
 
     def dagger(self):
         """Conjugate transpose of a matrix-valued field (conjugate for scalars)."""
         if len(self.shape) == 2:
-            return _linear(lambda v: np.conjugate(v).T, self.shape[::-1], self)
+            return _linear(lambda v: np.conjugate(v).mT, self.shape[::-1], self)
         return _linear(np.conjugate, self.shape, self)
 
     def hermitian_part(self):
@@ -223,6 +234,20 @@ def _matmul_shape(a, b):
     raise DimensionMismatchError(f"@ undefined for shapes {a} and {b}")
 
 
+def _pointwise_mul(ka, kb, a, b):
+    """a * b at each point, where a has ka value axes, b has kb and one of them is 0."""
+    if ka:
+        b = np.asarray(b)[(...,) + (None,) * ka]
+    elif kb:
+        a = np.asarray(a)[(...,) + (None,) * kb]
+    return a * b
+
+
+def _matvec(m, v):
+    """m @ v for stacks of matrices and of vectors (a lone @ would read v as matrices)."""
+    return (m @ v[..., None])[..., 0]
+
+
 def _combine_step(*fields):
     """Step for a combined field: fully-analytic operands do not constrain it."""
     steps = [f.fd_step for f in fields if f.deriv is None or f.deriv2 is None]
@@ -237,27 +262,21 @@ def _combine_step(*fields):
 # falls back to finite differences of the combined field.  So a rule reads
 # its operands' fn, deriv and deriv2 directly, never the FD-aware d and d2.
 
-def _apply1(op, g, *args):
-    return op(g(*args))
-
-
-def _apply2(op, g, h, *args):
-    return op(g(*args), h(*args))
-
-
-def _apply_n(op, gs, *args):
-    return op(*[g(*args) for g in gs])
-
-
 def _lift(op, gs):
-    """x -> op(g1(x), ..., gk(x)) with the same arguments to every g; None if a g is."""
+    """x -> op(g1(x), ..., gk(x)) with the same arguments to every g; None if a g is.
+
+    The rules build closures rather than functools.partial objects: a lone
+    point's query runs through dozens of them, and a closure call is cheaper.
+    """
     if None in gs:
         return None
     if len(gs) == 1:
-        return functools.partial(_apply1, op, gs[0])
+        g, = gs
+        return lambda *args: op(g(*args))
     if len(gs) == 2:
-        return functools.partial(_apply2, op, gs[0], gs[1])
-    return functools.partial(_apply_n, op, gs)
+        g, h = gs
+        return lambda *args: op(g(*args), h(*args))
+    return lambda *args: op(*[g(*args) for g in gs])
 
 
 def _linear(op, shape, *fs):
@@ -268,54 +287,87 @@ def _linear(op, shape, *fs):
                    _combine_step(*fs))
 
 
-def _product_d(op, f, g, x, mu):
-    return op(f.deriv(x, mu), g.fn(x)) + op(f.fn(x), g.deriv(x, mu))
-
-
-def _product_d2(op, f, g, x, mu, nu):
-    return (op(f.deriv2(x, mu, nu), g.fn(x)) + op(f.fn(x), g.deriv2(x, mu, nu))
-            + op(f.deriv(x, mu), g.deriv(x, nu)) + op(f.deriv(x, nu), g.deriv(x, mu)))
-
-
 def _product(op, shape, f, g):
     """The field op(f, g) for op bilinear (Leibniz rule)."""
+    ff, gf, fd, gd, fd2, gd2 = f.fn, g.fn, f.deriv, g.deriv, f.deriv2, g.deriv2
     deriv = deriv2 = None
-    if f.deriv is not None and g.deriv is not None:
-        deriv = functools.partial(_product_d, op, f, g)
-        if f.deriv2 is not None and g.deriv2 is not None:
-            deriv2 = functools.partial(_product_d2, op, f, g)
-    return FieldFn(f.spacetime, shape, functools.partial(_apply2, op, f.fn, g.fn),
-                   deriv, deriv2, _combine_step(f, g))
+    if fd is not None and gd is not None:
+        def deriv(x, mu):
+            return op(fd(x, mu), gf(x)) + op(ff(x), gd(x, mu))
 
-
-def _chain_d(f, dfunc, x, mu):
-    return dfunc(f.fn(x)) * f.deriv(x, mu)
-
-
-def _chain_d2(f, dfunc, d2func, x, mu, nu):
-    u = f.fn(x)
-    return dfunc(u) * f.deriv2(x, mu, nu) + d2func(u) * f.deriv(x, mu) * f.deriv(x, nu)
+        if fd2 is not None and gd2 is not None:
+            def deriv2(x, mu, nu):
+                return (op(fd2(x, mu, nu), gf(x)) + op(ff(x), gd2(x, mu, nu))
+                        + op(fd(x, mu), gd(x, nu)) + op(fd(x, nu), gd(x, mu)))
+    return FieldFn(f.spacetime, shape, _lift(op, [ff, gf]), deriv, deriv2,
+                   _combine_step(f, g))
 
 
 # -- constructors -----------------------------------------------------------
+
+def _uniform(value, shape=()):
+    """The function x, *args -> value at every point of the stack x, (...) + shape."""
+    def at(x, *args):
+        return value if x.ndim == 1 else np.broadcast_to(value, x.shape[:-1] + shape)
+    return at
+
+
+def _any(mask):
+    """Whether a per-point mask is set anywhere; a lone point's mask is a scalar."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _pointwise(fn):
+    """Lift fn(x, *args), written for one point, to (..., d) stacks of points.
+
+    The adapter for leaves with no closed stacked form: it evaluates the
+    points one by one, in C order, and stacks the values in the stack's shape.
+    """
+    def lifted(x, *args):
+        if x.ndim == 1:
+            return fn(x, *args)
+        values = np.stack([fn(p, *args) for p in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+    return lifted
+
+
+def _worst_point(err, x):
+    """The stack index where a per-point error peaks, and that point's coordinates.
+
+    err is shaped like the stack x without its last axis; error messages name
+    the point, not the whole stack.
+    """
+    i = np.unravel_index(np.argmax(err), np.shape(err))
+    return i, np.round(np.asarray(x)[i], 6).tolist()
+
 
 def constant(value, spacetime):
     value = np.asarray(value, dtype=complex) if not np.isscalar(value) else value
     shape = () if np.isscalar(value) else value.shape
     zero = 0.0 if shape == () else np.zeros(shape, dtype=complex)
-    return FieldFn(spacetime, shape, lambda x: value,
-                   lambda x, mu: zero, lambda x, mu, nu: zero)
+    zeros = _uniform(zero, shape)
+    return FieldFn(spacetime, shape, _uniform(value, shape), zeros, zeros)
 
 
 def identity_field(spacetime, n):
     return constant(np.eye(n, dtype=complex), spacetime)
 
 
+def _slopes(c):
+    """x, mu -> c[mu] at every point of the stack x: a linear leaf's first derivative."""
+    c = [float(cm) for cm in c]
+
+    def deriv(x, mu):
+        return c[mu] if x.ndim == 1 else np.full(x.shape[:-1], c[mu])
+    return deriv
+
+
+# A lone point's linear leaves give Python floats, whose arithmetic is faster
+# than that of numpy scalars; the bits are the same.
+
 def coordinate(spacetime, mu):
-    return FieldFn(spacetime, (),
-                   lambda x: float(x[mu]),
-                   lambda x, nu: 1.0 if nu == mu else 0.0,
-                   lambda x, a, b: 0.0)
+    return FieldFn(spacetime, (), lambda x: float(x[mu]) if x.ndim == 1 else x[..., mu],
+                   _slopes(np.eye(spacetime.dim)[mu]), _uniform(0.0))
 
 
 def linear(spacetime, coeffs, offset=0.0):
@@ -323,10 +375,12 @@ def linear(spacetime, coeffs, offset=0.0):
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (spacetime.dim,):
         raise DimensionMismatchError("coefficient count must equal spacetime dim")
-    return FieldFn(spacetime, (),
-                   lambda x: float(np.dot(c, x)) + offset,
-                   lambda x, mu: float(c[mu]),
-                   lambda x, a, b: 0.0)
+
+    def fn(x):
+        # ndarray.dot and np.vecdot run the same dot kernel, so the bits agree
+        return (float(c.dot(x)) if x.ndim == 1 else np.vecdot(x, c)) + offset
+
+    return FieldFn(spacetime, (), fn, _slopes(c), _uniform(0.0))
 
 
 def scalar_field(spacetime, fn, deriv=None, deriv2=None, fd_step=TOL.fd_step):
@@ -337,13 +391,17 @@ def mapped(f, func, dfunc=None, d2func=None):
     """Compose a scalar field with a smooth scalar function (chain rule)."""
     if f.shape != ():
         raise DimensionMismatchError("mapped requires a scalar field")
+    fn, fd, fd2 = f.fn, f.deriv, f.deriv2
     deriv = deriv2 = None
-    if dfunc is not None and f.deriv is not None:
-        deriv = functools.partial(_chain_d, f, dfunc)
-        if d2func is not None and f.deriv2 is not None:
-            deriv2 = functools.partial(_chain_d2, f, dfunc, d2func)
-    return FieldFn(f.spacetime, (), functools.partial(_apply1, func, f.fn), deriv, deriv2,
-                   f.fd_step)
+    if dfunc is not None and fd is not None:
+        def deriv(x, mu):
+            return dfunc(fn(x)) * fd(x, mu)
+
+        if d2func is not None and fd2 is not None:
+            def deriv2(x, mu, nu):
+                u = fn(x)
+                return dfunc(u) * fd2(x, mu, nu) + d2func(u) * fd(x, mu) * fd(x, nu)
+    return FieldFn(f.spacetime, (), _lift(func, [fn]), deriv, deriv2, f.fd_step)
 
 
 def sin_of(f):
@@ -375,8 +433,16 @@ def matrix_of(rows):
     grid = [[e if isinstance(e, FieldFn) else constant(complex(e), spacetime) for e in row]
             for row in rows]
     shape = (len(grid), len(grid[0]))
-    return _linear(lambda *entries: np.array(entries, dtype=complex).reshape(shape), shape,
+    return _linear(functools.partial(_assemble, shape), shape,
                    *[e for row in grid for e in row])
+
+
+def _assemble(shape, *entries):
+    """The (...) + shape stack whose matrix entries, row by row, are the entry stacks."""
+    m = np.array(entries, dtype=complex)  # the entries first, then the stack axes
+    if m.ndim > 1:
+        m = np.moveaxis(m, 0, -1)  # the reshape below copies it into C order
+    return m.reshape(m.shape[:-1] + shape)
 
 
 def hstack(a, b):
@@ -384,7 +450,8 @@ def hstack(a, b):
     _check_compatible(a, b)
     if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"cannot hstack shapes {a.shape} and {b.shape}")
-    return _linear(lambda u, v: np.hstack([u, v]), (a.shape[0], a.shape[1] + b.shape[1]), a, b)
+    return _linear(lambda u, v: np.concatenate([u, v], axis=-1),
+                   (a.shape[0], a.shape[1] + b.shape[1]), a, b)
 
 
 # ---------------------------------------------------------------------------

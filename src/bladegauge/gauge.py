@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import FieldFn, OneForm, TwoForm, two_form
-from .linalg import dagger, hermitian_part, max_abs
+from .fields import FieldFn, OneForm, TwoForm, _worst_point, two_form
+from .linalg import dagger, hermitian_part, max_abs, max_abs_each
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
@@ -32,10 +32,11 @@ def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
     def fn(x):
         m = np.asarray(f.fn(x), dtype=complex)
         h = hermitian_part(m)
-        drift = max_abs(m - h)
-        if drift > warn_tol:
-            warnings.warn(f"hermitizing correction {drift:.3e} exceeds {warn_tol:.1e}",
-                          stacklevel=2)
+        if max_abs(m - h) > warn_tol:
+            drifts = max_abs_each(m - h)
+            i, point = _worst_point(drifts, x)
+            warnings.warn(f"hermitizing correction {drifts[i]:.3e} exceeds {warn_tol:.1e} "
+                          f"at {point}", stacklevel=2)
         return h
 
     return replace(f.hermitian_part(), fn=fn)
@@ -91,8 +92,12 @@ def gauge_map(f: FieldFn, check=True, tol=TOL.hermitian_input) -> GaugeMap:
 
     def checked(x):
         u = np.asarray(f.fn(x), dtype=complex)
-        if max_abs(dagger(u) @ u - np.eye(n)) > tol:
-            raise DomainError(f"gauge map is not unitary at {x}")
+        defect = dagger(u) @ u - np.eye(n)
+        if max_abs(defect) > tol:
+            defects = max_abs_each(defect)
+            i, point = _worst_point(defects, x)
+            raise DomainError(f"gauge map is not unitary at {point} "
+                              f"(max |u^dag u - I| {defects[i]:.3e})")
         return u
 
     return GaugeMap(replace(f, fn=checked))

@@ -6,11 +6,12 @@ small (N <= ~8), so the unitary exponential goes through an eigendecomposition
 of its Hermitian argument rather than scaling-and-squaring: that keeps the
 unitarity of the result exact up to rounding.
 
-`dagger`, `hermitian_part`, `max_abs`, `is_hermitian` and `unitary_exp` take
-stacks of matrices shaped (..., N, N): the last two axes are the matrix and
-every leading axis is a batch axis, as in numpy's stacked `@` and
-`np.linalg.eigh`.  A single (N, N) matrix is the stack with no batch axes and
-gives bit-identical results to the same matrix taken out of a larger stack.
+`dagger`, `hermitian_part`, `max_abs_each`, `is_hermitian`, `unitary_exp` and
+`unitary_exp_frechet` take stacks of matrices shaped (..., N, N): the last
+two axes are the matrix and every leading axis is a batch axis, as in numpy's
+stacked `@` and `np.linalg.eigh`.  A single (N, N) matrix is the stack with
+no batch axes and gives bit-identical results to the same matrix taken out of
+a larger stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import DimensionMismatchError, DomainError
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "dagger", "hermitian_part", "commutator", "max_abs", "is_hermitian",
+    "dagger", "hermitian_part", "commutator", "max_abs", "max_abs_each", "is_hermitian",
     "unitary_exp", "unitary_exp_frechet",
     "random_hermitian", "random_unitary",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
@@ -34,7 +35,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def dagger(m):
     """Conjugate transpose of each matrix in the stack."""
-    return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
+    return np.conjugate(np.asarray(m)).mT
 
 
 def hermitian_part(m):
@@ -58,6 +59,11 @@ def max_abs(m):
     if m.size == 0:
         return 0.0
     return float(np.max(np.abs(m)))
+
+
+def max_abs_each(m):
+    """The max-abs norm of each matrix in a (..., N, N) stack, shaped (...)."""
+    return np.max(np.abs(m), axis=(-2, -1))
 
 
 def is_hermitian(m, tol=TOL.hermitian_input):
@@ -95,7 +101,7 @@ def unitary_exp_frechet(h, e, t=1.0):
 def _require_hermitian(h, caller):
     """DomainError naming `caller` and the worst stack index unless h is Hermitian."""
     if not is_hermitian(h):
-        skew = np.max(np.abs(h - dagger(h)), axis=(-2, -1))
+        skew = max_abs_each(h - dagger(h))
         worst = np.unravel_index(np.argmax(skew), skew.shape)
         where = f" at stack index {tuple(int(i) for i in worst)}" if worst else ""
         raise DomainError(
@@ -111,10 +117,10 @@ def _exp_in_eigenbasis(lam, q, t):
 def _divided_differences(lam, t):
     """Daleckii-Krein matrix of f(x) = exp(i t x) on the eigenvalues lam."""
     f = np.exp(1j * t * lam)
-    den = lam[:, None] - lam[None, :]
+    den = lam[..., :, None] - lam[..., None, :]
     close = np.abs(den) < 1e-12
-    mid = 1j * t * np.exp(1j * t * 0.5 * (lam[:, None] + lam[None, :]))
-    return np.where(close, mid, (f[:, None] - f[None, :]) / np.where(close, 1.0, den))
+    mid = 1j * t * np.exp(1j * t * 0.5 * (lam[..., :, None] + lam[..., None, :]))
+    return np.where(close, mid, (f[..., :, None] - f[..., None, :]) / np.where(close, 1.0, den))
 
 
 def _frechet_in_eigenbasis(q, gamma, e):

@@ -235,8 +235,8 @@ def tabulated_field(axes, values, spacetime: Spacetime, shape) -> FieldFn:
                                      data, method="linear", bounds_error=True)
 
     def fn(x):
-        out = interp(np.asarray(x, dtype=float)[None, :])[0]
-        return complex(out) if shape == () else np.asarray(out, dtype=complex)
+        out = interp(x.reshape(-1, x.shape[-1]))
+        return np.asarray(out, dtype=complex).reshape(x.shape[:-1] + shape)[()]
 
     return FieldFn(spacetime, shape, fn, None, None)
 

@@ -88,6 +88,40 @@ def _assert_exp_leaf_bits(points4, field, value, deriv, monkeypatch):
     assert np.array_equal(got, value(x))
     for mu in range(4):
         assert np.array_equal(field.d(x, mu), deriv(x, mu))
+    _assert_exp_leaf_stack_bits(points4, field, value, deriv, counting_eigh, calls, monkeypatch)
+
+
+def _assert_exp_leaf_stack_bits(points4, field, value, deriv, counting_eigh, calls, monkeypatch):
+    pts = np.asarray(points4)
+    stacks = [pts, pts[:4].reshape(2, 2, 4)]
+    for xs in stacks:
+        for _ in range(2):  # a cold query, then the cached record
+            got = field(xs)
+            assert not got.flags.writeable
+            for i in np.ndindex(xs.shape[:-1]):
+                assert np.array_equal(got[i], value(xs[i]))
+            for mu in range(4):
+                dgot = field.d(xs, mu)
+                assert not dgot.flags.writeable
+                for i in np.ndindex(xs.shape[:-1]):
+                    assert np.array_equal(dgot[i], deriv(xs[i], mu))
+    rng = np.random.default_rng(11)
+    # a stack of P points counts P toward the bound: one stack that fills the
+    # rest of it pushes the five-point stack out, though only two records were kept
+    field(pts)
+    field(rng.uniform(-0.6, 0.6, (_EXP_CACHE_POINTS - len(pts) + 1, 4)))
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls.clear()
+    got = field(pts)
+    assert len(calls) == 1  # evicted, so evaluated afresh with one stacked eigh
+    # the newest record stays even when it alone holds more than the bound
+    big = rng.uniform(-0.6, 0.6, (_EXP_CACHE_POINTS + 3, 4))
+    field(big)
+    field(big)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    for i in range(len(pts)):
+        assert np.array_equal(got[i], value(pts[i]))
 
 
 @pytest.mark.parametrize("N,n", [(2, 1), (4, 2)])
@@ -148,6 +182,19 @@ def test_extract_potential_flags_broken_frame(st4):
     a = extract_potential(Frame(st4, 2, 1, stretched))
     with pytest.raises(ConsistencyError):
         a.at(np.zeros(4), 0)
+
+
+def test_extract_potential_error_names_the_worst_point_of_a_stack(st4):
+    # the anti-hermitian drift of the stretched column is |1 + x^0|, largest at x^0 = 0.5
+    from bladegauge.fields import linear
+    stretched = matrix_of([[linear(st4, [1.0, 0, 0, 0], 1.0)], [constant(0.0, st4)]])
+    a = extract_potential(Frame(st4, 2, 1, stretched))
+    xs = np.array([[0.0, 0.1, 0.2, 0.3], [0.5, 0.25, 0.0, -0.125], [-0.2, 0.0, 0.0, 0.0]])
+    with pytest.raises(ConsistencyError) as err:
+        a.at(xs, 0)
+    msg = str(err.value)
+    assert "[0.5, 0.25, 0.0, -0.125]" in msg and "drift 1.500e+00" in msg
+    assert "0.3" not in msg and "-0.2" not in msg
 
 
 def test_blade_reference(st4):

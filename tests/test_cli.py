@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bladegauge.cli import main
+from bladegauge.fields import MINKOWSKI4
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -369,6 +370,60 @@ def test_residuals_matrix(scenario, eq, tmp_path, capsys):
         assert code == 2
         assert reason in capsys.readouterr().err
         assert not out.exists()
+
+
+STACK_GRID = "0:1:2,0:0.5:1,0:0.5:1,0:1:2"  # four cells off the symmetric midpoints
+
+
+def _residuals_point_loop(scenario, eq, path):
+    """The residuals CSV of STACK_GRID written by a loop over its points."""
+    from bladegauge import em
+    from bladegauge.blade import blade_from_frame
+    from bladegauge.cli import _parse_grid
+    from bladegauge.dynamics import (maxwell_mod_residual, modified_eom_residual,
+                                     shape_gauge_ym_residual, sigma_eom_residual,
+                                     ym_residual)
+    from bladegauge.gauge import field_strength
+    from bladegauge.linalg import max_abs
+    from bladegauge.scenarios import load_frame, load_potential, scenario_params
+    cfg = {"scenario": scenario}
+    st = MINKOWSKI4
+    nus = [str(nu) for nu in range(st.dim)]
+    if eq == "ym":
+        a = load_potential(cfg, st)
+        fs = field_strength(a)
+        labels, residual = nus, lambda x, nu: ym_residual(a, int(nu), x, fs)
+    elif eq == "modified":
+        v = load_frame(cfg, st)
+        labels, residual = ["sum"], lambda x, _: modified_eom_residual(v, x)
+    elif eq == "maxmod":
+        params = scenario_params(cfg)
+        p = em.plane_wave_params(st, params["k"], params["n"])
+        labels, residual = ["sum"], lambda x, _: maxwell_mod_residual(p, x)
+    elif eq == "shape":
+        v = load_frame(cfg, st)
+        labels, residual = nus, lambda x, nu: shape_gauge_ym_residual(v, x, int(nu))
+    else:
+        blade = blade_from_frame(load_frame(cfg, st))
+        labels, residual = ["sum"], lambda x, _: sigma_eom_residual(blade, x)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(st.dim)] + ["index", "norm"])
+        for x in _parse_grid(STACK_GRID).centers():
+            for label in labels:
+                writer.writerow([f"{c:.12g}" for c in x]
+                                + [label, f"{max_abs(residual(x, label)):.12e}"])
+
+
+@pytest.mark.parametrize("scenario,eq", [(s, e) for s in SCENARIOS_MATRIX for e in EQUATIONS
+                                         if _residuals_refusal(s, e) is None])
+def test_residuals_stacked_sweep_equals_point_loop(scenario, eq, tmp_path):
+    # a four-cell grid, so the sweep evaluates real point stacks
+    got, want = tmp_path / "stacked.csv", tmp_path / "loop.csv"
+    assert main(["residuals", "--scenario", scenario, "--eq", eq, "--grid", STACK_GRID,
+                 "--csv", str(got), "--report", str(tmp_path / "rep.json")]) == 0
+    _residuals_point_loop(scenario, eq, want)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_verify_planewave_honours_signature(tmp_path):

@@ -181,6 +181,23 @@ def test_monopole_pole_guard():
         am.at(np.array([1.0, 0.0, 0.0]), 2)
 
 
+def test_monopole_pole_guard_names_the_worst_point_of_a_stack():
+    # theta = pi is the plus patch's excluded pole, theta = 0 the minus patch's
+    ap = monopole_potential(0.5, "plus")
+    am = monopole_potential(0.5, "minus")
+    xs = np.array([[1.0, 1.5, 0.25], [1.0, np.pi, 2.0], [1.0, np.pi - 1e-7, 0.5],
+                   [1.0, 0.0, 1.0]])
+    with pytest.raises(ChartError) as err:
+        ap.at(xs, 2)
+    msg = str(err.value)
+    assert "[1.0, 3.141593, 2.0]" in msg and "theta = pi" in msg
+    assert "1.5" not in msg and "0.25" not in msg and "0.5" not in msg
+    with pytest.raises(ChartError) as err:
+        am.at(xs, 2)
+    msg = str(err.value)
+    assert "[1.0, 0.0, 1.0]" in msg and "theta = 0" in msg and "3.14" not in msg
+
+
 def test_monopole_params_solve_frame_equation():
     g = 0.5
     rng = np.random.default_rng(4)

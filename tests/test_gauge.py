@@ -188,6 +188,32 @@ def test_gauge_map_rejects_non_unitary(st4):
         u.f(np.zeros(4))
 
 
+def test_gauge_map_error_names_the_worst_point_of_a_stack(st4):
+    # u = (1 + x^0) I has |u^dag u - I| = |(1 + x^0)^2 - 1|, largest at x^0 = 0.5
+    u = gauge_map(linear(st4, [1.0, 0, 0, 0], 1.0) * constant(np.eye(2, dtype=complex), st4))
+    xs = np.array([[[0.0, 0.0, 0.0, 0.0], [0.5, 0.75, 0.0, 0.0]],
+                   [[0.25, 0.125, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]]])
+    with pytest.raises(DomainError) as err:
+        u.f(xs)
+    msg = str(err.value)
+    assert "[0.5, 0.75, 0.0, 0.0]" in msg and "1.250e+00" in msg
+    assert "0.125" not in msg and "-0.1" not in msg
+
+
+def test_hermitization_warning_names_the_worst_point_of_a_stack(st4):
+    # the skew entry x^1 gives a hermitizing correction |x^1| / 2, largest at x^1 = -0.75
+    skew = matrix_of([[0.0, linear(st4, [0, 1.0, 0, 0])], [0.0, 0.0]])
+    a = gauge_potential(st4, [skew] * 4)
+    xs = np.array([[0.0, 0.5, 0.0, 0.0], [0.0, -0.75, 0.25, 0.0], [0.0, 0.125, 0.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a.at(xs, 0)
+    messages = [str(w.message) for w in caught if "hermitizing" in str(w.message)]
+    assert len(messages) == 1
+    assert "[0.0, -0.75, 0.25, 0.0]" in messages[0] and "3.750e-01" in messages[0]
+    assert "0.125" not in messages[0]
+
+
 def test_hermitization_warns_on_large_drift(st4):
     skew = constant(np.array([[0.0, 1.0], [0, 0]], dtype=complex), st4)
     a = gauge_potential(st4, [skew] * 4)

@@ -6,13 +6,14 @@ ones the `verify` suite applies to the same identities.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bladegauge.blade import (Frame, blade_curvature, blade_from_frame, extract_potential,
                               four_way, random_gauge_map, random_smooth_frame,
                               shape_identity_residual, shape_operator)
 from bladegauge.embedded import cylinder, embedded_blade, gauss_curvature, plane, sphere, torus
-from bladegauge.fields import MINKOWSKI4
+from bladegauge.fields import MINKOWSKI4, euclidean
 from bladegauge.gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from bladegauge.linalg import dagger, max_abs
 from bladegauge.tolerances import DEFAULT as TOL
@@ -115,3 +116,121 @@ def test_embedded_blade_identities(spec, x):
         sv = s.at(x, mu)
         assert max_abs(r @ sv + sv @ r) <= TOL.analytic
     assert abs(gauss_curvature(emb, x) - k_closed(x)) <= TOL.analytic
+
+
+# ---------------------------------------------------------------------------
+# point stacks: entry i of a stacked query has the bits of the query at x[i]
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_stack_matches_points(f, xs):
+    d = f.spacetime.dim
+    queries = [(f, ())] + [(f.d, (mu,)) for mu in range(d)]
+    queries += [(f.d2, (mu, nu)) for mu in range(d) for nu in range(d)]
+    for query, idx in queries:
+        stacked = query(xs, *idx)
+        assert np.shape(stacked) == xs.shape[:-1] + f.shape
+        for i in np.ndindex(xs.shape[:-1]):
+            assert _same_bits(stacked[i], query(xs[i], *idx)), (idx, i)
+
+
+def _stack_leaves():
+    """name -> (field, lo, hi): every leaf kind, and the box its points are drawn from."""
+    from bladegauge.blade import (canonical_frame_field, complement_field,
+                                  random_hermitian_field)
+    from bladegauge.darboux import darboux_data, darboux_frame
+    from bladegauge.em import em_frame, monopole_potential, plane_wave_params
+    from bladegauge.fields import constant, coordinate, linear
+    from bladegauge.scenarios import _tabulated_frame, tabulated_field
+    st = MINKOWSKI4
+    v = _frame((4, 2), 5)
+    rng = np.random.default_rng(3)
+    axes = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)]
+    samples = rng.uniform(-1.0, 1.0, (5, 4, 2, 2, 2))
+    dx = darboux_data(st, [("0.5*sin(x0)/(2 + cos(x1))", "x1*x2"),
+                           ("0.3*arccos(0.5*x3)", "sqrt(2 + x0)")], [-0.8] * 4, [0.8] * 4)
+    box4 = ([-0.5] * 4, [0.5] * 4)
+    return {
+        "constant_scalar": (constant(0.25 - 0.5j, st), *box4),
+        "constant_matrix": (constant(np.arange(6.0).reshape(3, 2) * 1j, st), *box4),
+        "coordinate": (coordinate(st, 2), *box4),
+        "linear": (linear(st, [0.3, -1.2, 0.7, 2.0], offset=0.1), *box4),
+        "hermitian_waves": (random_hermitian_field(st, 3, 9), *box4),
+        "exp_frame": (v.V, *box4),
+        "exp_gauge_map": (random_gauge_map(st, 2, 4).f, *box4),
+        "tabulated": (tabulated_field(axes, samples, euclidean(2), (2, 2)),
+                      [0.2, 0.2], [0.8, 0.8]),
+        "tabulated_frame": (_tabulated_frame({"axes": axes, "values": samples[..., :1, :]},
+                                             euclidean(2)).V, [0.2, 0.2], [0.8, 0.8]),
+        "complement": (complement_field(v), *box4),
+        "canonical": (canonical_frame_field(blade_from_frame(v), np.eye(4, 2)), *box4),
+        "em_planewave": (em_frame(plane_wave_params(st, [1, 0, 0, 1], [0, 1, 0, 0])).V,
+                         *box4),
+        "em_monopole_patch": (monopole_potential(0.5, "plus").components[2],
+                              [0.5, 0.3, 0.0], [2.0, 2.8, 6.0]),
+        "darboux": (darboux_frame(dx).V, *box4),
+        "embedded_chart": (torus(2.0, 0.5).f, [0.0, 0.0], [6.0, 6.0]),
+        "embedded_blade": (embedded_blade(sphere(1.3)).R, [0.5, 0.0], [2.5, 6.0]),
+    }
+
+
+def _stack_rules():
+    """name -> (field, lo, hi): each combinator rule over analytic and FD-only operands."""
+    from bladegauge.fields import (constant, coordinate, exp_i, hstack, linear, mapped,
+                                   matrix_of, sin_of)
+    st = MINKOWSKI4
+    s = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
+    t = coordinate(st, 1) + constant(2.0, st)
+    m, n = _frame((3, 3), 7).V, random_gauge_map(st, 3, 8).f
+    w = _frame((3, 1), 2).V
+    vec = constant(np.array([1.0, -2.0j, 0.5]), st)
+    box4 = ([-0.5] * 4, [0.5] * 4)
+    rules = {
+        "linear_sum": m + 0.5 * n - m.dagger(),
+        "linear_hermitian_part": m.hermitian_part(),
+        "linear_hstack": hstack(m, w),
+        "linear_matrix_of": matrix_of([[s, 1.0], [t, s - t]]),
+        "product_scalar_matrix": s * m,
+        "product_matrix_scalar": m * t,
+        "product_scalars": s * t,
+        "product_matmul": m @ n.dagger(),
+        "product_matvec": m @ vec,
+        "chain": exp_i(s) * mapped(t, np.log, lambda u: 1.0 / u, lambda u: -1.0 / (u * u)),
+        "divide": m / t + (s / t) * n,
+        "partial": (m @ n).partial(2).partial(0),
+    }
+    rules["fd_only"] = (s * (m @ w)).without_analytic_derivs()
+    return {name: (f, *box4) for name, f in rules.items()}
+
+
+STACK_LEAVES = _stack_leaves()
+STACK_RULES = _stack_rules()
+STACKED = settings(derandomize=True, max_examples=6, deadline=None, database=None)
+stack_shapes = st.one_of(st.tuples(st.integers(1, 4)),
+                         st.tuples(st.integers(1, 3), st.integers(1, 3)))
+
+
+def _draw_stack(data, lo, hi):
+    shape = data.draw(stack_shapes)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return lo + np.random.default_rng(seed).uniform(size=shape + lo.shape) * (hi - lo)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_LEAVES))
+@STACKED
+@given(data=st.data())
+def test_stacked_leaf_queries_equal_point_queries(name, data):
+    f, lo, hi = STACK_LEAVES[name]
+    _assert_stack_matches_points(f, _draw_stack(data, lo, hi))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_RULES))
+@STACKED
+@given(data=st.data())
+def test_stacked_rule_queries_equal_point_queries(name, data):
+    f, lo, hi = STACK_RULES[name]
+    _assert_stack_matches_points(f, _draw_stack(data, lo, hi))
