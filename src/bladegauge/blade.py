@@ -78,16 +78,24 @@ def frame(spacetime, V: FieldFn, check_points=(), tol=TOL.algebraic) -> Frame:
     if n > N:
         raise DimensionMismatchError("frame needs n <= N")
     f = Frame(spacetime, N, n, V)
-    for x in check_points:
-        validate_frame(f, x, tol)
+    if len(check_points):
+        validate_frame(f, check_points, tol)
     return f
 
 
 def validate_frame(f: Frame, x, tol=TOL.algebraic):
+    """Largest |V^dag V - I| at x, a point or a (..., d) stack; ConsistencyError beyond tol."""
     v = f.V(x)
-    err = max_abs(dagger(v) @ v - np.eye(f.n))
+    return _within(max_abs_each(dagger(v) @ v - np.eye(f.n)), x, tol,
+                   "frame columns not orthonormal: error")
+
+
+def _within(errs, x, tol, what):
+    """The largest of the per-point errors errs; ConsistencyError naming its point beyond tol."""
+    err = float(np.max(errs))
     if err > tol:
-        raise ConsistencyError(f"frame columns not orthonormal at {x}: error {err:.3e}")
+        _, point = _worst_point(errs, x)
+        raise ConsistencyError(f"{what} {err:.3e} > {tol:.1e} at {point}")
     return err
 
 
@@ -176,25 +184,21 @@ def four_way(blade: RotatingBlade, x, mu, nu):
     """Evaluate all four equivalent curvature expressions of the blade at x.
 
     Returns (values dict keyed by expression name, max pairwise
-    discrepancy in the max-abs norm).
+    discrepancy in the max-abs norm, over every point of a stack x).
     """
-    vals = _four_way_values(blade, x, mu, nu)
-    disc = max(max_abs(vals[a] - vals[b])
-               for a, b in itertools.combinations(_FOUR_WAY_NAMES, 2))
-    return vals, disc
+    vals, discs = _four_way_values(blade, x, mu, nu)
+    return vals, float(np.max(discs))
 
 
 def check_four_way(blade: RotatingBlade, x, mu, nu, tol=None):
     """The four-way discrepancy at x; ConsistencyError if it exceeds tol."""
     tol = TOL.fd_nested() if tol is None else tol
-    _, disc = four_way(blade, x, mu, nu)
-    if disc > tol:
-        raise ConsistencyError(
-            f"curvature expressions disagree by {disc:.3e} > {tol:.1e} at {x}")
-    return disc
+    return _within(_four_way_values(blade, x, mu, nu)[1], x, tol,
+                   "curvature expressions disagree by")
 
 
 def _four_way_values(blade: RotatingBlade, x, mu, nu):
+    """The four expressions at x, and each point's largest pairwise discrepancy."""
     s = shape_operator(blade)
     smu, snu = s.at(x, mu), s.at(x, nu)
     # probe realization: apply -i [D_mu, D_nu] to the constant basis fields
@@ -211,25 +215,28 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     dr_mu, dr_nu = blade.R.d(x, mu), blade.R.d(x, nu)
     P = blade.projector
     dp_mu, dp_nu = P.d(x, mu), P.d(x, nu)
-    return {
+    vals = {
         "commutator_probe": probe_val,
         "shape_commutator": -1j * commutator(smu, snu),
         "blade_derivative": -0.25j * commutator(dr_mu, dr_nu),
         "projector_derivative": -1j * commutator(dp_mu, dp_nu),
     }
+    discs = np.max([max_abs_each(vals[a] - vals[b])
+                    for a, b in itertools.combinations(_FOUR_WAY_NAMES, 2)], axis=0)
+    return vals, discs
 
 
 def blade_curvature(blade: RotatingBlade, check_points=(), tol=None) -> TwoForm:
     """Curvature of the lifted covariant derivative, as -i [S_mu, S_nu].
 
-    check_points, when given, cross-validate the four equivalent expressions
-    and raise a ConsistencyError beyond the combined FD tolerance.
+    check_points, a (P, d) stack when given, cross-validate the four
+    equivalent expressions and raise a ConsistencyError beyond the FD budget.
     """
     s = shape_operator(blade).components
     omega = two_form(blade.spacetime, lambda mu, nu: (-1j) * (s[mu] @ s[nu] - s[nu] @ s[mu]))
-    for x in check_points:
+    if len(check_points):
         for mu, nu in omega.upper:
-            check_four_way(blade, x, mu, nu, tol)
+            check_four_way(blade, check_points, mu, nu, tol)
     return omega
 
 
@@ -266,13 +273,13 @@ class ShapeGaugeDecomposition:
     G: TwoForm
 
     def reconstruction_residual(self, x, mu):
-        """S_mu - [U (A oplus C) U^dag - i U dU^dag] at x."""
+        """S_mu - [U (A oplus C) U^dag - i U dU^dag] at x, a point or a (..., d) stack."""
         f = self.frame
         u = hstack(f.V, self.W)
         a = extract_potential(f)
-        blk = np.zeros((f.N, f.N), dtype=complex)
-        blk[:f.n, :f.n] = a.at(x, mu)
-        blk[f.n:, f.n:] = self.C.at(x, mu)
+        blk = np.zeros(np.shape(x)[:-1] + (f.N, f.N), dtype=complex)
+        blk[..., :f.n, :f.n] = a.at(x, mu)
+        blk[..., f.n:, f.n:] = self.C.at(x, mu)
         uv = u(x)
         s = shape_operator(blade_from_frame(f)).at(x, mu)
         recon = uv @ blk @ dagger(uv) - 1j * (uv @ dagger(u.d(x, mu)))
@@ -284,36 +291,38 @@ class ShapeGaugeDecomposition:
         a = extract_potential(f)
         fs = field_strength(a)
         omega = blade_curvature(blade_from_frame(f)).at(x, mu, nu)
-        blk = np.zeros((f.N, f.N), dtype=complex)
-        blk[:f.n, :f.n] = fs.at(x, mu, nu)
-        blk[f.n:, f.n:] = self.G.at(x, mu, nu)
-        uv = np.hstack([f.V(x), self.W(x)])
+        g = self.G.at(x, mu, nu)
+        blk = np.zeros(np.shape(x)[:-1] + (f.N, f.N), dtype=complex)
+        blk[..., :f.n, :f.n] = fs.at(x, mu, nu)
+        blk[..., f.n:, f.n:] = g
         w = self.W(x)
-        gap = self.G.at(x, mu, nu) - dagger(w) @ omega @ w
+        uv = np.concatenate([f.V(x), w], axis=-1)
+        gap = g - dagger(w) @ omega @ w
         return omega - uv @ blk @ dagger(uv), gap
 
 
 def shape_gauge_decompose(f: Frame, w: FieldFn, check_points=(), tol=None) -> ShapeGaugeDecomposition:
     """Complementary connection C_mu = -i W^dag dW and its curvature G.
 
-    Verifies, at the given check points, both the S_mu reconstruction from
-    the combined potential and the block form of the curvature; raises a
-    ConsistencyError when a residual exceeds the tolerance.
+    Verifies, at the (P, d) stack of check points, both the S_mu
+    reconstruction from the combined potential and the block form of the
+    curvature; raises a ConsistencyError when a residual exceeds the tolerance.
     """
     tol = TOL.fd_nested() if tol is None else tol
     comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(f.spacetime.dim)]
     c = gauge_potential(f.spacetime, comps)
     g = field_strength(c)
     dec = ShapeGaugeDecomposition(f, w, c, g)
-    for x in check_points:
-        for mu in range(f.spacetime.dim):
-            r = max_abs(dec.reconstruction_residual(x, mu))
-            if r > tol:
-                raise ConsistencyError(f"shape-gauge reconstruction residual {r:.3e} at {x}")
-        for mu, nu in itertools.combinations(range(f.spacetime.dim), 2):
-            block, gap = dec.omega_block_residual(x, mu, nu)
-            if max(max_abs(block), max_abs(gap)) > tol:
-                raise ConsistencyError(f"curvature block residual at {x} exceeds {tol:.1e}")
+    if not len(check_points):
+        return dec
+    x = np.asarray(check_points, dtype=float)
+    for mu in range(f.spacetime.dim):
+        _within(max_abs_each(dec.reconstruction_residual(x, mu)), x, tol,
+                "shape-gauge reconstruction residual")
+    for mu, nu in itertools.combinations(range(f.spacetime.dim), 2):
+        block, gap = dec.omega_block_residual(x, mu, nu)
+        _within(np.maximum(max_abs_each(block), max_abs_each(gap)), x, tol,
+                "curvature block residual")
     return dec
 
 

@@ -103,7 +103,7 @@ def _build_parser():
     e.add_argument("--a", type=float, default=None, help="sphere radius (default 1)")
     e.add_argument("--rmaj", type=float, default=None, help="torus major radius (default 2)")
     e.add_argument("--rmin", type=float, default=None, help="torus minor radius (default 0.5)")
-    e.add_argument("--samples", type=int, default=5)
+    e.add_argument("--samples", type=_count, default=5, help="samples per chart axis")
     e.add_argument("--csv", default=None)
     e.add_argument("--report", default=None)
     e.set_defaults(func=cmd_embedded)
@@ -146,8 +146,16 @@ def _parse_grid(text):
                 cells=tuple(int(a[2]) for a in axes))
 
 
+def _parse_count(text):
+    count = int(text)
+    if count < 1:
+        raise ValueError
+    return count
+
+
 _vector = _spec("comma-separated numbers", lambda t: [float(c) for c in t.split(",")])
 _grid = _spec("lo:hi:cells on each axis, cells >= 1", _parse_grid)
+_count = _spec("a positive integer", _parse_count)
 _cells = _spec("THETAxPHI cell counts", lambda t: tuple(int(c) for c in _split(t, "x", 2)))
 _theta_band = _spec("lo:hi fractions of pi",
                     lambda t: tuple(float(c) for c in _split(t, ":", 2)))
@@ -280,36 +288,34 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
         from .gauge import gauge_potential
         cw = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(st.dim)]
         g_fs = field_strength(gauge_potential(st, cw))
-        pts = [rng.uniform(-0.5, 0.5, st.dim) for _ in range(n_points)]
-        for x in pts:
-            r = blade.at(x)
-            worst["reflection"] = max(worst["reflection"], max_abs(r @ r - np.eye(N)))
-            worst["hermiticity"] = max(worst["hermiticity"], max_abs(r - dagger(r)))
-            worst["trace"] = max(worst["trace"], abs(np.trace(r).real - (2 * n - N)))
-            for mu in range(st.dim):
-                sv = s.at(x, mu)
-                worst["anticommute"] = max(worst["anticommute"], max_abs(r @ sv + sv @ r))
-                dr = blade.R.d(x, mu)
-                worst["covariant_constancy"] = max(
-                    worst["covariant_constancy"],
-                    max_abs(dr + 1j * (sv @ r - r @ sv)))
-                worst["gauge_invariance"] = max(worst["gauge_invariance"],
-                                                max_abs(sv - s2.at(x, mu)))
+        x = rng.uniform(-0.5, 0.5, (n_points, st.dim))
+        r = blade.at(x)
+        worst["reflection"] = max(worst["reflection"], max_abs(r @ r - np.eye(N)))
+        worst["hermiticity"] = max(worst["hermiticity"], max_abs(r - dagger(r)))
+        worst["trace"] = max(worst["trace"], max_abs(
+            np.trace(r, axis1=-2, axis2=-1).real - (2 * n - N)))
+        for mu in range(st.dim):
+            sv = s.at(x, mu)
+            worst["anticommute"] = max(worst["anticommute"], max_abs(r @ sv + sv @ r))
+            worst["covariant_constancy"] = max(
+                worst["covariant_constancy"],
+                max_abs(blade.R.d(x, mu) + 1j * (sv @ r - r @ sv)))
             worst["gauge_invariance"] = max(worst["gauge_invariance"],
-                                            max_abs(r - blade2.at(x)))
-            _, disc = four_way(blade, x, 0, 2)
-            worst["four_way"] = max(worst["four_way"], disc)
-            vv = v.at(x)
-            wv = w(x)
-            for mu, nu in ((0, 1), (1, 3)):
-                om = omega.at(x, mu, nu)
-                worst["curvature_blocks"] = max(
-                    worst["curvature_blocks"],
-                    max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),
-                    max_abs(g_fs.at(x, mu, nu) - dagger(wv) @ om @ wv))
-                worst["gauge_covariance_F"] = max(
-                    worst["gauge_covariance_F"],
-                    max_abs(fs2.at(x, mu, nu) - fs2_expect.at(x, mu, nu)))
+                                            max_abs(sv - s2.at(x, mu)))
+        worst["gauge_invariance"] = max(worst["gauge_invariance"], max_abs(r - blade2.at(x)))
+        _, disc = four_way(blade, x, 0, 2)
+        worst["four_way"] = max(worst["four_way"], disc)
+        vv = v.at(x)
+        wv = w(x)
+        for mu, nu in ((0, 1), (1, 3)):
+            om = omega.at(x, mu, nu)
+            worst["curvature_blocks"] = max(
+                worst["curvature_blocks"],
+                max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),
+                max_abs(g_fs.at(x, mu, nu) - dagger(wv) @ om @ wv))
+            worst["gauge_covariance_F"] = max(
+                worst["gauge_covariance_F"],
+                max_abs(fs2.at(x, mu, nu) - fs2_expect.at(x, mu, nu)))
     fd = tol.fd()
     nested = tol.fd_nested()
     return [
@@ -349,14 +355,13 @@ def _planewave_checks(params, st, tol):
     p = em.plane_wave_params(st, k, n)
     a = em.plane_wave_potential(st, k, n)
     fs = em.em_faraday(p)
-    rng = np.random.default_rng(5)
-    pts = [rng.uniform(-1.0, 1.0, st.dim) for _ in range(6)]
-    veq = max(em.em_potential_residual(p, a, mu, x) for x in pts for mu in range(st.dim))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, st.dim))
+    veq = max(max_abs(em.em_potential_residual(p, a, mu, pts)) for mu in range(st.dim))
     # F wedge F, the 4-form obstruction to decomposability (none below dimension 4)
-    ff_vals = [two_form_values(fs, x) for x in pts]
-    ff = max((abs(c) for vals in ff_vals for c in wedge(vals, vals).values()), default=0.0)
+    vals = two_form_values(fs, pts)
+    ff = max((max_abs(c) for c in wedge(vals, vals).values()), default=0.0)
     cond = abs(em.plane_wave_mod_condition(st, k, n))
-    maxmod = max(max_abs(maxwell_mod_residual(p, x)) for x in pts[:3])
+    maxmod = max_abs(maxwell_mod_residual(p, pts[:3]))
     checks = [
         _check("planewave_frame_equation_residual", veq, tol.fd()),
         _check("planewave_faraday_decomposable", ff, 1e-10),
@@ -366,7 +371,7 @@ def _planewave_checks(params, st, tol):
     kk = st.dot(k, k)
     kn = st.dot(k, n)
     if abs(kk) <= 1e-12 and abs(kn) <= 1e-12:
-        ym = max(max_abs(ym_residual(a, nu, x)) for x in pts[:3] for nu in range(st.dim))
+        ym = max(max_abs(ym_residual(a, nu, pts[:3])) for nu in range(st.dim))
         checks.append(_check("planewave_maxwell_residual", ym, tol.fd_nested()))
     return checks, {}
 
@@ -377,24 +382,18 @@ def _monopole_checks(params, st, tol):
     rep = em.monopole_blade_glue(g)
     flux = sphere_flux(em.monopole_field_strength(g))
     flux_err = abs(flux - 4.0 * np.pi * g) / max(1.0, abs(4.0 * np.pi * g))
-    veq = 0.0
-    rng = np.random.default_rng(7)
-    for patch in ("plus", "minus"):
-        p = em.monopole_params(g, patch)
-        a = em.monopole_potential(g, patch)
-        for _ in range(5):
-            x = np.array([1.0, rng.uniform(0.3, np.pi - 0.3), rng.uniform(0.0, 2 * np.pi)])
-            veq = max(veq, max(em.em_potential_residual(p, a, mu, x) for mu in range(3)))
+    # points (1, theta, phi) off the poles: five per patch, then four for C
+    angles = np.random.default_rng(7).uniform((0.3, 0.0), (np.pi - 0.3, 2 * np.pi), (14, 2))
+    pts = np.insert(angles, 0, 1.0, axis=1)
+    veq = max(max_abs(em.em_potential_residual(em.monopole_params(g, patch),
+                                               em.monopole_potential(g, patch), mu, x))
+              for patch, x in (("plus", pts[:5]), ("minus", pts[5:10])) for mu in range(3))
     # complementary connection on the plus patch: C = -A
-    p = em.monopole_params(g, "plus")
-    wfield = em.em_complement(p)
+    wfield = em.em_complement(em.monopole_params(g, "plus"))
     a = em.monopole_potential(g, "plus")
-    comp = 0.0
-    for _ in range(4):
-        x = np.array([1.0, rng.uniform(0.3, np.pi - 0.3), rng.uniform(0.0, 2 * np.pi)])
-        for mu in range(3):
-            c = -1j * (dagger(wfield(x)) @ wfield.d(x, mu))
-            comp = max(comp, abs(complex(c[0, 0]) + complex(a.at(x, mu)[0, 0])))
+    x = pts[10:]
+    comp = max(max_abs((-1j * (dagger(wfield(x)) @ wfield.d(x, mu)))[..., 0, 0]
+                       + a.at(x, mu)[..., 0, 0]) for mu in range(3))
     checks = [
         _check("monopole_frame_equation_residual", veq, tol.fd()),
         _check("monopole_flux_matches_4pi_g", flux_err, tol.flux_rel),
@@ -420,12 +419,8 @@ def _darboux_checks(params, st, tol):
 
 def _pure_gauge_checks(params, st, tol):
     fs = field_strength(load_potential("pure_gauge", st, **params))
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(4):
-        x = rng.uniform(-0.5, 0.5, st.dim)
-        for mu, nu in itertools.combinations(range(st.dim), 2):
-            worst = max(worst, max_abs(fs.at(x, mu, nu)))
+    x = np.random.default_rng(11).uniform(-0.5, 0.5, (4, st.dim))
+    worst = max(max_abs(fs.at(x, mu, nu)) for mu, nu in itertools.combinations(range(st.dim), 2))
     return [_check("pure_gauge_flatness", worst, tol.fd())], {}
 
 

@@ -38,6 +38,7 @@ from .errors import DomainError, ParameterError, RankError
 from .fields import (FieldFn, OneForm, Spacetime, _any, _worst_point, constant, coordinate,
                      cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
 from .gauge import gauge_potential
+from .linalg import max_abs
 
 __all__ = [
     "DarbouxData", "darboux_data", "darboux_one_form", "darboux_potential",
@@ -136,11 +137,11 @@ class DarbouxData:
         return 2 * (self.r + 1)
 
     def sample_points(self, count=24, seed=0):
-        rng = np.random.default_rng(seed)
+        """A (count, d) stack of seeded points in the domain box."""
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        return [lo + rng.uniform(size=self.spacetime.dim) * (hi - lo)
-                for _ in range(count)]
+        rng = np.random.default_rng(seed)
+        return lo + rng.uniform(size=(count, self.spacetime.dim)) * (hi - lo)
 
 
 def darboux_data(spacetime, pairs, lo, hi, validate=True,
@@ -160,10 +161,10 @@ def darboux_data(spacetime, pairs, lo, hi, validate=True,
     if validate and conv:
         pts = data.sample_points(n_samples, seed)
         for k, (p, _) in enumerate(conv):
-            for x in pts:
-                if abs(p(x)) > 1.0 + 1e-12:
-                    raise DomainError(
-                        f"|pi_{k}| > 1 at {np.round(x, 6).tolist()} (value {p(x):.6f})")
+            u = p(pts)
+            if _any(abs(u) > 1.0 + 1e-12):
+                i, point = _worst_point(abs(u), pts)
+                raise DomainError(f"|pi_{k}| > 1 at {point} (value {u[i]:.6f})")
         grads = []
         x0 = pts[0]
         for p, f in conv:
@@ -272,19 +273,15 @@ def frame_residual_report(data: DarbouxData, points=None):
     the arccos derivative degenerates and residuals lose accuracy.
     """
     from .blade import extract_potential
-    pts = data.sample_points() if points is None else points
-    v = darboux_frame(data)
-    a_frame = extract_potential(v)
+    pts = np.asarray(data.sample_points() if points is None else points, dtype=float)
+    a_frame = extract_potential(darboux_frame(data))
     a_decl = darboux_potential(data)
-    worst = 0.0
-    near_singular = []
-    for x in pts:
-        if any(abs(p(x)) > 1.0 - NEAR_SINGULAR_MARGIN for p, _ in data.pairs):
-            near_singular.append([float(c) for c in x])
-            continue
-        for mu in range(data.spacetime.dim):
-            worst = max(worst, abs(complex(a_frame.at(x, mu)[0, 0])
-                                   - complex(a_decl.at(x, mu)[0, 0])))
+    near = np.zeros(len(pts), dtype=bool)
+    for p, _ in data.pairs:
+        near |= abs(p(pts)) > 1.0 - NEAR_SINGULAR_MARGIN
+    x = pts[~near]
+    worst = max(max_abs(a_frame.at(x, mu)[..., 0, 0] - a_decl.at(x, mu)[..., 0, 0])
+                for mu in range(data.spacetime.dim))
     return {"N": data.N, "max_residual": worst,
-            "near_singular_points": near_singular,
-            "points_checked": len(pts) - len(near_singular)}
+            "near_singular_points": pts[near].tolist(),
+            "points_checked": len(x)}

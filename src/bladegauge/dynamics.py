@@ -188,17 +188,16 @@ def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
                              periodic=None, frozen_boundary_axes=()) -> LatticeBlade:
     """Sample a blade field on grid centers.
 
-    point_map lifts a lattice point to a spacetime point (defaults to
+    point_map lifts one lattice point to a spacetime point (defaults to
     identity, requiring grid.dim == spacetime.dim).  Axes in
     frozen_boundary_axes get their outermost layers marked frozen.
     """
-    if point_map is None:
-        point_map = lambda p: p
     shape = tuple(grid.cells)
-    pts = grid.centers().reshape(shape + (grid.dim,))
-    sites = np.zeros(shape + (blade.N, blade.N), dtype=complex)
-    for idx in np.ndindex(shape):
-        sites[idx] = blade.at(point_map(pts[idx]))
+    pts = grid.centers()
+    if point_map is not None:
+        # callers write point_map for one point; the blade takes the mapped stack
+        pts = np.array([point_map(p) for p in pts], dtype=float)
+    sites = np.array(blade.at(pts), dtype=complex).reshape(shape + (blade.N, blade.N))
     periodic = tuple(False for _ in shape) if periodic is None else tuple(periodic)
     frozen = np.zeros(shape, dtype=bool)
     for ax in frozen_boundary_axes:
@@ -294,8 +293,10 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     non-increasing for sufficiently small eta.  Ten consecutive increasing
     steps raise DivergenceError (step size too large).
     """
-    if eta <= 0:
-        raise ParameterError("eta must be positive")
+    if steps < 0:
+        raise ParameterError(f"steps must be >= 0, got {steps}")
+    if not 0 < eta < np.inf:
+        raise ParameterError(f"eta must be finite and positive, got {eta}")
     current = lat.copy()
     moving = (np.ones(current.grid_shape, dtype=bool) if current.frozen is None
               else ~current.frozen)

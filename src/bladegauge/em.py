@@ -65,11 +65,13 @@ def em_complement(params: EmFrameParams) -> FieldFn:
 
 
 def em_potential_residual(params: EmFrameParams, a: OneForm, mu, x):
-    """|cos^2 rho d_mu alpha + sin^2 rho d_mu beta - A_mu| at x."""
+    """|cos^2 rho d_mu alpha + sin^2 rho d_mu beta - A_mu| at x, or at each point of a stack."""
     r = params.rho(x)
-    lhs = (np.cos(r) ** 2 * params.alpha.d(x, mu)
-           + np.sin(r) ** 2 * params.beta.d(x, mu))
-    return abs(complex(lhs) - complex(a.at(x, mu)[0, 0]))
+    # c * c, not c ** 2: numpy's array power and its scalar power round
+    # differently, and stacked values must equal single-point ones
+    c, s = np.cos(r), np.sin(r)
+    lhs = c * c * params.alpha.d(x, mu) + s * s * params.beta.d(x, mu)
+    return np.abs(lhs - a.at(x, mu)[..., 0, 0])
 
 
 def em_faraday(params: EmFrameParams) -> TwoForm:
@@ -199,17 +201,12 @@ def monopole_blade_glue(g, n_theta=32, tol=TOL.gluing, guard=TOL.pole_guard) -> 
     """
     blade_plus = monopole_blade(g)
     blade_minus = blade_from_frame(em_frame(monopole_params(g, "minus")))
-    thetas = np.linspace(guard, np.pi - guard, n_theta)
-    phis = (0.0, 1.1, 3.7)
-    patch_mismatch = 0.0
-    winding_mismatch = 0.0
-    for th in thetas:
-        for ph in phis:
-            x = np.array([1.0, th, ph])
-            x_wound = np.array([1.0, th, ph + 2.0 * np.pi])
-            patch_mismatch = max(patch_mismatch,
-                                 max_abs(blade_plus.at(x) - blade_minus.at(x)))
-            winding_mismatch = max(winding_mismatch,
-                                   max_abs(blade_plus.at(x_wound) - blade_plus.at(x)))
+    th, ph = np.meshgrid(np.linspace(guard, np.pi - guard, n_theta), (0.0, 1.1, 3.7),
+                         indexing="ij")
+    x = np.stack([np.ones_like(th), th, ph], axis=-1)
+    x_wound = np.stack([np.ones_like(th), th, ph + 2.0 * np.pi], axis=-1)
+    r = blade_plus.at(x)
+    patch_mismatch = max_abs(r - blade_minus.at(x))
+    winding_mismatch = max_abs(blade_plus.at(x_wound) - r)
     single = patch_mismatch <= tol and winding_mismatch <= tol
     return GlueReport(blade_plus, single, patch_mismatch, winding_mismatch)

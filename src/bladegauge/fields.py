@@ -8,10 +8,13 @@ stencils).
 Every field takes a stack of points: x shaped (..., d) gives values shaped
 (...) + field shape, and so do `d` and `d2`.  A single point (d,) is the
 stack with no batch axes.  Entry i of a stacked result has the bits of the
-same query at the point x[i] alone, so a sweep over many points makes one
-call per query instead of one per point.  Leaves with no closed stacked form
-(the orthogonal complement, the canonical frame, the embedded charts) are
-lifted by the private `_pointwise` adapter, which loops over the points.
+same query at the point x[i] alone, so library callers pass their sample
+points as one (P, d) stack and make one call per query.  Leaves with no
+closed stacked form (the pivoted Gram-Schmidt complement, the canonical
+frame, the embedded charts) loop over the points in the private `_pointwise`
+adapter.  `lattice_integral` and the `point_map` of
+`dynamics.blade_lattice_from_field` take one point at a time, because their
+callers write those callables for a single point.
 
 Every combinator states its derivatives through one of three rules:
 
@@ -524,13 +527,14 @@ def closedness_residual(f, x):
 
 
 # -- pointwise wedge algebra -------------------------------------------------
-# p-form values are dicts {strictly increasing index tuple: complex}.
+# p-form values are dicts {strictly increasing index tuple: value}, each value
+# a scalar at one point or a (...) stack of them at a (..., d) point stack.
 
 def one_form_values(a, x):
-    return {(mu,): complex(a.components[mu](x)) for mu in range(a.spacetime.dim)}
+    return {(mu,): a.components[mu](x) for mu in range(a.spacetime.dim)}
 
 def two_form_values(f, x):
-    return {key: complex(c(x)) for key, c in f.upper.items()}
+    return {key: c(x) for key, c in f.upper.items()}
 
 
 def _shuffle_sign(j, k):
@@ -565,11 +569,8 @@ def wedge_power_nonzero(a, da, r, sample_points, tol=1e-9):
     d = a.spacetime.dim
     if 2 * r + 1 > d:
         raise RankError(f"a ({2 * r + 1})-form cannot live in dimension {d}")
-    for x in sample_points:
-        vals = wedge_power_values(a, da, r, x)
-        if any(abs(v) > tol for v in vals.values()):
-            return True
-    return False
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, d)
+    return any(np.any(np.abs(v) > tol) for v in wedge_power_values(a, da, r, pts).values())
 
 
 def form_rank(a, sample_points, tol=1e-9):
@@ -580,21 +581,18 @@ def form_rank(a, sample_points, tol=1e-9):
     rank-not-constant warning is emitted and the maximum is returned.
     """
     d = a.spacetime.dim
-    da = exterior_d(a)
-    per_sample = []
-    for x in sample_points:
-        best = 0
-        r = 0
-        while 2 * r + 1 <= d:
-            if wedge_power_nonzero(a, da, r, [x], tol):
-                best = r
-            r += 1
-        per_sample.append(best)
-    ranks = set(per_sample)
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, d)
+    vals = one_form_values(a, pts)
+    dvals = two_form_values(exterior_d(a), pts)
+    per_sample = np.zeros(len(pts), dtype=int)
+    for r in range(1, (d - 1) // 2 + 1):  # every r >= 1 with 2r + 1 <= d
+        vals = wedge(vals, dvals)  # A wedge (dA)^r from A wedge (dA)^(r-1)
+        per_sample[np.any([np.abs(v) > tol for v in vals.values()], axis=0)] = r
+    ranks = set(per_sample.tolist())
     if len(ranks) > 1:
         warnings.warn(f"form rank varies across samples: {sorted(ranks)}; returning max",
                       stacklevel=2)
-    return max(per_sample) if per_sample else 0
+    return int(per_sample.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +615,11 @@ def sphere_flux(f: TwoForm, radius=1.0, quadrature_order=16, n_phi=None):
     wtheta = 0.5 * np.pi * weights
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     dphi = 2.0 * np.pi / n_phi
-    comp = f.component(1, 2)
-    total = 0.0
-    for th, wt in zip(thetas, wtheta):
-        for ph in phis:
-            total += wt * dphi * complex(comp(np.array([radius, th, ph]))).real
-    return total
+    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    nodes = np.stack([np.full_like(th, radius), th, ph], axis=-1)
+    terms = (wtheta[:, None] * dphi) * np.real(f.component(1, 2)(nodes))
+    # a running sum in node order (theta outer, phi inner) keeps the flux's bits
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -667,5 +664,6 @@ class Grid:
 
 def lattice_integral(f, grid: Grid):
     """Midpoint-rule integral of a scalar field over the grid box."""
+    # point by point: `scalar_field` accepts integrands written for one point
     vals = [complex(f(p)) for p in grid.centers()]
     return float(np.real(np.sum(vals))) * grid.cell_volume

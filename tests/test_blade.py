@@ -15,7 +15,7 @@ from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, blade_curvature,
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError
-from bladegauge.fields import FieldFn, OneForm, constant, matrix_of
+from bladegauge.fields import FieldFn, OneForm, constant, coordinate, matrix_of
 from bladegauge.gauge import field_strength, gauge_transform
 from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
                                unitary_exp_frechet)
@@ -29,6 +29,21 @@ def test_frame_orthonormal_and_validate(points4, st4):
     bad = frame(st4, 2.0 * v.V)
     with pytest.raises(ConsistencyError):
         validate_frame(bad, points4[0])
+
+
+def test_stack_errors_name_the_failing_point(st4):
+    # V = (1 + x0, 0)^T has orthonormal columns only where x0 = 0
+    bad = matrix_of([[constant(1.0, st4) + coordinate(st4, 0)], [0.0]])
+    pts = np.array([[0.0, 0.1, 0.2, 0.3], [0.3, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6]])
+    with pytest.raises(ConsistencyError, match=r"orthonormal: .* at \[0\.3, 0\.1, 0\.2, 0\.3\]$"):
+        frame(st4, bad, check_points=pts)
+    frame(st4, bad, check_points=pts[[0, 2]])
+    # with no budget every point fails; the message names the largest discrepancy's point
+    blade = blade_from_frame(random_smooth_frame(st4, 4, 2, seed=3))
+    worst = pts[np.argmax([four_way(blade, x, 0, 1)[1] for x in pts])]
+    with pytest.raises(ConsistencyError) as exc:
+        check_four_way(blade, pts, 0, 1, tol=0.0)
+    assert str(exc.value).endswith(f"at {np.round(worst, 6).tolist()}")
 
 
 def test_random_smooth_frame_deterministic(st4):

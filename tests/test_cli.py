@@ -512,8 +512,13 @@ GRID4 = ",".join(["0:1:1"] * 4)
     ["verify", "--scenario", "planewave", "--n", "0,1,,0"],
     ["sigma-flow", "--cells", "10", "--steps", "1"],
     ["sigma-flow", "--theta-band", "0.3", "--steps", "1"],
+    ["sigma-flow", "--steps", "-3"],
+    ["sigma-flow", "--steps", "1", "--eta", "nan"],
+    ["embedded", "--surface", "sphere", "--samples", "0"],
+    ["embedded", "--surface", "sphere", "--samples", "-2"],
 ], ids=["grid_two_fields", "grid_not_a_number", "grid_zero_cells", "grid_three_axes",
-        "k_not_a_number", "n_empty_entry", "cells_one_count", "theta_band_one_bound"])
+        "k_not_a_number", "n_empty_entry", "cells_one_count", "theta_band_one_bound",
+        "negative_steps", "eta_nan", "zero_samples", "negative_samples"])
 def test_malformed_cli_specs_exit_2(argv, capsys):
     try:
         code = main(argv)

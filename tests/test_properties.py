@@ -234,3 +234,87 @@ def test_stacked_leaf_queries_equal_point_queries(name, data):
 def test_stacked_rule_queries_equal_point_queries(name, data):
     f, lo, hi = STACK_RULES[name]
     _assert_stack_matches_points(f, _draw_stack(data, lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# stack-aware library functions: one call on a point stack gives, entry by
+# entry, the bits of the same call at each point alone
+
+def _em_residual_pairs():
+    from bladegauge.em import em_potential_residual, monopole_params, monopole_potential
+    x = np.insert(np.random.default_rng(7).uniform((0.3, 0.0), (np.pi - 0.3, 2 * np.pi),
+                                                   (6, 2)), 0, 1.0, axis=1)
+    p, a = monopole_params(0.3, "minus"), monopole_potential(0.3, "minus")
+    return [(em_potential_residual(p, a, mu, x)[i], em_potential_residual(p, a, mu, xi))
+            for mu in range(3) for i, xi in enumerate(x)]
+
+
+def _wedge_pairs():
+    from bladegauge.darboux import darboux_data, darboux_one_form
+    from bladegauge.fields import exterior_d, two_form_values, wedge
+    data = darboux_data(MINKOWSKI4, [("0.5*sin(x0)", "x1*x2"), ("0.4*cos(x2)", "x3")],
+                        [-0.8] * 4, [0.8] * 4)
+    da = exterior_d(darboux_one_form(data))
+    x = np.random.default_rng(8).uniform(-0.8, 0.8, (5, 4))
+    vals = two_form_values(da, x)
+    stacked = wedge(vals, vals)
+    pairs = []
+    for i, xi in enumerate(x):
+        one = two_form_values(da, xi)
+        pairs += [(vals[key][i], one[key]) for key in vals]
+        pairs += [(value[i], wedge(one, one)[key]) for key, value in stacked.items()]
+    return pairs
+
+
+def _form_rank_pairs():
+    import warnings
+    from bladegauge.fields import OneForm, constant, coordinate, form_rank
+    st = MINKOWSKI4
+    zero = constant(0.0, st)
+    a = OneForm(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    # rank 0 on the x0 = x2 = 0 slice, rank 1 off it
+    x = np.array([[0.0, 0.5, 0.0, 0.5], [1.0, 0.5, 1.0, 0.5], [0.0, 0.2, 0.0, 0.7],
+                  [0.3, -0.4, 0.8, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ranks = [form_rank(a, [xi]) for xi in x]
+        return [(form_rank(a, x[:k]), max(ranks[:k])) for k in range(1, len(x) + 1)]
+
+
+def _lattice_pairs():
+    from bladegauge.dynamics import blade_lattice_from_field
+    from bladegauge.em import monopole_blade
+    from bladegauge.fields import Grid
+    blade = monopole_blade(0.5)
+    grid = Grid(lo=(0.3 * np.pi, 0.0), hi=(0.7 * np.pi, 2 * np.pi), cells=(3, 4))
+    lat = blade_lattice_from_field(blade, grid, point_map=lambda p: np.array([1.0, p[0], p[1]]))
+    centers = grid.centers().reshape(3, 4, 2)
+    return [(lat.sites[i], blade.at(np.array([1.0, *centers[i]]))) for i in np.ndindex(3, 4)]
+
+
+def _sphere_flux_pairs():
+    from bladegauge.em import monopole_field_strength
+    from bladegauge.fields import sphere_flux
+    f = monopole_field_strength(0.5)
+    comp = f.component(1, 2)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    total = 0.0
+    for th, wt in zip(0.5 * np.pi * (nodes + 1.0), 0.5 * np.pi * weights):
+        for ph in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
+            total += wt * (2.0 * np.pi / 24) * complex(comp(np.array([1.0, th, ph]))).real
+    return [(sphere_flux(f, quadrature_order=6), total)]
+
+
+STACK_CALLS = {
+    "em_potential_residual": _em_residual_pairs,
+    "two_form_values_wedge": _wedge_pairs,
+    "form_rank": _form_rank_pairs,
+    "blade_lattice_from_field": _lattice_pairs,
+    "sphere_flux": _sphere_flux_pairs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CALLS))
+def test_stacked_library_calls_equal_point_calls(name):
+    for stacked, single in STACK_CALLS[name]():
+        assert _same_bits(stacked, single), (stacked, single)
