@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _pointwise, _worst_point,
-                     constant, hstack, identity_field, two_form)
+from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _worst_point, constant,
+                     hstack, identity_field, two_form)
 from .gauge import GaugeMap, field_strength, gauge_map, gauge_potential
 from .linalg import (_divided_differences, _exp_in_eigenbasis,
                      _frechet_in_eigenbasis, _require_hermitian, commutator,
@@ -244,7 +244,7 @@ def blade_curvature(blade: RotatingBlade, check_points=(), tol=None) -> TwoForm:
 # orthogonal complement and shape gauge
 
 def complement_frame(f: Frame, x, pivot_tol=TOL.gram_schmidt_pivot):
-    """Deterministic orthonormal basis of the complement of range V(x).
+    """Deterministic orthonormal basis of the complement of range V(x), x a point or a stack.
 
     Greedy pivoted Gram-Schmidt over the identity columns: each step picks
     the candidate with the largest residual norm (lowest index on ties) and
@@ -258,8 +258,7 @@ def complement_frame(f: Frame, x, pivot_tol=TOL.gram_schmidt_pivot):
 
 def complement_field(f: Frame, pivot_tol=TOL.gram_schmidt_pivot) -> FieldFn:
     """The complement as a (finite-difference differentiable) field."""
-    return FieldFn(f.spacetime, (f.N, f.N - f.n),
-                   _pointwise(lambda x: complement_frame(f, x, pivot_tol)),
+    return FieldFn(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x, pivot_tol),
                    None, None, f.V.fd_step)
 
 
@@ -330,19 +329,16 @@ def shape_gauge_decompose(f: Frame, w: FieldFn, check_points=(), tol=None) -> Sh
 # canonical (Cartan-factor) frame
 
 def canonical_frame(p, v0, tol=TOL.chart_min_overlap):
-    """The preferred frame for the subspace range(P), relative to V0.
+    """The preferred frame for the subspace range(P), relative to V0; P may be a stack.
 
     Returns V_can = U1 V0, where U1 is the direct rotation carrying
     range(V0) onto range(P) (the unitary with U1 R0 = R0 U1^dag).  Valid on
     the chart where all principal angles between the subspaces stay below
-    pi/2; outside it the overlap block is singular and a ChartError is
-    raised rather than picking an arbitrary branch.
+    pi/2; where any point of a stack leaves it, the overlap block is singular
+    and a ChartError is raised rather than picking an arbitrary branch.
     """
-    q = _range_basis(p)
     v0 = np.asarray(v0, dtype=complex)
-    n = v0.shape[1]
-    if q.shape[1] != n:
-        raise DimensionMismatchError("projector rank differs from reference frame width")
+    q = _range_basis(p, v0.shape[1])
     x = dagger(v0) @ q
     u_left, sing, vh = np.linalg.svd(x)
     if sing.min() < tol:
@@ -363,7 +359,7 @@ def direct_rotation(p, v0, w0=None, tol=TOL.chart_min_overlap):
     N, n = v0.shape
     if w0 is None:
         w0 = _complete_columns(v0)
-    q = _range_basis(p)
+    q = _range_basis(p, n)
     x = dagger(v0) @ q
     y = dagger(w0) @ q
     u_left, sing, vh = np.linalg.svd(x)
@@ -390,49 +386,49 @@ def direct_rotation(p, v0, w0=None, tol=TOL.chart_min_overlap):
 def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
     """Pointwise canonical frame as a field (finite-difference derivatives)."""
     P = blade.projector
-    return FieldFn(blade.spacetime, (blade.N, blade.n),
-                   _pointwise(lambda x: canonical_frame(P(x), v0)),
+    return FieldFn(blade.spacetime, (blade.N, blade.n), lambda x: canonical_frame(P(x), v0),
                    None, None, blade.R.fd_step)
 
 
-def _range_basis(p, thresh=0.5):
-    """Orthonormal basis of the range of a Hermitian projector value."""
-    p = np.asarray(p, dtype=complex)
+def _range_basis(p, n, thresh=0.5):
+    """Orthonormal basis of the range of a rank-n Hermitian projector, or of each in a stack."""
     lam, q = np.linalg.eigh(hermitian_part(p))
-    cols = [q[:, j] for j in range(p.shape[0]) if lam[j] > thresh]
-    return np.stack(cols, axis=-1)
+    if _any(np.count_nonzero(lam > thresh, axis=-1) != n):
+        raise DimensionMismatchError("projector rank differs from reference frame width")
+    return q[..., q.shape[-1] - n:]  # eigh sorts the eigenvalues ascending
 
 
 def _complete_columns(v, pivot_tol=TOL.gram_schmidt_pivot):
-    """Greedy-pivoted orthonormal completion of orthonormal columns."""
-    N, n = v.shape
-    basis = [v[:, j] for j in range(n)]
-    out = []
-    if n == N:
-        return np.zeros((N, 0), dtype=complex)
-    remaining = list(range(N))
-    while len(out) < N - n:
-        best_norm = -1.0
-        best = None
-        for j in remaining:
-            w = np.zeros(N, dtype=complex)
-            w[j] = 1.0
-            for _ in range(2):  # twice for numerical orthogonality
-                for b in basis:
-                    w = w - b * np.vdot(b, w)
-            norm = np.linalg.norm(w)
-            if norm > best_norm + 1e-12:  # strict improvement: lowest index wins ties
-                best_norm = norm
-                best = (j, w)
-        j, w = best
-        remaining.remove(j)
-        if best_norm <= pivot_tol:
+    """Greedy-pivoted orthonormal completion of the orthonormal columns of a (..., N, n) stack.
+
+    Candidate e_j is row j of one (..., N, N) array; contiguous rows make `vecdot`
+    the dot kernel of `np.vdot`, so each point keeps the bits it has alone.
+    """
+    N, n = v.shape[-2:]
+    batch = v.shape[:-2]
+    basis = [v[..., :, j] for j in range(n)]
+    taken = np.zeros(batch + (N,), dtype=bool)
+    for _ in range(N - n):
+        w = np.broadcast_to(np.eye(N, dtype=complex), batch + (N, N))
+        for _ in range(2):  # twice for numerical orthogonality
+            for b in basis:
+                w = w - b[..., None, :] * np.vecdot(b[..., None, :], w)[..., None]
+        norms = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
+        best_norm = np.full(batch, -1.0)
+        best = np.zeros(batch, dtype=int)
+        for j in range(N):  # strict improvement: lowest index wins ties
+            better = ~taken[..., j] & (norms[..., j] > best_norm + 1e-12)
+            best_norm = np.where(better, norms[..., j], best_norm)
+            best = np.where(better, j, best)
+        if _any(best_norm <= pivot_tol):
+            i = np.unravel_index(np.argmin(best_norm), batch)
+            where = f"stack index {[int(k) for k in i]}" if batch else "this point"
             raise ConsistencyError(
-                f"cannot complete the frame at this point (pivot norm {best_norm:.2e})")
-        w = w / best_norm
-        basis.append(w)
-        out.append(w)
-    return np.stack(out, axis=-1)
+                f"cannot complete the frame at {where} (pivot norm {best_norm[i]:.2e})")
+        np.put_along_axis(taken, best[..., None], True, axis=-1)
+        pick = np.take_along_axis(w, best[..., None, None], axis=-2)[..., 0, :]
+        basis.append(pick / best_norm[..., None])
+    return np.stack(basis[n:], axis=-1) if N > n else np.zeros(v.shape[:-1] + (0,), dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import csv
 import itertools
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -70,7 +71,7 @@ def _build_parser():
 
     r = sub.add_parser("residuals", help="equation-of-motion residual sweep")
     _common_flags(r)
-    r.add_argument("--fd-step", type=float, default=None)
+    r.add_argument("--fd-step", type=_float, default=None)
     r.add_argument("--eq", required=True,
                    choices=["ym", "modified", "maxmod", "shape", "sigma"])
     r.add_argument("--grid", type=_grid, default=None,
@@ -79,14 +80,14 @@ def _build_parser():
     r.set_defaults(func=cmd_residuals)
 
     f = sub.add_parser("sigma-flow", help="gradient flow of the lattice energy")
-    f.add_argument("--g", type=float, default=None,
+    f.add_argument("--g", type=_float, default=None,
                    help="monopole strength for the band fixture (default 0.5)")
     f.add_argument("--theta-band", type=_theta_band, default=None,
                    help="theta band as fractions of pi, lo:hi (default 0.35:0.65)")
     f.add_argument("--cells", type=_cells, default=None,
                    help="lattice cells as THETAxPHI (default 10x16)")
     f.add_argument("--steps", type=int, default=200)
-    f.add_argument("--eta", type=float, default=2e-3)
+    f.add_argument("--eta", type=_float, default=2e-3)
     f.add_argument("--init", default=None,
                    help="lattice JSON to start from instead of the band fixture")
     f.add_argument("--dump-final", default=None, help="write the final lattice here")
@@ -100,9 +101,9 @@ def _build_parser():
 
     e = sub.add_parser("embedded", help="embedded-surface curvature table")
     e.add_argument("--surface", required=True, choices=list(_SURFACES))
-    e.add_argument("--a", type=float, default=None, help="sphere radius (default 1)")
-    e.add_argument("--rmaj", type=float, default=None, help="torus major radius (default 2)")
-    e.add_argument("--rmin", type=float, default=None, help="torus minor radius (default 0.5)")
+    e.add_argument("--a", type=_float, default=None, help="sphere radius (default 1)")
+    e.add_argument("--rmaj", type=_float, default=None, help="torus major radius (default 2)")
+    e.add_argument("--rmin", type=_float, default=None, help="torus minor radius (default 0.5)")
     e.add_argument("--samples", type=_count, default=5, help="samples per chart axis")
     e.add_argument("--csv", default=None)
     e.add_argument("--report", default=None)
@@ -117,7 +118,7 @@ def _common_flags(sp):
     sp.add_argument("--k", type=_vector, default=None, help="wave vector, comma separated")
     sp.add_argument("--n", type=_vector, default=None,
                     help="polarization vector, comma separated")
-    sp.add_argument("--g", type=float, default=None, help="monopole strength")
+    sp.add_argument("--g", type=_float, default=None, help="monopole strength")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--report", default=None, help="write the JSON report here")
 
@@ -140,9 +141,17 @@ def _split(text, sep, count):
     return parts
 
 
+def _finite(text):
+    """float(text); a ConfigError, which is a ValueError, when that is not finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
 def _parse_grid(text):
     axes = [_split(ax, ":", 3) for ax in text.split(",")]
-    return Grid(lo=tuple(float(a[0]) for a in axes), hi=tuple(float(a[1]) for a in axes),
+    return Grid(lo=tuple(_finite(a[0]) for a in axes), hi=tuple(_finite(a[1]) for a in axes),
                 cells=tuple(int(a[2]) for a in axes))
 
 
@@ -153,12 +162,19 @@ def _parse_count(text):
     return count
 
 
-_vector = _spec("comma-separated numbers", lambda t: [float(c) for c in t.split(",")])
-_grid = _spec("lo:hi:cells on each axis, cells >= 1", _parse_grid)
+_float = _spec("a finite number", _finite)
+_vector = _spec("comma-separated finite numbers", lambda t: [_finite(c) for c in t.split(",")])
+_grid = _spec("lo:hi:cells on each axis, lo and hi finite, cells >= 1", _parse_grid)
 _count = _spec("a positive integer", _parse_count)
 _cells = _spec("THETAxPHI cell counts", lambda t: tuple(int(c) for c in _split(t, "x", 2)))
 _theta_band = _spec("lo:hi fractions of pi",
-                    lambda t: tuple(float(c) for c in _split(t, ":", 2)))
+                    lambda t: tuple(_finite(c) for c in _split(t, ":", 2)))
+
+
+def _read_json(path):
+    """The JSON file at path, whose numbers must be finite: no NaN, Infinity or 1e999."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 # top-level config keys each command reads; setting any other one exits 2
@@ -180,8 +196,7 @@ def _check_reads(cfg, command):
 def _resolve_config(args):
     cfg = {}
     if args.input:
-        with open(args.input) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.input)
     if args.scenario:
         cfg["scenario"] = args.scenario
     params = cfg.setdefault("params", {})
@@ -234,7 +249,8 @@ def _check(name, value, threshold, expect_pass=True):
 def cmd_verify(args):
     cfg = _resolve_config(args)
     seed = int(cfg.get("seed", 0))
-    tol = _resolve_tolerances(cfg)
+    # the schema admits only the overrides the checks compare against
+    tol = replace(TOL, **cfg.get("tolerances", {}))
     checks = _generic_identity_checks(seed, tol=tol)
     checks += _embedded_cross_checks(tol)
     scenario = cfg["scenario"]
@@ -250,17 +266,6 @@ def cmd_verify(args):
     report["all_passed"] = all(c["passed"] for c in checks)
     _emit(report, args.report)
     return 0 if report["all_passed"] else 1
-
-
-def _resolve_tolerances(cfg):
-    import dataclasses
-    overrides = cfg.get("tolerances", {})
-    known = {f.name for f in dataclasses.fields(TOL)}
-    bad = set(overrides) - known
-    if bad:
-        raise ConfigError(f"unknown tolerance overrides: {sorted(bad)}",
-                          schema_path=["tolerances"])
-    return dataclasses.replace(TOL, **overrides)
 
 
 def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
@@ -551,8 +556,7 @@ def _save_lattice(lat, path):
 
 def _load_lattice(path):
     from .dynamics import LatticeBlade
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     arr = np.asarray(payload["sites"], dtype=float)
     sites = arr[..., 0] + 1j * arr[..., 1]
     frozen = payload.get("frozen")
@@ -565,8 +569,7 @@ def _load_lattice(path):
 # darboux
 
 def cmd_darboux(args):
-    with open(args.input) as fh:
-        raw = json.load(fh)
+    raw = _read_json(args.input)
     cfg = raw if "scenario" in raw else {"scenario": "darboux", "params": raw}
     _check_reads(validate_config(cfg), "darboux")
     if cfg["scenario"] != "darboux":

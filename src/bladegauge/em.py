@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blade import Frame, RotatingBlade, blade_from_frame, frame
-from .errors import ChartError
+from .errors import ChartError, ParameterError
 from .fields import (FieldFn, OneForm, Spacetime, SPHERICAL3, TwoForm, _any, _worst_point,
                      constant, coordinate, cos_of, exp_i, linear, matrix_of, sin_of,
                      two_form)
@@ -143,7 +143,7 @@ def _pole_guarded_phi_component(g, sign, guard=TOL.pole_guard):
 
 def monopole_potential(g, patch) -> OneForm:
     """A^(+-) = g (+-1 - cos theta) d phi on the spherical chart."""
-    sign = 1.0 if patch == "plus" else -1.0
+    sign = _patch_sign(patch)
     zero = constant(np.zeros((1, 1), dtype=complex), SPHERICAL3)
     comps = [zero, zero, _pole_guarded_phi_component(g, sign)]
     return OneForm(SPHERICAL3, tuple(comps))
@@ -154,11 +154,15 @@ def monopole_params(g, patch) -> EmFrameParams:
     phi = coordinate(SPHERICAL3, 2)
     theta = coordinate(SPHERICAL3, 1)
     zero = constant(0.0, SPHERICAL3)
-    if patch == "plus":
-        alpha, beta = zero, 2.0 * g * phi
-    else:
-        alpha, beta = -2.0 * g * phi, zero
+    alpha, beta = (zero, 2.0 * g * phi) if _patch_sign(patch) > 0 else (-2.0 * g * phi, zero)
     return EmFrameParams(alpha=alpha, beta=beta, rho=0.5 * theta)
+
+
+def _patch_sign(patch):
+    """+1 on the "plus" patch, -1 on the "minus" patch; no other patch exists."""
+    if patch not in ("plus", "minus"):
+        raise ParameterError(f"unknown monopole patch {patch!r}; expected 'plus' or 'minus'")
+    return 1.0 if patch == "plus" else -1.0
 
 
 def monopole_blade(g) -> RotatingBlade:

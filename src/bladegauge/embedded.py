@@ -27,7 +27,7 @@ import numpy as np
 
 from .blade import RotatingBlade, blade_curvature
 from .errors import ChartError
-from .fields import FieldFn, _any, _pointwise, _worst_point, euclidean, identity_field
+from .fields import FieldFn, _any, _worst_point, euclidean, identity_field
 
 __all__ = [
     "Embedding", "plane", "sphere", "cylinder", "torus",
@@ -41,8 +41,8 @@ class Embedding:
     """Smooth real f: R^d -> R^N, (N,)-valued, with independent tangent vectors f_mu.
 
     d is f.spacetime.dim and N is f.shape[0].  jac(x) -> (..., N, d) and
-    hess(x) -> (..., N, d, d), when given, are the whole Jacobian and Hessian
-    in one evaluation per point; without them both come from f's derivatives.
+    hess(x) -> (..., N, d, d), when given, give a point stack's Jacobian and
+    Hessian in one evaluation; without them both come from f's derivatives.
     """
 
     f: FieldFn
@@ -51,23 +51,31 @@ class Embedding:
 
 
 def _chart_field(d, N, value, jac, hess):
-    """The chart of per-point value, Jacobian and Hessian functions, lifted to stacks."""
-    value, jac, hess = _pointwise(value), _pointwise(jac), _pointwise(hess)
+    """The chart of value, Jacobian and Hessian functions of a (..., d) point stack."""
     f = FieldFn(euclidean(d), (N,), value, lambda x, mu: jac(x)[..., mu],
                 lambda x, mu, nu: hess(x)[..., mu, nu])
     return Embedding(f, jac, hess)
 
 
+def _at(x, entries):
+    """np.array(entries) at each point of the stack x; leaves are arrays over it or numbers."""
+    if x.ndim == 1:
+        return np.array(entries)
+    if isinstance(entries, list):
+        return np.stack([_at(x, e) for e in entries], axis=x.ndim - 1)
+    return np.broadcast_to(entries, x.shape[:-1])
+
+
 def plane():
     """f(u, v) = (u, v, 0)."""
     def value(x):
-        return np.array([x[0], x[1], 0.0])
+        return _at(x, [x[..., 0], x[..., 1], 0.0])
 
     def jac(x):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        return _at(x, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def hess(x):
-        return np.zeros((3, 2, 2))
+        return _at(x, [[[0.0, 0.0], [0.0, 0.0]]] * 3)
 
     return _chart_field(2, 3, value, jac, hess)
 
@@ -75,24 +83,26 @@ def plane():
 def sphere(a=1.0):
     """Radius-a sphere in the (theta, phi) chart."""
     def value(x):
-        th, ph = x
-        return a * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        th, ph = x[..., 0], x[..., 1]
+        return a * _at(x, [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
 
     def jac(x):
-        th, ph = x
-        return a * np.array([
+        th, ph = x[..., 0], x[..., 1]
+        return a * _at(x, [
             [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
             [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
             [-np.sin(th), 0.0],
         ])
 
     def hess(x):
-        th, ph = x
-        h = np.zeros((3, 2, 2))
-        h[:, 0, 0] = a * np.array([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), -np.cos(th)])
-        h[:, 0, 1] = h[:, 1, 0] = a * np.array([-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), 0.0])
-        h[:, 1, 1] = a * np.array([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), 0.0])
-        return h
+        th, ph = x[..., 0], x[..., 1]
+        return a * _at(x, [
+            [[-np.sin(th) * np.cos(ph), -np.cos(th) * np.sin(ph)],
+             [-np.cos(th) * np.sin(ph), -np.sin(th) * np.cos(ph)]],
+            [[-np.sin(th) * np.sin(ph), np.cos(th) * np.cos(ph)],
+             [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)]],
+            [[-np.cos(th), 0.0], [0.0, 0.0]],
+        ])
 
     return _chart_field(2, 3, value, jac, hess)
 
@@ -100,15 +110,15 @@ def sphere(a=1.0):
 def cylinder():
     """f(u, v) = (cos u, sin u, v); flat metric, nonzero shape operator."""
     def value(x):
-        return np.array([np.cos(x[0]), np.sin(x[0]), x[1]])
+        return _at(x, [np.cos(x[..., 0]), np.sin(x[..., 0]), x[..., 1]])
 
     def jac(x):
-        return np.array([[-np.sin(x[0]), 0.0], [np.cos(x[0]), 0.0], [0.0, 1.0]])
+        return _at(x, [[-np.sin(x[..., 0]), 0.0], [np.cos(x[..., 0]), 0.0], [0.0, 1.0]])
 
     def hess(x):
-        h = np.zeros((3, 2, 2))
-        h[:, 0, 0] = np.array([-np.cos(x[0]), -np.sin(x[0]), 0.0])
-        return h
+        return _at(x, [[[-np.cos(x[..., 0]), 0.0], [0.0, 0.0]],
+                       [[-np.sin(x[..., 0]), 0.0], [0.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 0.0]]])
 
     return _chart_field(2, 3, value, jac, hess)
 
@@ -116,29 +126,29 @@ def cylinder():
 def torus(rmaj=2.0, rmin=0.5):
     """Standard torus; Gauss curvature cos v / (rmin (rmaj + rmin cos v))."""
     def value(x):
-        u, v = x
+        u, v = x[..., 0], x[..., 1]
         w = rmaj + rmin * np.cos(v)
-        return np.array([w * np.cos(u), w * np.sin(u), rmin * np.sin(v)])
+        return _at(x, [w * np.cos(u), w * np.sin(u), rmin * np.sin(v)])
 
     def jac(x):
-        u, v = x
+        u, v = x[..., 0], x[..., 1]
         w = rmaj + rmin * np.cos(v)
-        return np.array([
+        return _at(x, [
             [-w * np.sin(u), -rmin * np.sin(v) * np.cos(u)],
             [w * np.cos(u), -rmin * np.sin(v) * np.sin(u)],
             [0.0, rmin * np.cos(v)],
         ])
 
     def hess(x):
-        u, v = x
+        u, v = x[..., 0], x[..., 1]
         w = rmaj + rmin * np.cos(v)
-        h = np.zeros((3, 2, 2))
-        h[:, 0, 0] = np.array([-w * np.cos(u), -w * np.sin(u), 0.0])
-        h[:, 0, 1] = h[:, 1, 0] = np.array([rmin * np.sin(v) * np.sin(u),
-                                            -rmin * np.sin(v) * np.cos(u), 0.0])
-        h[:, 1, 1] = np.array([-rmin * np.cos(v) * np.cos(u),
-                               -rmin * np.cos(v) * np.sin(u), -rmin * np.sin(v)])
-        return h
+        return _at(x, [
+            [[-w * np.cos(u), rmin * np.sin(v) * np.sin(u)],
+             [rmin * np.sin(v) * np.sin(u), -rmin * np.cos(v) * np.cos(u)]],
+            [[-w * np.sin(u), -rmin * np.sin(v) * np.cos(u)],
+             [-rmin * np.sin(v) * np.cos(u), -rmin * np.cos(v) * np.sin(u)]],
+            [[0.0, 0.0], [0.0, -rmin * np.sin(v)]],
+        ])
 
     return _chart_field(2, 3, value, jac, hess)
 

@@ -9,12 +9,9 @@ Every field takes a stack of points: x shaped (..., d) gives values shaped
 (...) + field shape, and so do `d` and `d2`.  A single point (d,) is the
 stack with no batch axes.  Entry i of a stacked result has the bits of the
 same query at the point x[i] alone, so library callers pass their sample
-points as one (P, d) stack and make one call per query.  Leaves with no
-closed stacked form (the pivoted Gram-Schmidt complement, the canonical
-frame, the embedded charts) loop over the points in the private `_pointwise`
-adapter.  `lattice_integral` and the `point_map` of
-`dynamics.blade_lattice_from_field` take one point at a time, because their
-callers write those callables for a single point.
+points as one (P, d) stack and make one call per query.  `lattice_integral`
+and the `point_map` of `dynamics.blade_lattice_from_field` take one point at
+a time, because their callers write those callables for a single point.
 
 Every combinator states its derivatives through one of three rules:
 
@@ -318,20 +315,6 @@ def _uniform(value, shape=()):
 def _any(mask):
     """Whether a per-point mask is set anywhere; a lone point's mask is a scalar."""
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _pointwise(fn):
-    """Lift fn(x, *args), written for one point, to (..., d) stacks of points.
-
-    The adapter for leaves with no closed stacked form: it evaluates the
-    points one by one, in C order, and stacks the values in the stack's shape.
-    """
-    def lifted(x, *args):
-        if x.ndim == 1:
-            return fn(x, *args)
-        values = np.stack([fn(p, *args) for p in x.reshape(-1, x.shape[-1])])
-        return values.reshape(x.shape[:-1] + values.shape[1:])
-    return lifted
 
 
 def _worst_point(err, x):

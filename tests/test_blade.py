@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, blade_curvature,
+from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, _complete_columns, blade_curvature,
                               blade_from_frame, canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
                               check_four_way, direct_rotation,
@@ -14,7 +14,7 @@ from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, blade_curvature,
                               shape_identity_residual, shape_operator,
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
-from bladegauge.errors import ChartError, ConsistencyError
+from bladegauge.errors import ChartError, ConsistencyError, DimensionMismatchError
 from bladegauge.fields import FieldFn, OneForm, constant, coordinate, matrix_of
 from bladegauge.gauge import field_strength, gauge_transform
 from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
@@ -417,6 +417,59 @@ def test_complement_unitary_for_random_frames(st4, points4):
         assert max_abs(dagger(u) @ u - np.eye(5)) < 1e-10
 
 
+def _reference_complete_columns(v, pivot_tol=TOL.gram_schmidt_pivot):
+    """The one-point pivoted Gram-Schmidt loop whose bits the stacked completion keeps."""
+    N, n = v.shape
+    basis = [v[:, j] for j in range(n)]
+    out = []
+    remaining = list(range(N))
+    while len(out) < N - n:
+        best_norm = -1.0
+        best = None
+        for j in remaining:
+            w = np.zeros(N, dtype=complex)
+            w[j] = 1.0
+            for _ in range(2):
+                for b in basis:
+                    w = w - b * np.vdot(b, w)
+            norm = np.linalg.norm(w)
+            if norm > best_norm + 1e-12:
+                best_norm = norm
+                best = (j, w)
+        j, w = best
+        remaining.remove(j)
+        assert best_norm > pivot_tol
+        w = w / best_norm
+        basis.append(w)
+        out.append(w)
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("N, n", [(2, 1), (3, 2), (4, 1), (4, 2), (6, 3)])
+def test_stacked_completion_bit_identical_to_point_loop(N, n):
+    rng = np.random.default_rng(10 * N + n)
+    q = np.linalg.qr(rng.normal(size=(24, N, N)) + 1j * rng.normal(size=(24, N, N)))[0]
+    # identity columns with phases: the residual norms tie, so the pivot order decides
+    ties = np.stack([np.eye(N)[:, rng.permutation(N)[:n]] * np.exp(1j * rng.uniform(0, 6, n))
+                     for _ in range(24)])
+    ties[:4] = np.eye(N)[:, :n]
+    for v in (q[..., :n], ties):
+        stacked = _complete_columns(v.reshape(4, 6, N, n))
+        assert stacked.shape == (4, 6, N, N - n)
+        for i, vi in zip(np.ndindex(4, 6), v):
+            want = _reference_complete_columns(vi)
+            assert stacked[i].tobytes() == want.tobytes()
+            assert _complete_columns(vi).tobytes() == want.tobytes()
+
+
+def test_completion_error_names_the_stack_index():
+    v = np.stack([np.eye(3, 1), np.full((3, 1), np.nan), np.eye(3, 1)])
+    with pytest.raises(ConsistencyError, match=r"at stack index \[1\] "):
+        _complete_columns(v)
+    with pytest.raises(ConsistencyError, match="at this point"):
+        _complete_columns(v[1])
+
+
 def test_shape_gauge_decompose_random_frame(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=71)
     w = complement_field(v)
@@ -460,6 +513,13 @@ def test_canonical_frame_out_of_chart():
     p_orth = np.array([[0.0, 0], [0, 1.0]], dtype=complex)  # orthogonal subspace
     with pytest.raises(ChartError):
         canonical_frame(p_orth, v0)
+    # a stack leaves the chart when any of its points does
+    p_in = np.array([[1.0, 0], [0, 0.0]], dtype=complex)
+    canonical_frame(np.stack([p_in, p_in]), v0)
+    with pytest.raises(ChartError):
+        canonical_frame(np.stack([p_in, p_orth]), v0)
+    with pytest.raises(DimensionMismatchError, match="projector rank"):
+        canonical_frame(np.stack([p_in, np.eye(2)]), v0)
 
 
 def test_direct_rotation_properties(st4, points4):

@@ -89,10 +89,18 @@ def test_verify_tolerance_overrides(tmp_path):
     check = next(c for c in rep["checks"] if c["name"] == "blade_reflection_identity")
     assert check["threshold"] == 1e-16  # override applied; identities now fail
     assert code == 1
+    # flux_rel and gluing are read too
+    cfgfile.write_text(json.dumps({"scenario": "monopole",
+                                   "tolerances": {"flux_rel": 0.25, "gluing": 1e-6}}))
+    assert main(["verify", "--input", str(cfgfile), "--report", str(out)]) == 0
+    thresholds = {c["name"]: c["threshold"] for c in read_json(out)["checks"]}
+    assert thresholds["monopole_flux_matches_4pi_g"] == 0.25
+    assert thresholds["monopole_patch_gluing"] == 1e-6
+    # no check reads any other tolerance, so overriding one would change nothing
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"scenario": "monopole",
-                               "tolerances": {"no_such_knob": 1.0}}))
-    assert main(["verify", "--input", str(bad)]) == 2
+    for knob in ("no_such_knob", "algebraic", "fd_step", "pole_guard", "gram_schmidt_pivot"):
+        bad.write_text(json.dumps({"scenario": "monopole", "tolerances": {knob: 0.1}}))
+        assert main(["verify", "--input", str(bad)]) == 2, knob
 
 
 def test_residuals_fd_step_override(tmp_path):
@@ -516,9 +524,17 @@ GRID4 = ",".join(["0:1:1"] * 4)
     ["sigma-flow", "--steps", "1", "--eta", "nan"],
     ["embedded", "--surface", "sphere", "--samples", "0"],
     ["embedded", "--surface", "sphere", "--samples", "-2"],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", "nan:1:1" + GRID4[5:]],
+    ["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", GRID4, "--k", "1,inf,0,1"],
+    ["verify", "--scenario", "monopole", "--g", "nan"],
+    ["verify", "--scenario", "monopole", "--g", "inf"],
+    ["embedded", "--surface", "sphere", "--a", "nan"],
+    ["embedded", "--surface", "torus", "--rmin", "inf"],
+    ["sigma-flow", "--theta-band", "0.3:nan", "--steps", "1"],
 ], ids=["grid_two_fields", "grid_not_a_number", "grid_zero_cells", "grid_three_axes",
         "k_not_a_number", "n_empty_entry", "cells_one_count", "theta_band_one_bound",
-        "negative_steps", "eta_nan", "zero_samples", "negative_samples"])
+        "negative_steps", "eta_nan", "zero_samples", "negative_samples", "grid_nan",
+        "k_inf", "g_nan", "g_inf", "radius_nan", "rmin_inf", "theta_band_nan"])
 def test_malformed_cli_specs_exit_2(argv, capsys):
     try:
         code = main(argv)
@@ -526,6 +542,25 @@ def test_malformed_cli_specs_exit_2(argv, capsys):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", '{"scenario": "monopole", "params": {"g": NaN}}'),
+    ("verify", '{"scenario": "monopole", "params": {"g": -Infinity}}'),
+    ("residuals", '{"scenario": "constant_F", "params": {"B": 1e999}}'),
+    ("darboux", '{"pairs": [{"pi": "0.5*sin(x0)", "phi": "x1"}], '
+                '"domain": {"lo": [NaN, 0, 0, 0], "hi": [1, 1, 1, 1]}}'),
+    ("sigma-flow", '{"sites": [[NaN]]}'),
+], ids=["verify_nan", "verify_minus_infinity", "residuals_overflow", "darboux_nan",
+        "lattice_nan"])
+def test_non_finite_json_numbers_exit_2(command, text, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    flag = "--init" if command == "sigma-flow" else "--input"
+    argv = [command, flag, str(path)] + (["--eq", "ym"] if command == "residuals" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "is not a finite number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("pi", ["0.5*1e", "(" * 300 + "x0" + ")" * 300],

@@ -8,7 +8,7 @@ from bladegauge.em import (EmFrameParams, em_complement, em_faraday, em_frame,
                            monopole_params, monopole_potential,
                            plane_wave_mod_condition, plane_wave_params,
                            plane_wave_potential, quantization_satisfied)
-from bladegauge.errors import ChartError
+from bladegauge.errors import ChartError, ParameterError
 from bladegauge.fields import (constant, exterior_d, linear, OneForm, sin_of,
                                sphere_flux, two_form_values, wedge)
 from bladegauge.linalg import SIGMA_X, dagger, max_abs
@@ -196,6 +196,12 @@ def test_monopole_pole_guard_names_the_worst_point_of_a_stack():
         am.at(xs, 2)
     msg = str(err.value)
     assert "[1.0, 0.0, 1.0]" in msg and "theta = 0" in msg and "3.14" not in msg
+
+
+def test_monopole_unknown_patch_is_rejected():
+    for build in (monopole_params, monopole_potential):
+        with pytest.raises(ParameterError, match="unknown monopole patch 'plux'"):
+            build(0.5, "plux")
 
 
 def test_monopole_params_solve_frame_equation():
