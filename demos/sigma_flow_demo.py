@@ -1,9 +1,11 @@
 """Gradient flow of the Grassmannian sigma-model energy on a lattice.
 
 Reflection-valued fields R(x) carry the Dirichlet-type energy
-(1/4) sum Tr(dR dR); descending it by per-site unitary conjugation keeps
-R^2 = I exact at every step.  The fixture is the monopole blade restricted to
-an equatorial theta band with pinned boundary rows and a periodic phi axis.
+(1/4) integral Tr(dR dR), discretized on nearest-neighbour links as
+(vol/4) sum_links Tr((R_{s+e} - R_s)^2) / h_e^2; descending it by per-site
+unitary conjugation keeps R^2 = I exact at every step.  The fixture is the
+monopole blade restricted to an equatorial theta band with pinned boundary
+rows, whose Dirichlet data pull on their neighbours, and a periodic phi axis.
 """
 
 import numpy as np

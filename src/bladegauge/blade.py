@@ -201,17 +201,11 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     """The four expressions at x, and each point's largest pairwise discrepancy."""
     s = shape_operator(blade)
     smu, snu = s.at(x, mu), s.at(x, nu)
-    # probe realization: apply -i [D_mu, D_nu] to the constant basis fields
-    n_dim = blade.N
-    cols = []
-    for j in range(n_dim):
-        e = np.zeros(n_dim, dtype=complex)
-        e[j] = 1.0
-        probe = constant(e, blade.spacetime)
-        dmu_dnu = lifted_field(s, lifted_field(s, probe, nu), mu)
-        dnu_dmu = lifted_field(s, lifted_field(s, probe, mu), nu)
-        cols.append(-1j * (dmu_dnu(x) - dnu_dmu(x)))
-    probe_val = np.stack(cols, axis=-1)
+    # probe realization: apply -i [D_mu, D_nu] to the identity, all basis columns at once
+    probe = identity_field(blade.spacetime, blade.N)
+    dmu_dnu = lifted_field(s, lifted_field(s, probe, nu), mu)
+    dnu_dmu = lifted_field(s, lifted_field(s, probe, mu), nu)
+    probe_val = -1j * (dmu_dnu(x) - dnu_dmu(x))
     dr_mu, dr_nu = blade.R.d(x, mu), blade.R.d(x, nu)
     P = blade.projector
     dp_mu, dp_nu = P.d(x, mu), P.d(x, nu)

@@ -28,7 +28,8 @@ from . import __version__
 from . import em
 from .blade import (Frame, blade_curvature, blade_from_frame, check_four_way,
                     complement_field, extract_potential, four_way, random_gauge_map,
-                    random_smooth_frame, shape_identity_residual, shape_operator)
+                    random_smooth_frame, shape_gauge_decompose, shape_identity_residual,
+                    shape_operator)
 from .darboux import frame_residual_report, verify_rank
 from .dynamics import (INDEX_HANDLING_NOTE, blade_lattice_from_field,
                        maxwell_mod_residual, modified_eom_residual,
@@ -171,10 +172,20 @@ _theta_band = _spec("lo:hi fractions of pi",
                     lambda t: tuple(_finite(c) for c in _split(t, ":", 2)))
 
 
+def _json_int(text):
+    """int(text), kept an int (seed, rank, ambient); a ConfigError when no float holds it."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):  # past 4300 digits int() itself refuses
+        raise ConfigError(f"{text[:8]}... ({len(text)} digits) is not a finite number") from None
+    return value
+
+
 def _read_json(path):
-    """The JSON file at path, whose numbers must be finite: no NaN, Infinity or 1e999."""
+    """The JSON file at path, whose numbers must be finite: no NaN, Infinity, 1e999 or 10**400."""
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite, parse_constant=_finite)
+        return json.load(fh, parse_float=_finite, parse_int=_json_int, parse_constant=_finite)
 
 
 # top-level config keys each command reads; setting any other one exits 2
@@ -290,9 +301,7 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
         fs2 = field_strength(gauge_transform(a, u))
         fs2_expect = gauge_transform_field_strength(fs, u)
         w = complement_field(v)
-        from .gauge import gauge_potential
-        cw = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(st.dim)]
-        g_fs = field_strength(gauge_potential(st, cw))
+        g_fs = shape_gauge_decompose(v, w).G
         x = rng.uniform(-0.5, 0.5, (n_points, st.dim))
         r = blade.at(x)
         worst["reflection"] = max(worst["reflection"], max_abs(r @ r - np.eye(N)))

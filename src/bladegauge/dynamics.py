@@ -149,7 +149,7 @@ class LatticeBlade:
     """Reflection-valued field sampled on a uniform lattice.
 
     frozen marks Dirichlet sites that the flow must not move; axes flagged
-    periodic wrap, open axes lose their outermost stencils.
+    periodic wrap, open axes lose the link past their last layer.
     """
 
     sites: np.ndarray        # (*grid_shape, N, N) complex
@@ -201,42 +201,35 @@ def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
     periodic = tuple(False for _ in shape) if periodic is None else tuple(periodic)
     frozen = np.zeros(shape, dtype=bool)
     for ax in frozen_boundary_axes:
-        sl_lo = [slice(None)] * len(shape)
-        sl_hi = [slice(None)] * len(shape)
-        sl_lo[ax] = 0
-        sl_hi[ax] = shape[ax] - 1
-        frozen[tuple(sl_lo)] = True
-        frozen[tuple(sl_hi)] = True
+        np.moveaxis(frozen, ax, 0)[[0, -1]] = True
     return LatticeBlade(sites, grid.spacings, periodic, frozen)
 
 
-def _central_differences(lat: LatticeBlade, axis):
-    """Central difference along one axis and the mask of valid stencils."""
-    h = lat.spacings[axis]
+def _forward_links(lat: LatticeBlade, axis):
+    """Each site's forward neighbour along axis, and the mask of sites with that link.
+
+    Periodic axes wrap; on an open axis the last layer has no forward link.
+    """
     fwd = np.roll(lat.sites, -1, axis=axis)
-    bwd = np.roll(lat.sites, +1, axis=axis)
-    delta = (fwd - bwd) / (2.0 * h)
-    valid = np.ones(lat.grid_shape, dtype=bool)
+    has_link = np.ones(lat.grid_shape, dtype=bool)
     if not lat.periodic[axis]:
-        sl = [slice(None)] * lat.ndim_lattice
-        sl[axis] = 0
-        valid[tuple(sl)] = False
-        sl[axis] = lat.grid_shape[axis] - 1
-        valid[tuple(sl)] = False
-    return np.where(valid[..., None, None], delta, 0.0), valid
+        np.moveaxis(has_link, axis, 0)[-1] = False
+    return fwd, has_link[..., None, None]
 
 
 def sigma_lattice_energy(lat: LatticeBlade):
-    """Euclidean energy (vol/4) sum_{sites, mu} Tr((central dR)^2).
+    """Euclidean link energy (vol/4) sum_{axes e, links} Tr((R_{s+e} - R_s)^2) / h_e^2.
 
+    Nearest neighbours couple, as in the standard lattice sigma-model action.
     Nonnegative for reflection-valued sites; the all-plus convention makes
     gradient descent meaningful, which the Lorentzian action is not.
     """
     total = 0.0
     for ax in range(lat.ndim_lattice):
-        delta, valid = _central_differences(lat, ax)
+        fwd, has_link = _forward_links(lat, ax)
+        delta = np.where(has_link, fwd - lat.sites, 0.0)
         sq = np.einsum("...ij,...ji->...", delta, delta).real
-        total += float(np.sum(sq[valid]))
+        total += float(np.sum(sq)) / lat.spacings[ax] ** 2
     return 0.25 * lat.cell_volume * total
 
 
@@ -244,30 +237,21 @@ def sigma_lattice_gradient(lat: LatticeBlade):
     """Gradient of the lattice energy w.r.t. per-site conjugation generators.
 
     For the variation R_s -> e^{i eps B_s} R_s e^{-i eps B_s}, the energy
-    changes by eps * sum_s Tr(G_s B_s) with G_s the Hermitian array returned
-    here.  Derived from exactly the same discretized sum as the energy, so
-    the finite-difference directional oracle matches.
+    changes by eps * sum_s Tr(G_s B_s) with G_s = -(vol/2) i [R_s, M_s] and
+    M_s = sum_e (R_{s+e} + R_{s-e}) / h_e^2 over the links s has.  Frozen
+    sites enter their neighbours' M_s, so Dirichlet data drive the flow.
+    Derived from exactly the same sum as the energy, so the
+    finite-difference directional oracle matches.
     """
-    shape = lat.grid_shape
     m = np.zeros_like(lat.sites)
     for ax in range(lat.ndim_lattice):
-        h = lat.spacings[ax]
-        delta, valid = _central_differences(lat, ax)
-        masked = np.where(valid[..., None, None], delta, 0.0)
-        # site t feels the stencils centered at t -+ e_ax
-        from_prev = np.roll(masked, +1, axis=ax)
-        from_next = np.roll(masked, -1, axis=ax)
-        if not lat.periodic[ax]:
-            sl = [slice(None)] * lat.ndim_lattice
-            sl[ax] = 0
-            from_prev[tuple(sl)] = 0.0
-            sl[ax] = shape[ax] - 1
-            from_next[tuple(sl)] = 0.0
-        m += (from_prev - from_next) / (2.0 * h)
-    m *= 0.5 * lat.cell_volume
+        fwd, has_link = _forward_links(lat, ax)
+        # site s meets s + e over its own link and s - e over the link of s - e
+        bwd = np.roll(np.where(has_link, lat.sites, 0.0), +1, axis=ax)
+        m += (np.where(has_link, fwd, 0.0) + bwd) / lat.spacings[ax] ** 2
     rm = np.einsum("...ij,...jk->...ik", lat.sites, m)
     mr = np.einsum("...ij,...jk->...ik", m, lat.sites)
-    return 1j * (rm - mr)
+    return -0.5j * lat.cell_volume * (rm - mr)
 
 
 def sigma_lattice_directional(lat: LatticeBlade, b):

@@ -637,13 +637,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    @classmethod
-    def from_json(cls, spec):
-        axes = spec["axes"]
-        return cls(lo=tuple(float(a["min"]) for a in axes),
-                   hi=tuple(float(a["max"]) for a in axes),
-                   cells=tuple(int(a["cells"]) for a in axes))
-
 
 def lattice_integral(f, grid: Grid):
     """Midpoint-rule integral of a scalar field over the grid box."""

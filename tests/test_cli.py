@@ -551,8 +551,10 @@ def test_malformed_cli_specs_exit_2(argv, capsys):
     ("darboux", '{"pairs": [{"pi": "0.5*sin(x0)", "phi": "x1"}], '
                 '"domain": {"lo": [NaN, 0, 0, 0], "hi": [1, 1, 1, 1]}}'),
     ("sigma-flow", '{"sites": [[NaN]]}'),
+    ("verify", '{"scenario": "monopole", "params": {"g": 1' + "0" * 400 + '}}'),
+    ("verify", '{"scenario": "monopole", "seed": 1' + "0" * 5000 + '}'),
 ], ids=["verify_nan", "verify_minus_infinity", "residuals_overflow", "darboux_nan",
-        "lattice_nan"])
+        "lattice_nan", "verify_int_overflow", "verify_int_past_digit_limit"])
 def test_non_finite_json_numbers_exit_2(command, text, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(text)

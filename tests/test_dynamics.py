@@ -281,6 +281,44 @@ def test_lattice_gradient_matches_fd_directional(rng):
     assert abs(fd - an) <= 1e-6 * max(1.0, abs(fd))
 
 
+def test_lattice_checkerboard_has_positive_energy():
+    # diag(1, -1) and sigma_x anticommute, so every link carries
+    # Tr((R_t - R_s)^2) = Tr(2 I) = 4: a link energy sees the checkerboard
+    z = np.diag([1.0, -1.0]).astype(complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    parity = np.add.outer(np.arange(8), np.arange(8)) % 2
+    sites = np.where(parity[..., None, None] == 0, z, x)
+    lat = LatticeBlade(sites, (1.0, 1.0), (True, True))
+    assert sigma_lattice_energy(lat) == 0.25 * 4.0 * 2 * 64
+    assert max_abs(sigma_lattice_gradient(lat)) > 1.0
+
+
+def test_flow_reaches_every_parity_sublattice(rng):
+    # nearest-neighbour links couple the four (theta, phi) parity classes; a
+    # perturbation of one of them must move the other three after a few steps
+    lat = monopole_band_lattice(cells=(8, 12))
+    parity = np.indices(lat.grid_shape) % 2
+    touched = (parity[0] == 0) & (parity[1] == 0) & ~lat.frozen
+    b = np.where(touched[..., None, None],
+                 random_hermitian_sites(rng, lat.grid_shape), 0.0)
+    bumped = conjugate_sites(lat, b, 0.05)
+    ref, _ = sigma_flow(lat, steps=5, eta=2e-3)
+    out, _ = sigma_flow(bumped, steps=5, eta=2e-3)
+    moved = np.max(np.abs(out.sites - ref.sites), axis=(-2, -1))
+    for p, q in np.ndindex(2, 2):
+        sub = (parity[0] == p) & (parity[1] == q) & ~lat.frozen
+        assert np.max(moved[sub]) > 1e-6
+
+
+@pytest.mark.parametrize("cells", [(10, 16), (20, 32), (40, 64), (80, 128)])
+def test_first_row_force_bounded_under_refinement(cells):
+    # the frozen theta rows act through links to the first moving row; the
+    # force density there tends to a finite limit (about 0.4) as h -> 0
+    lat = monopole_band_lattice(cells=cells)
+    grad = sigma_lattice_gradient(lat)
+    assert max_abs(grad[1]) / lat.cell_volume < 1.0
+
+
 def test_flow_monotone_and_preserves_reflection():
     lat = monopole_band_lattice()
     final, trace = sigma_flow(lat, steps=120, eta=2e-3)

@@ -320,10 +320,8 @@ def test_lattice_refinement_is_second_order():
     assert 3.0 <= e1 / e2 <= 5.0
 
 
-def test_grid_from_json_and_validation():
-    spec = {"axes": [{"min": 0, "max": 1, "cells": 2},
-                     {"min": -1, "max": 1, "cells": 4}]}
-    grid = Grid.from_json(spec)
+def test_grid_cells_volume_and_validation():
+    grid = Grid(lo=(0.0, -1.0), hi=(1.0, 1.0), cells=(2, 4))
     assert grid.cells == (2, 4)
     assert abs(grid.cell_volume - 0.25) < 1e-15
     assert grid.centers().shape == (8, 2)
