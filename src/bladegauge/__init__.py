@@ -38,6 +38,5 @@ from .dynamics import (ym_residual, ym_action, sigma_action,
                        shape_gauge_ym_residual, sigma_eom_residual,
                        LatticeBlade, blade_lattice_from_field, sigma_flow,
                        sigma_lattice_energy, sigma_lattice_gradient)
-from .embedded import (Embedding, plane, sphere, cylinder, torus,
-                       induced_metric, embedded_blade, riemann_component,
-                       gauss_curvature, christoffel_riemann)
+from .embedded import (plane, sphere, cylinder, torus, induced_metric, embedded_blade,
+                       riemann_component, gauss_curvature, christoffel_riemann)

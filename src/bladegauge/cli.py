@@ -156,6 +156,13 @@ def _parse_grid(text):
                 cells=tuple(int(a[2]) for a in axes))
 
 
+def _parse_band(text):
+    lo, hi = (_finite(c) for c in _split(text, ":", 2))
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError
+    return lo, hi
+
+
 def _parse_count(text):
     count = int(text)
     if count < 1:
@@ -168,8 +175,7 @@ _vector = _spec("comma-separated finite numbers", lambda t: [_finite(c) for c in
 _grid = _spec("lo:hi:cells on each axis, lo and hi finite, cells >= 1", _parse_grid)
 _count = _spec("a positive integer", _parse_count)
 _cells = _spec("THETAxPHI cell counts", lambda t: tuple(int(c) for c in _split(t, "x", 2)))
-_theta_band = _spec("lo:hi fractions of pi",
-                    lambda t: tuple(_finite(c) for c in _split(t, ":", 2)))
+_theta_band = _spec("lo:hi fractions of pi with 0 <= lo < hi <= 1", _parse_band)
 
 
 def _json_int(text):
@@ -566,6 +572,9 @@ def _save_lattice(lat, path):
 def _load_lattice(path):
     from .dynamics import LatticeBlade
     payload = _read_json(path)
+    for key in ("sites", "spacings", "periodic"):
+        if key not in payload:
+            raise ConfigError(f"lattice file {path} has no {key!r}", schema_path=[key])
     arr = np.asarray(payload["sites"], dtype=float)
     sites = arr[..., 0] + 1j * arr[..., 1]
     frozen = payload.get("frozen")

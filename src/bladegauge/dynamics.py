@@ -157,6 +157,22 @@ class LatticeBlade:
     periodic: tuple
     frozen: np.ndarray = None
 
+    def __post_init__(self):
+        shape = np.shape(self.sites)
+        grid, axes = shape[:-2], len(shape) - 2
+        if axes < 1 or shape[-1] != shape[-2]:
+            raise ParameterError(f"lattice sites must be shaped (*grid, N, N); got {shape}")
+        if len(self.spacings) != axes or not all(np.isfinite(h) and h > 0
+                                                 for h in self.spacings):
+            raise ParameterError(f"a {axes}-axis lattice needs {axes} finite positive "
+                                 f"spacings; got {list(self.spacings)}")
+        if len(self.periodic) != axes:
+            raise ParameterError(f"a {axes}-axis lattice needs {axes} periodic flags; "
+                                 f"got {list(self.periodic)}")
+        if self.frozen is not None and np.shape(self.frozen) != grid:
+            raise ParameterError(f"frozen mask shaped {np.shape(self.frozen)} on a "
+                                 f"lattice grid shaped {grid}")
+
     @property
     def grid_shape(self):
         return self.sites.shape[:-2]

@@ -9,7 +9,7 @@ coordinate inert in the angular sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,29 +116,20 @@ def plane_wave_mod_condition(spacetime: Spacetime, k, n):
 
 def _pole_guarded_phi_component(g, sign, guard=TOL.pole_guard):
     """A_phi = g (sign - cos theta) with the excluded pole fenced off."""
+    theta = coordinate(SPHERICAL3, 1)
 
-    def as_1x1(v):
-        return np.asarray(v, dtype=complex)[..., None, None]
-
-    def fn(x):
-        theta = x[..., 1][()]  # a scalar for a lone point
+    def checked(x):
+        t = theta.fn(x)
         # sign * theta peaks at the point deepest toward the excluded pole
-        if _any(theta > np.pi - guard if sign > 0 else theta < guard):
-            i, point = _worst_point(sign * theta, x)
+        if _any(t > np.pi - guard if sign > 0 else t < guard):
+            i, point = _worst_point(sign * t, x)
             pole = "theta = pi" if sign > 0 else "theta = 0"
             raise ChartError(f"{'plus' if sign > 0 else 'minus'}-patch potential undefined "
-                             f"near {pole} at {point} (theta={theta[i]})")
-        return as_1x1(g * (sign - np.cos(theta)))
+                             f"near {pole} at {point} (theta={np.asarray(t)[i]})")
+        return t
 
-    def deriv(x, mu):
-        theta = x[..., 1]
-        return as_1x1(g * np.sin(theta) if mu == 1 else np.zeros_like(theta))
-
-    def deriv2(x, mu, nu):
-        theta = x[..., 1]
-        return as_1x1(g * np.cos(theta) if (mu == 1 and nu == 1) else np.zeros_like(theta))
-
-    return FieldFn(SPHERICAL3, (1, 1), fn, deriv, deriv2)
+    guarded = replace(theta, fn=checked)
+    return matrix_of([[g * (constant(sign, SPHERICAL3) - cos_of(guarded))]])
 
 
 def monopole_potential(g, patch) -> OneForm:

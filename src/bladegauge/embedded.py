@@ -1,5 +1,12 @@
 """Rotating blades of real embedded surfaces.
 
+A chart is a real (N,)-valued `FieldFn` f on euclidean(d) whose tangent
+vectors f_mu are independent.  The built-in charts (plane, sphere, cylinder,
+torus) state only their values, assembled with `vector_of` from coordinates,
+sines, cosines, sums and products, so the `fields` rules give their first
+and second derivatives; a chart without analytic derivatives takes FieldFn's
+finite differences.
+
 A d-dimensional manifold embedded in R^N by f has tangent vectors f_mu, the
 tangent projector P = F g^-1 F^T (F the N x d matrix of the f_mu, g = F^T F
 the induced metric) and the Gauss map R = 2P - I.  `embedded_blade` returns
@@ -21,160 +28,67 @@ test infrastructure, not part of the modelling API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blade import RotatingBlade, blade_curvature
 from .errors import ChartError
-from .fields import FieldFn, _any, _worst_point, euclidean, identity_field
+from .fields import (FieldFn, _any, _worst_point, constant, coordinate, cos_of, euclidean,
+                     identity_field, sin_of, vector_of)
 
 __all__ = [
-    "Embedding", "plane", "sphere", "cylinder", "torus",
+    "plane", "sphere", "cylinder", "torus",
     "tangent_frame", "induced_metric", "embedded_blade", "riemann_component",
     "christoffel_riemann", "gauss_curvature",
 ]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Smooth real f: R^d -> R^N, (N,)-valued, with independent tangent vectors f_mu.
-
-    d is f.spacetime.dim and N is f.shape[0].  jac(x) -> (..., N, d) and
-    hess(x) -> (..., N, d, d), when given, give a point stack's Jacobian and
-    Hessian in one evaluation; without them both come from f's derivatives.
-    """
-
-    f: FieldFn
-    jac: object = None
-    hess: object = None
-
-
-def _chart_field(d, N, value, jac, hess):
-    """The chart of value, Jacobian and Hessian functions of a (..., d) point stack."""
-    f = FieldFn(euclidean(d), (N,), value, lambda x, mu: jac(x)[..., mu],
-                lambda x, mu, nu: hess(x)[..., mu, nu])
-    return Embedding(f, jac, hess)
-
-
-def _at(x, entries):
-    """np.array(entries) at each point of the stack x; leaves are arrays over it or numbers."""
-    if x.ndim == 1:
-        return np.array(entries)
-    if isinstance(entries, list):
-        return np.stack([_at(x, e) for e in entries], axis=x.ndim - 1)
-    return np.broadcast_to(entries, x.shape[:-1])
+def _chart_coordinates():
+    """The two coordinate fields of a surface chart on the (u, v) plane."""
+    st = euclidean(2)
+    return coordinate(st, 0), coordinate(st, 1)
 
 
 def plane():
     """f(u, v) = (u, v, 0)."""
-    def value(x):
-        return _at(x, [x[..., 0], x[..., 1], 0.0])
-
-    def jac(x):
-        return _at(x, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-
-    def hess(x):
-        return _at(x, [[[0.0, 0.0], [0.0, 0.0]]] * 3)
-
-    return _chart_field(2, 3, value, jac, hess)
+    u, v = _chart_coordinates()
+    return vector_of([u, v, 0.0])
 
 
 def sphere(a=1.0):
     """Radius-a sphere in the (theta, phi) chart."""
-    def value(x):
-        th, ph = x[..., 0], x[..., 1]
-        return a * _at(x, [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-
-    def jac(x):
-        th, ph = x[..., 0], x[..., 1]
-        return a * _at(x, [
-            [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
-            [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
-            [-np.sin(th), 0.0],
-        ])
-
-    def hess(x):
-        th, ph = x[..., 0], x[..., 1]
-        return a * _at(x, [
-            [[-np.sin(th) * np.cos(ph), -np.cos(th) * np.sin(ph)],
-             [-np.cos(th) * np.sin(ph), -np.sin(th) * np.cos(ph)]],
-            [[-np.sin(th) * np.sin(ph), np.cos(th) * np.cos(ph)],
-             [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)]],
-            [[-np.cos(th), 0.0], [0.0, 0.0]],
-        ])
-
-    return _chart_field(2, 3, value, jac, hess)
+    th, ph = _chart_coordinates()
+    return a * vector_of([sin_of(th) * cos_of(ph), sin_of(th) * sin_of(ph), cos_of(th)])
 
 
 def cylinder():
     """f(u, v) = (cos u, sin u, v); flat metric, nonzero shape operator."""
-    def value(x):
-        return _at(x, [np.cos(x[..., 0]), np.sin(x[..., 0]), x[..., 1]])
-
-    def jac(x):
-        return _at(x, [[-np.sin(x[..., 0]), 0.0], [np.cos(x[..., 0]), 0.0], [0.0, 1.0]])
-
-    def hess(x):
-        return _at(x, [[[-np.cos(x[..., 0]), 0.0], [0.0, 0.0]],
-                       [[-np.sin(x[..., 0]), 0.0], [0.0, 0.0]],
-                       [[0.0, 0.0], [0.0, 0.0]]])
-
-    return _chart_field(2, 3, value, jac, hess)
+    u, v = _chart_coordinates()
+    return vector_of([cos_of(u), sin_of(u), v])
 
 
 def torus(rmaj=2.0, rmin=0.5):
     """Standard torus; Gauss curvature cos v / (rmin (rmaj + rmin cos v))."""
-    def value(x):
-        u, v = x[..., 0], x[..., 1]
-        w = rmaj + rmin * np.cos(v)
-        return _at(x, [w * np.cos(u), w * np.sin(u), rmin * np.sin(v)])
-
-    def jac(x):
-        u, v = x[..., 0], x[..., 1]
-        w = rmaj + rmin * np.cos(v)
-        return _at(x, [
-            [-w * np.sin(u), -rmin * np.sin(v) * np.cos(u)],
-            [w * np.cos(u), -rmin * np.sin(v) * np.sin(u)],
-            [0.0, rmin * np.cos(v)],
-        ])
-
-    def hess(x):
-        u, v = x[..., 0], x[..., 1]
-        w = rmaj + rmin * np.cos(v)
-        return _at(x, [
-            [[-w * np.cos(u), rmin * np.sin(v) * np.sin(u)],
-             [rmin * np.sin(v) * np.sin(u), -rmin * np.cos(v) * np.cos(u)]],
-            [[-w * np.sin(u), -rmin * np.sin(v) * np.cos(u)],
-             [-rmin * np.sin(v) * np.cos(u), -rmin * np.cos(v) * np.sin(u)]],
-            [[0.0, 0.0], [0.0, -rmin * np.sin(v)]],
-        ])
-
-    return _chart_field(2, 3, value, jac, hess)
+    u, v = _chart_coordinates()
+    w = constant(rmaj, u.spacetime) + rmin * cos_of(v)
+    return vector_of([w * cos_of(u), w * sin_of(u), rmin * sin_of(v)])
 
 
 # ---------------------------------------------------------------------------
 # the blade of the tangent projector
 
-def tangent_frame(emb: Embedding, x):
+def tangent_frame(f: FieldFn, x):
     """N x d matrix of tangent vectors f_mu."""
-    x = np.asarray(x, dtype=float)
-    if emb.jac is not None:
-        return emb.jac(x)
-    return np.stack([np.real(emb.f.d(x, mu)) for mu in range(emb.f.spacetime.dim)], axis=-1)
+    return np.stack([np.real(f.d(x, mu)) for mu in range(f.spacetime.dim)], axis=-1)
 
 
-def _tangent_derivative(emb: Embedding, x, mu):
+def _tangent_derivative(f: FieldFn, x, mu):
     """N x d matrix of the d_mu f_nu."""
-    if emb.hess is not None:
-        return emb.hess(x)[..., mu]
-    return np.stack([np.real(emb.f.d2(x, nu, mu)) for nu in range(emb.f.spacetime.dim)],
-                    axis=-1)
+    return np.stack([np.real(f.d2(x, nu, mu)) for nu in range(f.spacetime.dim)], axis=-1)
 
 
-def induced_metric(emb: Embedding, x, cond_limit=1e8):
+def induced_metric(f: FieldFn, x, cond_limit=1e8):
     """g_mu nu = f_mu . f_nu; raises on a numerically degenerate chart."""
-    return _metric(tangent_frame(emb, x), x, cond_limit)
+    return _metric(tangent_frame(f, x), x, cond_limit)
 
 
 def _metric(fr, x, cond_limit=1e8):
@@ -186,46 +100,45 @@ def _metric(fr, x, cond_limit=1e8):
     return g
 
 
-def _projector_field(emb: Embedding) -> FieldFn:
-    """P = F g^-1 F^T; d_mu P in closed form when the chart has a Hessian."""
-    f = emb.f
+def _projector_field(f: FieldFn) -> FieldFn:
+    """P = F g^-1 F^T; d_mu P in closed form when the chart has analytic second derivatives."""
 
     def fn(x):
-        fr = tangent_frame(emb, x)
+        fr = tangent_frame(f, x)
         return fr @ np.linalg.solve(_metric(fr, x), fr.mT)
 
     def deriv(x, mu):
-        fr, dfr = tangent_frame(emb, x), _tangent_derivative(emb, x, mu)
+        fr, dfr = tangent_frame(f, x), _tangent_derivative(f, x, mu)
         frt, dfrt = fr.mT, dfr.mT
         ginv = np.linalg.inv(frt @ fr)
         dginv = -ginv @ (dfrt @ fr + frt @ dfr) @ ginv
         return dfr @ ginv @ frt + fr @ dginv @ frt + fr @ ginv @ dfrt
 
-    analytic = emb.hess is not None or f.deriv2 is not None
+    analytic = f.deriv2 is not None
     return FieldFn(f.spacetime, (f.shape[0],) * 2, fn, deriv if analytic else None, None,
                    f.fd_step)
 
 
-def embedded_blade(emb: Embedding) -> RotatingBlade:
+def embedded_blade(f: FieldFn) -> RotatingBlade:
     """The Gauss map as a rotating blade: R = 2P - I, P the tangent projector."""
-    st, N = emb.f.spacetime, emb.f.shape[0]
-    R = 2.0 * _projector_field(emb) - identity_field(st, N)
+    st, N = f.spacetime, f.shape[0]
+    R = 2.0 * _projector_field(f) - identity_field(st, N)
     return RotatingBlade(st, N, st.dim, R)
 
 
-def riemann_component(emb: Embedding, x, rho, sigma, mu, nu):
+def riemann_component(f: FieldFn, x, rho, sigma, mu, nu):
     """R_{rho sigma mu nu} = f_rho . (Omega_real_mu nu f_sigma), Omega_real = i Omega."""
-    fr = tangent_frame(emb, x)
-    omega = blade_curvature(embedded_blade(emb)).at(x, mu, nu)
+    fr = tangent_frame(f, x)
+    omega = blade_curvature(embedded_blade(f)).at(x, mu, nu)
     return float(np.real(fr[:, rho] @ (1j * omega) @ fr[:, sigma]))
 
 
-def gauss_curvature(emb: Embedding, x):
+def gauss_curvature(f: FieldFn, x):
     """R_0101 / det g for two-dimensional charts."""
-    if emb.f.spacetime.dim != 2:
+    if f.spacetime.dim != 2:
         raise ChartError("gauss_curvature requires a 2d chart")
-    g = induced_metric(emb, x)
-    return riemann_component(emb, x, 0, 1, 0, 1) / float(np.linalg.det(g))
+    g = induced_metric(f, x)
+    return riemann_component(f, x, 0, 1, 0, 1) / float(np.linalg.det(g))
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,18 @@ a time, because their callers write those callables for a single point.
 
 Every combinator states its derivatives through one of three rules:
 
-- linear: `+`, `-`, scalar `*`, `dagger`, `hermitian_part`, `hstack` and
-  `matrix_of`; each derivative order is the same operation on the operands'
-  derivatives of that order;
+- linear: `+`, `-`, scalar `*`, `dagger`, `hermitian_part`, `hstack`,
+  `matrix_of` and `vector_of`; each derivative order is the same operation
+  on the operands' derivatives of that order;
 - product: pointwise `*` and `@` (Leibniz rule);
 - chain: `mapped`, and through it `sin_of`, `cos_of`, `exp_i` and `/`.
 
 A rule is analytic when its operands are, so pipelines built from analytic
-ingredients stay analytic.  The leaves state their derivatives in closed
+ingredients stay analytic: the embedded-surface charts and the monopole's
+A_phi are such pipelines.  The leaves state their derivatives in closed
 form: `constant`, `coordinate`, `linear`, `random_hermitian_field`, the
-exp(iH) fields of `blade`, and a few chart and Darboux leaves.  `partial`
-turns the second derivatives of a field into the first ones of its
+exp(iH) fields of `blade`, and the tangent projector of `embedded`.
+`partial` turns the second derivatives of a field into the first ones of its
 derivative field.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
@@ -52,7 +53,8 @@ from .tolerances import DEFAULT as TOL
 __all__ = [
     "Spacetime", "MINKOWSKI4", "euclidean", "SPHERICAL3",
     "FieldFn", "constant", "identity_field", "coordinate", "linear",
-    "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "hstack",
+    "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
+    "hstack",
     "OneForm", "TwoForm", "two_form", "exterior_d", "closedness_residual",
     "one_form_values", "two_form_values", "wedge", "wedge_power_values",
     "wedge_power_nonzero", "form_rank", "sphere_flux",
@@ -406,21 +408,21 @@ def exp_i(f):
 
 def matrix_of(rows):
     """Assemble a matrix-valued field from scalar fields / numeric constants."""
-    spacetime = None
-    for row in rows:
-        for e in row:
-            if isinstance(e, FieldFn):
-                spacetime = e.spacetime
-                break
-        if spacetime is not None:
-            break
+    return _assembled((len(rows), len(rows[0])), [e for row in rows for e in row])
+
+
+def vector_of(entries):
+    """Assemble a vector-valued field from scalar fields / numeric constants."""
+    return _assembled((len(entries),), entries)
+
+
+def _assembled(shape, entries):
+    """The shape-valued field whose entries, in C order, are the scalar fields or numbers."""
+    spacetime = next((e.spacetime for e in entries if isinstance(e, FieldFn)), None)
     if spacetime is None:
-        raise DimensionMismatchError("matrix_of needs at least one FieldFn entry")
-    grid = [[e if isinstance(e, FieldFn) else constant(complex(e), spacetime) for e in row]
-            for row in rows]
-    shape = (len(grid), len(grid[0]))
-    return _linear(functools.partial(_assemble, shape), shape,
-                   *[e for row in grid for e in row])
+        raise DimensionMismatchError("an assembled field needs at least one FieldFn entry")
+    fields = [e if isinstance(e, FieldFn) else constant(complex(e), spacetime) for e in entries]
+    return _linear(functools.partial(_assemble, shape), shape, *fields)
 
 
 def _assemble(shape, *entries):

@@ -7,7 +7,7 @@ scenario configs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class Tolerances:
         """Budget for residuals built from nested stencils (2nd/3rd derivatives)."""
         h = self.fd_step if h is None else h
         return 100.0 * h * h
-
-    def with_step(self, h: float) -> "Tolerances":
-        return replace(self, fd_step=h)
 
 
 DEFAULT = Tolerances()

@@ -256,6 +256,32 @@ def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):
     assert f"{flag} sets up the band fixture" in capsys.readouterr().err
 
 
+# one field of a valid 4x6 dump changed; None drops the field
+@pytest.mark.parametrize("key, value, message", [
+    ("spacings", [0.0, 1.0], "finite positive spacings"),
+    ("sites", None, "has no 'sites'"),
+    ("periodic", [False], "periodic flags"),
+    ("frozen", [1, 0, 0, 1], "frozen mask"),
+    ("spacings", [0.2, -1.0], "finite positive spacings"),
+], ids=["zero_spacing", "no_sites", "one_periodic_flag", "frozen_wrong_shape",
+        "negative_spacing"])
+def test_sigma_flow_malformed_lattice_file_exits_2(key, value, message, tmp_path, capsys):
+    dump = tmp_path / "lat.json"
+    assert main(["sigma-flow", "--cells", "4x6", "--steps", "1", "--dump-final", str(dump),
+                 "--report", str(tmp_path / "first.json")]) == 0
+    payload = read_json(dump)
+    if value is None:
+        del payload[key]
+    else:
+        payload[key] = value
+    dump.write_text(json.dumps(payload))
+    out = tmp_path / "rep.json"
+    code = main(["sigma-flow", "--init", str(dump), "--steps", "1", "--report", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert message in err and "Traceback" not in err
+
+
 # the flags each surface reads; every other pairing exits 2
 EMBEDDED_READS = {"plane": (), "sphere": ("a",), "cylinder": (), "torus": ("rmaj", "rmin")}
 
@@ -531,10 +557,14 @@ GRID4 = ",".join(["0:1:1"] * 4)
     ["embedded", "--surface", "sphere", "--a", "nan"],
     ["embedded", "--surface", "torus", "--rmin", "inf"],
     ["sigma-flow", "--theta-band", "0.3:nan", "--steps", "1"],
+    ["sigma-flow", "--theta-band", "0.65:0.35", "--cells", "6x8", "--steps", "3"],
+    ["sigma-flow", "--theta-band", "0.5:0.5", "--cells", "6x8", "--steps", "3"],
+    ["sigma-flow", "--theta-band", "0.3:1.4", "--cells", "6x8", "--steps", "3"],
 ], ids=["grid_two_fields", "grid_not_a_number", "grid_zero_cells", "grid_three_axes",
         "k_not_a_number", "n_empty_entry", "cells_one_count", "theta_band_one_bound",
         "negative_steps", "eta_nan", "zero_samples", "negative_samples", "grid_nan",
-        "k_inf", "g_nan", "g_inf", "radius_nan", "rmin_inf", "theta_band_nan"])
+        "k_inf", "g_nan", "g_inf", "radius_nan", "rmin_inf", "theta_band_nan",
+        "theta_band_decreasing", "theta_band_empty", "theta_band_past_pi"])
 def test_malformed_cli_specs_exit_2(argv, capsys):
     try:
         code = main(argv)

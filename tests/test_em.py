@@ -181,6 +181,22 @@ def test_monopole_pole_guard():
         am.at(np.array([1.0, 0.0, 0.0]), 2)
 
 
+@pytest.mark.parametrize("patch", ["plus", "minus"])
+def test_monopole_potential_is_analytic_and_guards_its_derivatives(patch):
+    g = 0.5
+    a_phi = monopole_potential(g, patch).components[2]
+    assert a_phi.deriv is not None and a_phi.deriv2 is not None
+    x = np.array([1.0, 1.1, 0.4])
+    assert a_phi.d(x, 1)[0, 0] == g * np.sin(x[1])
+    assert a_phi.d2(x, 1, 1)[0, 0] == g * np.cos(x[1])
+    assert a_phi.d(x, 2)[0, 0] == 0.0 and a_phi.d2(x, 1, 2)[0, 0] == 0.0
+    pole = np.array([1.0, np.pi if patch == "plus" else 0.0, 0.0])
+    with pytest.raises(ChartError, match="potential undefined"):
+        a_phi.d(pole, 1)
+    with pytest.raises(ChartError, match="potential undefined"):
+        a_phi.d2(pole, 1, 1)
+
+
 def test_monopole_pole_guard_names_the_worst_point_of_a_stack():
     # theta = pi is the plus patch's excluded pole, theta = 0 the minus patch's
     ap = monopole_potential(0.5, "plus")

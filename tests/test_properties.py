@@ -172,10 +172,10 @@ def _stack_leaves():
         "em_monopole_patch": (monopole_potential(0.5, "plus").components[2],
                               [0.5, 0.3, 0.0], [2.0, 2.8, 6.0]),
         "darboux": (darboux_frame(dx).V, *box4),
-        "embedded_chart": (torus(2.0, 0.5).f, [0.0, 0.0], [6.0, 6.0]),
-        "embedded_plane": (plane().f, [-1.0, -1.0], [1.0, 1.0]),
-        "embedded_sphere": (sphere(1.3).f, [0.5, 0.0], [2.5, 6.0]),
-        "embedded_cylinder": (cylinder().f, [0.0, -1.0], [6.0, 1.0]),
+        "embedded_chart": (torus(2.0, 0.5), [0.0, 0.0], [6.0, 6.0]),
+        "embedded_plane": (plane(), [-1.0, -1.0], [1.0, 1.0]),
+        "embedded_sphere": (sphere(1.3), [0.5, 0.0], [2.5, 6.0]),
+        "embedded_cylinder": (cylinder(), [0.0, -1.0], [6.0, 1.0]),
         "embedded_blade": (embedded_blade(sphere(1.3)).R, [0.5, 0.0], [2.5, 6.0]),
     }
 
