@@ -21,7 +21,7 @@ from .errors import ChartError, ConsistencyError, DimensionMismatchError
 from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _worst_point, constant,
                      hstack, identity_field, two_form)
 from .gauge import GaugeMap, field_strength, gauge_map, gauge_potential
-from .linalg import (_divided_differences, _exp_in_eigenbasis,
+from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis,
                      _frechet_in_eigenbasis, _require_hermitian, commutator,
                      dagger, hermitian_part, max_abs, max_abs_each, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
@@ -501,14 +501,15 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
     """The field x -> exp(i H(x)) @ right (no product when right is None).
 
     Each distinct point stack costs one H(x), one Hermiticity check and one
-    stacked eigh; the value, the divided differences and each d_mu value are
-    made once and kept in an LRU that lives with the field.  A stack of P
-    points counts P toward the LRU's `_EXP_CACHE_POINTS`; the newest record
-    stays even when it alone holds more.  The arithmetic is that of
-    `unitary_exp` and `unitary_exp_frechet`, so results are bit-identical to
-    them, and every array handed out is read-only so that no caller can
-    change what a later query returns.  analytic=False leaves the derivatives
-    to finite differences.
+    stacked eigh, which the derivatives use (for N = 2 the value is the
+    closed form of `unitary_exp`); the value, the divided differences and
+    each d_mu value are made once and kept in an LRU that lives with the
+    field.  A stack of P points counts P toward the LRU's
+    `_EXP_CACHE_POINTS`; the newest record stays even when it alone holds
+    more.  The arithmetic is that of `unitary_exp` and `unitary_exp_frechet`,
+    so results are bit-identical to them, and every array handed out is
+    read-only so that no caller can change what a later query returns.
+    analytic=False leaves the derivatives to finite differences.
     """
     cache = OrderedDict()
     held = 0  # points held by the records in cache
@@ -528,8 +529,8 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         hx = np.asarray(h.fn(x), dtype=complex)
         _require_hermitian(hx, "unitary_exp")
         lam, q = np.linalg.eigh(hermitian_part(hx))
-        rec = cache[key] = _ExpRecord(lam, q, publish(_exp_in_eigenbasis(lam, q, 1.0)),
-                                      x.size // x.shape[-1])
+        value = _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
+        rec = cache[key] = _ExpRecord(lam, q, publish(value), x.size // x.shape[-1])
         held += rec.points
         while held > _EXP_CACHE_POINTS and len(cache) > 1:
             held -= cache.popitem(last=False)[1].points

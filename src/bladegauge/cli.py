@@ -565,22 +565,42 @@ def _save_lattice(lat, path):
         "N": lat.N,
         "sites": np.stack([lat.sites.real, lat.sites.imag], axis=-1).tolist(),
     }
+    # json.dumps takes the C encoder, which json.dump never does; same bytes
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
 
 
 def _load_lattice(path):
+    """A lattice file's LatticeBlade; a ConfigError naming the key for what it cannot read."""
     from .dynamics import LatticeBlade
     payload = _read_json(path)
     for key in ("sites", "spacings", "periodic"):
         if key not in payload:
             raise ConfigError(f"lattice file {path} has no {key!r}", schema_path=[key])
-    arr = np.asarray(payload["sites"], dtype=float)
-    sites = arr[..., 0] + 1j * arr[..., 1]
+    arr = _lattice_array(payload, "sites", path)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ConfigError(f"lattice file {path}: 'sites' needs [re, im] leaves; got an "
+                          f"array shaped {arr.shape}", schema_path=["sites"])
+    spacings, periodic = payload["spacings"], payload["periodic"]
+    if not (isinstance(spacings, list) and all(
+            isinstance(h, (int, float)) and not isinstance(h, bool) for h in spacings)):
+        raise ConfigError(f"lattice file {path}: 'spacings' must be a list of numbers; "
+                          f"got {spacings!r}", schema_path=["spacings"])
+    if not (isinstance(periodic, list) and all(isinstance(p, bool) for p in periodic)):
+        raise ConfigError(f"lattice file {path}: 'periodic' must be a list of true/false "
+                          f"flags; got {periodic!r}", schema_path=["periodic"])
     frozen = payload.get("frozen")
-    return LatticeBlade(sites, tuple(payload["spacings"]),
-                        tuple(bool(p) for p in payload["periodic"]),
-                        None if frozen is None else np.asarray(frozen, dtype=bool))
+    return LatticeBlade(arr[..., 0] + 1j * arr[..., 1], tuple(spacings), tuple(periodic),
+                        None if frozen is None else _lattice_array(payload, "frozen", path) != 0)
+
+
+def _lattice_array(payload, key, path):
+    """payload[key] as a float array; a ConfigError when it is not a numeric nested array."""
+    try:
+        return np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"lattice file {path}: {key!r} is not a numeric array",
+                          schema_path=[key]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
 from .fields import FieldFn, Grid, OneForm, TwoForm, lattice_integral, scalar_field
 from .gauge import covariant_derivative_matrix, field_strength
-from .linalg import dagger, hermitian_part, unitary_exp
+from .linalg import _matmul_small, dagger, hermitian_part, unitary_exp
 
 __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
@@ -265,8 +265,8 @@ def sigma_lattice_gradient(lat: LatticeBlade):
         # site s meets s + e over its own link and s - e over the link of s - e
         bwd = np.roll(np.where(has_link, lat.sites, 0.0), +1, axis=ax)
         m += (np.where(has_link, fwd, 0.0) + bwd) / lat.spacings[ax] ** 2
-    rm = np.einsum("...ij,...jk->...ik", lat.sites, m)
-    mr = np.einsum("...ij,...jk->...ik", m, lat.sites)
+    rm = _matmul_small(lat.sites, m)
+    mr = _matmul_small(m, lat.sites)
     return -0.5j * lat.cell_volume * (rm - mr)
 
 
@@ -290,8 +290,10 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     Each step conjugates every non-frozen site at once, as one (K, N, N)
     stack, by exp(-i eta G_s) with G_s the energy gradient, so
     R^2 = I is preserved exactly and the recorded energy trace is
-    non-increasing for sufficiently small eta.  Ten consecutive increasing
-    steps raise DivergenceError (step size too large).
+    non-increasing for sufficiently small eta.  For N = 2 the exponential is
+    `unitary_exp`'s closed form and the products are sums of outer products,
+    so a step is a few elementwise passes over the stack, with no eigh.  Ten
+    consecutive increasing steps raise DivergenceError (step size too large).
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
@@ -306,7 +308,8 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     for step in range(steps):
         grad = sigma_lattice_gradient(current)
         u = unitary_exp(hermitian_part(grad[moving]), -eta)
-        current.sites[moving] = u @ current.sites[moving] @ dagger(u)
+        current.sites[moving] = _matmul_small(_matmul_small(u, current.sites[moving]),
+                                              dagger(u))
         energy = sigma_lattice_energy(current)
         # a descending flow sets a new best (or plateaus) every step; staying
         # above the best energy for many steps means eta overshoots

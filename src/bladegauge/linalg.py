@@ -2,9 +2,11 @@
 
 All operations are pure functions on immutable numpy arrays; results are
 reproducible bit-for-bit for identical inputs and seeds.  Matrix sizes stay
-small (N <= ~8), so the unitary exponential goes through an eigendecomposition
-of its Hermitian argument rather than scaling-and-squaring: that keeps the
-unitarity of the result exact up to rounding.
+small (N <= ~8), so the unitary exponential is spectral rather than
+scaling-and-squaring, which keeps the unitarity of the result exact up to
+rounding: for N = 2 it is the closed form of exp(i t H) on H's trace and
+traceless parts, a few elementwise passes over the stack; for other N it goes
+through an eigendecomposition of H.
 
 `dagger`, `hermitian_part`, `max_abs_each`, `is_hermitian`, `unitary_exp` and
 `unitary_exp_frechet` take stacks of matrices shaped (..., N, N): the last
@@ -72,13 +74,16 @@ def is_hermitian(m, tol=TOL.hermitian_input):
 
 
 def unitary_exp(h, t=1.0):
-    """exp(i t H) for each Hermitian H in a (..., N, N) stack, via eigh.
+    """exp(i t H) for each Hermitian H in a (..., N, N) stack.
 
+    N = 2 takes the closed form (see `_exp_2x2`); other N go through eigh.
     Raises DomainError if any H deviates from Hermiticity by more than the
     input tolerance; the message names the worst matrix's stack index.
     """
     h = np.asarray(h, dtype=complex)
     _require_hermitian(h, "unitary_exp")
+    if h.shape[-2:] == (2, 2):
+        return _exp_2x2(h, t)
     lam, q = np.linalg.eigh(hermitian_part(h))
     return _exp_in_eigenbasis(lam, q, t)
 
@@ -107,6 +112,50 @@ def _require_hermitian(h, caller):
         raise DomainError(
             f"{caller} requires a Hermitian argument{where} "
             f"(max anti-hermitian part {skew[worst]:.3e})")
+
+
+def _exp_2x2(h, t):
+    """exp(i t H) for the Hermitian part H of each matrix in a (..., 2, 2) stack.
+
+    With m = tr H / 2 and K = H - m I, K^2 = r^2 I where r^2 = a^2 + |b|^2,
+    a = (H00 - H11) / 2 and b = H01, so
+    exp(i t H) = e^{i t m} (cos(t r) I + i (sin(t r) / r) K),
+    where sin(t r) / r = t at r = 0 comes without a division by zero.  sin and
+    cos see the same argument t r (np.sinc would rescale it by pi and back),
+    so the result stays unitary to rounding for large |t r| too.  A lone
+    matrix goes through the same array loops as a stack (numpy's scalar
+    arithmetic rounds complex products differently), so it gives the same
+    bits as the matrix taken out of a stack.
+    """
+    shape = h.shape
+    h = h.reshape(-1, 2, 2)
+    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
+    m = 0.5 * (h00 + h11)
+    a = 0.5 * (h00 - h11)
+    b = 0.5 * (h[..., 0, 1] + np.conjugate(h[..., 1, 0]))
+    r = np.hypot(a, np.abs(b))
+    tr = t * r
+    phase = np.exp(1j * t * m)
+    c = phase * np.cos(tr)
+    s = 1j * phase * np.where(r > 0, np.sin(tr) / np.where(r > 0, r, 1.0), t)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = c + s * a
+    out[..., 1, 1] = c - s * a
+    out[..., 0, 1] = s * b
+    out[..., 1, 0] = s * np.conjugate(b)
+    return out.reshape(shape)
+
+
+def _matmul_small(a, b):
+    """a @ b for stacks of small matrices, as the sum of column-row outer products.
+
+    Sum_k a[..., :, k] b[..., k, :] is a few elementwise passes, which beat
+    numpy's stacked matmul and einsum on long stacks of 2x2 matrices.
+    """
+    out = a[..., :, 0:1] * b[..., 0:1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def _exp_in_eigenbasis(lam, q, t):

@@ -263,8 +263,11 @@ def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):
     ("periodic", [False], "periodic flags"),
     ("frozen", [1, 0, 0, 1], "frozen mask"),
     ("spacings", [0.2, -1.0], "finite positive spacings"),
+    ("sites", [[[[[0.0, 1.0, 2.0]] * 2] * 2] * 6] * 4, "[re, im] leaves"),
+    ("spacings", ["a", 1.0], "'spacings' must be a list of numbers"),
+    ("periodic", 3, "'periodic' must be a list of true/false flags"),
 ], ids=["zero_spacing", "no_sites", "one_periodic_flag", "frozen_wrong_shape",
-        "negative_spacing"])
+        "negative_spacing", "sites_not_re_im", "spacing_not_a_number", "periodic_not_a_list"])
 def test_sigma_flow_malformed_lattice_file_exits_2(key, value, message, tmp_path, capsys):
     dump = tmp_path / "lat.json"
     assert main(["sigma-flow", "--cells", "4x6", "--steps", "1", "--dump-final", str(dump),

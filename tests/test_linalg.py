@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bladegauge.errors import DimensionMismatchError, DomainError
-from bladegauge.linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, dagger,
-                               hermitian_part, is_hermitian, max_abs,
-                               random_hermitian, random_unitary, unitary_exp,
+from bladegauge.linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, _exp_in_eigenbasis, _matmul_small,
+                               commutator, dagger, hermitian_part, is_hermitian, max_abs,
+                               max_abs_each, random_hermitian, random_unitary, unitary_exp,
                                unitary_exp_frechet)
 
 
@@ -131,3 +133,45 @@ def test_unitary_exp_stack_rejects_one_non_hermitian(rng):
     h[1, 3, 0, 1] += 1e-3
     with pytest.raises(DomainError, match=r"\(1, 3\).*1\.000e-03"):
         unitary_exp(h)
+
+
+def _hermitian_2x2_stack(shape, seed):
+    """Seeded Hermitian (*shape, 2, 2) stack; of every three matrices the
+    second is m I and the third m I plus a traceless part of size about 1e-300."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    h = hermitian_part(g).reshape(-1, 2, 2)
+    m = 0.5 * np.trace(h, axis1=-2, axis2=-1).real[:, None, None] * np.eye(2)
+    h[1::3] = m[1::3]
+    h[2::3] = m[2::3] + 1e-300 * (h[2::3] - m[2::3])
+    return h.reshape(shape + (2, 2))
+
+
+@pytest.mark.parametrize("shape", [(), (64,), (3, 4)])
+@pytest.mark.parametrize("t", [-2e-3, 1.0, 50.0])
+def test_unitary_exp_2x2_closed_form_matches_eigh(shape, t):
+    h = _hermitian_2x2_stack(shape, seed=len(shape) + 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = unitary_exp(h, t)
+    ref = _exp_in_eigenbasis(*np.linalg.eigh(h), t)
+    assert got.shape == shape + (2, 2)
+    err = max_abs_each(got - ref)
+    assert np.all(err <= 1e-14 * (1.0 + abs(t) * max_abs_each(h)))
+    assert max_abs(dagger(got) @ got - np.eye(2)) <= 1e-14
+
+
+def test_unitary_exp_2x2_lone_matrix_bits_match_stack():
+    h = _hermitian_2x2_stack((11,), seed=5)
+    stacked = unitary_exp(h, 0.9)
+    for k in range(11):
+        assert np.array_equal(unitary_exp(h[k], 0.9), stacked[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matmul_small_matches_matmul(rng, n):
+    a = rng.standard_normal((6, 5, n, n)) + 1j * rng.standard_normal((6, 5, n, n))
+    b = rng.standard_normal((6, 5, n, n)) + 1j * rng.standard_normal((6, 5, n, n))
+    got = _matmul_small(a, b)
+    assert got.shape == (6, 5, n, n)
+    assert max_abs(got - a @ b) <= 1e-15 * max_abs(np.abs(a) @ np.abs(b))
