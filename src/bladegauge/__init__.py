@@ -39,4 +39,4 @@ from .dynamics import (ym_residual, ym_action, sigma_action,
                        LatticeBlade, blade_lattice_from_field, sigma_flow,
                        sigma_lattice_energy, sigma_lattice_gradient)
 from .embedded import (plane, sphere, cylinder, torus, induced_metric, embedded_blade,
-                       riemann_component, gauss_curvature, christoffel_riemann)
+                       riemann_component, gauss_curvature, christoffel_gauss_curvature)

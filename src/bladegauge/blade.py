@@ -191,10 +191,11 @@ def four_way(blade: RotatingBlade, x, mu, nu):
 
 
 def check_four_way(blade: RotatingBlade, x, mu, nu, tol=None):
-    """The four-way discrepancy at x; ConsistencyError if it exceeds tol."""
+    """Each point's four-way discrepancy at x; ConsistencyError naming the worst beyond tol."""
     tol = TOL.fd_nested() if tol is None else tol
-    return _within(_four_way_values(blade, x, mu, nu)[1], x, tol,
-                   "curvature expressions disagree by")
+    discs = _four_way_values(blade, x, mu, nu)[1]
+    _within(discs, x, tol, "curvature expressions disagree by")
+    return discs
 
 
 def _four_way_values(blade: RotatingBlade, x, mu, nu):

@@ -167,11 +167,13 @@ def monopole_field_strength(g) -> TwoForm:
 
 
 def monopole_b_field(g, xyz):
-    """The radial field B = g x / r^3 in cartesian coordinates (reporting only)."""
+    """The radial field B = g x / r^3 in cartesian coordinates at a point or a (..., 3) stack."""
     xyz = np.asarray(xyz, dtype=float)
-    r = np.linalg.norm(xyz)
-    if r == 0.0:
-        raise ChartError("the monopole field is singular at the origin")
+    r = np.linalg.norm(xyz, axis=-1, keepdims=True)
+    if _any(r == 0.0):
+        i, _ = _worst_point(r[..., 0] == 0.0, xyz)
+        where = f" (stack index {list(map(int, i))})" if i else ""
+        raise ChartError(f"the monopole field is singular at the origin{where}")
     return g * xyz / r ** 3
 
 

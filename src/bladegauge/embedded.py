@@ -21,7 +21,9 @@ Omega_real = -[S_real_mu, S_real_nu] = i Omega, whose tangent part is the
 Riemann tensor, R_{rho sigma mu nu} = f_rho . (Omega_real f_sigma).
 `riemann_component` applies the factor i.
 
-An independent intrinsic (Christoffel-symbol) oracle is included for
+Every function takes a point or a (..., 2) stack of chart points, and entry
+i of a stacked result has the bits of the query at x[i] alone.  An
+independent intrinsic oracle, `christoffel_gauss_curvature`, is included for
 acceptance cross-checks; it differentiates only the induced metric and is
 test infrastructure, not part of the modelling API.
 """
@@ -38,7 +40,7 @@ from .fields import (FieldFn, _any, _worst_point, constant, coordinate, cos_of, 
 __all__ = [
     "plane", "sphere", "cylinder", "torus",
     "tangent_frame", "induced_metric", "embedded_blade", "riemann_component",
-    "christoffel_riemann", "gauss_curvature",
+    "gauss_curvature", "christoffel_gauss_curvature",
 ]
 
 
@@ -130,65 +132,58 @@ def riemann_component(f: FieldFn, x, rho, sigma, mu, nu):
     """R_{rho sigma mu nu} = f_rho . (Omega_real_mu nu f_sigma), Omega_real = i Omega."""
     fr = tangent_frame(f, x)
     omega = blade_curvature(embedded_blade(f)).at(x, mu, nu)
-    return float(np.real(fr[:, rho] @ (1j * omega) @ fr[:, sigma]))
+    return np.real(fr[..., None, :, rho] @ (1j * omega) @ fr[..., :, sigma, None])[..., 0, 0]
+
+
+def _require_surface(f: FieldFn, what):
+    if f.spacetime.dim != 2:
+        raise ChartError(f"{what} requires a 2d chart")
 
 
 def gauss_curvature(f: FieldFn, x):
     """R_0101 / det g for two-dimensional charts."""
-    if f.spacetime.dim != 2:
-        raise ChartError("gauss_curvature requires a 2d chart")
+    _require_surface(f, "gauss_curvature")
     g = induced_metric(f, x)
-    return riemann_component(f, x, 0, 1, 0, 1) / float(np.linalg.det(g))
+    return riemann_component(f, x, 0, 1, 0, 1) / np.linalg.det(g)
 
 
 # ---------------------------------------------------------------------------
 # intrinsic oracle (test infrastructure)
 
-def christoffel_riemann(metric_fn, x, h=1e-4):
-    """All-lower Riemann tensor from a metric function alone (d = 2).
+_ORACLE_STEP = 1e-4
+# a point and its neighbours one step along +u, -u, +v, -v
+_STENCIL = _ORACLE_STEP * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
-    Conventions: Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_db - d_d g_bc),
+
+def _central_differences(a, axis):
+    """(d_u a, d_v a) from values on the _STENCIL laid out along `axis`."""
+    return (np.take(a, (1, 3), axis) - np.take(a, (2, 4), axis)) / (2.0 * _ORACLE_STEP)
+
+
+def christoffel_gauss_curvature(f: FieldFn, x):
+    """Gauss curvature R_0101 / det g of a 2d chart from its induced metric alone.
+
+    Conventions: Gamma^a_{bc} = (1/2) g^{ae} (d_b g_ec + d_c g_eb - d_e g_bc),
     R^a_{b mu nu} = d_mu Gamma^a_{nu b} - d_nu Gamma^a_{mu b}
                     + Gamma^a_{mu e} Gamma^e_{nu b} - Gamma^a_{nu e} Gamma^e_{mu b},
-    lowered with g.  Metric derivatives by central differences of step h; the
-    only input is the metric, so this is independent of the shape-operator path.
+    lowered with g.  In two dimensions R_{ab mu nu} = K (g_a mu g_b nu - g_a nu g_b mu),
+    so K carries the whole tensor.  Gamma and its derivatives are central
+    differences of step _ORACLE_STEP, nested once, from one metric evaluation
+    on the 25 stencil points of each point of the stack x; the only input is the
+    metric, so this is independent of the shape-operator path.
     """
-    x = np.asarray(x, dtype=float)
-    d = len(x)
-
-    def dg(y, c):
-        e = np.zeros(d)
-        e[c] = h
-        return (np.asarray(metric_fn(y + e)) - np.asarray(metric_fn(y - e))) / (2.0 * h)
-
-    def gamma(y):
-        g = np.asarray(metric_fn(y))
-        ginv = np.linalg.inv(g)
-        dgs = np.stack([dg(y, c) for c in range(d)], axis=0)  # dgs[c] = d_c g
-        out = np.zeros((d, d, d))
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    out[a, b, c] = 0.5 * sum(
-                        ginv[a, e] * (dgs[b][e, c] + dgs[c][e, b] - dgs[e][b, c])
-                        for e in range(d))
-        return out
-
-    def dgamma(y, c):
-        e = np.zeros(d)
-        e[c] = h
-        return (gamma(y + e) - gamma(y - e)) / (2.0 * h)
-
-    gam = gamma(x)
-    dgam = np.stack([dgamma(x, c) for c in range(d)], axis=0)
-    riem_up = np.zeros((d, d, d, d))
-    for a in range(d):
-        for b in range(d):
-            for mu in range(d):
-                for nu in range(d):
-                    val = dgam[mu][a, nu, b] - dgam[nu][a, mu, b]
-                    val += sum(gam[a, mu, e] * gam[e, nu, b]
-                               - gam[a, nu, e] * gam[e, mu, b] for e in range(d))
-                    riem_up[a, b, mu, nu] = val
-    g = np.asarray(metric_fn(x))
-    return np.einsum("ae,ebmn->abmn", g, riem_up)
+    _require_surface(f, "christoffel_gauss_curvature")
+    y = np.asarray(x, dtype=float)[..., None, :] + _STENCIL
+    g = induced_metric(f, y[..., :, None, :] + _STENCIL)  # (..., 5, 5, 2, 2)
+    dg = _central_differences(g, -3)  # dg[..., j, c, e, b] = d_c g_eb at y_j
+    terms = dg + np.einsum("...ceb->...bec", dg) - np.einsum("...ebc->...bec", dg)
+    gamma = 0.5 * np.einsum("...ae,...bec->...abc", np.linalg.inv(g[..., :, 0, :, :]), terms)
+    dgamma = _central_differences(gamma, -4)  # dgamma[..., m, a, b, c] = d_m Gamma^a_bc at x
+    gamma = gamma[..., 0, :, :, :]
+    # e stays free so each e's difference is rounded before the sum over e, as the formula reads
+    quadratic = (np.einsum("...ame,...enb->...abmne", gamma, gamma)
+                 - np.einsum("...ane,...emb->...abmne", gamma, gamma))
+    riem_up = (np.einsum("...manb->...abmn", dgamma) - np.einsum("...namb->...abmn", dgamma)
+               + quadratic.sum(axis=-1))
+    g = g[..., 0, 0, :, :]
+    return np.einsum("...ae,...ebmn->...abmn", g, riem_up)[..., 0, 1, 0, 1] / np.linalg.det(g)

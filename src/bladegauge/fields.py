@@ -9,9 +9,10 @@ Every field takes a stack of points: x shaped (..., d) gives values shaped
 (...) + field shape, and so do `d` and `d2`.  A single point (d,) is the
 stack with no batch axes.  Entry i of a stacked result has the bits of the
 same query at the point x[i] alone, so library callers pass their sample
-points as one (P, d) stack and make one call per query.  `lattice_integral`
-and the `point_map` of `dynamics.blade_lattice_from_field` take one point at
-a time, because their callers write those callables for a single point.
+points as one (P, d) stack and make one call per query; `lattice_integral`
+evaluates its integrand once on the grid's stack of cell centres.  Only the
+`point_map` of `dynamics.blade_lattice_from_field` takes one point at a time,
+because its callers write it for a single lattice point.
 
 Every combinator states its derivatives through one of three rules:
 
@@ -640,8 +641,15 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def lattice_integral(f, grid: Grid):
-    """Midpoint-rule integral of a scalar field over the grid box."""
-    # point by point: `scalar_field` accepts integrands written for one point
-    vals = [complex(f(p)) for p in grid.centers()]
-    return float(np.real(np.sum(vals))) * grid.cell_volume
+def lattice_integral(f: FieldFn, grid: Grid):
+    """Midpoint-rule integral of a scalar field over the grid box, from one stacked evaluation."""
+    if f.shape != ():
+        raise DimensionMismatchError(f"lattice_integral needs a scalar field, not shape {f.shape}")
+    centers = grid.centers()
+    vals = np.asarray(f(centers))
+    if vals.shape != centers.shape[:-1]:
+        raise DimensionMismatchError(
+            f"the integrand gave values shaped {vals.shape} on {len(centers)} cell centres; "
+            f"it must take a (P, d) point stack")
+    # real and complex integrands reduce alike: one complex sum, then its real part
+    return float(np.real(np.sum(vals.astype(complex)))) * grid.cell_volume

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bladegauge.cli import main
+from bladegauge.embedded import christoffel_gauss_curvature, gauss_curvature, sphere
 from bladegauge.fields import MINKOWSKI4
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -220,6 +221,11 @@ def test_embedded_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][2] == "gauss_curvature"
     assert len(rows) == 1 + 9
+    # row 1 + 3 * 1 + 2 is (u, v) = (us[1], vs[2]); the stacked columns give the lone-point bits
+    x = np.array([np.linspace(0.4, np.pi - 0.4, 3)[1], np.linspace(0.0, 2 * np.pi, 3)[2]])
+    emb = sphere(2.0)
+    assert rows[6][:4] == [f"{c:.12g}" for c in (*x, gauss_curvature(emb, x),
+                                                 christoffel_gauss_curvature(emb, x))]
 
 
 def test_sigma_flow_command(tmp_path):

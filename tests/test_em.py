@@ -172,6 +172,17 @@ def test_monopole_b_field_is_radial():
         monopole_b_field(0.5, [0.0, 0.0, 0.0])
 
 
+def test_monopole_b_field_on_a_stack_takes_each_points_radius():
+    from bladegauge.em import monopole_b_field
+    pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    b = monopole_b_field(0.5, pts)
+    assert max_abs(b - np.array([[0.5, 0.0, 0.0], [0.0, 0.125, 0.0]])) < 1e-15
+    for i, p in enumerate(pts):
+        assert np.array_equal(b[i], monopole_b_field(0.5, p))
+    with pytest.raises(ChartError, match=r"stack index \[1\]"):
+        monopole_b_field(0.5, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
 def test_monopole_pole_guard():
     ap = monopole_potential(0.5, "plus")
     am = monopole_potential(0.5, "minus")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bladegauge.errors import ChartError, ParameterError, RankError
+from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError, RankError
 from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
@@ -306,14 +306,24 @@ def test_lattice_integral_constant():
 
 def test_lattice_integral_sin_squared():
     st = euclidean(1)
-    f = scalar_field(st, lambda x: np.sin(x[0]) ** 2)
+    f = scalar_field(st, lambda x: np.sin(x[..., 0]) ** 2)
     grid = Grid(lo=(0.0,), hi=(2 * np.pi,), cells=(100,))
     assert abs(lattice_integral(f, grid) - np.pi) < 0.01 * np.pi
 
 
+def test_lattice_integral_rejects_non_scalar_and_per_point_integrands():
+    st = euclidean(2)
+    grid = Grid(lo=(0.0, 0.0), hi=(1.0, 1.0), cells=(3, 2))
+    with pytest.raises(DimensionMismatchError, match="scalar field"):
+        lattice_integral(constant(np.eye(2), st), grid)
+    # written for one point: on the stack, x[0] is the first centre, not the first coordinate
+    with pytest.raises(DimensionMismatchError, match="point stack"):
+        lattice_integral(scalar_field(st, lambda x: np.sin(x[0])), grid)
+
+
 def test_lattice_refinement_is_second_order():
     st = euclidean(1)
-    f = scalar_field(st, lambda x: np.exp(np.sin(x[0])))
+    f = scalar_field(st, lambda x: np.exp(np.sin(x[..., 0])))
     exact = lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(4096,)))
     e1 = abs(lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(16,))) - exact)
     e2 = abs(lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(32,))) - exact)

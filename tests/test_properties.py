@@ -308,12 +308,43 @@ def _sphere_flux_pairs():
     return [(sphere_flux(f, quadrature_order=6), total)]
 
 
+def _lattice_integral_pairs():
+    from bladegauge.fields import Grid, lattice_integral, linear, sin_of
+    f = sin_of(linear(euclidean(2), [1.3, -0.7], offset=0.2))
+    grid = Grid(lo=(0.0, -1.0), hi=(2.0, 1.0), cells=(5, 7))
+    by_point = np.sum([complex(f(p)) for p in grid.centers()])
+    return [(lattice_integral(f, grid), float(np.real(by_point)) * grid.cell_volume)]
+
+
+def _embedded_pairs(emb, lo, hi):
+    """The curvature queries of an embedded chart at a (4, 2) stack and at each point."""
+    from bladegauge.blade import check_four_way
+    from bladegauge.embedded import christoffel_gauss_curvature, riemann_component
+
+    def pairs():
+        x = np.random.default_rng(9).uniform(lo, hi, (4, 2))
+        blade = embedded_blade(emb)
+        calls = [lambda y: gauss_curvature(emb, y),
+                 lambda y: christoffel_gauss_curvature(emb, y),
+                 lambda y: riemann_component(emb, y, 0, 1, 0, 1),
+                 lambda y: riemann_component(emb, y, 1, 0, 0, 1),
+                 lambda y: check_four_way(blade, y, 0, 1)]
+        return [(call(x)[i], call(xi)) for call in calls for i, xi in enumerate(x)]
+
+    return pairs
+
+
 STACK_CALLS = {
     "em_potential_residual": _em_residual_pairs,
     "two_form_values_wedge": _wedge_pairs,
     "form_rank": _form_rank_pairs,
     "blade_lattice_from_field": _lattice_pairs,
     "sphere_flux": _sphere_flux_pairs,
+    "lattice_integral": _lattice_integral_pairs,
+    "embedded_plane": _embedded_pairs(plane(), [-1.0, -1.0], [1.0, 1.0]),
+    "embedded_sphere": _embedded_pairs(sphere(1.3), [0.5, 0.0], [2.5, 6.0]),
+    "embedded_cylinder": _embedded_pairs(cylinder(), [0.0, -1.0], [6.0, 1.0]),
+    "embedded_torus": _embedded_pairs(torus(2.0, 0.5), [0.0, 0.0], [6.0, 6.0]),
 }
 
 
