@@ -11,6 +11,7 @@ this index handling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +188,7 @@ class LatticeBlade:
 
     @property
     def cell_volume(self):
-        return float(np.prod(self.spacings))
+        return float(math.prod(self.spacings))
 
     def copy(self):
         return LatticeBlade(self.sites.copy(), self.spacings, self.periodic,
@@ -195,9 +196,8 @@ class LatticeBlade:
 
     def reflection_defect(self):
         """Max per-site deviation of R^2 from the identity."""
-        eye = np.eye(self.N)
-        prod = np.einsum("...ij,...jk->...ik", self.sites, self.sites)
-        return float(np.max(np.abs(prod - eye)))
+        prod = _matmul_small(self.sites, self.sites)
+        return float(np.max(np.abs(prod - np.eye(self.N))))
 
 
 def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
@@ -221,31 +221,25 @@ def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
     return LatticeBlade(sites, grid.spacings, periodic, frozen)
 
 
-def _forward_links(lat: LatticeBlade, axis):
-    """Each site's forward neighbour along axis, and the mask of sites with that link.
-
-    Periodic axes wrap; on an open axis the last layer has no forward link.
-    """
-    fwd = np.roll(lat.sites, -1, axis=axis)
-    has_link = np.ones(lat.grid_shape, dtype=bool)
+def _link_differences(lat: LatticeBlade, axis):
+    """R_{s+e} - R_s on each link along axis; periodic axes wrap, open ones lose a layer."""
     if not lat.periodic[axis]:
-        np.moveaxis(has_link, axis, 0)[-1] = False
-    return fwd, has_link[..., None, None]
+        return np.diff(lat.sites, axis=axis)
+    return np.diff(lat.sites, axis=axis, append=lat.sites.take([0], axis=axis))
 
 
 def sigma_lattice_energy(lat: LatticeBlade):
     """Euclidean link energy (vol/4) sum_{axes e, links} Tr((R_{s+e} - R_s)^2) / h_e^2.
 
     Nearest neighbours couple, as in the standard lattice sigma-model action.
-    Nonnegative for reflection-valued sites; the all-plus convention makes
-    gradient descent meaningful, which the Lorentzian action is not.
+    A link difference D of Hermitian sites is Hermitian, so Tr(D^2) is the sum
+    of squares sum_ij |D_ij|^2: one np.vdot per axis, nonnegative.  The
+    all-plus convention makes gradient descent meaningful.
     """
     total = 0.0
     for ax in range(lat.ndim_lattice):
-        fwd, has_link = _forward_links(lat, ax)
-        delta = np.where(has_link, fwd - lat.sites, 0.0)
-        sq = np.einsum("...ij,...ji->...", delta, delta).real
-        total += float(np.sum(sq)) / lat.spacings[ax] ** 2
+        d = _link_differences(lat, ax)
+        total += float(np.vdot(d, d).real) / lat.spacings[ax] ** 2
     return 0.25 * lat.cell_volume * total
 
 
@@ -253,21 +247,24 @@ def sigma_lattice_gradient(lat: LatticeBlade):
     """Gradient of the lattice energy w.r.t. per-site conjugation generators.
 
     For the variation R_s -> e^{i eps B_s} R_s e^{-i eps B_s}, the energy
-    changes by eps * sum_s Tr(G_s B_s) with G_s = -(vol/2) i [R_s, M_s] and
-    M_s = sum_e (R_{s+e} + R_{s-e}) / h_e^2 over the links s has.  Frozen
-    sites enter their neighbours' M_s, so Dirichlet data drive the flow.
-    Derived from exactly the same sum as the energy, so the
-    finite-difference directional oracle matches.
+    changes by eps * sum_s Tr(G_s B_s) with G_s = -(vol/2) i [R_s, L_s] and
+    L_s = sum_e (D_s - D_{s-e}) / h_e^2 the Laplacian of the energy's link
+    differences D; it differs from the neighbour sum by a multiple of R_s.
+    With X = R L, G = -(vol/2) i (X - X^dag) is Hermitian to the last bit.
+    Frozen sites enter their neighbours' L_s, so Dirichlet data drive the flow.
     """
-    m = np.zeros_like(lat.sites)
+    lap = np.zeros_like(lat.sites)
     for ax in range(lat.ndim_lattice):
-        fwd, has_link = _forward_links(lat, ax)
-        # site s meets s + e over its own link and s - e over the link of s - e
-        bwd = np.roll(np.where(has_link, lat.sites, 0.0), +1, axis=ax)
-        m += (np.where(has_link, fwd, 0.0) + bwd) / lat.spacings[ax] ** 2
-    rm = _matmul_small(lat.sites, m)
-    mr = _matmul_small(m, lat.sites)
-    return -0.5j * lat.cell_volume * (rm - mr)
+        d = _link_differences(lat, ax)
+        d *= 1.0 / lat.spacings[ax] ** 2
+        # site s has the link to s + e (d[s]) and the link from s - e (d[s - 1])
+        lap_ax, d_ax = lap.swapaxes(0, ax), d.swapaxes(0, ax)
+        lap_ax[:len(d_ax)] += d_ax
+        lap_ax[1:] -= d_ax[:len(lap_ax) - 1]
+        if lat.periodic[ax]:
+            lap_ax[0] -= d_ax[-1]
+    x = _matmul_small(lat.sites, lap)
+    return -0.5j * lat.cell_volume * (x - dagger(x))
 
 
 def sigma_lattice_directional(lat: LatticeBlade, b):
@@ -290,9 +287,9 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     Each step conjugates every non-frozen site at once, as one (K, N, N)
     stack, by exp(-i eta G_s) with G_s the energy gradient, so
     R^2 = I is preserved exactly and the recorded energy trace is
-    non-increasing for sufficiently small eta.  For N = 2 the exponential is
-    `unitary_exp`'s closed form and the products are sums of outer products,
-    so a step is a few elementwise passes over the stack, with no eigh.  Ten
+    non-increasing for sufficiently small eta; the one-sided e^{-2i eta G} R
+    lets R - R^dag grow about 1000x per 100 steps.  The exactly Hermitian G
+    goes to `unitary_exp` (N = 2: closed form, no eigh) as it is.  Ten
     consecutive increasing steps raise DivergenceError (step size too large).
     """
     if steps < 0:
@@ -307,7 +304,7 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     bad_streak = 0
     for step in range(steps):
         grad = sigma_lattice_gradient(current)
-        u = unitary_exp(hermitian_part(grad[moving]), -eta)
+        u = unitary_exp(grad[moving], -eta)
         current.sites[moving] = _matmul_small(_matmul_small(u, current.sites[moving]),
                                               dagger(u))
         energy = sigma_lattice_energy(current)

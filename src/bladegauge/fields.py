@@ -645,11 +645,12 @@ def lattice_integral(f: FieldFn, grid: Grid):
     """Midpoint-rule integral of a scalar field over the grid box, from one stacked evaluation."""
     if f.shape != ():
         raise DimensionMismatchError(f"lattice_integral needs a scalar field, not shape {f.shape}")
-    centers = grid.centers()
+    # a unit stack axis tells (P, 1) stacked values from a lone-point integrand's
+    centers = grid.centers()[:, None, :]
     vals = np.asarray(f(centers))
     if vals.shape != centers.shape[:-1]:
         raise DimensionMismatchError(
             f"the integrand gave values shaped {vals.shape} on {len(centers)} cell centres; "
-            f"it must take a (P, d) point stack")
+            f"it must take a (..., d) point stack")
     # real and complex integrands reduce alike: one complex sum, then its real part
     return float(np.real(np.sum(vals.astype(complex)))) * grid.cell_volume

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,9 @@ def test_first_row_force_bounded_under_refinement(cells):
 def test_flow_monotone_and_preserves_reflection():
     lat = monopole_band_lattice()
     final, trace = sigma_flow(lat, steps=120, eta=2e-3)
+    # the trace ends are the energies of the input and the output, bit for bit
+    assert trace[0] == sigma_lattice_energy(lat)
+    assert trace[-1] == sigma_lattice_energy(final)
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-12 * (1 + abs(a))
     assert trace[-1] < trace[0]
@@ -349,6 +354,62 @@ def test_flow_rejects_nonpositive_eta():
     lat = monopole_band_lattice(cells=(4, 6))
     with pytest.raises(ParameterError):
         sigma_flow(lat, steps=1, eta=0.0)
+
+
+def random_reflection_lattice(rng, grid_shape, periodic, n=2, k=1):
+    """Sites U diag(1_k, -1_{n-k}) U^dag with independent random unitaries U."""
+    g = (rng.standard_normal(grid_shape + (n, n))
+         + 1j * rng.standard_normal(grid_shape + (n, n)))
+    q, _ = np.linalg.qr(g)
+    signs = np.where(np.arange(n) < k, 1.0, -1.0)
+    sites = (q * signs) @ dagger(q)
+    spacings = tuple(rng.uniform(0.05, 0.5, len(grid_shape)))
+    return LatticeBlade(sites, spacings, periodic)
+
+
+def neighbour_sum_reference(lat):
+    """Energy by the einsum trace and gradient -(vol/2) i (R M - M R) from the neighbour sum M."""
+    energy = 0.0
+    m = np.zeros_like(lat.sites)
+    for ax, h in enumerate(lat.spacings):
+        has_link = np.ones(lat.grid_shape, dtype=bool)
+        if not lat.periodic[ax]:
+            np.moveaxis(has_link, ax, 0)[-1] = False
+        has_link = has_link[..., None, None]
+        fwd = np.roll(lat.sites, -1, axis=ax)
+        delta = np.where(has_link, fwd - lat.sites, 0.0)
+        energy += np.sum(np.einsum("...ij,...ji->...", delta, delta).real) / h ** 2
+        m += (np.where(has_link, fwd, 0.0)
+              + np.roll(np.where(has_link, lat.sites, 0.0), 1, axis=ax)) / h ** 2
+    vol = float(np.prod(lat.spacings))
+    grad = -0.5j * vol * (lat.sites @ m - m @ lat.sites)
+    return 0.25 * vol * energy, grad, vol * max_abs(m)
+
+
+LATTICE_SHAPES = [(7,), (1,), (5, 4), (2, 1), (3, 4, 5), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("grid_shape", LATTICE_SHAPES)
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1)])
+def test_lattice_energy_and_gradient_match_neighbour_sum(grid_shape, n, k):
+    # every periodic/open mix of the axes
+    rng = np.random.default_rng(len(grid_shape) * 100 + sum(grid_shape) + n)
+    for periodic in itertools.product((False, True), repeat=len(grid_shape)):
+        lat = random_reflection_lattice(rng, grid_shape, periodic, n, k)
+        energy, grad_ref, scale = neighbour_sum_reference(lat)
+        assert abs(sigma_lattice_energy(lat) - energy) <= 1e-13 * abs(energy)
+        grad = sigma_lattice_gradient(lat)
+        assert max_abs(grad - grad_ref) <= 1e-13 * scale
+        # Hermitian to the last bit, so the flow needs no hermitian_part
+        assert np.array_equal(grad, dagger(grad))
+
+
+def test_long_flow_keeps_sites_hermitian_reflections():
+    # two-sided conjugation keeps R Hermitian to rounding; the one-sided
+    # e^{-2i eta G} R lets R - R^dag grow about 1000x per 100 steps
+    final, _ = sigma_flow(monopole_band_lattice(cells=(8, 12)), steps=2000, eta=2e-3)
+    assert max_abs(final.sites - dagger(final.sites)) <= 1e-13
+    assert final.reflection_defect() <= 1e-12
 
 
 def random_hermitian_sites(rng, shape):

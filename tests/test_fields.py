@@ -319,6 +319,11 @@ def test_lattice_integral_rejects_non_scalar_and_per_point_integrands():
     # written for one point: on the stack, x[0] is the first centre, not the first coordinate
     with pytest.raises(DimensionMismatchError, match="point stack"):
         lattice_integral(scalar_field(st, lambda x: np.sin(x[0])), grid)
+    # two cells on a 2-d grid: x[0], the first centre, is shaped like a (P,) stack's values
+    grid = Grid(lo=(0.0, 0.0), hi=(1.0, 1.0), cells=(2, 1))
+    with pytest.raises(DimensionMismatchError, match="point stack"):
+        lattice_integral(scalar_field(st, lambda x: x[0]), grid)
+    assert lattice_integral(scalar_field(st, lambda x: x[..., 0]), grid) == 0.5
 
 
 def test_lattice_refinement_is_second_order():
