@@ -71,22 +71,23 @@ class RotatingBlade:
         return self.R(x)
 
 
-def frame(spacetime, V: FieldFn, check_points=(), tol=TOL.algebraic) -> Frame:
+def frame(spacetime, V: FieldFn) -> Frame:
+    """The frame of an N x n matrix field V; `validate_frame` checks V^dag V = I."""
     if len(V.shape) != 2:
         raise DimensionMismatchError("a frame must be matrix valued")
     N, n = V.shape
     if n > N:
         raise DimensionMismatchError("frame needs n <= N")
-    f = Frame(spacetime, N, n, V)
-    if len(check_points):
-        validate_frame(f, check_points, tol)
-    return f
+    return Frame(spacetime, N, n, V)
 
 
-def validate_frame(f: Frame, x, tol=TOL.algebraic):
-    """Largest |V^dag V - I| at x, a point or a (..., d) stack; ConsistencyError beyond tol."""
+def validate_frame(f: Frame, x):
+    """Largest |V^dag V - I| at x, a point or a (..., d) stack.
+
+    Raises a ConsistencyError naming the worst point beyond TOL.algebraic.
+    """
     v = f.V(x)
-    return _within(max_abs_each(dagger(v) @ v - np.eye(f.n)), x, tol,
+    return _within(max_abs_each(dagger(v) @ v - np.eye(f.n)), x, TOL.algebraic,
                    "frame columns not orthonormal: error")
 
 
@@ -106,13 +107,13 @@ def reference_frame(spacetime, N, n) -> Frame:
     return Frame(spacetime, N, n, constant(v0, spacetime))
 
 
-def extract_potential(f: Frame, tol=TOL.frame_consistency) -> OneForm:
+def extract_potential(f: Frame) -> OneForm:
     """A_mu = -i V^dag dV.
 
     The result is Hermitian when the frame is genuinely orthonormal; the
     evaluation symmetrizes and raises a frame-inconsistency error when the
-    anti-hermitian drift exceeds `tol` (broken orthonormality or a
-    finite-difference step too coarse for the field).
+    anti-hermitian drift exceeds TOL.frame_consistency (broken orthonormality
+    or a finite-difference step too coarse for the field).
     """
     comps = []
     for mu in range(f.spacetime.dim):
@@ -121,7 +122,7 @@ def extract_potential(f: Frame, tol=TOL.frame_consistency) -> OneForm:
         def checked(x, raw=raw):
             m = np.asarray(raw.fn(x), dtype=complex)
             h = hermitian_part(m)
-            if max_abs(m - h) > tol:
+            if max_abs(m - h) > TOL.frame_consistency:
                 drifts = max_abs_each(m - h)
                 i, point = _worst_point(drifts, x)
                 raise ConsistencyError(
@@ -151,10 +152,9 @@ def lifted_field(shape_op: OneForm, psi: FieldFn, mu) -> FieldFn:
     return psi.partial(mu) + 1j * (shape_op.components[mu] @ psi)
 
 
-def lifted_covariant_derivative(blade_or_shape, psi: FieldFn, mu, x):
+def lifted_covariant_derivative(blade: RotatingBlade, psi: FieldFn, mu, x):
     """d_mu psi + i S_mu psi at x, for any C^N-valued field psi."""
-    s = blade_or_shape if isinstance(blade_or_shape, OneForm) else shape_operator(blade_or_shape)
-    return psi.d(x, mu) + 1j * s.at(x, mu) @ psi(x)
+    return lifted_field(shape_operator(blade), psi, mu)(x)
 
 
 def lifted_covariant_derivative_projected(blade: RotatingBlade, psi: FieldFn, mu, x):
@@ -221,24 +221,19 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     return vals, discs
 
 
-def blade_curvature(blade: RotatingBlade, check_points=(), tol=None) -> TwoForm:
+def blade_curvature(blade: RotatingBlade) -> TwoForm:
     """Curvature of the lifted covariant derivative, as -i [S_mu, S_nu].
 
-    check_points, a (P, d) stack when given, cross-validate the four
-    equivalent expressions and raise a ConsistencyError beyond the FD budget.
+    `check_four_way` cross-validates it against the three other expressions.
     """
     s = shape_operator(blade).components
-    omega = two_form(blade.spacetime, lambda mu, nu: (-1j) * (s[mu] @ s[nu] - s[nu] @ s[mu]))
-    if len(check_points):
-        for mu, nu in omega.upper:
-            check_four_way(blade, check_points, mu, nu, tol)
-    return omega
+    return two_form(blade.spacetime, lambda mu, nu: (-1j) * (s[mu] @ s[nu] - s[nu] @ s[mu]))
 
 
 # ---------------------------------------------------------------------------
 # orthogonal complement and shape gauge
 
-def complement_frame(f: Frame, x, pivot_tol=TOL.gram_schmidt_pivot):
+def complement_frame(f: Frame, x):
     """Deterministic orthonormal basis of the complement of range V(x), x a point or a stack.
 
     Greedy pivoted Gram-Schmidt over the identity columns: each step picks
@@ -248,12 +243,12 @@ def complement_frame(f: Frame, x, pivot_tol=TOL.gram_schmidt_pivot):
     finite-difference derivatives stay within budget) wherever the pivot
     selection does not switch; fixtures avoid the switching set.
     """
-    return _complete_columns(np.asarray(f.V(x), dtype=complex), pivot_tol)
+    return _complete_columns(np.asarray(f.V(x), dtype=complex))
 
 
-def complement_field(f: Frame, pivot_tol=TOL.gram_schmidt_pivot) -> FieldFn:
+def complement_field(f: Frame) -> FieldFn:
     """The complement as a (finite-difference differentiable) field."""
-    return FieldFn(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x, pivot_tol),
+    return FieldFn(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x),
                    None, None, f.V.fd_step)
 
 
@@ -295,35 +290,21 @@ class ShapeGaugeDecomposition:
         return omega - uv @ blk @ dagger(uv), gap
 
 
-def shape_gauge_decompose(f: Frame, w: FieldFn, check_points=(), tol=None) -> ShapeGaugeDecomposition:
+def shape_gauge_decompose(f: Frame, w: FieldFn) -> ShapeGaugeDecomposition:
     """Complementary connection C_mu = -i W^dag dW and its curvature G.
 
-    Verifies, at the (P, d) stack of check points, both the S_mu
-    reconstruction from the combined potential and the block form of the
-    curvature; raises a ConsistencyError when a residual exceeds the tolerance.
+    The decomposition's `reconstruction_residual` and `omega_block_residual`
+    measure how well S_mu and the curvature blocks are reproduced.
     """
-    tol = TOL.fd_nested() if tol is None else tol
     comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(f.spacetime.dim)]
     c = gauge_potential(f.spacetime, comps)
-    g = field_strength(c)
-    dec = ShapeGaugeDecomposition(f, w, c, g)
-    if not len(check_points):
-        return dec
-    x = np.asarray(check_points, dtype=float)
-    for mu in range(f.spacetime.dim):
-        _within(max_abs_each(dec.reconstruction_residual(x, mu)), x, tol,
-                "shape-gauge reconstruction residual")
-    for mu, nu in itertools.combinations(range(f.spacetime.dim), 2):
-        block, gap = dec.omega_block_residual(x, mu, nu)
-        _within(np.maximum(max_abs_each(block), max_abs_each(gap)), x, tol,
-                "curvature block residual")
-    return dec
+    return ShapeGaugeDecomposition(f, w, c, field_strength(c))
 
 
 # ---------------------------------------------------------------------------
 # canonical (Cartan-factor) frame
 
-def canonical_frame(p, v0, tol=TOL.chart_min_overlap):
+def canonical_frame(p, v0):
     """The preferred frame for the subspace range(P), relative to V0; P may be a stack.
 
     Returns V_can = U1 V0, where U1 is the direct rotation carrying
@@ -336,7 +317,7 @@ def canonical_frame(p, v0, tol=TOL.chart_min_overlap):
     q = _range_basis(p, v0.shape[1])
     x = dagger(v0) @ q
     u_left, sing, vh = np.linalg.svd(x)
-    if sing.min() < tol:
+    if sing.min() < TOL.chart_min_overlap:
         raise ChartError(
             f"principal angle >= pi/2 between range(P) and range(V0) "
             f"(min overlap {sing.min():.3e})")
@@ -344,7 +325,7 @@ def canonical_frame(p, v0, tol=TOL.chart_min_overlap):
     return q @ dagger(u_polar)
 
 
-def direct_rotation(p, v0, w0=None, tol=TOL.chart_min_overlap):
+def direct_rotation(p, v0):
     """The N x N unitary U1 of the canonical construction.
 
     Satisfies U1 V0 = canonical_frame(P, V0) and U1 R0 = R0 U1^dag, where
@@ -352,13 +333,12 @@ def direct_rotation(p, v0, w0=None, tol=TOL.chart_min_overlap):
     """
     v0 = np.asarray(v0, dtype=complex)
     N, n = v0.shape
-    if w0 is None:
-        w0 = _complete_columns(v0)
+    w0 = _complete_columns(v0)
     q = _range_basis(p, n)
     x = dagger(v0) @ q
     y = dagger(w0) @ q
     u_left, sing, vh = np.linalg.svd(x)
-    if sing.min() < tol:
+    if sing.min() < TOL.chart_min_overlap:
         raise ChartError("principal angle >= pi/2; direct rotation undefined")
     m = dagger(vh)
     cos_t = np.clip(sing, -1.0, 1.0)
@@ -385,15 +365,15 @@ def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
                    None, None, blade.R.fd_step)
 
 
-def _range_basis(p, n, thresh=0.5):
+def _range_basis(p, n):
     """Orthonormal basis of the range of a rank-n Hermitian projector, or of each in a stack."""
     lam, q = np.linalg.eigh(hermitian_part(p))
-    if _any(np.count_nonzero(lam > thresh, axis=-1) != n):
+    if _any(np.count_nonzero(lam > 0.5, axis=-1) != n):
         raise DimensionMismatchError("projector rank differs from reference frame width")
     return q[..., q.shape[-1] - n:]  # eigh sorts the eigenvalues ascending
 
 
-def _complete_columns(v, pivot_tol=TOL.gram_schmidt_pivot):
+def _complete_columns(v):
     """Greedy-pivoted orthonormal completion of the orthonormal columns of a (..., N, n) stack.
 
     Candidate e_j is row j of one (..., N, N) array; contiguous rows make `vecdot`
@@ -415,7 +395,7 @@ def _complete_columns(v, pivot_tol=TOL.gram_schmidt_pivot):
             better = ~taken[..., j] & (norms[..., j] > best_norm + 1e-12)
             best_norm = np.where(better, norms[..., j], best_norm)
             best = np.where(better, j, best)
-        if _any(best_norm <= pivot_tol):
+        if _any(best_norm <= TOL.gram_schmidt_pivot):
             i = np.unravel_index(np.argmin(best_norm), batch)
             where = f"stack index {[int(k) for k in i]}" if batch else "this point"
             raise ConsistencyError(
@@ -429,8 +409,9 @@ def _complete_columns(v, pivot_tol=TOL.gram_schmidt_pivot):
 # ---------------------------------------------------------------------------
 # seeded smooth test fields
 
-def random_hermitian_field(spacetime, n, seed, amplitude=0.4, waves=3):
-    """H(x) = sum_j C_j sin(w_j . x + p_j) with analytic first derivatives."""
+def random_hermitian_field(spacetime, n, seed, amplitude=0.4):
+    """H(x) = sum_j C_j sin(w_j . x + p_j) over 3 waves, with analytic derivatives."""
+    waves = 3
     rng = np.random.default_rng(seed)
     mats = [random_hermitian(n, rng.integers(0, 2 ** 31), amplitude / waves)
             for _ in range(waves)]
@@ -470,14 +451,14 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
     return Frame(spacetime, N, n, _exp_i_field(h, v0, analytic))
 
 
-def random_gauge_map(spacetime, n, seed, amplitude=0.4, analytic=True) -> GaugeMap:
+def random_gauge_map(spacetime, n, seed) -> GaugeMap:
     """Seeded smooth U(n)-valued field u(x) = exp(i h(x)).
 
     One stacked eigh per distinct point stack, kept in an LRU bounded by
     points that lives with the field; the arrays returned are read-only.
     """
-    h = random_hermitian_field(spacetime, n, seed, amplitude)
-    return gauge_map(_exp_i_field(h, None, analytic), check=False)
+    h = random_hermitian_field(spacetime, n, seed)
+    return gauge_map(_exp_i_field(h, None, True), check=False)
 
 
 # points whose spectral records one seeded exp(iH) field keeps: a stacked

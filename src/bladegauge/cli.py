@@ -268,7 +268,7 @@ def cmd_verify(args):
     seed = int(cfg.get("seed", 0))
     # the schema admits only the overrides the checks compare against
     tol = replace(TOL, **cfg.get("tolerances", {}))
-    checks = _generic_identity_checks(seed, tol=tol)
+    checks = _generic_identity_checks(seed, tol)
     checks += _embedded_cross_checks(tol)
     scenario = cfg["scenario"]
     params = scenario_params(cfg)
@@ -285,14 +285,15 @@ def cmd_verify(args):
     return 0 if report["all_passed"] else 1
 
 
-def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
+def _generic_identity_checks(seed, tol):
+    """The nine blade identities on four seeded random frames, three points each."""
     rng = np.random.default_rng(seed)
     worst = {"reflection": 0.0, "hermiticity": 0.0, "trace": 0.0,
              "anticommute": 0.0, "covariant_constancy": 0.0,
              "four_way": 0.0, "gauge_invariance": 0.0,
              "gauge_covariance_F": 0.0, "curvature_blocks": 0.0}
     st = MINKOWSKI4
-    for i in range(n_frames):
+    for i in range(4):
         N, n = (2, 1) if i % 2 == 0 else (4, 2)
         v = random_smooth_frame(st, N, n, seed=seed + 11 * i, amplitude=0.3)
         blade = blade_from_frame(v)
@@ -308,7 +309,7 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
         fs2_expect = gauge_transform_field_strength(fs, u)
         w = complement_field(v)
         g_fs = shape_gauge_decompose(v, w).G
-        x = rng.uniform(-0.5, 0.5, (n_points, st.dim))
+        x = rng.uniform(-0.5, 0.5, (3, st.dim))
         r = blade.at(x)
         worst["reflection"] = max(worst["reflection"], max_abs(r @ r - np.eye(N)))
         worst["hermiticity"] = max(worst["hermiticity"], max_abs(r - dagger(r)))
@@ -351,7 +352,7 @@ def _generic_identity_checks(seed, n_frames=4, n_points=3, tol=TOL):
     ]
 
 
-def _embedded_cross_checks(tol=TOL):
+def _embedded_cross_checks(tol):
     x = np.random.default_rng(17).uniform((0.5, 0), (np.pi - 0.5, 2 * np.pi), (3, 2))
     k, k_oracle, ident = _curvature_columns(sphere(1.0), x)
     return [
@@ -588,8 +589,19 @@ def _load_lattice(path):
         raise ConfigError(f"lattice file {path}: 'periodic' must be a list of true/false "
                           f"flags; got {periodic!r}", schema_path=["periodic"])
     frozen = payload.get("frozen")
-    return LatticeBlade(arr[..., 0] + 1j * arr[..., 1], tuple(spacings), tuple(periodic),
-                        None if frozen is None else _lattice_array(payload, "frozen", path) != 0)
+    lat = LatticeBlade(arr[..., 0] + 1j * arr[..., 1], tuple(spacings), tuple(periodic),
+                       None if frozen is None else _lattice_array(payload, "frozen", path) != 0)
+    # the flow's energy and gradient are the link action only on Hermitian reflections
+    r = lat.sites
+    for what, norm, defect, tol in (
+            ("Hermitian", "|R - R^dag|", r - dagger(r), TOL.hermitian_input),
+            ("a reflection", "|R^2 - I|", r @ r - np.eye(lat.N), TOL.algebraic)):
+        errs = max_abs_each(defect)
+        i = np.unravel_index(np.argmax(errs), errs.shape)
+        if errs[i] > tol:
+            raise ConfigError(f"lattice file {path}: site {list(map(int, i))} is not {what} "
+                              f"(max {norm} {errs[i]:.3e} > {tol:.1e})", schema_path=["sites"])
+    return lat
 
 
 def _lattice_array(payload, key, path):

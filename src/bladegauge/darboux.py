@@ -136,16 +136,15 @@ class DarbouxData:
     def N(self):
         return 2 * (self.r + 1)
 
-    def sample_points(self, count=24, seed=0):
-        """A (count, d) stack of seeded points in the domain box."""
+    def sample_points(self):
+        """A (24, d) stack of points in the domain box, drawn with seed 0."""
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        rng = np.random.default_rng(seed)
-        return lo + rng.uniform(size=(count, self.spacetime.dim)) * (hi - lo)
+        rng = np.random.default_rng(0)
+        return lo + rng.uniform(size=(24, self.spacetime.dim)) * (hi - lo)
 
 
-def darboux_data(spacetime, pairs, lo, hi, validate=True,
-                 n_samples=24, seed=0) -> DarbouxData:
+def darboux_data(spacetime, pairs, lo, hi, validate=True) -> DarbouxData:
     """Build DarbouxData from (pi, phi) pairs of FieldFns or expression strings.
 
     Validation samples the domain box: |pi_k| <= 1 is enforced, and a warning
@@ -159,7 +158,7 @@ def darboux_data(spacetime, pairs, lo, hi, validate=True,
         conv.append((p, f))
     data = DarbouxData(spacetime, tuple(conv), tuple(lo), tuple(hi))
     if validate and conv:
-        pts = data.sample_points(n_samples, seed)
+        pts = data.sample_points()
         for k, (p, _) in enumerate(conv):
             u = p(pts)
             if _any(abs(u) > 1.0 + 1e-12):
@@ -246,8 +245,8 @@ def darboux_frame(data: DarbouxData) -> Frame:
     return frame(data.spacetime, matrix_of(rows))
 
 
-def verify_rank(data: DarbouxData, sample_points=None, tol=1e-9):
-    """Measure the Darboux rank of A and compare with len(pairs) - 1.
+def verify_rank(data: DarbouxData):
+    """Measure the Darboux rank of A at the data's sample points; compare with len(pairs) - 1.
 
     Returns the measured rank; a rank-mismatch warning (not an error) is
     emitted when it differs from the pair count, which usually means the
@@ -256,8 +255,7 @@ def verify_rank(data: DarbouxData, sample_points=None, tol=1e-9):
     d = data.spacetime.dim
     if data.pairs and data.r >= d / 2.0:
         raise RankError(f"rank {data.r} not admissible in dimension {d}")
-    pts = data.sample_points() if sample_points is None else sample_points
-    measured = form_rank(darboux_one_form(data), pts, tol)
+    measured = form_rank(darboux_one_form(data), data.sample_points())
     if data.pairs and measured != data.r:
         warnings.warn(
             f"measured rank {measured} != len(pairs) - 1 = {data.r}; "

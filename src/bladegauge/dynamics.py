@@ -51,9 +51,9 @@ def ym_residual(a: OneForm, nu, x, fs: TwoForm = None):
     return total
 
 
-def ym_action(a: OneForm, grid: Grid, fs: TwoForm = None):
+def ym_action(a: OneForm, grid: Grid):
     """-1/4 integral Tr(F_mu nu F^mu nu) by the midpoint rule."""
-    fs = field_strength(a) if fs is None else fs
+    fs = field_strength(a)
     st = a.spacetime
 
     def density(x):
@@ -81,7 +81,7 @@ def sigma_action(blade: RotatingBlade, grid: Grid):
     return lattice_integral(scalar_field(st, density), grid)
 
 
-def modified_eom_residual(v: Frame, x, a: OneForm = None, fs: TwoForm = None):
+def modified_eom_residual(v: Frame, x):
     """sum_nu d^nu ( V (D^mu F_mu nu) V^dag ) at x.
 
     Solutions of the Yang-Mills equations annihilate the inner bracket and
@@ -90,8 +90,8 @@ def modified_eom_residual(v: Frame, x, a: OneForm = None, fs: TwoForm = None):
     widened nested-FD budget.
     """
     st = v.spacetime
-    a = extract_potential(v) if a is None else a
-    fs = field_strength(a) if fs is None else fs
+    a = extract_potential(v)
+    fs = field_strength(a)
 
     def inner(nu):
         def fn(y):
@@ -121,20 +121,19 @@ def maxwell_mod_residual(params: EmFrameParams, x):
     return total
 
 
-def shape_gauge_ym_residual(v: Frame, x, nu, s: OneForm = None):
+def shape_gauge_ym_residual(v: Frame, x, nu):
     """P D^mu Omega_mu nu at x: the shape-gauge image of the YM equations.
 
     S is the connection and Omega its curvature, so this is P times the
     Yang-Mills residual of S.
     """
     blade = blade_from_frame(v)
-    s = shape_operator(blade) if s is None else s
-    return blade.projector(x) @ ym_residual(s, nu, x, blade_curvature(blade))
+    return blade.projector(x) @ ym_residual(shape_operator(blade), nu, x, blade_curvature(blade))
 
 
-def sigma_eom_residual(blade: RotatingBlade, x, s: OneForm = None):
+def sigma_eom_residual(blade: RotatingBlade, x):
     """d_mu S^mu at x."""
-    s = shape_operator(blade) if s is None else s
+    s = shape_operator(blade)
     st = blade.spacetime
     total = 0
     for mu in range(st.dim):

@@ -114,14 +114,14 @@ def plane_wave_mod_condition(spacetime: Spacetime, k, n):
 # ---------------------------------------------------------------------------
 # magnetic monopole
 
-def _pole_guarded_phi_component(g, sign, guard=TOL.pole_guard):
+def _pole_guarded_phi_component(g, sign):
     """A_phi = g (sign - cos theta) with the excluded pole fenced off."""
     theta = coordinate(SPHERICAL3, 1)
 
     def checked(x):
         t = theta.fn(x)
         # sign * theta peaks at the point deepest toward the excluded pole
-        if _any(t > np.pi - guard if sign > 0 else t < guard):
+        if _any(t > np.pi - TOL.pole_guard if sign > 0 else t < TOL.pole_guard):
             i, point = _worst_point(sign * t, x)
             pole = "theta = pi" if sign > 0 else "theta = 0"
             raise ChartError(f"{'plus' if sign > 0 else 'minus'}-patch potential undefined "
@@ -177,33 +177,34 @@ def monopole_b_field(g, xyz):
     return g * xyz / r ** 3
 
 
-def quantization_satisfied(g, tol=1e-12):
-    return abs(2.0 * g - round(2.0 * g)) <= tol
+def quantization_satisfied(g):
+    """Whether 2g is an integer to within 1e-12."""
+    return abs(2.0 * g - round(2.0 * g)) <= 1e-12
 
 
 @dataclass(frozen=True)
 class GlueReport:
-    blade: RotatingBlade
     single_valued: bool
     max_patch_mismatch: float
     max_winding_mismatch: float
 
 
-def monopole_blade_glue(g, n_theta=32, tol=TOL.gluing, guard=TOL.pole_guard) -> GlueReport:
+def monopole_blade_glue(g) -> GlueReport:
     """Build the blade and test patch agreement and single-valuedness.
 
     Patch agreement compares R built from the plus and minus parametrizations
-    on the overlap band; single-valuedness compares R at phi and phi + 2 pi.
+    on the overlap band, 32 values of theta between the pole guards;
+    single-valuedness compares R at phi and phi + 2 pi, both within TOL.gluing.
     Non-quantized g comes back single_valued = False, not an error.
     """
     blade_plus = monopole_blade(g)
     blade_minus = blade_from_frame(em_frame(monopole_params(g, "minus")))
-    th, ph = np.meshgrid(np.linspace(guard, np.pi - guard, n_theta), (0.0, 1.1, 3.7),
-                         indexing="ij")
+    guard = TOL.pole_guard
+    th, ph = np.meshgrid(np.linspace(guard, np.pi - guard, 32), (0.0, 1.1, 3.7), indexing="ij")
     x = np.stack([np.ones_like(th), th, ph], axis=-1)
     x_wound = np.stack([np.ones_like(th), th, ph + 2.0 * np.pi], axis=-1)
     r = blade_plus.at(x)
     patch_mismatch = max_abs(r - blade_minus.at(x))
     winding_mismatch = max_abs(blade_plus.at(x_wound) - r)
-    single = patch_mismatch <= tol and winding_mismatch <= tol
-    return GlueReport(blade_plus, single, patch_mismatch, winding_mismatch)
+    single = patch_mismatch <= TOL.gluing and winding_mismatch <= TOL.gluing
+    return GlueReport(single, patch_mismatch, winding_mismatch)

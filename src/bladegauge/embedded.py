@@ -88,15 +88,15 @@ def _tangent_derivative(f: FieldFn, x, mu):
     return np.stack([np.real(f.d2(x, nu, mu)) for nu in range(f.spacetime.dim)], axis=-1)
 
 
-def induced_metric(f: FieldFn, x, cond_limit=1e8):
-    """g_mu nu = f_mu . f_nu; raises on a numerically degenerate chart."""
-    return _metric(tangent_frame(f, x), x, cond_limit)
+def induced_metric(f: FieldFn, x):
+    """g_mu nu = f_mu . f_nu; ChartError where its condition number exceeds 1e8."""
+    return _metric(tangent_frame(f, x), x)
 
 
-def _metric(fr, x, cond_limit=1e8):
+def _metric(fr, x):
     g = fr.mT @ fr
     cond = np.linalg.cond(g)
-    if _any(cond > cond_limit):
+    if _any(cond > 1e8):
         _, point = _worst_point(cond, x)
         raise ChartError(f"degenerate chart at {point}: metric condition number too large")
     return g

@@ -372,8 +372,8 @@ def linear(spacetime, coeffs, offset=0.0):
     return FieldFn(spacetime, (), fn, _slopes(c), _uniform(0.0))
 
 
-def scalar_field(spacetime, fn, deriv=None, deriv2=None, fd_step=TOL.fd_step):
-    return FieldFn(spacetime, (), fn, deriv, deriv2, fd_step)
+def scalar_field(spacetime, fn):
+    return FieldFn(spacetime, (), fn)
 
 
 def mapped(f, func, dfunc=None, d2func=None):
@@ -550,13 +550,13 @@ def wedge_power_values(a, da, r, x):
     return vals
 
 
-def wedge_power_nonzero(a, da, r, sample_points, tol=1e-9):
-    """True if any component of A wedge (dA)^r exceeds tol at any sample."""
+def wedge_power_nonzero(a, da, r, sample_points):
+    """True if any component of A wedge (dA)^r exceeds 1e-9 at any sample."""
     d = a.spacetime.dim
     if 2 * r + 1 > d:
         raise RankError(f"a ({2 * r + 1})-form cannot live in dimension {d}")
     pts = np.asarray(sample_points, dtype=float).reshape(-1, d)
-    return any(np.any(np.abs(v) > tol) for v in wedge_power_values(a, da, r, pts).values())
+    return any(np.any(np.abs(v) > 1e-9) for v in wedge_power_values(a, da, r, pts).values())
 
 
 def form_rank(a, sample_points, tol=1e-9):
@@ -584,25 +584,24 @@ def form_rank(a, sample_points, tol=1e-9):
 # ---------------------------------------------------------------------------
 # quadrature
 
-def sphere_flux(f: TwoForm, radius=1.0, quadrature_order=16, n_phi=None):
-    """Integral of a 2-form over the radius-r sphere of a spherical3d chart.
+def sphere_flux(f: TwoForm, quadrature_order=16):
+    """Integral of a 2-form over the unit sphere r = 1 of a spherical3d chart.
 
-    Product rule: Gauss-Legendre in theta, trapezoid (periodic) in phi, on
-    the coordinate component F_{theta phi}.
+    Product rule: Gauss-Legendre in theta, trapezoid (periodic) in phi with
+    max(8, 4 * quadrature_order) nodes, on the coordinate component F_{theta phi}.
     """
     if f.spacetime.chart != "spherical3d":
         raise ChartError("sphere_flux requires a spherical3d chart")
     if quadrature_order < 2:
         raise ParameterError("quadrature order must be >= 2")
-    if n_phi is None:
-        n_phi = max(8, 4 * quadrature_order)
+    n_phi = max(8, 4 * quadrature_order)
     nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
     thetas = 0.5 * np.pi * (nodes + 1.0)
     wtheta = 0.5 * np.pi * weights
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     dphi = 2.0 * np.pi / n_phi
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    nodes = np.stack([np.full_like(th, radius), th, ph], axis=-1)
+    nodes = np.stack([np.ones_like(th), th, ph], axis=-1)
     terms = (wtheta[:, None] * dphi) * np.real(f.component(1, 2)(nodes))
     # a running sum in node order (theta outer, phi inner) keeps the flux's bits
     return float(np.cumsum(terms)[-1])

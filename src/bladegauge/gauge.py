@@ -42,7 +42,7 @@ def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
     return replace(f.hermitian_part(), fn=fn)
 
 
-def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> OneForm:
+def gauge_potential(spacetime, components) -> OneForm:
     """d Hermitian n x n matrix fields A_mu(x) as a one-form; i A_mu lives in u(n)."""
     components = tuple(components)
     if len(components) != spacetime.dim:
@@ -50,15 +50,12 @@ def gauge_potential(spacetime, components, hermitize=True, warn_tol=None) -> One
     n = components[0].shape[0]
     if any(c.shape != (n, n) for c in components):
         raise DimensionMismatchError("all components must be square and same size")
-    if hermitize:
-        if warn_tol is None:
-            # finite-difference-backed components carry O(h^2) anti-hermitian
-            # noise; warn only beyond their budget, not on every evaluation
-            warn_tol = max(TOL.hermitian_warn,
-                           0.0 if all(c.deriv is not None for c in components)
-                           else TOL.fd(components[0].fd_step))
-        components = tuple(_hermitized(c, warn_tol) for c in components)
-    return OneForm(spacetime, components)
+    # finite-difference-backed components carry O(h^2) anti-hermitian
+    # noise; warn only beyond their budget, not on every evaluation
+    warn_tol = max(TOL.hermitian_warn,
+                   0.0 if all(c.deriv is not None for c in components)
+                   else TOL.fd(components[0].fd_step))
+    return OneForm(spacetime, tuple(_hermitized(c, warn_tol) for c in components))
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class GaugeMap:
         return self.f.shape[0]
 
 
-def gauge_map(f: FieldFn, check=True, tol=TOL.hermitian_input) -> GaugeMap:
+def gauge_map(f: FieldFn, check=True) -> GaugeMap:
     if len(f.shape) != 2 or f.shape[0] != f.shape[1]:
         raise DimensionMismatchError("gauge map must be square matrix valued")
     if not check:
@@ -93,7 +90,7 @@ def gauge_map(f: FieldFn, check=True, tol=TOL.hermitian_input) -> GaugeMap:
     def checked(x):
         u = np.asarray(f.fn(x), dtype=complex)
         defect = dagger(u) @ u - np.eye(n)
-        if max_abs(defect) > tol:
+        if max_abs(defect) > TOL.hermitian_input:
             defects = max_abs_each(defect)
             i, point = _worst_point(defects, x)
             raise DomainError(f"gauge map is not unitary at {point} "

@@ -22,9 +22,9 @@ import numpy as np
 from . import darboux as dx
 from . import em
 from .blade import Frame, extract_potential, frame, random_gauge_map, random_smooth_frame
-from .errors import ConfigError, ParameterError
-from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, constant,
-                     linear, matrix_of)
+from .errors import ChartError, ConfigError, ParameterError
+from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, _any, _worst_point,
+                     constant, linear, matrix_of)
 from .gauge import gauge_potential, pure_gauge_potential
 __all__ = [
     "Scenario", "SCENARIOS", "scenario_schema", "validate_config", "resolve_spacetime",
@@ -225,16 +225,26 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
 # tabulated fields
 
 def tabulated_field(axes, values, spacetime: Spacetime, shape) -> FieldFn:
-    """Multilinear interpolation of complex samples given as [re, im] leaves."""
+    """Multilinear interpolation of complex samples given as [re, im] leaves.
+
+    A query outside the table's box, finite-difference stencil points
+    included, raises a ChartError naming the point farthest out.
+    """
     from scipy.interpolate import RegularGridInterpolator
     arr = np.asarray(values, dtype=float)  # (*grid, *shape, 2)
     if arr.shape[-1] != 2:
         raise ParameterError("tabulated values must have [re, im] leaves")
     data = arr[..., 0] + 1j * arr[..., 1]
-    interp = RegularGridInterpolator([np.asarray(a, dtype=float) for a in axes],
-                                     data, method="linear", bounds_error=True)
+    grid = [np.asarray(a, dtype=float) for a in axes]
+    interp = RegularGridInterpolator(grid, data, method="linear", bounds_error=True)
+    lo, hi = np.array([a.min() for a in grid]), np.array([a.max() for a in grid])
 
     def fn(x):
+        outside = np.max(np.maximum(lo - x, x - hi), axis=-1)  # > 0 outside the box
+        if _any(outside > 0.0):
+            _, point = _worst_point(outside, x)
+            raise ChartError(f"tabulated field queried at {point}, outside its table "
+                             f"{[[float(l), float(h)] for l, h in zip(lo, hi)]}")
         out = interp(x.reshape(-1, x.shape[-1]))
         return np.asarray(out, dtype=complex).reshape(x.shape[:-1] + shape)[()]
 

@@ -40,10 +40,9 @@ class Tolerances:
         h = self.fd_step if h is None else h
         return 10.0 * h * h
 
-    def fd_nested(self, h: float | None = None) -> float:
+    def fd_nested(self) -> float:
         """Budget for residuals built from nested stencils (2nd/3rd derivatives)."""
-        h = self.fd_step if h is None else h
-        return 100.0 * h * h
+        return 100.0 * self.fd_step * self.fd_step
 
 
 DEFAULT = Tolerances()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,8 @@ def test_stack_errors_name_the_failing_point(st4):
     bad = matrix_of([[constant(1.0, st4) + coordinate(st4, 0)], [0.0]])
     pts = np.array([[0.0, 0.1, 0.2, 0.3], [0.3, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6]])
     with pytest.raises(ConsistencyError, match=r"orthonormal: .* at \[0\.3, 0\.1, 0\.2, 0\.3\]$"):
-        frame(st4, bad, check_points=pts)
-    frame(st4, bad, check_points=pts[[0, 2]])
+        validate_frame(frame(st4, bad), pts)
+    validate_frame(frame(st4, bad), pts[[0, 2]])
     # with no budget every point fails; the message names the largest discrepancy's point
     blade = blade_from_frame(random_smooth_frame(st4, 4, 2, seed=3))
     worst = pts[np.argmax([four_way(blade, x, 0, 1)[1] for x in pts])]
@@ -473,13 +475,24 @@ def test_completion_error_names_the_stack_index():
 def test_shape_gauge_decompose_random_frame(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=71)
     w = complement_field(v)
-    dec = shape_gauge_decompose(v, w, check_points=points4[:2])
+    dec = shape_gauge_decompose(v, w)
+    _assert_decomposition_holds(dec, np.array(points4[:2]))
     x = points4[2]
     for mu in range(4):
         assert max_abs(dec.reconstruction_residual(x, mu)) < TOL.fd_nested()
     block, gap = dec.omega_block_residual(x, 0, 2)
     assert max_abs(block) < TOL.fd_nested()
     assert max_abs(gap) < TOL.fd_nested()
+
+
+def _assert_decomposition_holds(dec, pts):
+    """S reconstruction and both curvature-block residuals within the nested FD budget."""
+    for mu in range(4):
+        assert max_abs(dec.reconstruction_residual(pts, mu)) <= TOL.fd_nested()
+    for mu, nu in itertools.combinations(range(4), 2):
+        block, gap = dec.omega_block_residual(pts, mu, nu)
+        assert max_abs(block) <= TOL.fd_nested()
+        assert max_abs(gap) <= TOL.fd_nested()
 
 
 def test_shape_gauge_decompose_constant_frame(st4):

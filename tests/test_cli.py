@@ -272,8 +272,14 @@ def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):
     ("sites", [[[[[0.0, 1.0, 2.0]] * 2] * 2] * 6] * 4, "[re, im] leaves"),
     ("spacings", ["a", 1.0], "'spacings' must be a list of numbers"),
     ("periodic", 3, "'periodic' must be a list of true/false flags"),
+    # 2 I is Hermitian with R^2 = 4 I; [[1, 1], [0, -1]] has R^2 = I but is not Hermitian
+    ("sites", [[[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]] * 6] * 4,
+     "site [0, 0] is not a reflection"),
+    ("sites", [[[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]] * 6] * 4,
+     "site [0, 0] is not Hermitian"),
 ], ids=["zero_spacing", "no_sites", "one_periodic_flag", "frozen_wrong_shape",
-        "negative_spacing", "sites_not_re_im", "spacing_not_a_number", "periodic_not_a_list"])
+        "negative_spacing", "sites_not_re_im", "spacing_not_a_number", "periodic_not_a_list",
+        "sites_twice_identity", "sites_not_hermitian"])
 def test_sigma_flow_malformed_lattice_file_exits_2(key, value, message, tmp_path, capsys):
     dump = tmp_path / "lat.json"
     assert main(["sigma-flow", "--cells", "4x6", "--steps", "1", "--dump-final", str(dump),
@@ -534,6 +540,26 @@ def test_config_keys_the_command_does_not_read_exit_2(command, key, value, tmp_p
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"does not read '{key}'" in err and f"schema path: {key})" in err
+
+
+# a tabulated potential on [0, 1]^4, queried at a cell centre past x0 = 1 or by a
+# finite-difference stencil that steps past the table's edge
+@pytest.mark.parametrize("grid, point", [
+    ("0:2:2,0:1:2,0:1:2,0:1:2", "[1.5, 0.25, 0.25, 0.25]"),
+    ("0.999:1:1,0:1:2,0:1:2,0:1:2", "[1.0005, 0.25, 0.25, 0.25]"),
+], ids=["centre_outside", "stencil_outside"])
+def test_residuals_outside_the_tabulated_box_exit_2(grid, point, tmp_path, capsys):
+    values = np.zeros((2, 2, 2, 2, 4, 1, 1, 2))
+    values[..., 1, 0, 0, 0] = 0.3
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": "planewave", "tabulated": {
+        "axes": [[0.0, 1.0]] * 4, "values": values.tolist()}}))
+    out = tmp_path / "rep.json"
+    assert main(["residuals", "--input", str(inp), "--eq", "ym", "--grid", grid,
+                 "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"queried at {point}, outside its table [[0.0, 1.0], " in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_verify_has_no_fd_step_flag(capsys):

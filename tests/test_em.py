@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -286,7 +288,14 @@ def test_em_complementary_connection(st4, points4):
     params = plane_wave_params(st4, k, n)
     v = em_frame(params)
     w = em_complement(params)
-    dec = shape_gauge_decompose(v, w, check_points=points4[:2])
+    dec = shape_gauge_decompose(v, w)
+    pts = np.array(points4[:2])
+    for mu in range(4):
+        assert max_abs(dec.reconstruction_residual(pts, mu)) <= TOL.fd_nested()
+    for mu, nu in itertools.combinations(range(4), 2):
+        block, gap = dec.omega_block_residual(pts, mu, nu)
+        assert max_abs(block) <= TOL.fd_nested()
+        assert max_abs(gap) <= TOL.fd_nested()
     a = extract_potential(v)
     from bladegauge.gauge import field_strength
     fs = field_strength(a)
