@@ -18,6 +18,7 @@ import argparse
 import csv
 import itertools
 import json
+import reprlib
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -214,6 +215,12 @@ def _resolve_config(args):
     cfg = {}
     if args.input:
         cfg = _read_json(args.input)
+        # the flags below write into the config and its params, so both must be objects
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{reprlib.repr(cfg)} is not an object", schema_path=[])
+        if not isinstance(cfg.get("params", {}), dict):
+            raise ConfigError(f"{reprlib.repr(cfg['params'])} is not an object",
+                              schema_path=["params"])
     if args.scenario:
         cfg["scenario"] = args.scenario
     params = cfg.setdefault("params", {})
@@ -229,8 +236,6 @@ def _resolve_config(args):
         cfg["fd_step"] = args.fd_step
     if not params:
         cfg.pop("params")
-    if "scenario" not in cfg:
-        raise ConfigError("a scenario is required (--scenario or --input)")
     return _check_reads(validate_config(cfg), args.command)
 
 
@@ -266,7 +271,7 @@ def _check(name, value, threshold, expect_pass=True):
 def cmd_verify(args):
     cfg = _resolve_config(args)
     seed = int(cfg.get("seed", 0))
-    # the schema admits only the overrides the checks compare against
+    # validate_config admits only the overrides the checks compare against
     tol = replace(TOL, **cfg.get("tolerances", {}))
     checks = _generic_identity_checks(seed, tol)
     checks += _embedded_cross_checks(tol)
@@ -618,7 +623,8 @@ def _lattice_array(payload, key, path):
 
 def cmd_darboux(args):
     raw = _read_json(args.input)
-    cfg = raw if "scenario" in raw else {"scenario": "darboux", "params": raw}
+    cfg = (raw if isinstance(raw, dict) and "scenario" in raw
+           else {"scenario": "darboux", "params": raw})
     _check_reads(validate_config(cfg), "darboux")
     if cfg["scenario"] != "darboux":
         raise ConfigError(f"the darboux command needs scenario 'darboux'; got "

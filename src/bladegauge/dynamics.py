@@ -283,29 +283,27 @@ def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:
 def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     """Gradient descent by per-site unitary conjugation.
 
-    Each step conjugates every non-frozen site at once, as one (K, N, N)
-    stack, by exp(-i eta G_s) with G_s the energy gradient, so
-    R^2 = I is preserved exactly and the recorded energy trace is
-    non-increasing for sufficiently small eta; the one-sided e^{-2i eta G} R
-    lets R - R^dag grow about 1000x per 100 steps.  The exactly Hermitian G
-    goes to `unitary_exp` (N = 2: closed form, no eigh) as it is.  Ten
-    consecutive increasing steps raise DivergenceError (step size too large).
+    Each step conjugates the whole site stack at once by exp(-i eta G_s), with
+    G_s the energy gradient, zeroed on frozen sites so that their factor is exactly
+    I.  R^2 = I is preserved exactly and the energy trace is non-increasing for
+    small enough eta; the one-sided e^{-2i eta G} R lets R - R^dag grow about 1000x
+    per 100 steps.  The exactly Hermitian G goes to `unitary_exp` (N = 2: closed
+    form, no eigh) as it is.  Ten consecutive increasing steps raise DivergenceError.
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     if not 0 < eta < np.inf:
         raise ParameterError(f"eta must be finite and positive, got {eta}")
     current = lat.copy()
-    moving = (np.ones(current.grid_shape, dtype=bool) if current.frozen is None
-              else ~current.frozen)
     best = sigma_lattice_energy(current)
     trace = [best]
     bad_streak = 0
     for step in range(steps):
         grad = sigma_lattice_gradient(current)
-        u = unitary_exp(grad[moving], -eta)
-        current.sites[moving] = _matmul_small(_matmul_small(u, current.sites[moving]),
-                                              dagger(u))
+        if current.frozen is not None:
+            grad[current.frozen] = 0.0
+        u = unitary_exp(grad, -eta)
+        current.sites = _matmul_small(_matmul_small(u, current.sites), dagger(u))
         energy = sigma_lattice_energy(current)
         # a descending flow sets a new best (or plateaus) every step; staying
         # above the best energy for many steps means eta overshoots

@@ -34,7 +34,7 @@ class DivergenceError(BladeGaugeError, RuntimeError):
 
 
 class ConfigError(BladeGaugeError, ValueError):
-    """Scenario configuration failed schema validation."""
+    """Scenario configuration failed validation; `schema_path` locates the fault."""
 
     def __init__(self, message, schema_path=None):
         super().__init__(message)

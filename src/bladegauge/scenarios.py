@@ -4,19 +4,17 @@
 their defaults) and a frame builder, a potential builder or both.  A scenario
 with only a frame gives the potential A = -i V^dag dV of that frame.  A config
 names a scenario plus params, or supplies samples tabulated on a grid.
-`validate_config` checks it against the JSON schema, whose scenario enum is
-the registry's names, and rejects params the scenario does not read.
+`validate_config` checks a config against the registry: `PARAM_TYPES` gives
+the type of each param and `CONFIG_KEYS` that of each top-level key.
 """
 
 from __future__ import annotations
 
-import json
+import numbers
+import reprlib
 from dataclasses import dataclass
-from functools import cache
-from importlib import resources
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import darboux as dx
@@ -27,9 +25,9 @@ from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, _any, 
                      constant, linear, matrix_of)
 from .gauge import gauge_potential, pure_gauge_potential
 __all__ = [
-    "Scenario", "SCENARIOS", "scenario_schema", "validate_config", "resolve_spacetime",
-    "scenario_params", "load_potential", "load_frame", "load_darboux", "tabulated_field",
-    "constant_f_potential",
+    "Scenario", "SCENARIOS", "PARAM_TYPES", "CONFIG_KEYS", "validate_config",
+    "resolve_spacetime", "scenario_params", "load_potential", "load_frame", "load_darboux",
+    "tabulated_field", "constant_f_potential",
 ]
 
 
@@ -112,44 +110,108 @@ SCENARIOS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# config checks: each takes (value, path) and yields a (path, message) per fault
+
+def _scalar(test, what):
+    def check(value, path):
+        if not test(value):
+            yield path, f"{reprlib.repr(value)} is not {what}"
+    return check
+
+
+def _array(item=None, min_items=0, max_items=None):
+    """A list of min_items to max_items entries, each passing `item` when given."""
+    def check(value, path):
+        if not isinstance(value, list):
+            yield path, f"{reprlib.repr(value)} is not an array"
+            return
+        if not min_items <= len(value) <= (max_items or len(value)):
+            yield path, f"{reprlib.repr(value)} needs {min_items} to {max_items or 'any'} items"
+        for i, entry in enumerate(value if item else ()):
+            yield from item(entry, path + [i])
+    return check
+
+
+def _object(properties, required=()):
+    """A dict with the `required` keys, others from `properties`, each passing its check."""
+    def check(value, path):
+        if not isinstance(value, dict):
+            yield path, f"{reprlib.repr(value)} is not an object"
+            return
+        yield from ((path, f"{key!r} is required") for key in required if key not in value)
+        for key, entry in value.items():
+            if key not in properties:
+                yield path, f"{key!r} was unexpected; the keys are {list(properties)}"
+            else:
+                yield from properties[key](entry, path + [key])
+    return check
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value):  # a JSON integer: never a float such as 2.0, nor a bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_NUMBER = _scalar(_is_number, "a number")
+_STRING = _scalar(lambda v: isinstance(v, str), "a string")
+_VECTOR = _array(_NUMBER, min_items=1, max_items=8)
+_SEED = _scalar(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_SIZE = _scalar(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+
+# the type of each param a scenario may read; `SCENARIOS` gives which ones it reads
+PARAM_TYPES = {
+    "k": _VECTOR, "n": _VECTOR, "g": _NUMBER, "B": _NUMBER,
+    "patch": _scalar(lambda v: v in ("plus", "minus"), "'plus' or 'minus'"),
+    "ambient": _SIZE, "rank": _SIZE, "seed": _SEED,
+    "pairs": _array(_object({"pi": _STRING, "phi": _STRING}, required=("pi", "phi"))),
+    "domain": _object({"lo": _array(_NUMBER), "hi": _array(_NUMBER)}, required=("lo", "hi")),
+}
+
+# the type of each top-level key besides `scenario` and `params`
+CONFIG_KEYS = {
+    "fd_step": _scalar(lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "tolerances": _object({"analytic": _NUMBER, "flux_rel": _NUMBER, "gluing": _NUMBER}),
+    "seed": _SEED,
+    "signature": _array(_scalar(lambda v: _is_int(v) and v in (1, -1), "the integer 1 or -1"),
+                        min_items=1),
+    "tabulated": _object({"axes": _array(_array(_NUMBER, min_items=2), min_items=1),
+                          "values": _array()}, required=("axes", "values")),
+}
+
+_CONFIG = _object({"scenario": _scalar(lambda v: isinstance(v, str) and v in SCENARIOS,
+                                       f"one of {list(SCENARIOS)}"),
+                   "params": _object(PARAM_TYPES), **CONFIG_KEYS}, required=("scenario",))
+
+
 def _entry(name) -> Scenario:
     if name not in SCENARIOS:
         raise ParameterError(f"unknown scenario {name!r}; choices: {list(SCENARIOS)}")
     return SCENARIOS[name]
 
 
-def scenario_schema():
-    """The config JSON schema; its scenario enum is the registry's names."""
-    with resources.files("bladegauge.schemas").joinpath("scenario.schema.json").open() as fh:
-        schema = json.load(fh)
-    schema["properties"]["scenario"]["enum"] = list(SCENARIOS)
-    return schema
-
-
-@cache
-def _validator():
-    schema = scenario_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
 def validate_config(cfg):
-    """Validate a scenario config dict; raises ConfigError with the schema path.
+    """Validate a scenario config dict; raises ConfigError with the path of the fault.
 
-    Past the schema, params must be ones the scenario reads, and only a
-    Cartesian chart takes a signature.
+    It names the shallowest fault (of siblings, the last path in sort order).  Past the
+    types, params must be ones the scenario reads, only a Cartesian chart takes a
+    signature, and a darboux domain bounds every axis.
     """
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        path = list(error.absolute_path)
-        raise ConfigError(f"config invalid at {'/'.join(map(str, path)) or '<root>'}: "
-                          f"{error.message}", schema_path=path) from error
-    scenario_params(cfg)  # raises on a param the scenario does not read
+    fault = max(_CONFIG(cfg, []), key=lambda f: (-len(f[0]), f[0]), default=None)
+    if fault is not None:
+        raise ConfigError(fault[1], schema_path=fault[0])
+    params = scenario_params(cfg)  # raises on a param the scenario does not read
     chart = SCENARIOS[cfg["scenario"]].chart
     if "signature" in cfg and chart != "cartesian":
         raise ConfigError(f"scenario {cfg['scenario']!r} is on the fixed {chart} chart and "
                           f"does not read a signature", schema_path=["signature"])
+    domain, dim = params.get("domain"), resolve_spacetime(cfg).dim
+    if domain and not len(domain["lo"]) == len(domain["hi"]) == dim:
+        raise ConfigError(f"lo and hi need {dim} bounds, one per chart axis",
+                          schema_path=["params", "domain"])
     return cfg
 
 
@@ -202,10 +264,9 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
             # the frame carries fd_step, and so A does too
             return extract_potential(load_frame(cfg, spacetime))
         a = build(scenario_params(cfg), spacetime)
-    fd_step = cfg.get("fd_step")
-    if fd_step is None:
-        return a
-    return OneForm(a.spacetime, tuple(c.with_step(float(fd_step)) for c in a.components))
+    step = cfg.get("fd_step")
+    return a if step is None else OneForm(
+        a.spacetime, tuple(c.with_step(float(step)) for c in a.components))
 
 
 def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
@@ -215,10 +276,8 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
         v = _tabulated_frame(cfg["tabulated"], spacetime)
     else:
         v = _entry(cfg["scenario"]).frame(scenario_params(cfg), spacetime)
-    fd_step = cfg.get("fd_step")
-    if fd_step is None:
-        return v
-    return Frame(v.spacetime, v.N, v.n, v.V.with_step(float(fd_step)))
+    step = cfg.get("fd_step")
+    return v if step is None else Frame(v.spacetime, v.N, v.n, v.V.with_step(float(step)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +310,29 @@ def tabulated_field(axes, values, spacetime: Spacetime, shape) -> FieldFn:
     return FieldFn(spacetime, shape, fn, None, None)
 
 
+def _table(tab, spacetime, potential):
+    """A tabulated config's values as floats, shaped (*grid, d, n, n, 2) for a potential or
+    (*grid, N, n, 2) for a frame; a ConfigError where the table does not fit the chart.
+    """
+    axes, d = tab["axes"], spacetime.dim
+    if len(axes) != d or not all(np.all(np.diff(a) > 0) or np.all(np.diff(a) < 0) for a in axes):
+        raise ConfigError(f"the chart needs {d} strictly monotone axes; got "
+                          f"{reprlib.repr(axes)}", schema_path=["tabulated", "axes"])
+    try:
+        arr = np.asarray(tab["values"], dtype=float)
+    except ValueError:  # ragged, or a leaf that is not a number
+        arr = np.zeros(0)
+    n = arr.shape[-2:-1]  # (n,), or () for an array of one axis
+    matrix = (d,) + n + n if potential else arr.shape[-3:-1]
+    if arr.shape != tuple(map(len, axes)) + matrix + (2,) or 0 in arr.shape:
+        raise ConfigError(f"values on a grid of {tuple(map(len, axes))} points must be a "
+                          f"numeric array shaped (*grid, {'d, n, n' if potential else 'N, n'}, "
+                          f"2) with d = {d}", schema_path=["tabulated", "values"])
+    return arr
+
+
 def _tabulated_potential(tab, spacetime):
-    arr = np.asarray(tab["values"], dtype=float)  # (*grid, d, n, n, 2)
+    arr = _table(tab, spacetime, potential=True)  # (*grid, d, n, n, 2)
     n = arr.shape[-2]
     comps = [tabulated_field(tab["axes"], arr[..., mu, :, :, :], spacetime, (n, n))
              for mu in range(spacetime.dim)]
@@ -260,8 +340,8 @@ def _tabulated_potential(tab, spacetime):
 
 
 def _tabulated_frame(tab, spacetime):
-    raw = tabulated_field(tab["axes"], tab["values"], spacetime,
-                          tuple(np.asarray(tab["values"], dtype=float).shape[len(tab["axes"]):-1]))
+    arr = _table(tab, spacetime, potential=False)  # (*grid, N, n, 2)
+    raw = tabulated_field(tab["axes"], arr, spacetime, arr.shape[len(tab["axes"]):-1])
 
     def orthonormalized(x):
         v = np.asarray(raw.fn(x), dtype=complex)

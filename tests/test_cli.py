@@ -1,13 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bladegauge
 from bladegauge.cli import main
 from bladegauge.embedded import christoffel_gauss_curvature, gauss_curvature, sphere
 from bladegauge.fields import MINKOWSKI4
 from bladegauge.tolerances import DEFAULT as TOL
+
+
+GRID4 = ",".join(["0:1:1"] * 4)
 
 
 def read_json(path):
@@ -542,24 +550,75 @@ def test_config_keys_the_command_does_not_read_exit_2(command, key, value, tmp_p
     assert f"does not read '{key}'" in err and f"schema path: {key})" in err
 
 
-# a tabulated potential on [0, 1]^4, queried at a cell centre past x0 = 1 or by a
-# finite-difference stencil that steps past the table's edge
-@pytest.mark.parametrize("grid, point", [
-    ("0:2:2,0:1:2,0:1:2,0:1:2", "[1.5, 0.25, 0.25, 0.25]"),
-    ("0.999:1:1,0:1:2,0:1:2,0:1:2", "[1.0005, 0.25, 0.25, 0.25]"),
-], ids=["centre_outside", "stencil_outside"])
-def test_residuals_outside_the_tabulated_box_exit_2(grid, point, tmp_path, capsys):
-    values = np.zeros((2, 2, 2, 2, 4, 1, 1, 2))
-    values[..., 1, 0, 0, 0] = 0.3
+TABLE = np.zeros((2, 2, 2, 2, 4, 1, 1, 2))  # a potential on [0, 1]^4, A_1 = 0.3
+TABLE[..., 1, 0, 0, 0] = 0.3
+
+
+# a tabulated potential, queried at a cell centre past x0 = 1 or by a finite-difference
+# stencil that steps past the table's edge, or a table that does not fit the 4-d chart:
+# one axis, a non-monotone axis, values without a matrix axis, no values, ragged values,
+# or the potential's values read as a frame
+@pytest.mark.parametrize("grid, table, eq, message", [
+    ("0:2:2,0:1:2,0:1:2,0:1:2", {}, "ym",
+     "queried at [1.5, 0.25, 0.25, 0.25], outside its table [[0.0, 1.0], "),
+    ("0.999:1:1,0:1:2,0:1:2,0:1:2", {}, "ym",
+     "queried at [1.0005, 0.25, 0.25, 0.25], outside its table [[0.0, 1.0], "),
+    (GRID4, {"axes": [[0.0, 1.0]]}, "ym", "(schema path: tabulated/axes)"),
+    (GRID4, {"axes": [[0.0, 1.0]] * 3 + [[1.0, 1.0]]}, "ym", "(schema path: tabulated/axes)"),
+    (GRID4, {"values": TABLE[..., 0, :].tolist()}, "ym", "(schema path: tabulated/values)"),
+    (GRID4, {"values": []}, "ym", "(schema path: tabulated/values)"),
+    (GRID4, {"values": [[0.0, 1.0], [0.0]]}, "ym", "(schema path: tabulated/values)"),
+    (GRID4, {}, "modified", "(schema path: tabulated/values)"),
+], ids=["centre_outside", "stencil_outside", "one_axis", "axis_not_monotone",
+        "values_without_a_matrix_axis", "values_empty", "values_ragged", "potential_as_frame"])
+def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tmp_path,
+                                                     capsys):
     inp = tmp_path / "cfg.json"
     inp.write_text(json.dumps({"scenario": "planewave", "tabulated": {
-        "axes": [[0.0, 1.0]] * 4, "values": values.tolist()}}))
+        "axes": [[0.0, 1.0]] * 4, "values": TABLE.tolist(), **table}}))
     out = tmp_path / "rep.json"
-    assert main(["residuals", "--input", str(inp), "--eq", "ym", "--grid", grid,
+    assert main(["residuals", "--input", str(inp), "--eq", eq, "--grid", grid,
                  "--report", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"queried at {point}, outside its table [[0.0, 1.0], " in err
+    assert message in err
     assert "Traceback" not in err and not out.exists()
+
+
+# a config or params that is not a JSON object, a darboux domain off the chart's
+# dimension, and integers written as floats
+@pytest.mark.parametrize("argv, text, path", [
+    (["verify"], "[1, 2]", ""),
+    (["verify", "--g", "0.5"], '{"scenario": "monopole", "params": [1]}', "params"),
+    (["residuals", "--eq", "ym"], '{"scenario": "constant_F", "params": "B"}', "params"),
+    (["darboux"], "5", "params"),
+    (["darboux"], '{"pairs": [{"pi": "x0", "phi": "x1"}], "domain": {"lo": [0, 0], '
+                  '"hi": [1, 1]}}', "params/domain"),
+    (["verify"], '{"scenario": "darboux", "params": {"domain": {"lo": [-1, -1, -1], '
+                 '"hi": [1, 1, 1, 1]}}}', "params/domain"),
+    (["residuals", "--eq", "modified", "--grid", "0:1:1,0:1:1"],
+     '{"scenario": "darboux", "signature": [1, -1], "params": {"domain": {"lo": [0, 0, 0, 0], '
+     '"hi": [1, 1, 1, 1]}}}', "params/domain"),
+    (["verify"], '{"scenario": "pure_gauge", "params": {"rank": 2.0}}', "params/rank"),
+    (["residuals", "--eq", "ym", "--grid", GRID4], '{"scenario": "random_smooth", "seed": 1.0}',
+     "seed"),
+], ids=["root_array", "params_array_with_flag", "params_string", "darboux_root_number",
+        "darboux_domain_2d", "verify_domain_lo_3d", "residuals_domain_4d_on_2d",
+        "verify_rank_float", "residuals_seed_float"])
+def test_malformed_config_values_exit_2(argv, text, path, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(text)
+    assert main(argv[:1] + ["--input", str(inp)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert f"(schema path: {path})" in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # configs are checked against the scenario registry, with no schema library
+    src = str(Path(bladegauge.__file__).resolve().parents[1])
+    code = "import sys, bladegauge.cli; print([m for m in sys.modules if 'jsonschema' in m])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_has_no_fd_step_flag(capsys):
@@ -567,9 +626,6 @@ def test_verify_has_no_fd_step_flag(capsys):
         main(["verify", "--scenario", "planewave", "--fd-step", "2e-2"])
     assert exc.value.code == 2
     assert "--fd-step" in capsys.readouterr().err
-
-
-GRID4 = ",".join(["0:1:1"] * 4)
 
 
 @pytest.mark.parametrize("argv", [

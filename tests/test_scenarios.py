@@ -8,15 +8,13 @@ from bladegauge.errors import ConfigError, ParameterError
 from bladegauge.fields import MINKOWSKI4, SPHERICAL3, euclidean
 from bladegauge.gauge import field_strength
 from bladegauge.linalg import max_abs
-from bladegauge.scenarios import (SCENARIOS, constant_f_potential, load_frame,
-                                  load_potential, resolve_spacetime, scenario_schema,
-                                  tabulated_field, validate_config)
+from bladegauge.scenarios import (PARAM_TYPES, SCENARIOS, constant_f_potential, load_frame,
+                                  load_potential, resolve_spacetime, tabulated_field,
+                                  validate_config)
 from bladegauge.tolerances import DEFAULT as TOL
 
 
-def test_schema_loads_and_validates_good_configs():
-    schema = scenario_schema()
-    assert schema["title"].startswith("bladegauge")
+def test_validate_config_accepts_good_configs():
     validate_config({"scenario": "planewave",
                      "params": {"k": [1, 0, 0, 1], "n": [0, 1, 0, 0]}})
     validate_config({"scenario": "monopole", "params": {"g": 0.5}, "seed": 3})
@@ -24,6 +22,10 @@ def test_schema_loads_and_validates_good_configs():
                      "params": {"pairs": [{"pi": "x0", "phi": "x1"}],
                                 "domain": {"lo": [-1, -1, -1, -1],
                                            "hi": [1, 1, 1, 1]}}})
+    validate_config({"scenario": "planewave", "signature": [1, -1], "fd_step": 1e-3,
+                     "tabulated": {"axes": [[0.0, 1.0], [1.0, 0.5, 0.0]], "values": []}})
+    validate_config({"scenario": "random_smooth", "seed": 1,
+                     "params": {"seed": 0, "rank": 1, "ambient": 3}})
 
 
 def test_schema_rejects_bad_configs():
@@ -122,17 +124,140 @@ def test_fd_step_is_wired_through_loaders():
     assert all(c.fd_step == 5e-3 for c in load_potential(cfg).components)
 
 
-def test_schema_scenario_enum_is_the_registry():
-    assert scenario_schema()["properties"]["scenario"]["enum"] == list(SCENARIOS)
+def test_validate_config_scenario_names_are_the_registry():
+    for name in SCENARIOS:
+        validate_config({"scenario": name})
+    with pytest.raises(ConfigError) as err:
+        validate_config({"scenario": "plane_wave"})
+    assert err.value.schema_path == ["scenario"]
+    assert str(list(SCENARIOS)) in str(err.value)
 
 
 def test_validate_rejects_params_the_scenario_does_not_read():
     with pytest.raises(ConfigError) as err:
         validate_config({"scenario": "random_smooth", "params": {"g": 0.5}})
     assert err.value.schema_path == ["params", "g"]
-    declared = scenario_schema()["properties"]["params"]["properties"]
-    for entry in SCENARIOS.values():
-        assert set(entry.params) <= set(declared)
+    # every param a scenario reads has its type, and every typed param has a reader
+    assert set().union(*(entry.params for entry in SCENARIOS.values())) == set(PARAM_TYPES)
+
+
+DARBOUX_PAIR = {"pi": "x0", "phi": "x1"}
+BOX4 = {"lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]}
+
+
+def _tab(**changes):
+    return {"scenario": "planewave", "tabulated": {"axes": [[0, 1]], "values": [], **changes}}
+
+
+# one rejected config per type rule, each with the path it names; the integer
+# params and signature entries take JSON integers only, never 2.0 or true
+@pytest.mark.parametrize("cfg, path", [
+    pytest.param([1, 2], [], id="root_not_object"),
+    pytest.param({}, [], id="scenario_required"),
+    pytest.param({"scenario": "planewave", "grid": 1}, [], id="unknown_key"),
+    pytest.param({"scenario": 5}, ["scenario"], id="scenario_not_string"),
+    pytest.param({"scenario": "warp_drive"}, ["scenario"], id="scenario_not_registered"),
+    pytest.param({"scenario": "monopole", "params": [1]}, ["params"], id="params_not_object"),
+    pytest.param({"scenario": "monopole", "params": {"q": 1}}, ["params"], id="param_unknown"),
+    pytest.param({"scenario": "planewave", "params": {"k": 1}}, ["params", "k"],
+                 id="vector_not_array"),
+    pytest.param({"scenario": "planewave", "params": {"n": []}}, ["params", "n"],
+                 id="vector_empty"),
+    pytest.param({"scenario": "planewave", "params": {"k": [0] * 9}}, ["params", "k"],
+                 id="vector_past_8_entries"),
+    pytest.param({"scenario": "planewave", "params": {"k": [1, "a", 0, 1]}},
+                 ["params", "k", 1], id="vector_entry_not_number"),
+    pytest.param({"scenario": "monopole", "params": {"g": "half"}}, ["params", "g"],
+                 id="g_not_number"),
+    pytest.param({"scenario": "monopole", "params": {"g": True}}, ["params", "g"],
+                 id="g_bool"),
+    pytest.param({"scenario": "constant_F", "params": {"B": None}}, ["params", "B"],
+                 id="B_not_number"),
+    pytest.param({"scenario": "monopole", "params": {"patch": 1}}, ["params", "patch"],
+                 id="patch_not_string"),
+    pytest.param({"scenario": "monopole", "params": {"patch": "north"}},
+                 ["params", "patch"], id="patch_unknown"),
+    pytest.param({"scenario": "pure_gauge", "params": {"seed": -1}}, ["params", "seed"],
+                 id="param_seed_negative"),
+    pytest.param({"scenario": "pure_gauge", "params": {"rank": 0}}, ["params", "rank"],
+                 id="rank_zero"),
+    pytest.param({"scenario": "random_smooth", "params": {"ambient": "4"}},
+                 ["params", "ambient"], id="ambient_string"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": {}}}, ["params", "pairs"],
+                 id="pairs_not_array"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": ["x0"]}},
+                 ["params", "pairs", 0], id="pair_not_object"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": [{"pi": "x0"}]}},
+                 ["params", "pairs", 0], id="pair_without_phi"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": [{**DARBOUX_PAIR, "psi": "x2"}]}},
+                 ["params", "pairs", 0], id="pair_extra_key"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": [DARBOUX_PAIR,
+                                                              {"pi": 1, "phi": "x2"}]}},
+                 ["params", "pairs", 1, "pi"], id="pair_pi_not_string"),
+    pytest.param({"scenario": "darboux", "params": {"domain": None}}, ["params", "domain"],
+                 id="domain_null"),
+    pytest.param({"scenario": "darboux", "params": {"domain": {"lo": [0] * 4}}},
+                 ["params", "domain"], id="domain_without_hi"),
+    pytest.param({"scenario": "darboux", "params": {"domain": {**BOX4, "mid": [0] * 4}}},
+                 ["params", "domain"], id="domain_extra_key"),
+    pytest.param({"scenario": "darboux", "params": {"domain": {**BOX4, "lo": 0}}},
+                 ["params", "domain", "lo"], id="domain_lo_not_array"),
+    pytest.param({"scenario": "darboux", "params": {"domain": {**BOX4, "hi": [1, "a", 1, 1]}}},
+                 ["params", "domain", "hi", 1], id="domain_hi_entry_not_number"),
+    pytest.param({"scenario": "planewave", "fd_step": 0}, ["fd_step"], id="fd_step_zero"),
+    pytest.param({"scenario": "planewave", "fd_step": "1e-3"}, ["fd_step"],
+                 id="fd_step_string"),
+    pytest.param({"scenario": "monopole", "tolerances": 1}, ["tolerances"],
+                 id="tolerances_not_object"),
+    pytest.param({"scenario": "monopole", "tolerances": {"algebraic": 1e-9}}, ["tolerances"],
+                 id="tolerance_unknown"),
+    pytest.param({"scenario": "monopole", "tolerances": {"gluing": "x"}},
+                 ["tolerances", "gluing"], id="tolerance_not_number"),
+    pytest.param({"scenario": "monopole", "seed": -1}, ["seed"], id="seed_negative"),
+    pytest.param({"scenario": "monopole", "seed": "1"}, ["seed"], id="seed_string"),
+    pytest.param({"scenario": "planewave", "signature": 1}, ["signature"],
+                 id="signature_not_array"),
+    pytest.param({"scenario": "planewave", "signature": []}, ["signature"],
+                 id="signature_empty"),
+    pytest.param({"scenario": "planewave", "signature": [1, 0]}, ["signature", 1],
+                 id="signature_entry_not_a_sign"),
+    pytest.param({"scenario": "planewave", "signature": [1, "-1"]}, ["signature", 1],
+                 id="signature_entry_string"),
+    pytest.param({"scenario": "planewave", "tabulated": []}, ["tabulated"],
+                 id="tabulated_not_object"),
+    pytest.param({"scenario": "planewave", "tabulated": {"axes": [[0, 1]]}}, ["tabulated"],
+                 id="tabulated_without_values"),
+    pytest.param(_tab(grid=1), ["tabulated"], id="tabulated_extra_key"),
+    pytest.param(_tab(axes={}), ["tabulated", "axes"], id="axes_not_array"),
+    pytest.param(_tab(axes=[]), ["tabulated", "axes"], id="axes_empty"),
+    pytest.param(_tab(axes=[[0.0]]), ["tabulated", "axes", 0], id="axis_of_one_point"),
+    pytest.param(_tab(axes=[[0, 1], [0, "a"]]), ["tabulated", "axes", 1, 1],
+                 id="axis_entry_not_number"),
+    pytest.param(_tab(values=1), ["tabulated", "values"], id="values_not_array"),
+    pytest.param({"scenario": "pure_gauge", "params": {"rank": 2.0}}, ["params", "rank"],
+                 id="rank_float"),
+    pytest.param({"scenario": "pure_gauge", "params": {"ambient": 4.0}},
+                 ["params", "ambient"], id="ambient_float"),
+    pytest.param({"scenario": "random_smooth", "params": {"seed": 1.0}}, ["params", "seed"],
+                 id="param_seed_float"),
+    pytest.param({"scenario": "random_smooth", "seed": 1.0}, ["seed"], id="seed_float"),
+    pytest.param({"scenario": "random_smooth", "seed": True}, ["seed"], id="seed_bool"),
+    pytest.param({"scenario": "planewave", "signature": [1.0, -1.0]}, ["signature", 1],
+                 id="signature_float"),
+    pytest.param({"scenario": "darboux", "params": {"domain": {"lo": [0, 0], "hi": [1, 1]}}},
+                 ["params", "domain"], id="domain_off_the_chart_dimension"),
+])
+def test_validate_config_names_the_fault(cfg, path):
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.schema_path == path
+
+
+def test_validate_config_names_the_shallowest_fault():
+    cfg = {"scenario": "monopole", "params": {"g": "x"}, "seed": -1, "tolerances": {"gluing": 1}}
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.schema_path == ["seed"]
 
 
 def test_name_form_takes_registry_names_and_params_only():
