@@ -37,7 +37,7 @@ def main():
     print(f"initial reflection defect {lat.reflection_defect():.2e}")
     print("-" * 60)
 
-    final, trace = sigma_flow(lat, steps=STEPS, eta=ETA, record_every=1)
+    final, trace = sigma_flow(lat, steps=STEPS, eta=ETA)
     marks = [0, 1, 2, 5, 10, 20, 50, 100, 200, 400]
     print(f"{'step':>6s} {'energy':>12s} {'drop':>12s}")
     for m in marks:

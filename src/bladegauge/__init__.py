@@ -17,8 +17,8 @@ from .fields import (Spacetime, MINKOWSKI4, SPHERICAL3, euclidean, FieldFn,
                      OneForm, TwoForm, Grid, constant, coordinate, linear,
                      two_form, exterior_d, form_rank, wedge_power_nonzero,
                      sphere_flux, lattice_integral)
-from .gauge import (MatterField, GaugeMap, gauge_potential, gauge_map,
-                    field_strength, covariant_derivative, covariant_derivative_matrix,
+from .gauge import (GaugeMap, gauge_potential, gauge_map, field_strength,
+                    covariant_field, covariant_derivative, covariant_derivative_matrix,
                     gauge_transform, gauge_transform_field_strength,
                     gauge_transform_matter, pure_gauge_potential)
 from .blade import (Frame, RotatingBlade, frame, extract_potential,

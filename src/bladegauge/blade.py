@@ -4,9 +4,13 @@ A frame V(x) is an N x n matrix field with orthonormal columns; the rotating
 blade R = 2 V V^dag - I is the gauge-invariant reflection encoding only the
 column span.  The shape operator S_mu = -(i/2) R dR plays the role of
 connection coefficients for the lifted covariant derivative, so it is a
-`OneForm` like any gauge potential and its curvature a `TwoForm`.  The blade
-curvature admits four algebraically equivalent expressions that are all kept
-as independent code paths for cross-validation.
+`OneForm` like any gauge potential and its curvature a `TwoForm`; the lifted
+covariant derivative is `gauge.covariant_field` with S as the connection.  The
+blade curvature admits four algebraically equivalent expressions that are all
+kept as independent code paths for cross-validation.  The gauge-fixed frames
+are functions of the blade alone: the canonical frame is the polar factor of
+P V0 and the direct rotation U1 = sqrt(R R0) that of I + R R0, where P is the
+projector (R + I)/2 and R0 the reflection of a reference frame V0.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import numpy as np
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
 from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _worst_point, constant,
                      hstack, identity_field, two_form)
-from .gauge import GaugeMap, field_strength, gauge_map, gauge_potential
+from .gauge import GaugeMap, covariant_field, field_strength, gauge_map, gauge_potential
 from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis,
                      _frechet_in_eigenbasis, _require_hermitian, commutator,
-                     dagger, hermitian_part, max_abs, max_abs_each, random_hermitian)
+                     dagger, hermitian_part, max_abs, max_abs_each, polar, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
 from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
@@ -32,7 +36,7 @@ __all__ = [
     "Frame", "RotatingBlade",
     "frame", "validate_frame", "extract_potential", "blade_from_frame",
     "shape_operator", "blade_curvature", "four_way", "check_four_way",
-    "lifted_field", "lifted_covariant_derivative",
+    "lifted_covariant_derivative",
     "lifted_covariant_derivative_projected", "shape_identity_residual",
     "complement_frame", "complement_field", "ShapeGaugeDecomposition",
     "shape_gauge_decompose", "canonical_frame", "direct_rotation",
@@ -147,14 +151,9 @@ def shape_operator(blade: RotatingBlade) -> OneForm:
     return OneForm(blade.spacetime, comps)
 
 
-def lifted_field(shape_op: OneForm, psi: FieldFn, mu) -> FieldFn:
-    """The field x -> D_mu psi = d_mu psi + i S_mu psi, as a FieldFn."""
-    return psi.partial(mu) + 1j * (shape_op.components[mu] @ psi)
-
-
 def lifted_covariant_derivative(blade: RotatingBlade, psi: FieldFn, mu, x):
-    """d_mu psi + i S_mu psi at x, for any C^N-valued field psi."""
-    return lifted_field(shape_operator(blade), psi, mu)(x)
+    """d_mu psi + i S_mu psi at x, a point or a (..., d) stack, for any C^N-valued field psi."""
+    return covariant_field(shape_operator(blade), psi, mu)(x)
 
 
 def lifted_covariant_derivative_projected(blade: RotatingBlade, psi: FieldFn, mu, x):
@@ -204,8 +203,8 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     smu, snu = s.at(x, mu), s.at(x, nu)
     # probe realization: apply -i [D_mu, D_nu] to the identity, all basis columns at once
     probe = identity_field(blade.spacetime, blade.N)
-    dmu_dnu = lifted_field(s, lifted_field(s, probe, nu), mu)
-    dnu_dmu = lifted_field(s, lifted_field(s, probe, mu), nu)
+    dmu_dnu = covariant_field(s, covariant_field(s, probe, nu), mu)
+    dnu_dmu = covariant_field(s, covariant_field(s, probe, mu), nu)
     probe_val = -1j * (dmu_dnu(x) - dnu_dmu(x))
     dr_mu, dr_nu = blade.R.d(x, mu), blade.R.d(x, nu)
     P = blade.projector
@@ -302,60 +301,43 @@ def shape_gauge_decompose(f: Frame, w: FieldFn) -> ShapeGaugeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# canonical (Cartan-factor) frame
+# canonical frame and direct rotation: polar factors of the blade
 
 def canonical_frame(p, v0):
     """The preferred frame for the subspace range(P), relative to V0; P may be a stack.
 
-    Returns V_can = U1 V0, where U1 is the direct rotation carrying
-    range(V0) onto range(P) (the unitary with U1 R0 = R0 U1^dag).  Valid on
-    the chart where all principal angles between the subspaces stay below
-    pi/2; where any point of a stack leaves it, the overlap block is singular
-    and a ChartError is raised rather than picking an arbitrary branch.
+    V_can = P V0 (V0^dag P V0)^(-1/2), the polar factor of P V0, equals U1 V0 with
+    U1 = `direct_rotation(P, V0)`.  The singular values of P V0 are the cosines of
+    the principal angles between range(P) and range(V0), so the frame is valid on
+    the chart where every angle stays below pi/2; where any point of a stack leaves
+    it, a ChartError is raised rather than picking an arbitrary branch.
     """
     v0 = np.asarray(v0, dtype=complex)
-    q = _range_basis(p, v0.shape[1])
-    x = dagger(v0) @ q
-    u_left, sing, vh = np.linalg.svd(x)
-    if sing.min() < TOL.chart_min_overlap:
+    vc, cos = polar(_projector_of_rank(p, v0.shape[1]) @ v0)
+    if cos.min() < TOL.chart_min_overlap:
         raise ChartError(
             f"principal angle >= pi/2 between range(P) and range(V0) "
-            f"(min overlap {sing.min():.3e})")
-    u_polar = u_left @ vh
-    return q @ dagger(u_polar)
+            f"(min overlap {cos.min():.3e})")
+    return vc
 
 
 def direct_rotation(p, v0):
-    """The N x N unitary U1 of the canonical construction.
+    """The N x N unitary U1 = sqrt(R R0) of the canonical construction; P may be a stack.
 
-    Satisfies U1 V0 = canonical_frame(P, V0) and U1 R0 = R0 U1^dag, where
-    R0 is the reflection of range(V0).
+    U1 is the polar factor of I + R R0, with R = 2P - I and R0 = 2 V0 V0^dag - I
+    the reflections of range(P) and range(V0) (Davis & Kahan 1970).  It carries
+    range(V0) onto range(P) and satisfies U1 V0 = canonical_frame(P, V0) and
+    U1 R0 = R0 U1^dag.  Half the singular values of I + R R0 are the principal-angle
+    cosines (and 1 elsewhere), so it raises a ChartError where `canonical_frame` does.
     """
     v0 = np.asarray(v0, dtype=complex)
     N, n = v0.shape
-    w0 = _complete_columns(v0)
-    q = _range_basis(p, n)
-    x = dagger(v0) @ q
-    y = dagger(w0) @ q
-    u_left, sing, vh = np.linalg.svd(x)
-    if sing.min() < TOL.chart_min_overlap:
+    eye = np.eye(N)
+    r = 2.0 * _projector_of_rank(p, n) - eye
+    u1, s = polar(eye + r @ (2.0 * (v0 @ dagger(v0)) - eye))
+    if s.min() < 2.0 * TOL.chart_min_overlap:
         raise ChartError("principal angle >= pi/2; direct rotation undefined")
-    m = dagger(vh)
-    cos_t = np.clip(sing, -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t ** 2))
-    ym = y @ m
-    ltil = np.zeros((N - n, n), dtype=complex)
-    for j in range(n):
-        if sin_t[j] > 1e-12:
-            ltil[:, j] = ym[:, j] / sin_t[j]
-    top_left = u_left @ np.diag(cos_t) @ dagger(u_left)
-    top_right = -u_left @ np.diag(sin_t) @ dagger(ltil)
-    bot_left = ltil @ np.diag(sin_t) @ dagger(u_left)
-    bot_right = (np.eye(N - n, dtype=complex) - ltil @ dagger(ltil)
-                 + ltil @ np.diag(cos_t) @ dagger(ltil))
-    blocks = np.block([[top_left, top_right], [bot_left, bot_right]])
-    b = np.hstack([v0, w0])
-    return b @ blocks @ dagger(b)
+    return u1
 
 
 def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
@@ -365,12 +347,12 @@ def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
                    None, None, blade.R.fd_step)
 
 
-def _range_basis(p, n):
-    """Orthonormal basis of the range of a rank-n Hermitian projector, or of each in a stack."""
-    lam, q = np.linalg.eigh(hermitian_part(p))
-    if _any(np.count_nonzero(lam > 0.5, axis=-1) != n):
+def _projector_of_rank(p, n):
+    """Projector(s) p as an array; DimensionMismatchError unless each has trace n."""
+    p = np.asarray(p, dtype=complex)
+    if _any(np.rint(np.trace(p, axis1=-2, axis2=-1).real) != n):
         raise DimensionMismatchError("projector rank differs from reference frame width")
-    return q[..., q.shape[-1] - n:]  # eigh sorts the eigenvalues ascending
+    return p
 
 
 def _complete_columns(v):

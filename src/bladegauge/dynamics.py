@@ -280,7 +280,7 @@ def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:
     return out
 
 
-def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
+def sigma_flow(lat: LatticeBlade, steps, eta):
     """Gradient descent by per-site unitary conjugation.
 
     Each step conjugates the whole site stack at once by exp(-i eta G_s), with
@@ -289,6 +289,7 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
     small enough eta; the one-sided e^{-2i eta G} R lets R - R^dag grow about 1000x
     per 100 steps.  The exactly Hermitian G goes to `unitary_exp` (N = 2: closed
     form, no eigh) as it is.  Ten consecutive increasing steps raise DivergenceError.
+    Returns the final lattice and the energy trace: the start, then one per step.
     """
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
@@ -316,6 +317,5 @@ def sigma_flow(lat: LatticeBlade, steps, eta, record_every=1):
         else:
             bad_streak = 0
             best = min(best, energy)
-        if (step + 1) % record_every == 0 or step == steps - 1:
-            trace.append(energy)
+        trace.append(energy)
     return current, trace

@@ -1,8 +1,11 @@
-"""U(n) gauge potentials, field strengths, and gauge transformations.
+"""U(n) gauge potentials, field strengths, covariant derivatives, gauge transformations.
 
-The coupling constant is omitted throughout.  Potentials are hermitized on
-evaluation: finite-difference noise must not trip the Hermiticity invariant,
-so corrections below a warning threshold are silent and larger ones warn.
+Matter is a plain C^n-valued `FieldFn`, and its covariant derivative D_mu psi
+the field `covariant_field(a, psi, mu)`; any matrix connection serves as A,
+the shape operator of a blade included (the lifted derivative).  The coupling
+constant is omitted throughout.  Potentials are hermitized on evaluation:
+finite-difference noise must not trip the Hermiticity invariant, so
+corrections below a warning threshold are silent and larger ones warn.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from .linalg import dagger, hermitian_part, max_abs, max_abs_each
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "MatterField", "GaugeMap",
+    "GaugeMap",
     "gauge_potential", "gauge_map", "field_strength",
-    "covariant_derivative", "covariant_derivative_matrix",
+    "covariant_field", "covariant_derivative", "covariant_derivative_matrix",
     "gauge_transform", "gauge_transform_field_strength", "gauge_transform_matter",
     "pure_gauge_potential",
 ]
@@ -59,17 +62,6 @@ def gauge_potential(spacetime, components) -> OneForm:
 
 
 @dataclass(frozen=True)
-class MatterField:
-    """C^n-valued field."""
-
-    f: FieldFn
-
-    @property
-    def n(self):
-        return self.f.shape[0]
-
-
-@dataclass(frozen=True)
 class GaugeMap:
     """U(n)-valued field; evaluations are checked for unitarity."""
 
@@ -100,9 +92,14 @@ def gauge_map(f: FieldFn, check=True) -> GaugeMap:
     return GaugeMap(replace(f, fn=checked))
 
 
-def covariant_derivative(a: OneForm, psi: MatterField, mu, x):
-    """D_mu psi = d_mu psi + i A_mu psi."""
-    return psi.f.d(x, mu) + 1j * a.at(x, mu) @ psi.f(x)
+def covariant_field(a: OneForm, psi: FieldFn, mu) -> FieldFn:
+    """The field D_mu psi = d_mu psi + i A_mu psi of a C^n-valued (or n x k) field psi."""
+    return psi.partial(mu) + 1j * (a.components[mu] @ psi)
+
+
+def covariant_derivative(a: OneForm, psi: FieldFn, mu, x):
+    """D_mu psi = d_mu psi + i A_mu psi at x, a point or a (..., d) stack."""
+    return covariant_field(a, psi, mu)(x)
 
 
 def covariant_derivative_matrix(a: OneForm, m: FieldFn, mu, x):
@@ -144,9 +141,9 @@ def gauge_transform_field_strength(f: TwoForm, u: GaugeMap) -> TwoForm:
                     lambda mu, nu: _hermitized(uf @ f.upper[(mu, nu)] @ uf.dagger()))
 
 
-def gauge_transform_matter(psi: MatterField, u: GaugeMap) -> MatterField:
+def gauge_transform_matter(psi: FieldFn, u: GaugeMap) -> FieldFn:
     """psi' = u psi."""
-    return MatterField(u.f @ psi.f)
+    return u.f @ psi
 
 
 def pure_gauge_potential(u: GaugeMap) -> OneForm:

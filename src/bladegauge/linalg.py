@@ -8,8 +8,8 @@ rounding: for N = 2 it is the closed form of exp(i t H) on H's trace and
 traceless parts, a few elementwise passes over the stack; for other N it goes
 through an eigendecomposition of H.
 
-`dagger`, `hermitian_part`, `max_abs_each`, `is_hermitian`, `unitary_exp` and
-`unitary_exp_frechet` take stacks of matrices shaped (..., N, N): the last
+`dagger`, `hermitian_part`, `max_abs_each`, `is_hermitian`, `polar`,
+`unitary_exp` and `unitary_exp_frechet` take stacks of matrices shaped (..., N, N): the last
 two axes are the matrix and every leading axis is a batch axis, as in numpy's
 stacked `@` and `np.linalg.eigh`.  A single (N, N) matrix is the stack with
 no batch axes and gives bit-identical results to the same matrix taken out of
@@ -25,7 +25,7 @@ from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "dagger", "hermitian_part", "commutator", "max_abs", "max_abs_each", "is_hermitian",
-    "unitary_exp", "unitary_exp_frechet",
+    "polar", "unitary_exp", "unitary_exp_frechet",
     "random_hermitian", "random_unitary",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
 ]
@@ -71,6 +71,16 @@ def max_abs_each(m):
 def is_hermitian(m, tol=TOL.hermitian_input):
     """True when every matrix in the stack is Hermitian to within tol."""
     return max_abs(np.asarray(m) - dagger(m)) <= tol
+
+
+def polar(m):
+    """The unitary polar factor U of each M = U H in a (..., N, n) stack, and M's singular values.
+
+    U = u vh from the thin SVD M = u diag(s) vh: the nearest matrix with orthonormal
+    columns to M, unique where M has full column rank.
+    """
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh, s
 
 
 def unitary_exp(h, t=1.0):

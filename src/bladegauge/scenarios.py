@@ -24,6 +24,7 @@ from .errors import ChartError, ConfigError, ParameterError
 from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, _any, _worst_point,
                      constant, linear, matrix_of)
 from .gauge import gauge_potential, pure_gauge_potential
+from .linalg import polar
 __all__ = [
     "Scenario", "SCENARIOS", "PARAM_TYPES", "CONFIG_KEYS", "validate_config",
     "resolve_spacetime", "scenario_params", "load_potential", "load_frame", "load_darboux",
@@ -197,8 +198,8 @@ def validate_config(cfg):
     """Validate a scenario config dict; raises ConfigError with the path of the fault.
 
     It names the shallowest fault (of siblings, the last path in sort order).  Past the
-    types, params must be ones the scenario reads, only a Cartesian chart takes a
-    signature, and a darboux domain bounds every axis.
+    types, params must be ones the scenario reads, rank may not exceed ambient, only a
+    Cartesian chart takes a signature, and a darboux domain bounds every axis.
     """
     fault = max(_CONFIG(cfg, []), key=lambda f: (-len(f[0]), f[0]), default=None)
     if fault is not None:
@@ -208,6 +209,9 @@ def validate_config(cfg):
     if "signature" in cfg and chart != "cartesian":
         raise ConfigError(f"scenario {cfg['scenario']!r} is on the fixed {chart} chart and "
                           f"does not read a signature", schema_path=["signature"])
+    if {"rank", "ambient"} <= params.keys() and params["rank"] > params["ambient"]:
+        raise ConfigError(f"rank {params['rank']} exceeds ambient {params['ambient']}; "
+                          f"a frame needs rank <= ambient", schema_path=["params", "rank"])
     domain, dim = params.get("domain"), resolve_spacetime(cfg).dim
     if domain and not len(domain["lo"]) == len(domain["hi"]) == dim:
         raise ConfigError(f"lo and hi need {dim} bounds, one per chart axis",
@@ -342,12 +346,7 @@ def _tabulated_potential(tab, spacetime):
 def _tabulated_frame(tab, spacetime):
     arr = _table(tab, spacetime, potential=False)  # (*grid, N, n, 2)
     raw = tabulated_field(tab["axes"], arr, spacetime, arr.shape[len(tab["axes"]):-1])
-
-    def orthonormalized(x):
-        v = np.asarray(raw.fn(x), dtype=complex)
-        # polar projection to the nearest orthonormal frame
-        u, _, vh = np.linalg.svd(v, full_matrices=False)
-        return u @ vh
-
-    V = FieldFn(spacetime, raw.shape, orthonormalized, None, None)
+    # polar projection to the nearest orthonormal frame
+    V = FieldFn(spacetime, raw.shape, lambda x: polar(np.asarray(raw.fn(x), dtype=complex))[0],
+                None, None)
     return frame(spacetime, V)

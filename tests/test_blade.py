@@ -331,11 +331,11 @@ def test_lifted_derivative_reduces_on_lifted_matter(st4, points4):
                       lambda x, mu: psi.d(x, mu)[:, 0], None)
     lifted = v.V @ psi_vec
     a = extract_potential(v)
-    from bladegauge.gauge import MatterField, covariant_derivative
+    from bladegauge.gauge import covariant_derivative
     for x in points4[:3]:
         for mu in range(4):
             got = lifted_covariant_derivative(blade, lifted, mu, x)
-            want = v.at(x) @ covariant_derivative(a, MatterField(psi_vec), mu, x)
+            want = v.at(x) @ covariant_derivative(a, psi_vec, mu, x)
             assert max_abs(got - want) < 1e-8
 
 
@@ -533,6 +533,22 @@ def test_canonical_frame_out_of_chart():
         canonical_frame(np.stack([p_in, p_orth]), v0)
     with pytest.raises(DimensionMismatchError, match="projector rank"):
         canonical_frame(np.stack([p_in, np.eye(2)]), v0)
+
+
+def test_direct_rotation_out_of_chart():
+    v0 = np.array([[1.0], [0.0]], dtype=complex)
+    p_orth = np.array([[0.0, 0], [0, 1.0]], dtype=complex)  # principal angle pi/2
+    with pytest.raises(ChartError):
+        direct_rotation(p_orth, v0)
+    with pytest.raises(DimensionMismatchError, match="projector rank"):
+        direct_rotation(np.eye(2), v0)
+    # a stack fails when any one of its points does
+    p_in = np.array([[1.0, 0], [0, 0.0]], dtype=complex)
+    direct_rotation(np.stack([p_in, p_in]), v0)
+    with pytest.raises(ChartError):
+        direct_rotation(np.stack([p_in, p_orth]), v0)
+    with pytest.raises(DimensionMismatchError, match="projector rank"):
+        direct_rotation(np.stack([p_in, np.eye(2)]), v0)
 
 
 def test_direct_rotation_properties(st4, points4):

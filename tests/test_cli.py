@@ -612,6 +612,20 @@ def test_malformed_config_values_exit_2(argv, text, path, tmp_path, capsys):
     assert f"(schema path: {path})" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scenario", ["random_smooth", "pure_gauge"])
+@pytest.mark.parametrize("argv", [["verify"], ["residuals", "--eq", "modified", "--grid", GRID4]],
+                         ids=["verify", "residuals"])
+def test_rank_above_ambient_exits_2(scenario, argv, tmp_path, capsys):
+    # the default rank 2 on a one-dimensional ambient space
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": scenario, "params": {"ambient": 1}}))
+    out = tmp_path / "report.json"
+    assert main(argv[:1] + ["--input", str(inp), "--report", str(out)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "rank 2 exceeds ambient 1" in err and "(schema path: params/rank)" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_import_leaves_jsonschema_unloaded():
     # configs are checked against the scenario registry, with no schema library
     src = str(Path(bladegauge.__file__).resolve().parents[1])

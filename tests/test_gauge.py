@@ -7,7 +7,7 @@ from bladegauge.blade import extract_potential, random_gauge_map, random_smooth_
 from bladegauge.errors import DomainError
 from bladegauge.fields import (FieldFn, closedness_residual, constant,
                                exp_i, linear, matrix_of)
-from bladegauge.gauge import (MatterField, covariant_derivative,
+from bladegauge.gauge import (covariant_derivative,
                               covariant_derivative_matrix, field_strength,
                               gauge_map, gauge_potential, gauge_transform,
                               gauge_transform_field_strength,
@@ -23,7 +23,7 @@ def zero_potential(st, n=1):
 
 def test_covariant_derivative_trivial(st4):
     a = zero_potential(st4, 2)
-    psi = MatterField(constant(np.array([1.0, 2.0j]), st4))
+    psi = constant(np.array([1.0, 2.0j]), st4)
     for mu in range(4):
         assert max_abs(covariant_derivative(a, psi, mu, np.zeros(4))) == 0.0
 
@@ -33,7 +33,7 @@ def test_covariant_derivative_pure_gauge_flatness(points4, st4):
     chi = linear(st4, [0.4, -0.7, 0.2, 0.9])
     a = gauge_potential(st4, [matrix_of([[chi.partial(mu)]]) for mu in range(4)])
     psi0 = 1.3 - 0.2j
-    psi = MatterField(matrix_of([[psi0 * exp_i(-1.0 * chi)]]) @ constant(np.array([1.0]), st4))
+    psi = matrix_of([[psi0 * exp_i(-1.0 * chi)]]) @ constant(np.array([1.0]), st4)
     for x in points4:
         for mu in range(4):
             assert max_abs(covariant_derivative(a, psi, mu, x)) < 1e-12
@@ -43,15 +43,15 @@ def test_covariant_derivative_matches_lifted_form(points4, st4):
     # D_mu psi = V^dag d_mu (V psi) whenever V solves the frame equation
     v = random_smooth_frame(st4, 4, 2, seed=3)
     a = extract_potential(v)
-    psi = MatterField(matrix_of([[linear(st4, [0.3, 0, 0.1, 0], 1.0)],
-                                 [exp_i(linear(st4, [0, 0.6, 0, -0.2]))]]))
-    psi_vec = FieldFn(st4, (2,), lambda x: psi.f(x)[:, 0],
-                      (lambda x, mu: psi.f.d(x, mu)[:, 0]), None)
+    psi = matrix_of([[linear(st4, [0.3, 0, 0.1, 0], 1.0)],
+                     [exp_i(linear(st4, [0, 0.6, 0, -0.2]))]])
+    psi_vec = FieldFn(st4, (2,), lambda x: psi(x)[:, 0],
+                      (lambda x, mu: psi.d(x, mu)[:, 0]), None)
     lifted = v.V @ psi_vec
     for x in points4[:3]:
         for mu in range(4):
             want = dagger(v.V(x)) @ lifted.d(x, mu)
-            got = covariant_derivative(a, MatterField(psi_vec), mu, x)
+            got = covariant_derivative(a, psi_vec, mu, x)
             assert max_abs(want - got) < 1e-9
 
 
@@ -85,8 +85,8 @@ def test_gauge_transform_identity(st4, points4):
     a = plane_wave_potential(st4, [1, 0, 0, 1], [0, 1, 0, 0])
     u = gauge_map(constant(np.eye(1, dtype=complex), st4))
     a2 = gauge_transform(a, u)
-    psi = MatterField(constant(np.array([0.3 + 1j]), st4))
-    assert max_abs(gauge_transform_matter(psi, u).f(points4[0]) - psi.f(points4[0])) < 1e-14
+    psi = constant(np.array([0.3 + 1j]), st4)
+    assert max_abs(gauge_transform_matter(psi, u)(points4[0]) - psi(points4[0])) < 1e-14
     for x in points4:
         for mu in range(4):
             assert max_abs(a2.at(x, mu) - a.at(x, mu)) < 1e-14

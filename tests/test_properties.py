@@ -334,7 +334,51 @@ def _embedded_pairs(emb, lo, hi):
     return pairs
 
 
+def _point_call_pairs(call, sizes):
+    """(call(x)[i], call(x[i])) on a stack x of each size.
+
+    The sizes include the matrix size, where a point stack mistaken for one matrix
+    passes the shape checks, and one other, where it does not.
+    """
+    def pairs():
+        out = []
+        for size in sizes:
+            x = np.random.default_rng(size).uniform(-0.5, 0.5, (size, 4))
+            stacked = call(x)
+            out += [(stacked[i], call(xi)) for i, xi in enumerate(x)]
+        return out
+
+    return pairs
+
+
+def _direct_rotation_call():
+    from bladegauge.blade import direct_rotation
+    p = blade_from_frame(_frame((4, 2), 11)).projector
+    return lambda y: direct_rotation(p(y), np.eye(4, 2))
+
+
+def _covariant_derivative_call():
+    from bladegauge.fields import constant
+    from bladegauge.gauge import covariant_derivative
+    a = extract_potential(_frame((4, 2), 12))  # a U(2) potential
+    psi = random_gauge_map(MINKOWSKI4, 2, 6).f @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
+    return lambda y: np.stack([covariant_derivative(a, psi, mu, y) for mu in range(4)], axis=-2)
+
+
+def _lifted_covariant_derivative_call():
+    from bladegauge.blade import lifted_covariant_derivative
+    from bladegauge.fields import constant
+    blade = blade_from_frame(_frame((4, 2), 13))
+    psi = random_gauge_map(MINKOWSKI4, 4, 7).f @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
+                                                          MINKOWSKI4)
+    return lambda y: np.stack([lifted_covariant_derivative(blade, psi, mu, y)
+                               for mu in range(4)], axis=-2)
+
+
 STACK_CALLS = {
+    "direct_rotation": _point_call_pairs(_direct_rotation_call(), (4, 3)),
+    "covariant_derivative": _point_call_pairs(_covariant_derivative_call(), (2, 3)),
+    "lifted_covariant_derivative": _point_call_pairs(_lifted_covariant_derivative_call(), (4, 3)),
     "em_potential_residual": _em_residual_pairs,
     "two_form_values_wedge": _wedge_pairs,
     "form_rank": _form_rank_pairs,
