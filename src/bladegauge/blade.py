@@ -11,23 +11,28 @@ kept as independent code paths for cross-validation.  The gauge-fixed frames
 are functions of the blade alone: the canonical frame is the polar factor of
 P V0 and the direct rotation U1 = sqrt(R R0) that of I + R R0, where P is the
 projector (R + I)/2 and R0 the reflection of a reference frame V0.
+
+The seeded exp(iH) test fields state their first and second derivatives in
+closed form, so the blade, its shape operator and its curvature are analytic
+to first derivatives of S.  The complement and canonical frames have no closed
+form; they are stencil leaves (`fields.stencil_field`), whose finite
+differences come from one stacked call per point stack.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _worst_point, constant,
-                     hstack, identity_field, two_form)
+from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _PointLRU, _worst_point,
+                     constant, hstack, identity_field, stencil_field, two_form)
 from .gauge import GaugeMap, covariant_field, field_strength, gauge_map, gauge_potential
-from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis,
-                     _frechet_in_eigenbasis, _require_hermitian, commutator,
-                     dagger, hermitian_part, max_abs, max_abs_each, polar, random_hermitian)
+from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _require_hermitian,
+                     _second_divided_differences, commutator, dagger, hermitian_part, max_abs,
+                     max_abs_each, polar, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
 from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
@@ -246,9 +251,9 @@ def complement_frame(f: Frame, x):
 
 
 def complement_field(f: Frame) -> FieldFn:
-    """The complement as a (finite-difference differentiable) field."""
-    return FieldFn(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x),
-                   None, None, f.V.fd_step)
+    """The complement as a stencil leaf: finite-difference derivatives from one stacked call."""
+    return stencil_field(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x),
+                         f.V.fd_step)
 
 
 @dataclass(frozen=True)
@@ -341,10 +346,10 @@ def direct_rotation(p, v0):
 
 
 def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
-    """Pointwise canonical frame as a field (finite-difference derivatives)."""
+    """Pointwise canonical frame as a stencil leaf (finite-difference derivatives)."""
     P = blade.projector
-    return FieldFn(blade.spacetime, (blade.N, blade.n), lambda x: canonical_frame(P(x), v0),
-                   None, None, blade.R.fd_step)
+    return stencil_field(blade.spacetime, (blade.N, blade.n),
+                         lambda x: canonical_frame(P(x), v0), blade.R.fd_step)
 
 
 def _projector_of_rank(p, n):
@@ -358,34 +363,39 @@ def _projector_of_rank(p, n):
 def _complete_columns(v):
     """Greedy-pivoted orthonormal completion of the orthonormal columns of a (..., N, n) stack.
 
-    Candidate e_j is row j of one (..., N, N) array; contiguous rows make `vecdot`
-    the dot kernel of `np.vdot`, so each point keeps the bits it has alone.
+    Candidate e_j is row j of one (B, N, N) array over the flattened stack;
+    contiguous rows make `vecdot` the dot kernel of `np.vdot`, so each point
+    keeps the bits it has alone.
     """
     N, n = v.shape[-2:]
     batch = v.shape[:-2]
-    basis = [v[..., :, j] for j in range(n)]
-    taken = np.zeros(batch + (N,), dtype=bool)
+    v = v.reshape(-1, N, n)
+    rows = np.arange(len(v))
+    basis = [v[:, :, j] for j in range(n)]
+    taken = np.zeros((len(v), N), dtype=bool)
+    eye = np.broadcast_to(np.eye(N, dtype=complex), (len(v), N, N))
     for _ in range(N - n):
-        w = np.broadcast_to(np.eye(N, dtype=complex), batch + (N, N))
+        w = eye
         for _ in range(2):  # twice for numerical orthogonality
             for b in basis:
-                w = w - b[..., None, :] * np.vecdot(b[..., None, :], w)[..., None]
+                w = w - b[:, None, :] * np.vecdot(b[:, None, :], w)[..., None]
         norms = np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
-        best_norm = np.full(batch, -1.0)
-        best = np.zeros(batch, dtype=int)
+        best_norm = np.full(len(v), -1.0)
+        best = np.zeros(len(v), dtype=int)
         for j in range(N):  # strict improvement: lowest index wins ties
-            better = ~taken[..., j] & (norms[..., j] > best_norm + 1e-12)
-            best_norm = np.where(better, norms[..., j], best_norm)
+            better = ~taken[:, j] & (norms[:, j] > best_norm + 1e-12)
+            best_norm = np.where(better, norms[:, j], best_norm)
             best = np.where(better, j, best)
-        if _any(best_norm <= TOL.gram_schmidt_pivot):
-            i = np.unravel_index(np.argmin(best_norm), batch)
-            where = f"stack index {[int(k) for k in i]}" if batch else "this point"
+        if (best_norm <= TOL.gram_schmidt_pivot).any():
+            k = np.argmin(best_norm)
+            where = (f"stack index {[int(i) for i in np.unravel_index(k, batch)]}" if batch
+                     else "this point")
             raise ConsistencyError(
-                f"cannot complete the frame at {where} (pivot norm {best_norm[i]:.2e})")
-        np.put_along_axis(taken, best[..., None], True, axis=-1)
-        pick = np.take_along_axis(w, best[..., None, None], axis=-2)[..., 0, :]
-        basis.append(pick / best_norm[..., None])
-    return np.stack(basis[n:], axis=-1) if N > n else np.zeros(v.shape[:-1] + (0,), dtype=complex)
+                f"cannot complete the frame at {where} (pivot norm {best_norm[k]:.2e})")
+        taken[rows, best] = True
+        basis.append(w[rows, best] / best_norm[:, None])
+    w = np.stack(basis[n:], axis=-1) if N > n else np.zeros((len(v), N, 0), dtype=complex)
+    return w.reshape(batch + (N, N - n))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +429,11 @@ def random_hermitian_field(spacetime, n, seed, amplitude=0.4):
 
 
 def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> Frame:
-    """Seeded frame V = exp(i H(x)) V0 with exact analytic first derivatives.
+    """Seeded frame V = exp(i H(x)) V0 with exact analytic first and second derivatives.
 
-    The derivative of the matrix exponential is evaluated in the eigenbasis
-    (divided differences), so frame identities hold to rounding accuracy.
+    The derivatives of the matrix exponential are evaluated in the eigenbasis
+    (first and second divided differences), so frame identities hold to
+    rounding accuracy.
     One stacked eigh per distinct point stack, kept in an LRU bounded by
     points that lives with the field; the arrays returned are read-only.
     analytic=False strips the derivatives to exercise finite-difference paths.
@@ -443,40 +454,43 @@ def random_gauge_map(spacetime, n, seed) -> GaugeMap:
     return gauge_map(_exp_i_field(h, None, True), check=False)
 
 
-# points whose spectral records one seeded exp(iH) field keeps: a stacked
-# `modified` sweep queries 89 shifted copies of its grid, so this holds all of
-# them for grids up to 16 points (about 2.5 MB for N = 4)
-_EXP_CACHE_POINTS = 2048
-
-
 class _ExpRecord:
     """What one point stack of an exp(iH) field needs: eigh of H, value, derivatives."""
 
-    __slots__ = ("lam", "q", "value", "gamma", "derivs", "points")
+    __slots__ = ("lam", "q", "value", "gamma", "gamma2", "tilde", "derivs", "derivs2")
 
-    def __init__(self, lam, q, value, points):
+    def __init__(self, lam, q, value):
         self.lam, self.q, self.value = lam, q, value
         self.gamma = None     # Daleckii-Krein matrices, made on the first derivative
+        self.gamma2 = None    # second divided differences, made on the first deriv2
+        self.tilde = {}       # mu -> Q^dag d_mu H Q
         self.derivs = {}      # mu -> d_mu value
-        self.points = points  # how many points the stack holds
+        self.derivs2 = {}     # (mu, nu) -> d_mu d_nu value
 
 
 def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
     """The field x -> exp(i H(x)) @ right (no product when right is None).
 
     Each distinct point stack costs one H(x), one Hermiticity check and one
-    stacked eigh, which the derivatives use (for N = 2 the value is the
-    closed form of `unitary_exp`); the value, the divided differences and
-    each d_mu value are made once and kept in an LRU that lives with the
-    field.  A stack of P points counts P toward the LRU's
-    `_EXP_CACHE_POINTS`; the newest record stays even when it alone holds
-    more.  The arithmetic is that of `unitary_exp` and `unitary_exp_frechet`,
-    so results are bit-identical to them, and every array handed out is
-    read-only so that no caller can change what a later query returns.
-    analytic=False leaves the derivatives to finite differences.
+    stacked eigh H = Q diag(lam) Q^dag, which the derivatives use (for N = 2
+    the value is the closed form of `unitary_exp`); the value, the divided
+    differences and each derivative are made once and kept in a record in the
+    field's point-bounded LRU (`fields._PointLRU`).  With H~_mu = Q^dag d_mu H Q,
+    Gamma the first and f[.,.,.] the second divided differences of e^{i lam},
+    d_mu e^{iH} = Q (Gamma o H~_mu) Q^dag, and
+
+        d_mu d_nu e^{iH} = Q [Gamma o H~_mu,nu
+                              + sum_k f[lam_i, lam_k, lam_j] (H~_mu,ik H~_nu,kj
+                                                               + H~_nu,ik H~_mu,kj)] Q^dag
+
+    (Higham & Relton, SIAM J. Matrix Anal. Appl. 35 (2014) 1019), with the
+    k-sum as N elementwise passes.  The value and the first derivative take the
+    arithmetic of `unitary_exp` and `unitary_exp_frechet`, so they are
+    bit-identical to them, and every array handed out is read-only so that no
+    caller can change what a later query returns.  analytic=False leaves the
+    derivatives to finite differences.
     """
-    cache = OrderedDict()
-    held = 0  # points held by the records in cache
+    lru = _PointLRU()
 
     def publish(m):
         out = m if right is None else m @ right
@@ -484,21 +498,26 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         return out
 
     def record(x):
-        nonlocal held
-        key = (x.shape, x.tobytes())
-        rec = cache.get(key)
-        if rec is not None:
-            cache.move_to_end(key)
-            return rec
-        hx = np.asarray(h.fn(x), dtype=complex)
-        _require_hermitian(hx, "unitary_exp")
-        lam, q = np.linalg.eigh(hermitian_part(hx))
-        value = _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
-        rec = cache[key] = _ExpRecord(lam, q, publish(value), x.size // x.shape[-1])
-        held += rec.points
-        while held > _EXP_CACHE_POINTS and len(cache) > 1:
-            held -= cache.popitem(last=False)[1].points
+        rec = lru.get(x)
+        if rec is None:
+            hx = np.asarray(h.fn(x), dtype=complex)
+            _require_hermitian(hx, "unitary_exp")
+            lam, q = np.linalg.eigh(hermitian_part(hx))
+            value = _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
+            rec = lru.put(x, _ExpRecord(lam, q, publish(value)), x.size // x.shape[-1])
         return rec
+
+    def gamma(rec):
+        if rec.gamma is None:
+            rec.gamma = _divided_differences(rec.lam, 1.0)
+        return rec.gamma
+
+    def tilde(rec, x, mu):
+        t = rec.tilde.get(mu)
+        if t is None:
+            e = np.asarray(h.deriv(x, mu), dtype=complex)
+            t = rec.tilde[mu] = dagger(rec.q) @ e @ rec.q
+        return t
 
     def fn(x):
         return record(x).value
@@ -507,12 +526,27 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         rec = record(x)
         d = rec.derivs.get(mu)
         if d is None:
-            if rec.gamma is None:
-                rec.gamma = _divided_differences(rec.lam, 1.0)
-            e = np.asarray(h.deriv(x, mu), dtype=complex)
-            d = rec.derivs[mu] = publish(_frechet_in_eigenbasis(rec.q, rec.gamma, e))
+            d = rec.derivs[mu] = publish(rec.q @ (gamma(rec) * tilde(rec, x, mu)) @ dagger(rec.q))
+        return d
+
+    def deriv2(x, mu, nu):
+        rec = record(x)
+        d = rec.derivs2.get((mu, nu))
+        if d is None:
+            if rec.gamma2 is None:
+                rec.gamma2 = _second_divided_differences(rec.lam, 1.0)
+            q, g2 = rec.q, rec.gamma2
+            tm, tn = tilde(rec, x, mu), tilde(rec, x, nu)
+            e2 = np.asarray(h.deriv2(x, mu, nu), dtype=complex)
+            inner = gamma(rec) * (dagger(q) @ e2 @ q)
+            for k in range(n):
+                inner += g2[..., :, k, :] * (tm[..., :, k:k + 1] * tn[..., k:k + 1, :]
+                                             + tn[..., :, k:k + 1] * tm[..., k:k + 1, :])
+            d = rec.derivs2[(mu, nu)] = publish(q @ inner @ dagger(q))
         return d
 
     n = h.shape[0]
     shape = (n, n) if right is None else (n, right.shape[1])
-    return FieldFn(h.spacetime, shape, fn, deriv if analytic else None, None)
+    if not analytic:
+        return FieldFn(h.spacetime, shape, fn)
+    return FieldFn(h.spacetime, shape, fn, deriv, deriv2)

@@ -332,13 +332,14 @@ def _generic_identity_checks(seed, tol):
         _, disc = four_way(blade, x, 0, 2)
         worst["four_way"] = max(worst["four_way"], disc)
         vv = v.at(x)
-        wv = w(x)
         for mu, nu in ((0, 1), (1, 3)):
             om = omega.at(x, mu, nu)
+            g = g_fs.at(x, mu, nu)
+            wv = w(x)  # read from the stencil record that G's first query made
             worst["curvature_blocks"] = max(
                 worst["curvature_blocks"],
                 max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),
-                max_abs(g_fs.at(x, mu, nu) - dagger(wv) @ om @ wv))
+                max_abs(g - dagger(wv) @ om @ wv))
             worst["gauge_covariance_F"] = max(
                 worst["gauge_covariance_F"],
                 max_abs(fs2.at(x, mu, nu) - fs2_expect.at(x, mu, nu)))

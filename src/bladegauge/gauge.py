@@ -45,6 +45,11 @@ def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
     return replace(f.hermitian_part(), fn=fn)
 
 
+def _fd_derived(f: FieldFn):
+    """Whether f's first derivatives are finite differences, stated as such or not."""
+    return f.deriv is None or f.fd_backed
+
+
 def gauge_potential(spacetime, components) -> OneForm:
     """d Hermitian n x n matrix fields A_mu(x) as a one-form; i A_mu lives in u(n)."""
     components = tuple(components)
@@ -56,8 +61,7 @@ def gauge_potential(spacetime, components) -> OneForm:
     # finite-difference-backed components carry O(h^2) anti-hermitian
     # noise; warn only beyond their budget, not on every evaluation
     warn_tol = max(TOL.hermitian_warn,
-                   0.0 if all(c.deriv is not None for c in components)
-                   else TOL.fd(components[0].fd_step))
+                   TOL.fd(components[0].fd_step) if any(map(_fd_derived, components)) else 0.0)
     return OneForm(spacetime, tuple(_hermitized(c, warn_tol) for c in components))
 
 
@@ -114,9 +118,8 @@ def covariant_derivative_matrix(a: OneForm, m: FieldFn, mu, x):
 
 def field_strength(a: OneForm) -> TwoForm:
     """F_mu nu = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu]."""
-    analytic = all(c.deriv is not None for c in a.components)
-    warn_tol = TOL.hermitian_warn if analytic else max(TOL.hermitian_warn,
-                                                       TOL.fd(a.components[0].fd_step))
+    warn_tol = max(TOL.hermitian_warn, TOL.fd(a.components[0].fd_step)
+                   if any(map(_fd_derived, a.components)) else 0.0)
 
     def entry(mu, nu):
         amu, anu = a.components[mu], a.components[nu]

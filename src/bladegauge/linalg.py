@@ -182,6 +182,42 @@ def _divided_differences(lam, t):
     return np.where(close, mid, (f[..., :, None] - f[..., None, :]) / np.where(close, 1.0, den))
 
 
+# below this spread |t| (lam_max - lam_min) of a triple, the quotient loses about
+# 4 eps t^2 / spread to cancellation, more than the Taylor series loses by
+# truncation (about t^2 spread^4 / 720); either way the error stays near 1e-13 t^2
+_CLOSE_TRIPLE = 2e-3
+
+
+def _second_divided_differences(lam, t):
+    """f[lam_i, lam_k, lam_j] of f(x) = exp(i t x), shaped (..., N, N, N) by (i, k, j).
+
+    lam is ascending, as eigh returns it, so a triple's outer eigenvalues have
+    its smallest and largest index.  The difference of the two first divided
+    differences that share the middle eigenvalue is divided by the outer gap;
+    the first divided differences take the cancellation-free form
+    f[a, b] = i t e^{i t (a + b)/2} sinc(t (a - b)/2).  Triples that lie
+    within `_CLOSE_TRIPLE` of each other take the Taylor series about their
+    mean m instead: e^{i t m} (-t^2/2 + t^4 p2/48 + i t^5 p3/360), with p_k
+    the power sums of the deviations from m; it gives f''/2 at a triple
+    eigenvalue.
+    """
+    lo, mid, hi = np.sort(np.indices((lam.shape[-1],) * 3), axis=0)
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
+    half = 0.5 * (lam[..., :, None] - lam[..., None, :])
+    first = (1j * t) * np.exp(1j * t * mean) * np.sinc(t * half / np.pi)
+    a, b, c = lam[..., lo], lam[..., mid], lam[..., hi]
+    close = np.abs(t * (c - a)) < _CLOSE_TRIPLE
+    quotient = (first[..., lo, mid] - first[..., mid, hi]) / np.where(close, 1.0, a - c)
+    m = (a + b + c) / 3.0
+    da, db, dc = a - m, b - m, c - m
+    p2 = da * da + db * db + dc * dc
+    p3 = da * da * da + db * db * db + dc * dc * dc
+    t2 = t * t
+    series = np.exp(1j * t * m) * (-0.5 * t2 + (t2 * t2 / 48.0) * p2
+                                   + 1j * (t2 * t2 * t / 360.0) * p3)
+    return np.where(close, series, quotient)
+
+
 def _frechet_in_eigenbasis(q, gamma, e):
     """Derivative of exp(i t H) along E from H's eigenvectors q and their divided differences."""
     return q @ (gamma * (dagger(q) @ e @ q)) @ dagger(q)

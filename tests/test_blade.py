@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, _complete_columns, blade_curvature,
+from bladegauge import blade as blade_module
+from bladegauge.blade import (Frame, _exp_i_field, _complete_columns, blade_curvature,
                               blade_from_frame, canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
                               check_four_way, direct_rotation,
@@ -17,7 +18,7 @@ from bladegauge.blade import (_EXP_CACHE_POINTS, Frame, _complete_columns, blade
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError, DimensionMismatchError
-from bladegauge.fields import FieldFn, OneForm, constant, coordinate, matrix_of
+from bladegauge.fields import _LEAF_CACHE_POINTS, FieldFn, OneForm, constant, coordinate, matrix_of
 from bladegauge.gauge import field_strength, gauge_transform
 from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
                                unitary_exp_frechet)
@@ -88,7 +89,7 @@ def _assert_exp_leaf_bits(points4, field, value, deriv, monkeypatch):
                 assert np.array_equal(field.d(x, mu), deriv(x, mu))
     # push the first point out of the LRU, then ask for it again
     rng = np.random.default_rng(7)
-    for _ in range(_EXP_CACHE_POINTS + 1):
+    for _ in range(_LEAF_CACHE_POINTS + 1):
         field(rng.uniform(-0.6, 0.6, 4))
     calls = []
     eigh = np.linalg.eigh
@@ -126,13 +127,13 @@ def _assert_exp_leaf_stack_bits(points4, field, value, deriv, counting_eigh, cal
     # a stack of P points counts P toward the bound: one stack that fills the
     # rest of it pushes the five-point stack out, though only two records were kept
     field(pts)
-    field(rng.uniform(-0.6, 0.6, (_EXP_CACHE_POINTS - len(pts) + 1, 4)))
+    field(rng.uniform(-0.6, 0.6, (_LEAF_CACHE_POINTS - len(pts) + 1, 4)))
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     calls.clear()
     got = field(pts)
     assert len(calls) == 1  # evicted, so evaluated afresh with one stacked eigh
     # the newest record stays even when it alone holds more than the bound
-    big = rng.uniform(-0.6, 0.6, (_EXP_CACHE_POINTS + 3, 4))
+    big = rng.uniform(-0.6, 0.6, (_LEAF_CACHE_POINTS + 3, 4))
     field(big)
     field(big)
     monkeypatch.undo()
@@ -157,6 +158,88 @@ def test_random_gauge_map_bit_identical_to_unitary_exp(st4, points4, n, monkeypa
     value, deriv = _reference_exp_field(h, None)
     u = random_gauge_map(st4, n, seed=23)
     _assert_exp_leaf_bits(points4, u.f, value, deriv, monkeypatch)
+
+
+def _fd_of_deriv_errors(f, x, steps):
+    """Largest |d2 - central difference of the analytic d| over every (mu, nu), per step."""
+    errs = []
+    for h in steps:
+        fd = FieldFn(f.spacetime, f.shape, f.fn, f.deriv, None, h)
+        errs.append(max(max_abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu))
+                        for mu in range(4) for nu in range(4)))
+    return errs
+
+
+@pytest.mark.parametrize("field", ["frame_2_1", "frame_4_2", "gauge_map"])
+def test_exp_leaf_deriv2_is_the_limit_of_fd_of_deriv(st4, points4, field):
+    f = {"frame_2_1": lambda: random_smooth_frame(st4, 2, 1, seed=4).V,
+         "frame_4_2": lambda: random_smooth_frame(st4, 4, 2, seed=5).V,
+         "gauge_map": lambda: random_gauge_map(st4, 3, seed=6).f}[field]()
+    for x in points4[:2]:
+        coarse, fine = _fd_of_deriv_errors(f, x, (2e-3, 1e-3))
+        assert coarse < TOL.fd()
+        # the central difference converges to deriv2 at second order
+        assert 3.5 < coarse / fine < 4.5
+
+
+def test_exp_leaf_deriv2_at_a_repeated_eigenvalue(st4):
+    # H(0) = diag(1, 1, 2): the divided differences meet an eigenvalue pair and triple
+    a = np.array([[0.3, 0.2 - 0.1j, 0.0], [0.2 + 0.1j, -0.1, 0.4j], [0.0, -0.4j, 0.2]])
+    b = np.array([[0.0, 0.5, 0.1j], [0.5, 0.2, 0.0], [-0.1j, 0.0, -0.3]])
+    x0, x1, x2 = (coordinate(st4, mu) for mu in range(3))
+    h = (constant(np.diag([1.0, 1.0, 2.0]), st4) + x0 * constant(a, st4)
+         + (x1 * x2 + x0 * x0) * constant(b, st4))
+    u = _exp_i_field(h, None, True)
+    x = np.zeros(4)
+    assert max(_fd_of_deriv_errors(u, x, (1e-3,))) < TOL.fd()
+    # H(0) = I: every eigenvalue triple is confluent, and d_mu d_nu e^{iH} has a closed form
+    h = constant(np.eye(3), st4) + x0 * constant(a, st4) + (x1 * x2) * constant(b, st4)
+    u = _exp_i_field(h, None, True)
+    phase = np.exp(1j)
+    assert max_abs(u.d2(x, 0, 0) - phase * (-a @ a)) < 1e-14
+    assert max_abs(u.d2(x, 1, 2) - phase * 1j * b) < 1e-14
+    assert max_abs(u.d2(x, 0, 1)) < 1e-14
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (5, 2)])
+def test_stencil_leaves_have_the_bits_of_fd(st4, points4, N, n):
+    v = random_smooth_frame(st4, N, n, seed=8, amplitude=0.3)
+    v0 = np.eye(N, n, dtype=complex)
+    leaves = {"complement": complement_field(v),
+              "canonical": canonical_frame_field(blade_from_frame(v), v0)}
+    for name, leaf in leaves.items():
+        assert leaf.fd_backed and leaf.deriv is not None and leaf.deriv2 is not None
+        fd = FieldFn(st4, leaf.shape, leaf.fn)
+        for x in (points4[0], np.asarray(points4[1:4])):
+            # a value query before and after the stencil record exists
+            assert np.array_equal(leaf(x), fd(x)), name
+            for mu in range(4):
+                assert np.array_equal(leaf.d(x, mu), fd.d(x, mu)), name
+                for nu in range(4):
+                    assert np.array_equal(leaf.d2(x, mu, nu), fd.d2(x, mu, nu)), name
+            assert np.array_equal(leaf(x), fd(x)), name
+
+
+def test_stencil_leaf_makes_one_complement_call_per_point_stack(st4, points4, monkeypatch):
+    v = random_smooth_frame(st4, 4, 2, seed=8)
+    w = complement_field(v)
+    calls = []
+    original = blade_module.complement_frame
+
+    def counting(f, x):
+        calls.append(np.shape(x))
+        return original(f, x)
+
+    monkeypatch.setattr(blade_module, "complement_frame", counting)
+    x = np.asarray(points4[:3])
+    w(x)
+    assert calls == [(3, 4)]  # a value query alone is one plain call
+    for mu in range(4):
+        w.d(x, mu)
+        for nu in range(4):
+            w.d2(x, mu, nu)
+    w(x)
+    assert calls == [(3, 4), (73, 3, 4)]  # then one call on the whole nested stencil
 
 
 def test_exp_leaf_arrays_are_read_only(st4, points4):

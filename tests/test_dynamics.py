@@ -224,8 +224,10 @@ def test_shape_gauge_ym_equivalence(st4, points4):
 
 
 def test_residual_points_make_one_eigh_per_distinct_point(st4, monkeypatch):
-    # exp(iH) leaves keep one spectral record per distinct point: one
-    # modified point touches 89 distinct points, four shape queries 9
+    # exp(iH) leaves keep one spectral record per distinct point, and state
+    # their second derivatives: one modified point touches 32 distinct points
+    # (the outer stencil's 8 and the inner stencils' 24 around them), four
+    # shape queries only the point itself
     calls = []
     eigh = np.linalg.eigh
 
@@ -236,12 +238,12 @@ def test_residual_points_make_one_eigh_per_distinct_point(st4, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     x = np.array([0.1, 0.2, 0.3, 0.4])
     modified_eom_residual(random_smooth_frame(st4, 4, 2, 1), x)
-    assert len(calls) == 89
+    assert len(calls) == 32
     calls.clear()
     v = random_smooth_frame(st4, 4, 2, 1)
     for nu in range(4):
         shape_gauge_ym_residual(v, x, nu)
-    assert len(calls) == 9
+    assert len(calls) == 1
 
 
 def test_sigma_eom_residual_constant(st4):

@@ -7,8 +7,8 @@ from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, hstack, lattice_integral, linear,
                                mapped, matrix_of, scalar_field, sin_of,
-                               sphere_flux, wedge, wedge_power_nonzero,
-                               wedge_power_values, TwoForm)
+                               sphere_flux, stencil_field, two_form, two_form_values, wedge,
+                               wedge_power_nonzero, wedge_power_values, TwoForm)
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -108,6 +108,53 @@ def test_combinator_derivatives_match_fd(rng):
             assert max_abs(f.d(x, mu) - fd.d(x, mu)) < TOL.fd(), name
             for nu in range(4):
                 assert max_abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested(), name
+
+
+def test_lazy_two_form_matches_an_eager_dict(points4):
+    st = MINKOWSKI4
+    built = []
+
+    def entry(mu, nu):
+        built.append((mu, nu))
+        return (mu + 1.0) * sin_of(linear(st, np.roll([0.9, 0.1, -0.4, 0.2], nu)))
+
+    lazy = two_form(st, entry)
+    assert built == []
+    x = np.asarray(points4)
+    value = lazy.at(x, 3, 1)
+    lazy.at(x, 1, 3)
+    assert built == [(1, 3)]  # built on first use, once
+    assert np.array_equal(value, -entry(1, 3)(x))
+    eager = TwoForm(st, {key: entry(*key) for key in lazy.upper})
+    for mu in range(4):
+        for nu in range(4):
+            assert np.array_equal(lazy.at(x, mu, nu), eager.at(x, mu, nu))
+            assert np.array_equal(lazy.component(mu, nu).d(x, 2),
+                                  eager.component(mu, nu).d(x, 2))
+    lazy_vals, eager_vals = two_form_values(lazy, x), two_form_values(eager, x)
+    assert list(lazy_vals) == list(eager_vals)
+    assert all(np.array_equal(lazy_vals[k], eager_vals[k]) for k in eager_vals)
+    assert len(lazy.upper) == 6 and len(list(lazy.upper.values())) == 6
+    with pytest.raises(KeyError):
+        lazy.upper[(1, 0)]
+    with pytest.raises(TypeError):
+        lazy.upper[(0, 1)] = entry(0, 1)
+
+
+def test_fd_backed_propagates_through_rules_and_partial():
+    st = MINKOWSKI4
+    leaf = stencil_field(st, (), lambda x: np.sin(x[..., 0] * x[..., 1]))
+    plain = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
+    assert leaf.fd_backed and not plain.fd_backed
+    for f in (leaf + plain, plain * leaf, exp_i(leaf), leaf.partial(1), 2.0 * leaf,
+              matrix_of([[plain, leaf]]), leaf / plain):
+        assert f.fd_backed and f.deriv is not None
+    assert not (plain * plain).fd_backed
+    # a new step leaves an FD-backed field with finite differences at that step only
+    coarse = leaf.with_step(1e-2)
+    assert coarse.deriv is None and coarse.fd_step == 1e-2
+    x = np.array([0.3, 0.4, 0.0, 0.0])
+    assert coarse.d(x, 0) != leaf.d(x, 0)
 
 
 def test_exterior_d_hand_example():

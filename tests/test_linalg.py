@@ -5,9 +5,9 @@ import pytest
 
 from bladegauge.errors import DimensionMismatchError, DomainError
 from bladegauge.linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, _exp_in_eigenbasis, _matmul_small,
-                               commutator, dagger, hermitian_part, is_hermitian, max_abs,
-                               max_abs_each, random_hermitian, random_unitary, unitary_exp,
-                               unitary_exp_frechet)
+                               _second_divided_differences, commutator, dagger, hermitian_part,
+                               is_hermitian, max_abs, max_abs_each, random_hermitian,
+                               random_unitary, unitary_exp, unitary_exp_frechet)
 
 
 def test_identity_commutes_with_anything(rng):
@@ -86,6 +86,25 @@ def test_frechet_handles_degenerate_eigenvalues():
     eps = 1e-6
     fd = (unitary_exp(h + eps * e) - unitary_exp(h - eps * e)) / (2 * eps)
     assert max_abs(fd - unitary_exp_frechet(h, e)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [1.0, -2.5])
+def test_second_divided_differences_at_close_and_equal_eigenvalues(t):
+    from scipy.linalg import expm
+    # f[a, b, c] of f(x) = exp(i t x) is entry (0, 2) of f([[a, 1, 0], [0, b, 1], [0, 0, c]])
+    rng = np.random.default_rng(5)
+    for spread in (1.0, 1e-2, 3e-3, 1e-3, 1e-5, 1e-9, 0.0):
+        lam = np.sort(0.7 + spread * rng.standard_normal(4))
+        lam[2] = lam[1]  # one exactly repeated pair
+        got = _second_divided_differences(lam, t)
+        for i, k, j in np.ndindex(4, 4, 4):
+            a, b, c = lam[i], lam[k], lam[j]
+            want = expm(1j * t * np.array([[a, 1, 0], [0, b, 1], [0, 0, c]]))[0, 2]
+            assert abs(got[i, k, j] - want) < 1e-12, (spread, i, k, j)
+    stack = np.sort(rng.standard_normal((3, 2, 4)), axis=-1)
+    got = _second_divided_differences(stack, t)
+    for i in np.ndindex(3, 2):
+        assert np.array_equal(got[i], _second_divided_differences(stack[i], t))
 
 
 def test_random_hermitian_is_hermitian_and_deterministic():
