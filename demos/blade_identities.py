@@ -69,7 +69,7 @@ def main():
     print(f"|F - V^dag Omega V|      = {gap:.2e}")
 
     u = random_gauge_map(st, n, seed=SEED + 1)
-    v2 = Frame(st, N, n, v.V @ u.f.dagger())
+    v2 = Frame(st, N, n, v.V @ u.dagger())
     blade2 = blade_from_frame(v2)
     s2 = shape_operator(blade2)
     print(f"|R - R'| after V -> Vu^dag   = {max_abs(r - blade2.at(x)):.2e}")

@@ -13,7 +13,7 @@ from bladegauge.blade import extract_potential
 from bladegauge.darboux import (darboux_data, darboux_frame, darboux_one_form,
                                 darboux_potential, frame_residual_report,
                                 verify_rank)
-from bladegauge.fields import MINKOWSKI4, exterior_d, two_form_values, wedge
+from bladegauge.fields import MINKOWSKI4, exterior_d, form_values, wedge
 
 FIXTURES = [
     ("single pair: A = sin(x0 - x3) dx1", [("sin(x0 - x3)", "x1")]),
@@ -34,7 +34,7 @@ def main():
 
         da = exterior_d(darboux_one_form(data))
         x = np.array([0.3, 0.2, 0.4, 0.1])
-        ff = wedge(two_form_values(da, x), two_form_values(da, x))
+        ff = wedge(form_values(da, x), form_values(da, x))
         ffmax = max(abs(c) for c in ff.values()) if ff else 0.0
         print(f"|F ^ F| at a sample point = {ffmax:.3f}  "
               f"({'non-decomposable' if ffmax > 1e-10 else 'decomposable'})")

@@ -2,8 +2,9 @@
 
 Gauge potentials are traded for frames V with V^dag dV = i A; the
 gauge-invariant content lives in the rotating blade R = 2 V V^dag - I and its
-shape operator S_mu = -(i/2) R dR.  S is a connection like A (both are
-`OneForm`s), and its curvature Omega is a `TwoForm` like F.  The library
+shape operator S_mu = -(i/2) R dR.  S is a connection like A, and its
+curvature Omega a field strength like F: one lazy `Form` holds every p-form,
+and a gauge map is the U(n)-valued field itself.  The library
 constructs these objects, verifies the matrix identities connecting them,
 evaluates equation-of-motion residuals, and reproduces the electromagnetic
 plane-wave and monopole scenarios plus the stacked-block frame construction
@@ -14,10 +15,10 @@ __version__ = "0.1.0"
 
 from .tolerances import Tolerances, DEFAULT as TOLERANCES
 from .fields import (Spacetime, MINKOWSKI4, SPHERICAL3, euclidean, FieldFn,
-                     OneForm, TwoForm, Grid, constant, coordinate, linear,
-                     two_form, exterior_d, form_rank, wedge_power_nonzero,
+                     Form, Grid, constant, coordinate, linear,
+                     one_form, form_values, exterior_d, form_rank, wedge_power_nonzero,
                      sphere_flux, lattice_integral)
-from .gauge import (GaugeMap, gauge_potential, gauge_map, field_strength,
+from .gauge import (gauge_potential, gauge_map, field_strength,
                     covariant_field, covariant_derivative, covariant_derivative_matrix,
                     gauge_transform, gauge_transform_field_strength,
                     gauge_transform_matter, pure_gauge_potential)

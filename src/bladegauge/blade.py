@@ -4,13 +4,14 @@ A frame V(x) is an N x n matrix field with orthonormal columns; the rotating
 blade R = 2 V V^dag - I is the gauge-invariant reflection encoding only the
 column span.  The shape operator S_mu = -(i/2) R dR plays the role of
 connection coefficients for the lifted covariant derivative, so it is a
-`OneForm` like any gauge potential and its curvature a `TwoForm`; the lifted
-covariant derivative is `gauge.covariant_field` with S as the connection.  The
-blade curvature admits four algebraically equivalent expressions that are all
-kept as independent code paths for cross-validation.  The gauge-fixed frames
-are functions of the blade alone: the canonical frame is the polar factor of
-P V0 and the direct rotation U1 = sqrt(R R0) that of I + R R0, where P is the
-projector (R + I)/2 and R0 the reflection of a reference frame V0.
+1-form (a `fields.Form`) like any gauge potential and its curvature a 2-form
+like F; the lifted covariant derivative is `gauge.covariant_field` with S as
+the connection.  The blade curvature admits four algebraically equivalent
+expressions that are all kept as independent code paths for cross-validation.
+The gauge-fixed frames are functions of the blade alone: the canonical frame
+is the polar factor of P V0 and the direct rotation U1 = sqrt(R R0) that of
+I + R R0, where P is the projector (R + I)/2 and R0 the reflection of a
+reference frame V0.
 
 The seeded exp(iH) test fields state their first and second derivatives in
 closed form, so the blade, its shape operator and its curvature are analytic
@@ -27,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, OneForm, Spacetime, TwoForm, _any, _PointLRU, _worst_point,
-                     constant, hstack, identity_field, stencil_field, two_form)
-from .gauge import GaugeMap, covariant_field, field_strength, gauge_map, gauge_potential
+from .fields import (FieldFn, Form, Spacetime, _any, _PointLRU, _worst_point, constant,
+                     hstack, identity_field, stencil_field)
+from .gauge import covariant_field, field_strength, gauge_potential
 from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _require_hermitian,
                      _second_divided_differences, commutator, dagger, hermitian_part, max_abs,
                      max_abs_each, polar, random_hermitian)
@@ -116,7 +117,7 @@ def reference_frame(spacetime, N, n) -> Frame:
     return Frame(spacetime, N, n, constant(v0, spacetime))
 
 
-def extract_potential(f: Frame) -> OneForm:
+def extract_potential(f: Frame) -> Form:
     """A_mu = -i V^dag dV.
 
     The result is Hermitian when the frame is genuinely orthonormal; the
@@ -124,11 +125,10 @@ def extract_potential(f: Frame) -> OneForm:
     anti-hermitian drift exceeds TOL.frame_consistency (broken orthonormality
     or a finite-difference step too coarse for the field).
     """
-    comps = []
-    for mu in range(f.spacetime.dim):
+    def entry(mu):
         raw = (-1j) * (f.V.dagger() @ f.V.partial(mu))
 
-        def checked(x, raw=raw):
+        def checked(x):
             m = np.asarray(raw.fn(x), dtype=complex)
             h = hermitian_part(m)
             if max_abs(m - h) > TOL.frame_consistency:
@@ -139,8 +139,9 @@ def extract_potential(f: Frame) -> OneForm:
                     "frame orthonormality is broken or the FD step is too coarse")
             return h
 
-        comps.append(replace(raw.hermitian_part(), fn=checked, deriv2=None))
-    return OneForm(f.spacetime, tuple(comps))
+        return replace(raw.hermitian_part(), fn=checked, deriv2=None)
+
+    return Form(f.spacetime, 1, entry)
 
 
 def blade_from_frame(f: Frame) -> RotatingBlade:
@@ -149,11 +150,9 @@ def blade_from_frame(f: Frame) -> RotatingBlade:
     return RotatingBlade(f.spacetime, f.N, f.n, R)
 
 
-def shape_operator(blade: RotatingBlade) -> OneForm:
+def shape_operator(blade: RotatingBlade) -> Form:
     """S_mu = -(i/2) R dR: d Hermitian N x N fields anti-commuting with R."""
-    comps = tuple((-0.5j) * (blade.R @ blade.R.partial(mu))
-                  for mu in range(blade.spacetime.dim))
-    return OneForm(blade.spacetime, comps)
+    return Form(blade.spacetime, 1, lambda mu: (-0.5j) * (blade.R @ blade.R.partial(mu)))
 
 
 def lifted_covariant_derivative(blade: RotatingBlade, psi: FieldFn, mu, x):
@@ -170,9 +169,9 @@ def lifted_covariant_derivative_projected(blade: RotatingBlade, psi: FieldFn, mu
     return a(x) + b(x)
 
 
-def shape_identity_residual(shape_op: OneForm, mu, nu, x):
+def shape_identity_residual(shape_op: Form, mu, nu, x):
     """d_mu S_nu - d_nu S_mu + 2i [S_mu, S_nu]; zero for genuine blades."""
-    smu, snu = shape_op.components[mu], shape_op.components[nu]
+    smu, snu = shape_op.component(mu), shape_op.component(nu)
     return (snu.d(x, mu) - smu.d(x, nu)
             + 2j * commutator(smu(x), snu(x)))
 
@@ -225,13 +224,14 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     return vals, discs
 
 
-def blade_curvature(blade: RotatingBlade) -> TwoForm:
+def blade_curvature(blade: RotatingBlade) -> Form:
     """Curvature of the lifted covariant derivative, as -i [S_mu, S_nu].
 
     `check_four_way` cross-validates it against the three other expressions.
     """
-    s = shape_operator(blade).components
-    return two_form(blade.spacetime, lambda mu, nu: (-1j) * (s[mu] @ s[nu] - s[nu] @ s[mu]))
+    s = shape_operator(blade)
+    return Form(blade.spacetime, 2,
+                lambda mu, nu: (-1j) * (s[(mu,)] @ s[(nu,)] - s[(nu,)] @ s[(mu,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +262,8 @@ class ShapeGaugeDecomposition:
 
     frame: Frame
     W: FieldFn
-    C: OneForm
-    G: TwoForm
+    C: Form
+    G: Form
 
     def reconstruction_residual(self, x, mu):
         """S_mu - [U (A oplus C) U^dag - i U dU^dag] at x, a point or a (..., d) stack."""
@@ -444,14 +444,14 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
     return Frame(spacetime, N, n, _exp_i_field(h, v0, analytic))
 
 
-def random_gauge_map(spacetime, n, seed) -> GaugeMap:
+def random_gauge_map(spacetime, n, seed) -> FieldFn:
     """Seeded smooth U(n)-valued field u(x) = exp(i h(x)).
 
     One stacked eigh per distinct point stack, kept in an LRU bounded by
     points that lives with the field; the arrays returned are read-only.
     """
     h = random_hermitian_field(spacetime, n, seed)
-    return gauge_map(_exp_i_field(h, None, True), check=False)
+    return _exp_i_field(h, None, True)
 
 
 class _ExpRecord:

@@ -39,7 +39,7 @@ from .dynamics import (INDEX_HANDLING_NOTE, blade_lattice_from_field,
 from .embedded import (christoffel_gauss_curvature, cylinder, embedded_blade, gauss_curvature,
                        plane, sphere, torus)
 from .errors import BladeGaugeError, ConfigError
-from .fields import Grid, MINKOWSKI4, sphere_flux, two_form_values, wedge
+from .fields import Grid, MINKOWSKI4, form_values, sphere_flux, wedge
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs, max_abs_each
 from .scenarios import (SCENARIOS, load_darboux, load_frame, load_potential,
@@ -305,7 +305,7 @@ def _generic_identity_checks(seed, tol):
         s = shape_operator(blade)
         omega = blade_curvature(blade)
         u = random_gauge_map(st, n, seed=seed + 301 + i)
-        vprime = v.V @ u.f.dagger()
+        vprime = v.V @ u.dagger()
         blade2 = blade_from_frame(Frame(st, N, n, vprime))
         s2 = shape_operator(blade2)
         a = extract_potential(v)
@@ -383,7 +383,7 @@ def _planewave_checks(params, st, tol):
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, st.dim))
     veq = max(max_abs(em.em_potential_residual(p, a, mu, pts)) for mu in range(st.dim))
     # F wedge F, the 4-form obstruction to decomposability (none below dimension 4)
-    vals = two_form_values(fs, pts)
+    vals = form_values(fs, pts)
     ff = max((max_abs(c) for c in wedge(vals, vals).values()), default=0.0)
     cond = abs(em.plane_wave_mod_condition(st, k, n))
     maxmod = max_abs(maxwell_mod_residual(p, pts[:3]))

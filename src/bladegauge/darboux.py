@@ -35,7 +35,7 @@ import numpy as np
 
 from .blade import Frame, frame
 from .errors import DomainError, ParameterError, RankError
-from .fields import (FieldFn, OneForm, Spacetime, _any, _worst_point, constant, coordinate,
+from .fields import (FieldFn, Form, Spacetime, _any, _worst_point, constant, coordinate,
                      cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
 from .gauge import gauge_potential
 from .linalg import max_abs
@@ -176,26 +176,23 @@ def darboux_data(spacetime, pairs, lo, hi, validate=True) -> DarbouxData:
     return data
 
 
-def darboux_one_form(data: DarbouxData) -> OneForm:
+def darboux_one_form(data: DarbouxData) -> Form:
     """A = sum_k pi_k d phi_k as a scalar one-form."""
-    d = data.spacetime.dim
-    comps = []
-    for mu in range(d):
+    def entry(mu):
         parts = [p * f.partial(mu) for p, f in data.pairs]
         if not parts:
-            comps.append(constant(0.0, data.spacetime))
-            continue
+            return constant(0.0, data.spacetime)
         total = parts[0]
         for extra in parts[1:]:
             total = total + extra
-        comps.append(total)
-    return OneForm(data.spacetime, tuple(comps))
+        return total
+
+    return Form(data.spacetime, 1, entry)
 
 
-def darboux_potential(data: DarbouxData) -> OneForm:
+def darboux_potential(data: DarbouxData) -> Form:
     """The same one-form packaged as a rank-1 gauge potential."""
-    a = darboux_one_form(data)
-    comps = [matrix_of([[c]]) for c in a.components]
+    comps = [matrix_of([[c]]) for c in darboux_one_form(data).values()]
     return gauge_potential(data.spacetime, comps)
 
 

@@ -20,7 +20,7 @@ from .blade import (Frame, RotatingBlade, blade_curvature, blade_from_frame,
                     extract_potential, shape_operator)
 from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
-from .fields import FieldFn, Grid, OneForm, TwoForm, lattice_integral, scalar_field
+from .fields import FieldFn, Form, Grid, lattice_integral, scalar_field
 from .gauge import covariant_derivative_matrix, field_strength
 from .linalg import _matmul_small, dagger, hermitian_part, unitary_exp
 
@@ -39,7 +39,7 @@ INDEX_HANDLING_NOTE = ("modified EOM evaluated as the nu-summed divergence "
 # ---------------------------------------------------------------------------
 # continuum residuals
 
-def ym_residual(a: OneForm, nu, x, fs: TwoForm = None):
+def ym_residual(a: Form, nu, x, fs: Form = None):
     """D^mu F_mu nu at x: sum_mu sign(mu) (d_mu F_mu nu + i [A_mu, F_mu nu])."""
     fs = field_strength(a) if fs is None else fs
     st = a.spacetime
@@ -51,7 +51,7 @@ def ym_residual(a: OneForm, nu, x, fs: TwoForm = None):
     return total
 
 
-def ym_action(a: OneForm, grid: Grid):
+def ym_action(a: Form, grid: Grid):
     """-1/4 integral Tr(F_mu nu F^mu nu) by the midpoint rule."""
     fs = field_strength(a)
     st = a.spacetime
@@ -137,7 +137,7 @@ def sigma_eom_residual(blade: RotatingBlade, x):
     st = blade.spacetime
     total = 0
     for mu in range(st.dim):
-        total += st.raise_sign(mu) * s.components[mu].d(x, mu)
+        total += st.raise_sign(mu) * s.component(mu).d(x, mu)
     return total
 
 

@@ -15,9 +15,8 @@ import numpy as np
 
 from .blade import Frame, RotatingBlade, blade_from_frame, frame
 from .errors import ChartError, ParameterError
-from .fields import (FieldFn, OneForm, Spacetime, SPHERICAL3, TwoForm, _any, _worst_point,
-                     constant, coordinate, cos_of, exp_i, linear, matrix_of, sin_of,
-                     two_form)
+from .fields import (FieldFn, Form, Spacetime, SPHERICAL3, _any, _worst_point, constant,
+                     coordinate, cos_of, exp_i, linear, matrix_of, one_form, sin_of)
 from .gauge import gauge_potential
 from .linalg import max_abs
 from .tolerances import DEFAULT as TOL
@@ -64,7 +63,7 @@ def em_complement(params: EmFrameParams) -> FieldFn:
     return matrix_of([[top], [bottom]])
 
 
-def em_potential_residual(params: EmFrameParams, a: OneForm, mu, x):
+def em_potential_residual(params: EmFrameParams, a: Form, mu, x):
     """|cos^2 rho d_mu alpha + sin^2 rho d_mu beta - A_mu| at x, or at each point of a stack."""
     r = params.rho(x)
     # c * c, not c ** 2: numpy's array power and its scalar power round
@@ -74,12 +73,12 @@ def em_potential_residual(params: EmFrameParams, a: OneForm, mu, x):
     return np.abs(lhs - a.at(x, mu)[..., 0, 0])
 
 
-def em_faraday(params: EmFrameParams) -> TwoForm:
+def em_faraday(params: EmFrameParams) -> Form:
     """F = d(cos^2 rho) wedge d(alpha - beta), componentwise."""
     c2 = cos_of(params.rho) * cos_of(params.rho)
     delta = params.alpha - params.beta
-    return two_form(params.spacetime, lambda mu, nu: (c2.partial(mu) * delta.partial(nu)
-                                                      - c2.partial(nu) * delta.partial(mu)))
+    return Form(params.spacetime, 2, lambda mu, nu: (c2.partial(mu) * delta.partial(nu)
+                                                     - c2.partial(nu) * delta.partial(mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ def plane_wave_params(spacetime: Spacetime, k, n) -> EmFrameParams:
                          rho=linear(spacetime, 0.5 * k, offset=-np.pi / 4.0))
 
 
-def plane_wave_potential(spacetime: Spacetime, k, n) -> OneForm:
+def plane_wave_potential(spacetime: Spacetime, k, n) -> Form:
     """A_mu = n_mu sin(k . x), as a rank-1 potential."""
     k = np.asarray(k, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -132,12 +131,11 @@ def _pole_guarded_phi_component(g, sign):
     return matrix_of([[g * (constant(sign, SPHERICAL3) - cos_of(guarded))]])
 
 
-def monopole_potential(g, patch) -> OneForm:
+def monopole_potential(g, patch) -> Form:
     """A^(+-) = g (+-1 - cos theta) d phi on the spherical chart."""
     sign = _patch_sign(patch)
     zero = constant(np.zeros((1, 1), dtype=complex), SPHERICAL3)
-    comps = [zero, zero, _pole_guarded_phi_component(g, sign)]
-    return OneForm(SPHERICAL3, tuple(comps))
+    return one_form(SPHERICAL3, [zero, zero, _pole_guarded_phi_component(g, sign)])
 
 
 def monopole_params(g, patch) -> EmFrameParams:
@@ -161,7 +159,7 @@ def monopole_blade(g) -> RotatingBlade:
     return blade_from_frame(em_frame(monopole_params(g, "plus")))
 
 
-def monopole_field_strength(g) -> TwoForm:
+def monopole_field_strength(g) -> Form:
     """F = g sin theta d theta wedge d phi, identical on both patches."""
     return em_faraday(monopole_params(g, "plus"))
 

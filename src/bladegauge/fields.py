@@ -38,8 +38,8 @@ Evaluation is reentrant and side-effect free; lattice and quadrature loops
 reduce in a fixed order for reproducibility.  Leaf caches, the point-bounded
 LRU (`_PointLRU`) of the stencil leaves and of the seeded exp(iH) fields in
 `blade`, are invisible to callers: they return read-only arrays with the bits
-a fresh evaluation would give.  `two_form` builds each component of a 2-form
-on first use.
+a fresh evaluation would give.  A `Form` holds every p-form, potentials and
+field strengths alike, and builds each component on first use.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ __all__ = [
     "FieldFn", "constant", "identity_field", "coordinate", "linear",
     "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
     "hstack", "stencil_field",
-    "OneForm", "TwoForm", "two_form", "exterior_d", "closedness_residual",
-    "one_form_values", "two_form_values", "wedge", "wedge_power_values",
+    "Form", "one_form", "exterior_d", "closedness_residual",
+    "form_values", "wedge", "wedge_power_values",
     "wedge_power_nonzero", "form_rank", "sphere_flux",
     "Grid", "lattice_integral",
 ]
@@ -557,58 +557,31 @@ def stencil_field(spacetime, shape, fn, fd_step=TOL.fd_step) -> FieldFn:
 # ---------------------------------------------------------------------------
 # differential forms
 
-@dataclass(frozen=True)
-class OneForm:
-    """d component fields A_mu; scalar for abelian forms, matrix for connections."""
+class Form(Mapping):
+    """A p-form: the read-only map {strictly increasing index tuple: component field}.
 
-    spacetime: Spacetime
-    components: tuple  # d FieldFns
+    entry(*idx) builds the component of an increasing idx the first time it
+    is asked for, so a check that reads two of the six components of a 4-d
+    2-form builds only those two.  `component` and `at` take indices in any
+    order: an odd permutation gives the negated field, a repeated index zero.
+    Components are scalar for abelian forms and matrices for connections
+    (potentials, shape operators) and their curvatures.
+    """
 
-    def __post_init__(self):
-        if len(self.components) != self.spacetime.dim:
-            raise DimensionMismatchError("one-form needs d components")
+    __slots__ = ("spacetime", "degree", "_entry", "_keys", "_built")
 
-    def component(self, mu):
-        return self.components[mu]
-
-    def at(self, x, mu):
-        return self.components[mu](x)
-
-
-@dataclass(frozen=True)
-class TwoForm:
-    """Antisymmetric 2-form; only the strict upper triangle is stored."""
-
-    spacetime: Spacetime
-    upper: Mapping  # {(mu, nu): FieldFn} with mu < nu
-
-    def component(self, mu, nu):
-        if mu == nu:
-            shape = next(iter(self.upper.values())).shape
-            return constant(0.0 if shape == () else np.zeros(shape, dtype=complex),
-                            self.spacetime)
-        if mu < nu:
-            return self.upper[(mu, nu)]
-        return -1.0 * self.upper[(nu, mu)]
-
-    def at(self, x, mu, nu):
-        return self.component(mu, nu)(x)
-
-
-class _LazyEntries(Mapping):
-    """Read-only {(mu, nu): entry(mu, nu)} over mu < nu, each entry built on first use."""
-
-    def __init__(self, dim, entry):
-        self._keys = tuple(itertools.combinations(range(dim), 2))
+    def __init__(self, spacetime, degree, entry):
+        self.spacetime, self.degree = spacetime, degree
         self._entry = entry
+        self._keys = tuple(itertools.combinations(range(spacetime.dim), degree))
         self._built = {}
 
-    def __getitem__(self, key):
-        f = self._built.get(key)
+    def __getitem__(self, idx):
+        f = self._built.get(idx)
         if f is None:
-            if key not in self._keys:
-                raise KeyError(key)
-            f = self._built[key] = self._entry(*key)
+            if idx not in self._keys:
+                raise KeyError(idx)
+            f = self._built[idx] = self._entry(*idx)
         return f
 
     def __iter__(self):
@@ -617,26 +590,40 @@ class _LazyEntries(Mapping):
     def __len__(self):
         return len(self._keys)
 
+    def component(self, *idx):
+        f = self._built.get(idx)  # an increasing idx already built: one dict hit
+        if f is not None:
+            return f
+        key = tuple(sorted(idx))
+        if len(set(key)) < len(key):
+            shape = self[self._keys[0]].shape
+            return constant(0.0 if shape == () else np.zeros(shape, dtype=complex),
+                            self.spacetime)
+        odd = sum(a > b for a, b in itertools.combinations(idx, 2)) % 2
+        return -1.0 * self[key] if odd else self[key]
 
-def two_form(spacetime, entry) -> TwoForm:
-    """The 2-form whose (mu, nu) component, mu < nu, is the field entry(mu, nu).
-
-    Each component is built when first asked for: a check that reads two of
-    the six components of a 4-d form builds only those two.
-    """
-    return TwoForm(spacetime, _LazyEntries(spacetime.dim, entry))
+    def at(self, x, *idx):
+        return self.component(*idx)(x)
 
 
-def exterior_d(a: OneForm) -> TwoForm:
+def one_form(spacetime, components) -> Form:
+    """The 1-form whose mu component is the field components[mu]."""
+    components = tuple(components)
+    if len(components) != spacetime.dim:
+        raise DimensionMismatchError("one-form needs d components")
+    return Form(spacetime, 1, components.__getitem__)
+
+
+def exterior_d(a: Form) -> Form:
     """(dA)_{mu nu} = d_mu A_nu - d_nu A_mu."""
-    c = a.components
-    return two_form(a.spacetime, lambda mu, nu: c[nu].partial(mu) - c[mu].partial(nu))
+    return Form(a.spacetime, 2,
+                lambda mu, nu: a[(nu,)].partial(mu) - a[(mu,)].partial(nu))
 
 
 def closedness_residual(f, x):
     """Cyclic derivative sums d_mu F_nu rho + d_nu F_rho mu + d_rho F_mu nu.
 
-    Works for any TwoForm, field strengths and blade curvature included;
+    Works for any 2-form, field strengths and blade curvature included;
     vanishes for exact forms (d^2 = 0) and realizes the abelian Bianchi
     identity for field strengths.  Returns {(mu, nu, rho): value}.
     """
@@ -653,11 +640,9 @@ def closedness_residual(f, x):
 # p-form values are dicts {strictly increasing index tuple: value}, each value
 # a scalar at one point or a (...) stack of them at a (..., d) point stack.
 
-def one_form_values(a, x):
-    return {(mu,): a.components[mu](x) for mu in range(a.spacetime.dim)}
-
-def two_form_values(f, x):
-    return {key: c(x) for key, c in f.upper.items()}
+def form_values(form, x):
+    """{index tuple: the component's value at x} over the form's increasing index tuples."""
+    return {key: c(x) for key, c in form.items()}
 
 
 def _shuffle_sign(j, k):
@@ -680,8 +665,8 @@ def wedge(vals_p, vals_q):
 
 def wedge_power_values(a, da, r, x):
     """Components of A wedge (dA)^r at x."""
-    vals = one_form_values(a, x)
-    dvals = two_form_values(da, x)
+    vals = form_values(a, x)
+    dvals = form_values(da, x)
     for _ in range(r):
         vals = wedge(vals, dvals)
     return vals
@@ -705,8 +690,8 @@ def form_rank(a, sample_points, tol=1e-9):
     """
     d = a.spacetime.dim
     pts = np.asarray(sample_points, dtype=float).reshape(-1, d)
-    vals = one_form_values(a, pts)
-    dvals = two_form_values(exterior_d(a), pts)
+    vals = form_values(a, pts)
+    dvals = form_values(exterior_d(a), pts)
     per_sample = np.zeros(len(pts), dtype=int)
     for r in range(1, (d - 1) // 2 + 1):  # every r >= 1 with 2r + 1 <= d
         vals = wedge(vals, dvals)  # A wedge (dA)^r from A wedge (dA)^(r-1)
@@ -721,7 +706,7 @@ def form_rank(a, sample_points, tol=1e-9):
 # ---------------------------------------------------------------------------
 # quadrature
 
-def sphere_flux(f: TwoForm, quadrature_order=16):
+def sphere_flux(f: Form, quadrature_order=16):
     """Integral of a 2-form over the unit sphere r = 1 of a spherical3d chart.
 
     Product rule: Gauss-Legendre in theta, trapezoid (periodic) in phi with

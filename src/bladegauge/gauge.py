@@ -1,27 +1,28 @@
 """U(n) gauge potentials, field strengths, covariant derivatives, gauge transformations.
 
-Matter is a plain C^n-valued `FieldFn`, and its covariant derivative D_mu psi
-the field `covariant_field(a, psi, mu)`; any matrix connection serves as A,
-the shape operator of a blade included (the lifted derivative).  The coupling
-constant is omitted throughout.  Potentials are hermitized on evaluation:
-finite-difference noise must not trip the Hermiticity invariant, so
-corrections below a warning threshold are silent and larger ones warn.
+Potentials and field strengths are `fields.Form`s, and a gauge map is the
+U(n)-valued `FieldFn` itself.  Matter is a plain C^n-valued `FieldFn`, and
+its covariant derivative D_mu psi the field `covariant_field(a, psi, mu)`;
+any matrix connection serves as A, the shape operator of a blade included
+(the lifted derivative).  The coupling constant is omitted throughout.
+Potentials are hermitized on evaluation: finite-difference noise must not
+trip the Hermiticity invariant, so corrections below a warning threshold are
+silent and larger ones warn.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import FieldFn, OneForm, TwoForm, _worst_point, two_form
+from .fields import FieldFn, Form, _worst_point, one_form
 from .linalg import dagger, hermitian_part, max_abs, max_abs_each
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "GaugeMap",
     "gauge_potential", "gauge_map", "field_strength",
     "covariant_field", "covariant_derivative", "covariant_derivative_matrix",
     "gauge_transform", "gauge_transform_field_strength", "gauge_transform_matter",
@@ -50,7 +51,7 @@ def _fd_derived(f: FieldFn):
     return f.deriv is None or f.fd_backed
 
 
-def gauge_potential(spacetime, components) -> OneForm:
+def gauge_potential(spacetime, components) -> Form:
     """d Hermitian n x n matrix fields A_mu(x) as a one-form; i A_mu lives in u(n)."""
     components = tuple(components)
     if len(components) != spacetime.dim:
@@ -62,25 +63,13 @@ def gauge_potential(spacetime, components) -> OneForm:
     # noise; warn only beyond their budget, not on every evaluation
     warn_tol = max(TOL.hermitian_warn,
                    TOL.fd(components[0].fd_step) if any(map(_fd_derived, components)) else 0.0)
-    return OneForm(spacetime, tuple(_hermitized(c, warn_tol) for c in components))
+    return one_form(spacetime, [_hermitized(c, warn_tol) for c in components])
 
 
-@dataclass(frozen=True)
-class GaugeMap:
-    """U(n)-valued field; evaluations are checked for unitarity."""
-
-    f: FieldFn
-
-    @property
-    def n(self):
-        return self.f.shape[0]
-
-
-def gauge_map(f: FieldFn, check=True) -> GaugeMap:
+def gauge_map(f: FieldFn) -> FieldFn:
+    """The U(n)-valued field f, its evaluations checked for unitarity."""
     if len(f.shape) != 2 or f.shape[0] != f.shape[1]:
         raise DimensionMismatchError("gauge map must be square matrix valued")
-    if not check:
-        return GaugeMap(f)
     n = f.shape[0]
 
     def checked(x):
@@ -93,20 +82,20 @@ def gauge_map(f: FieldFn, check=True) -> GaugeMap:
                               f"(max |u^dag u - I| {defects[i]:.3e})")
         return u
 
-    return GaugeMap(replace(f, fn=checked))
+    return replace(f, fn=checked)
 
 
-def covariant_field(a: OneForm, psi: FieldFn, mu) -> FieldFn:
+def covariant_field(a: Form, psi: FieldFn, mu) -> FieldFn:
     """The field D_mu psi = d_mu psi + i A_mu psi of a C^n-valued (or n x k) field psi."""
-    return psi.partial(mu) + 1j * (a.components[mu] @ psi)
+    return psi.partial(mu) + 1j * (a.component(mu) @ psi)
 
 
-def covariant_derivative(a: OneForm, psi: FieldFn, mu, x):
+def covariant_derivative(a: Form, psi: FieldFn, mu, x):
     """D_mu psi = d_mu psi + i A_mu psi at x, a point or a (..., d) stack."""
     return covariant_field(a, psi, mu)(x)
 
 
-def covariant_derivative_matrix(a: OneForm, m: FieldFn, mu, x):
+def covariant_derivative_matrix(a: Form, m: FieldFn, mu, x):
     """Matrix-field covariant derivative d_mu M + i [A_mu, M].
 
     Any matrix connection works as A, the shape operator S of a blade included.
@@ -116,41 +105,37 @@ def covariant_derivative_matrix(a: OneForm, m: FieldFn, mu, x):
     return m.d(x, mu) + 1j * (am @ mv - mv @ am)
 
 
-def field_strength(a: OneForm) -> TwoForm:
+def field_strength(a: Form) -> Form:
     """F_mu nu = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu]."""
-    warn_tol = max(TOL.hermitian_warn, TOL.fd(a.components[0].fd_step)
-                   if any(map(_fd_derived, a.components)) else 0.0)
+    warn_tol = max(TOL.hermitian_warn, TOL.fd(a[(0,)].fd_step)
+                   if any(map(_fd_derived, a.values())) else 0.0)
 
     def entry(mu, nu):
-        amu, anu = a.components[mu], a.components[nu]
+        amu, anu = a[(mu,)], a[(nu,)]
         f = anu.partial(mu) - amu.partial(nu) + 1j * (amu @ anu - anu @ amu)
         return _hermitized(f, warn_tol)
 
-    return two_form(a.spacetime, entry)
+    return Form(a.spacetime, 2, entry)
 
 
-def gauge_transform(a: OneForm, u: GaugeMap) -> OneForm:
+def gauge_transform(a: Form, u: FieldFn) -> Form:
     """A' = u A u^dag - i u d u^dag."""
-    uf = u.f
-    comps = [uf @ a.components[mu] @ uf.dagger() + (-1j) * (uf @ uf.dagger().partial(mu))
+    comps = [u @ a[(mu,)] @ u.dagger() + (-1j) * (u @ u.dagger().partial(mu))
              for mu in range(a.spacetime.dim)]
     return gauge_potential(a.spacetime, comps)
 
 
-def gauge_transform_field_strength(f: TwoForm, u: GaugeMap) -> TwoForm:
+def gauge_transform_field_strength(f: Form, u: FieldFn) -> Form:
     """F' = u F u^dag."""
-    uf = u.f
-    return two_form(f.spacetime,
-                    lambda mu, nu: _hermitized(uf @ f.upper[(mu, nu)] @ uf.dagger()))
+    return Form(f.spacetime, 2, lambda mu, nu: _hermitized(u @ f[(mu, nu)] @ u.dagger()))
 
 
-def gauge_transform_matter(psi: FieldFn, u: GaugeMap) -> FieldFn:
+def gauge_transform_matter(psi: FieldFn, u: FieldFn) -> FieldFn:
     """psi' = u psi."""
-    return u.f @ psi
+    return u @ psi
 
 
-def pure_gauge_potential(u: GaugeMap) -> OneForm:
+def pure_gauge_potential(u: FieldFn) -> Form:
     """A = -i u d u^dag: the flat potential gauge-equivalent to zero."""
-    uf = u.f
-    comps = [(-1j) * (uf @ uf.dagger().partial(mu)) for mu in range(uf.spacetime.dim)]
-    return gauge_potential(uf.spacetime, comps)
+    comps = [(-1j) * (u @ u.dagger().partial(mu)) for mu in range(u.spacetime.dim)]
+    return gauge_potential(u.spacetime, comps)

@@ -21,8 +21,8 @@ from . import darboux as dx
 from . import em
 from .blade import Frame, extract_potential, frame, random_gauge_map, random_smooth_frame
 from .errors import ChartError, ConfigError, ParameterError
-from .fields import (FieldFn, MINKOWSKI4, OneForm, SPHERICAL3, Spacetime, _any, _worst_point,
-                     constant, linear, matrix_of)
+from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _worst_point,
+                     constant, linear, matrix_of, one_form)
 from .gauge import gauge_potential, pure_gauge_potential
 from .linalg import polar
 __all__ = [
@@ -46,7 +46,7 @@ class Scenario:
     potential: Callable | None = None
 
 
-def constant_f_potential(spacetime: Spacetime, b=1.0) -> OneForm:
+def constant_f_potential(spacetime: Spacetime, b=1.0) -> Form:
     """A = B x^1 dx^2: a constant abelian field strength F_12 = B."""
     zero = constant(np.zeros((1, 1), dtype=complex), spacetime)
     x1 = linear(spacetime, np.eye(spacetime.dim)[1])
@@ -69,7 +69,7 @@ def _pure_gauge_map(p, spacetime):
 def _pure_gauge_frame(p, spacetime) -> Frame:
     """V = V0 u^dag, V0 the first `rank` columns of I_ambient: A = -i u du^dag."""
     v0 = constant(np.eye(p["ambient"], p["rank"], dtype=complex), spacetime)
-    return frame(spacetime, v0 @ _pure_gauge_map(p, spacetime).f.dagger())
+    return frame(spacetime, v0 @ _pure_gauge_map(p, spacetime).dagger())
 
 
 def load_darboux(params, spacetime=MINKOWSKI4) -> dx.DarbouxData:
@@ -178,7 +178,7 @@ CONFIG_KEYS = {
     "tolerances": _object({"analytic": _NUMBER, "flux_rel": _NUMBER, "gluing": _NUMBER}),
     "seed": _SEED,
     "signature": _array(_scalar(lambda v: _is_int(v) and v in (1, -1), "the integer 1 or -1"),
-                        min_items=1),
+                        min_items=2),
     "tabulated": _object({"axes": _array(_array(_NUMBER, min_items=2), min_items=1),
                           "values": _array()}, required=("axes", "values")),
 }
@@ -199,7 +199,9 @@ def validate_config(cfg):
 
     It names the shallowest fault (of siblings, the last path in sort order).  Past the
     types, params must be ones the scenario reads, rank may not exceed ambient, only a
-    Cartesian chart takes a signature, and a darboux domain bounds every axis.
+    Cartesian chart takes a signature, and a darboux domain bounds every axis.  Unless
+    a table gives the fields, constant_F needs the axes x^1 and x^2, and planewave's k
+    and n one entry per axis.
     """
     fault = max(_CONFIG(cfg, []), key=lambda f: (-len(f[0]), f[0]), default=None)
     if fault is not None:
@@ -216,6 +218,17 @@ def validate_config(cfg):
     if domain and not len(domain["lo"]) == len(domain["hi"]) == dim:
         raise ConfigError(f"lo and hi need {dim} bounds, one per chart axis",
                           schema_path=["params", "domain"])
+    if "tabulated" in cfg:
+        return cfg
+    if cfg["scenario"] == "constant_F" and dim < 3:
+        raise ConfigError(f"constant_F is A = B x^1 dx^2 and needs at least 3 chart axes, "
+                          f"not {dim}", schema_path=["signature"])
+    for key in ("k", "n") if cfg["scenario"] == "planewave" else ():
+        if len(params[key]) != dim:
+            # a default vector has 4 entries, so a signature of another length is the fault
+            path = ["params", key] if key in cfg.get("params", {}) else ["signature"]
+            raise ConfigError(f"params.{key} has {len(params[key])} entries; the chart has "
+                              f"{dim} axes", schema_path=path)
     return cfg
 
 
@@ -254,7 +267,7 @@ def _config(name_or_cfg, spacetime, params):
     return name_or_cfg, resolve_spacetime(name_or_cfg) if spacetime is None else spacetime
 
 
-def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
+def load_potential(name_or_cfg, spacetime=None, **params) -> Form:
     """A scenario's potential, by registry name plus params or from a config dict.
 
     A scenario without a potential builder gives A = -i V^dag dV of its frame.
@@ -269,8 +282,8 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> OneForm:
             return extract_potential(load_frame(cfg, spacetime))
         a = build(scenario_params(cfg), spacetime)
     step = cfg.get("fd_step")
-    return a if step is None else OneForm(
-        a.spacetime, tuple(c.with_step(float(step)) for c in a.components))
+    return a if step is None else one_form(a.spacetime,
+                                           [c.with_step(float(step)) for c in a.values()])
 
 
 def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:

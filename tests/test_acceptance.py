@@ -22,8 +22,8 @@ from bladegauge.em import (em_complement, em_faraday, em_frame,
                            quantization_satisfied)
 from bladegauge.embedded import (christoffel_gauss_curvature, embedded_blade,
                                  gauss_curvature, sphere)
-from bladegauge.fields import (Grid, MINKOWSKI4, exterior_d, linear, sin_of,
-                               two_form_values, wedge)
+from bladegauge.fields import (Grid, MINKOWSKI4, exterior_d, form_values, linear, sin_of,
+                               wedge)
 from bladegauge.gauge import (field_strength, gauge_transform,
                               gauge_transform_field_strength)
 from bladegauge.linalg import dagger, hermitian_part, max_abs
@@ -135,7 +135,7 @@ def test_criterion_03_gauge_elimination():
     fs = field_strength(a)
     for j in range(10):
         u = random_gauge_map(ST, 2, seed=600 + j)
-        v2 = Frame(ST, 4, 2, v.V @ u.f.dagger())
+        v2 = Frame(ST, 4, 2, v.V @ u.dagger())
         blade2 = blade_from_frame(v2)
         s2 = shape_operator(blade2)
         omega2 = blade_curvature(blade2)
@@ -265,7 +265,7 @@ def test_criterion_07_darboux():
     # the two-pair potential is genuinely non-decomposable (F ^ F != 0)
     da = exterior_d(darboux_one_form(data2))
     x = np.array([0.3, 0.2, 0.4, 0.1])
-    ff = wedge(two_form_values(da, x), two_form_values(da, x))
+    ff = wedge(form_values(da, x), form_values(da, x))
     nondecomposable = max(abs(c) for c in ff.values()) > 1.0
     ranks_ok = verify_rank(data2) == 1 and verify_rank(data1) == 0
     ok = worst <= FD_TOL and nondecomposable and ranks_ok and data2.N == 4
@@ -284,7 +284,7 @@ def test_criterion_08_em_decomposability():
     for f in fixtures:
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, 4)
-            ff = wedge(two_form_values(f, x), two_form_values(f, x))
+            ff = wedge(form_values(f, x), form_values(f, x))
             worst = max(worst, max(abs(c) for c in ff.values()))
     _report(8, f"N=2 field strengths decomposable: max |F^F| = {worst:.2e} <= 1e-10",
             worst <= 1e-10)

@@ -18,7 +18,8 @@ from bladegauge.blade import (Frame, _exp_i_field, _complete_columns, blade_curv
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError, DimensionMismatchError
-from bladegauge.fields import _LEAF_CACHE_POINTS, FieldFn, OneForm, constant, coordinate, matrix_of
+from bladegauge.fields import (_LEAF_CACHE_POINTS, FieldFn, constant, coordinate, matrix_of,
+                               one_form)
 from bladegauge.gauge import field_strength, gauge_transform
 from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
                                unitary_exp_frechet)
@@ -157,7 +158,7 @@ def test_random_gauge_map_bit_identical_to_unitary_exp(st4, points4, n, monkeypa
     h = random_hermitian_field(st4, n, 23)
     value, deriv = _reference_exp_field(h, None)
     u = random_gauge_map(st4, n, seed=23)
-    _assert_exp_leaf_bits(points4, u.f, value, deriv, monkeypatch)
+    _assert_exp_leaf_bits(points4, u, value, deriv, monkeypatch)
 
 
 def _fd_of_deriv_errors(f, x, steps):
@@ -174,7 +175,7 @@ def _fd_of_deriv_errors(f, x, steps):
 def test_exp_leaf_deriv2_is_the_limit_of_fd_of_deriv(st4, points4, field):
     f = {"frame_2_1": lambda: random_smooth_frame(st4, 2, 1, seed=4).V,
          "frame_4_2": lambda: random_smooth_frame(st4, 4, 2, seed=5).V,
-         "gauge_map": lambda: random_gauge_map(st4, 3, seed=6).f}[field]()
+         "gauge_map": lambda: random_gauge_map(st4, 3, seed=6)}[field]()
     for x in points4[:2]:
         coarse, fine = _fd_of_deriv_errors(f, x, (2e-3, 1e-3))
         assert coarse < TOL.fd()
@@ -265,7 +266,7 @@ def test_extract_potential_gauge_transformation_law(st4, points4):
     # V' = V u^dag  =>  A' = u A u^dag - i u du^dag
     v = random_smooth_frame(st4, 4, 2, seed=13)
     u = random_gauge_map(st4, 2, seed=14)
-    vprime = Frame(st4, 4, 2, v.V @ u.f.dagger())
+    vprime = Frame(st4, 4, 2, v.V @ u.dagger())
     a = extract_potential(v)
     aprime = extract_potential(vprime)
     expected = gauge_transform(a, u)
@@ -307,7 +308,7 @@ def test_blade_gauge_invariance_exact(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=17)
     u = random_gauge_map(st4, 2, seed=18)
     b1 = blade_from_frame(v)
-    b2 = blade_from_frame(Frame(st4, 4, 2, v.V @ u.f.dagger()))
+    b2 = blade_from_frame(Frame(st4, 4, 2, v.V @ u.dagger()))
     for x in points4:
         assert max_abs(b1.at(x) - b2.at(x)) < 1e-13
 
@@ -450,7 +451,7 @@ def test_lifted_matter_is_small_gauge_invariant(st4, points4):
     psi_val = np.array([0.3 + 1j, -0.7])
     for x in points4:
         lhs = v.at(x) @ psi_val
-        rhs = (v.at(x) @ dagger(u.f(x))) @ (u.f(x) @ psi_val)
+        rhs = (v.at(x) @ dagger(u(x))) @ (u(x) @ psi_val)
         assert max_abs(lhs - rhs) < 1e-13
 
 
@@ -466,7 +467,7 @@ def test_shape_identity_negative_control(st4):
     # generic hermitian fields do not satisfy the blade identity
     comps = tuple(random_hermitian_field(st4, 4, seed=61 + mu, amplitude=1.0)
                   for mu in range(4))
-    s = OneForm(st4, comps)
+    s = one_form(st4, comps)
     x = np.array([0.3, 0.1, -0.2, 0.4])
     assert max_abs(shape_identity_residual(s, 0, 1, x)) > 1e-3
 

@@ -12,6 +12,7 @@ import bladegauge
 from bladegauge.cli import main
 from bladegauge.embedded import christoffel_gauss_curvature, gauss_curvature, sphere
 from bladegauge.fields import MINKOWSKI4
+from bladegauge.scenarios import SCENARIOS
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -69,13 +70,21 @@ def test_verify_planewave(tmp_path):
     assert "planewave_faraday_decomposable" in names
 
 
-def test_verify_reports_are_deterministic(tmp_path):
+# every registry scenario at its defaults, and the two-pair darboux input
+VERIFY_CONFIGS = {**{name: {"scenario": name} for name in SCENARIOS},
+                  "darboux_two_pair": {"scenario": "darboux", "params": {"pairs": [
+                      {"pi": "0.5*sin(x0)", "phi": "x1"}, {"pi": "0.4*cos(x2)", "phi": "x3"}]}}}
+
+
+@pytest.mark.parametrize("config", list(VERIFY_CONFIGS))
+def test_verify_reports_are_deterministic(config, tmp_path):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps(VERIFY_CONFIGS[config]))
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    main(["verify", "--scenario", "monopole", "--g", "0.5", "--seed", "7",
-          "--report", str(a)])
-    main(["verify", "--scenario", "monopole", "--g", "0.5", "--seed", "7",
-          "--report", str(b)])
+    for out in (a, b):
+        assert main(["verify", "--input", str(inp), "--seed", "7", "--report", str(out)]) == 0
+        assert read_json(out)["all_passed"] is True
     assert canonical_without_timestamp(a) == canonical_without_timestamp(b)
 
 
@@ -123,18 +132,20 @@ def test_residuals_fd_step_override(tmp_path):
     ell = np.array([np.hypot(a, 1.0), a, 1.0, 0.0])
     n = 0.7 * k + 0.8 * ell
     reports = {}
-    for tag, step in (("fine", 1e-3), ("coarse", 2e-2)):
+    # the coarse step once more through --fd-step, on a config without fd_step
+    for tag, step, flags in (("fine", 1e-3, []), ("coarse", 2e-2, []),
+                             ("coarse_flag", None, ["--fd-step", "2e-2"])):
         cfgfile = tmp_path / f"{tag}.json"
-        cfgfile.write_text(json.dumps({
-            "scenario": "planewave", "fd_step": step,
-            "params": {"k": list(k), "n": list(n)}}))
+        cfg = {"scenario": "planewave", "params": {"k": list(k), "n": list(n)}}
+        cfgfile.write_text(json.dumps(cfg if step is None else {**cfg, "fd_step": step}))
         out = tmp_path / f"{tag}_rep.json"
         assert main(["residuals", "--input", str(cfgfile), "--eq", "modified",
                      "--grid", "0:1:1,0:1:1,0:1:1,0:1:1",
-                     "--report", str(out)]) == 0
-        reports[tag] = read_json(out)["summary"]["max"]
-    assert reports["fine"] < 1e-6
-    assert reports["coarse"] > 20 * reports["fine"]
+                     "--report", str(out), *flags]) == 0
+        reports[tag] = read_json(out)["summary"]
+    assert reports["fine"]["max"] < 1e-6
+    assert reports["coarse"]["max"] > 20 * reports["fine"]["max"]
+    assert reports["coarse_flag"] == reports["coarse"]
 
 
 def test_verify_rejects_unknown_scenario(capsys):
@@ -585,7 +596,7 @@ def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tm
 
 
 # a config or params that is not a JSON object, a darboux domain off the chart's
-# dimension, and integers written as floats
+# dimension, integers written as floats, and a chart too small for its scenario
 @pytest.mark.parametrize("argv, text, path", [
     (["verify"], "[1, 2]", ""),
     (["verify", "--g", "0.5"], '{"scenario": "monopole", "params": [1]}', "params"),
@@ -601,9 +612,28 @@ def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tm
     (["verify"], '{"scenario": "pure_gauge", "params": {"rank": 2.0}}', "params/rank"),
     (["residuals", "--eq", "ym", "--grid", GRID4], '{"scenario": "random_smooth", "seed": 1.0}',
      "seed"),
+    (["verify"], '{"scenario": "pure_gauge", "signature": [1]}', "signature"),
+    (["residuals", "--eq", "ym", "--grid", "0:1:1"],
+     '{"scenario": "random_smooth", "signature": [1]}', "signature"),
+    (["residuals", "--eq", "shape", "--grid", "0:1:1"],
+     '{"scenario": "random_smooth", "signature": [1]}', "signature"),
+    (["residuals", "--eq", "sigma", "--grid", "0:1:1"],
+     '{"scenario": "constant_F", "signature": [1]}', "signature"),
+    (["residuals", "--eq", "ym", "--grid", "0:1:1,0:1:1"],
+     '{"scenario": "constant_F", "signature": [1, 1]}', "signature"),
+    (["residuals", "--eq", "modified", "--grid", "0:1:1,0:1:1"],
+     '{"scenario": "constant_F", "signature": [1, 1]}', "signature"),
+    (["verify", "--k", "1,0,0"], '{"scenario": "planewave"}', "params/k"),
+    (["verify"], '{"scenario": "planewave", "signature": [1, -1]}', "signature"),
+    (["residuals", "--eq", "ym", "--grid", "0:1:1,0:1:1"],
+     '{"scenario": "planewave", "signature": [1, -1], "params": {"k": [1, 1], "n": [0, 1, 0]}}',
+     "params/n"),
 ], ids=["root_array", "params_array_with_flag", "params_string", "darboux_root_number",
         "darboux_domain_2d", "verify_domain_lo_3d", "residuals_domain_4d_on_2d",
-        "verify_rank_float", "residuals_seed_float"])
+        "verify_rank_float", "residuals_seed_float", "pure_gauge_1_axis",
+        "random_smooth_ym_1_axis", "random_smooth_shape_1_axis", "constant_F_1_axis",
+        "constant_F_ym_2_axes", "constant_F_modified_2_axes", "planewave_k_3_on_4_axes",
+        "planewave_default_k_on_2_axes", "planewave_n_3_on_2_axes"])
 def test_malformed_config_values_exit_2(argv, text, path, tmp_path, capsys):
     inp = tmp_path / "cfg.json"
     inp.write_text(text)

@@ -197,11 +197,11 @@ def test_frame_residual_report_flags_near_singular(st4):
 
 def test_darboux_two_pair_not_decomposable(st4, rng):
     # F ^ F != 0 for the two-pair fixture: this is why N = 4 is needed
-    from bladegauge.fields import exterior_d, two_form_values, wedge
+    from bladegauge.fields import exterior_d, form_values, wedge
     data = darboux_data(st4, [("x0", "x1"), ("x2", "x3")], **BOX)
     da = exterior_d(darboux_one_form(data))
     x = rng.uniform(-0.5, 0.5, 4)
-    vals = two_form_values(da, x)
+    vals = form_values(da, x)
     ff = wedge(vals, vals)
     assert max(abs(v) for v in ff.values()) > 1.0
 

@@ -11,8 +11,8 @@ from bladegauge.em import (EmFrameParams, em_complement, em_faraday, em_frame,
                            plane_wave_mod_condition, plane_wave_params,
                            plane_wave_potential, quantization_satisfied)
 from bladegauge.errors import ChartError, ParameterError
-from bladegauge.fields import (constant, exterior_d, linear, OneForm, sin_of,
-                               sphere_flux, two_form_values, wedge)
+from bladegauge.fields import (constant, exterior_d, form_values, linear, one_form, sin_of,
+                               sphere_flux, wedge)
 from bladegauge.linalg import SIGMA_X, dagger, max_abs
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -119,7 +119,7 @@ def test_em_faraday_agrees_with_exterior_d(st4, points4):
         comps.append(FieldFn(st4, (), lambda x, mu=mu:
                      np.cos(params.rho(x)) ** 2 * params.alpha.d(x, mu)
                      + np.sin(params.rho(x)) ** 2 * params.beta.d(x, mu), None, None))
-    da = exterior_d(OneForm(st4, tuple(comps)))
+    da = exterior_d(one_form(st4, comps))
     for x in points4[:3]:
         for mu in range(4):
             for nu in range(mu + 1, 4):
@@ -134,7 +134,7 @@ def test_em_faraday_always_decomposable(st4, rng):
     f = em_faraday(EmFrameParams(alpha, beta, rho))
     for _ in range(100):
         x = rng.uniform(-2, 2, 4)
-        vals = two_form_values(f, x)
+        vals = form_values(f, x)
         ff = wedge(vals, vals)
         assert max(abs(v) for v in ff.values()) <= 1e-10
 
@@ -197,7 +197,7 @@ def test_monopole_pole_guard():
 @pytest.mark.parametrize("patch", ["plus", "minus"])
 def test_monopole_potential_is_analytic_and_guards_its_derivatives(patch):
     g = 0.5
-    a_phi = monopole_potential(g, patch).components[2]
+    a_phi = monopole_potential(g, patch).component(2)
     assert a_phi.deriv is not None and a_phi.deriv2 is not None
     x = np.array([1.0, 1.1, 0.4])
     assert a_phi.d(x, 1)[0, 0] == g * np.sin(x[1])

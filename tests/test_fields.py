@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError, RankError
-from bladegauge.fields import (Grid, MINKOWSKI4, OneForm, SPHERICAL3,
+from bladegauge.fields import (Form, Grid, MINKOWSKI4, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
-                               form_rank, hstack, lattice_integral, linear,
-                               mapped, matrix_of, scalar_field, sin_of,
-                               sphere_flux, stencil_field, two_form, two_form_values, wedge,
-                               wedge_power_nonzero, wedge_power_values, TwoForm)
+                               form_rank, form_values, hstack, lattice_integral, linear,
+                               mapped, matrix_of, one_form, scalar_field, sin_of,
+                               sphere_flux, stencil_field, wedge,
+                               wedge_power_nonzero, wedge_power_values)
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -118,27 +118,28 @@ def test_lazy_two_form_matches_an_eager_dict(points4):
         built.append((mu, nu))
         return (mu + 1.0) * sin_of(linear(st, np.roll([0.9, 0.1, -0.4, 0.2], nu)))
 
-    lazy = two_form(st, entry)
+    lazy = Form(st, 2, entry)
     assert built == []
     x = np.asarray(points4)
     value = lazy.at(x, 3, 1)
     lazy.at(x, 1, 3)
     assert built == [(1, 3)]  # built on first use, once
     assert np.array_equal(value, -entry(1, 3)(x))
-    eager = TwoForm(st, {key: entry(*key) for key in lazy.upper})
+    entries = {key: entry(*key) for key in lazy}
+    eager = Form(st, 2, lambda *key: entries[key])
     for mu in range(4):
         for nu in range(4):
             assert np.array_equal(lazy.at(x, mu, nu), eager.at(x, mu, nu))
             assert np.array_equal(lazy.component(mu, nu).d(x, 2),
                                   eager.component(mu, nu).d(x, 2))
-    lazy_vals, eager_vals = two_form_values(lazy, x), two_form_values(eager, x)
+    lazy_vals, eager_vals = form_values(lazy, x), form_values(eager, x)
     assert list(lazy_vals) == list(eager_vals)
     assert all(np.array_equal(lazy_vals[k], eager_vals[k]) for k in eager_vals)
-    assert len(lazy.upper) == 6 and len(list(lazy.upper.values())) == 6
+    assert len(lazy) == 6 and len(list(lazy.values())) == 6
     with pytest.raises(KeyError):
-        lazy.upper[(1, 0)]
+        lazy[(1, 0)]
     with pytest.raises(TypeError):
-        lazy.upper[(0, 1)] = entry(0, 1)
+        lazy[(0, 1)] = entry(0, 1)
 
 
 def test_fd_backed_propagates_through_rules_and_partial():
@@ -161,7 +162,7 @@ def test_exterior_d_hand_example():
     # A = x^0 dx^1  ->  (dA)_{01} = 1, everything else 0
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, zero))
+    a = one_form(st, (zero, coordinate(st, 0), zero, zero))
     da = exterior_d(a)
     x = np.array([0.3, 1.0, -2.0, 0.5])
     assert abs(da.component(0, 1)(x) - 1.0) < 1e-12
@@ -175,7 +176,7 @@ def test_exterior_d_plane_wave_closed_form(points4):
     k = np.array([1.0, 0.2, 0, 0.9])
     n = np.array([0, 1.0, 0.4, 0])
     phase = linear(st, k)
-    a = OneForm(st, tuple(float(n[mu]) * sin_of(phase) for mu in range(4)))
+    a = one_form(st, [float(n[mu]) * sin_of(phase) for mu in range(4)])
     da = exterior_d(a)
     for x in points4:
         c = np.cos(np.dot(k, x))
@@ -189,7 +190,7 @@ def test_exact_form_is_closed(points4):
     # A = d f for scalar f: dA = 0 within the FD budget
     st = MINKOWSKI4
     f = sin_of(linear(st, [0.5, -0.2, 0.8, 0.1]))
-    a = OneForm(st, tuple(f.partial(mu) for mu in range(4)))
+    a = one_form(st, [f.partial(mu) for mu in range(4)])
     da = exterior_d(a)
     for x in points4:
         for mu in range(4):
@@ -202,7 +203,7 @@ def test_d_squared_vanishes(points4):
     st = MINKOWSKI4
     comps = tuple(sin_of(linear(st, np.roll([0.9, 0.1, -0.4, 0.2], mu)))
                   for mu in range(4))
-    da = exterior_d(OneForm(st, comps))
+    da = exterior_d(one_form(st, comps))
     for x in points4:
         res = closedness_residual(da, x)
         assert max(abs(v) for v in res.values()) < 1e-8
@@ -212,7 +213,7 @@ def test_wedge_hand_values():
     # A = x^0 dx^1 + x^2 dx^3: (A ^ dA) has components x^0 on (1,2,3), x^2 on (0,1,3)
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    a = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
     da = exterior_d(a)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     vals = wedge_power_values(a, da, 1, x)
@@ -225,7 +226,7 @@ def test_wedge_hand_values():
 def test_form_rank_two_pair_example(rng):
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    a = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
     pts = [rng.uniform(0.5, 1.5, 4) for _ in range(6)]
     assert form_rank(a, pts) == 1
 
@@ -233,14 +234,14 @@ def test_form_rank_two_pair_example(rng):
 def test_form_rank_exact_form_is_zero(rng):
     st = MINKOWSKI4
     f = sin_of(linear(st, [0.5, -0.2, 0.8, 0.1]))
-    a = OneForm(st, tuple(f.partial(mu) for mu in range(4)))
+    a = one_form(st, [f.partial(mu) for mu in range(4)])
     pts = [rng.uniform(-1, 1, 4) for _ in range(5)]
     assert form_rank(a, pts, tol=1e-7) == 0
 
 
 def test_form_rank_zero_form():
     st = MINKOWSKI4
-    a = OneForm(st, tuple(constant(0.0, st) for _ in range(4)))
+    a = one_form(st, [constant(0.0, st) for _ in range(4)])
     assert form_rank(a, [np.zeros(4)]) == 0
 
 
@@ -248,7 +249,7 @@ def test_form_rank_single_pair_tie_down(rng):
     # A = x^0 dx^1 alone: dA != 0 but A ^ dA = 0, so the rank is 0
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, zero))
+    a = one_form(st, (zero, coordinate(st, 0), zero, zero))
     pts = [rng.uniform(0.5, 1.5, 4) for _ in range(5)]
     assert form_rank(a, pts) == 0
 
@@ -258,7 +259,7 @@ def test_form_rank_plane_wave_is_zero(rng):
     st = MINKOWSKI4
     k = np.array([1.0, 0, 0, 1.0])
     n = np.array([0, 1.0, 0, 0])
-    a = OneForm(st, tuple(float(n[mu]) * sin_of(linear(st, k)) for mu in range(4)))
+    a = one_form(st, [float(n[mu]) * sin_of(linear(st, k)) for mu in range(4)])
     pts = [rng.uniform(0.2, 1.2, 4) for _ in range(10)]
     assert form_rank(a, pts) == 0
 
@@ -271,7 +272,7 @@ def test_form_rank_static_monopole_pullback_is_zero(rng):
     theta = coordinate(st, 2)
     aphi = g * (constant(1.0, st) - cos_of(theta))
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, zero, zero, aphi))
+    a = one_form(st, (zero, zero, zero, aphi))
     pts = [np.array([0.0, 1.0, rng.uniform(0.5, 2.5), rng.uniform(0, 6)])
            for _ in range(6)]
     assert form_rank(a, pts) == 0
@@ -281,7 +282,7 @@ def test_form_rank_warns_when_not_constant():
     # on the x0 = x2 = 0 slice the two-pair form degenerates to rank 0
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    a = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
     pts = [np.array([0.0, 0.5, 0.0, 0.5]), np.array([1.0, 0.5, 1.0, 0.5])]
     with pytest.warns(UserWarning, match="rank varies"):
         assert form_rank(a, pts) == 1
@@ -290,7 +291,7 @@ def test_form_rank_warns_when_not_constant():
 def test_wedge_power_rank_error():
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, zero))
+    a = one_form(st, (zero, coordinate(st, 0), zero, zero))
     da = exterior_d(a)
     with pytest.raises(RankError):
         wedge_power_nonzero(a, da, 2, [np.zeros(4)])
@@ -311,14 +312,14 @@ def test_sphere_flux_monopole():
     upper = {(0, 1): constant(0.0, SPHERICAL3),
              (0, 2): constant(0.0, SPHERICAL3),
              (1, 2): g * sin_of(theta)}
-    f = TwoForm(SPHERICAL3, upper)
+    f = Form(SPHERICAL3, 2, lambda *key: upper[key])
     flux = sphere_flux(f, quadrature_order=16)
     assert abs(flux - 4 * np.pi * g) <= 0.005 * abs(4 * np.pi * g)
 
 
 def test_sphere_flux_zero_form():
     zero = constant(0.0, SPHERICAL3)
-    f = TwoForm(SPHERICAL3, {(0, 1): zero, (0, 2): zero, (1, 2): zero})
+    f = Form(SPHERICAL3, 2, lambda mu, nu: zero)
     assert abs(sphere_flux(f)) < 1e-14
 
 
@@ -328,19 +329,18 @@ def test_sphere_flux_stokes_for_global_potential():
     phi = coordinate(SPHERICAL3, 2)
     aphi = sin_of(theta) * sin_of(theta) * cos_of(phi)
     zero = constant(0.0, SPHERICAL3)
-    a = OneForm(SPHERICAL3, (zero, zero, aphi))
+    a = one_form(SPHERICAL3, (zero, zero, aphi))
     flux = sphere_flux(exterior_d(a), quadrature_order=16)
     assert abs(flux) < 1e-8
 
 
 def test_sphere_flux_rejects_bad_order_and_chart():
     zero = constant(0.0, SPHERICAL3)
-    f = TwoForm(SPHERICAL3, {(0, 1): zero, (0, 2): zero, (1, 2): zero})
+    f = Form(SPHERICAL3, 2, lambda mu, nu: zero)
     with pytest.raises(ParameterError):
         sphere_flux(f, quadrature_order=1)
     zc = constant(0.0, MINKOWSKI4)
-    fc = TwoForm(MINKOWSKI4, {(mu, nu): zc for mu in range(4)
-                              for nu in range(mu + 1, 4)})
+    fc = Form(MINKOWSKI4, 2, lambda mu, nu: zc)
     with pytest.raises(ChartError):
         sphere_flux(fc)
 

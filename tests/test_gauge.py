@@ -122,7 +122,7 @@ def test_gauge_transform_is_group_action(points4, st4):
     u = random_gauge_map(st4, 2, seed=32)
     w = random_gauge_map(st4, 2, seed=33)
     lhs = gauge_transform(gauge_transform(a, u), w)
-    vu = gauge_map(w.f @ u.f, check=False)
+    vu = w @ u
     rhs = gauge_transform(a, vu)
     for x in points4[:3]:
         for mu in range(4):
@@ -150,11 +150,11 @@ def test_covariant_derivative_matrix_transforms_covariantly(points4, st4):
     u = random_gauge_map(st4, 2, seed=52)
     m = matrix_of([[sin_or_one(st4, i, j) for j in range(2)] for i in range(2)])
     a2 = gauge_transform(a, u)
-    m2 = u.f @ m @ u.f.dagger()
+    m2 = u @ m @ u.dagger()
     for x in points4[:2]:
         for mu in range(4):
             lhs = covariant_derivative_matrix(a2, m2, mu, x)
-            rhs = u.f(x) @ covariant_derivative_matrix(a, m, mu, x) @ dagger(u.f(x))
+            rhs = u(x) @ covariant_derivative_matrix(a, m, mu, x) @ dagger(u(x))
             assert max_abs(lhs - rhs) < 1e-5
 
 
@@ -185,7 +185,7 @@ def test_gauge_map_rejects_non_unitary(st4):
     bad = constant(np.array([[2.0, 0], [0, 1.0]], dtype=complex), st4)
     u = gauge_map(bad)
     with pytest.raises(DomainError):
-        u.f(np.zeros(4))
+        u(np.zeros(4))
 
 
 def test_gauge_map_error_names_the_worst_point_of_a_stack(st4):
@@ -194,7 +194,7 @@ def test_gauge_map_error_names_the_worst_point_of_a_stack(st4):
     xs = np.array([[[0.0, 0.0, 0.0, 0.0], [0.5, 0.75, 0.0, 0.0]],
                    [[0.25, 0.125, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]]])
     with pytest.raises(DomainError) as err:
-        u.f(xs)
+        u(xs)
     msg = str(err.value)
     assert "[0.5, 0.75, 0.0, 0.0]" in msg and "1.250e+00" in msg
     assert "0.125" not in msg and "-0.1" not in msg

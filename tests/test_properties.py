@@ -64,7 +64,7 @@ def test_gauge_invariance(seed, gauge_seed, shape, x):
     v = _frame(shape, seed)
     u = random_gauge_map(MINKOWSKI4, n, seed=gauge_seed)
     blade, blade2 = blade_from_frame(v), blade_from_frame(Frame(MINKOWSKI4, N, n,
-                                                                v.V @ u.f.dagger()))
+                                                                v.V @ u.dagger()))
     s, s2 = shape_operator(blade), shape_operator(blade2)
     assert max_abs(blade.at(x) - blade2.at(x)) <= TOL.analytic
     for mu in range(4):
@@ -160,7 +160,7 @@ def _stack_leaves():
         "linear": (linear(st, [0.3, -1.2, 0.7, 2.0], offset=0.1), *box4),
         "hermitian_waves": (random_hermitian_field(st, 3, 9), *box4),
         "exp_frame": (v.V, *box4),
-        "exp_gauge_map": (random_gauge_map(st, 2, 4).f, *box4),
+        "exp_gauge_map": (random_gauge_map(st, 2, 4), *box4),
         "tabulated": (tabulated_field(axes, samples, euclidean(2), (2, 2)),
                       [0.2, 0.2], [0.8, 0.8]),
         "tabulated_frame": (_tabulated_frame({"axes": axes, "values": samples[..., :1, :]},
@@ -169,7 +169,7 @@ def _stack_leaves():
         "canonical": (canonical_frame_field(blade_from_frame(v), np.eye(4, 2)), *box4),
         "em_planewave": (em_frame(plane_wave_params(st, [1, 0, 0, 1], [0, 1, 0, 0])).V,
                          *box4),
-        "em_monopole_patch": (monopole_potential(0.5, "plus").components[2],
+        "em_monopole_patch": (monopole_potential(0.5, "plus").component(2),
                               [0.5, 0.3, 0.0], [2.0, 2.8, 6.0]),
         "darboux": (darboux_frame(dx).V, *box4),
         "embedded_chart": (torus(2.0, 0.5), [0.0, 0.0], [6.0, 6.0]),
@@ -187,7 +187,7 @@ def _stack_rules():
     st = MINKOWSKI4
     s = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
     t = coordinate(st, 1) + constant(2.0, st)
-    m, n = _frame((3, 3), 7).V, random_gauge_map(st, 3, 8).f
+    m, n = _frame((3, 3), 7).V, random_gauge_map(st, 3, 8)
     w = _frame((3, 1), 2).V
     vec = constant(np.array([1.0, -2.0j, 0.5]), st)
     box4 = ([-0.5] * 4, [0.5] * 4)
@@ -254,16 +254,16 @@ def _em_residual_pairs():
 
 def _wedge_pairs():
     from bladegauge.darboux import darboux_data, darboux_one_form
-    from bladegauge.fields import exterior_d, two_form_values, wedge
+    from bladegauge.fields import exterior_d, form_values, wedge
     data = darboux_data(MINKOWSKI4, [("0.5*sin(x0)", "x1*x2"), ("0.4*cos(x2)", "x3")],
                         [-0.8] * 4, [0.8] * 4)
     da = exterior_d(darboux_one_form(data))
     x = np.random.default_rng(8).uniform(-0.8, 0.8, (5, 4))
-    vals = two_form_values(da, x)
+    vals = form_values(da, x)
     stacked = wedge(vals, vals)
     pairs = []
     for i, xi in enumerate(x):
-        one = two_form_values(da, xi)
+        one = form_values(da, xi)
         pairs += [(vals[key][i], one[key]) for key in vals]
         pairs += [(value[i], wedge(one, one)[key]) for key, value in stacked.items()]
     return pairs
@@ -271,10 +271,10 @@ def _wedge_pairs():
 
 def _form_rank_pairs():
     import warnings
-    from bladegauge.fields import OneForm, constant, coordinate, form_rank
+    from bladegauge.fields import constant, coordinate, form_rank, one_form
     st = MINKOWSKI4
     zero = constant(0.0, st)
-    a = OneForm(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    a = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
     # rank 0 on the x0 = x2 = 0 slice, rank 1 off it
     x = np.array([[0.0, 0.5, 0.0, 0.5], [1.0, 0.5, 1.0, 0.5], [0.0, 0.2, 0.0, 0.7],
                   [0.3, -0.4, 0.8, 0.1]])
@@ -361,7 +361,7 @@ def _covariant_derivative_call():
     from bladegauge.fields import constant
     from bladegauge.gauge import covariant_derivative
     a = extract_potential(_frame((4, 2), 12))  # a U(2) potential
-    psi = random_gauge_map(MINKOWSKI4, 2, 6).f @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
+    psi = random_gauge_map(MINKOWSKI4, 2, 6) @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
     return lambda y: np.stack([covariant_derivative(a, psi, mu, y) for mu in range(4)], axis=-2)
 
 
@@ -369,7 +369,7 @@ def _lifted_covariant_derivative_call():
     from bladegauge.blade import lifted_covariant_derivative
     from bladegauge.fields import constant
     blade = blade_from_frame(_frame((4, 2), 13))
-    psi = random_gauge_map(MINKOWSKI4, 4, 7).f @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
+    psi = random_gauge_map(MINKOWSKI4, 4, 7) @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
                                                           MINKOWSKI4)
     return lambda y: np.stack([lifted_covariant_derivative(blade, psi, mu, y)
                                for mu in range(4)], axis=-2)

@@ -121,7 +121,7 @@ def test_fd_step_is_wired_through_loaders():
     cfg = {"scenario": "planewave", "fd_step": 5e-3,
            "params": {"k": [1, 0, 0, 1], "n": [0, 1, 0, 0]}}
     assert load_frame(cfg).V.fd_step == 5e-3
-    assert all(c.fd_step == 5e-3 for c in load_potential(cfg).components)
+    assert all(c.fd_step == 5e-3 for c in load_potential(cfg).values())
 
 
 def test_validate_config_scenario_names_are_the_registry():
