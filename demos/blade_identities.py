@@ -14,10 +14,9 @@ makes the blade variables work:
 
 import numpy as np
 
-from bladegauge.blade import (Frame, blade_curvature, blade_from_frame,
-                              extract_potential, four_way, random_gauge_map,
-                              random_smooth_frame, shape_identity_residual,
-                              shape_operator)
+from bladegauge.blade import (blade_curvature, blade_from_frame, extract_potential,
+                              four_way, random_gauge_map, random_smooth_frame,
+                              shape_identity_residual, shape_operator)
 from bladegauge.fields import MINKOWSKI4
 from bladegauge.gauge import field_strength
 from bladegauge.linalg import dagger, max_abs
@@ -40,8 +39,8 @@ def main():
     print(f"evaluation point x = {x}")
     print("=" * 64)
 
-    r = blade.at(x)
-    print(f"|V^dag V - I|            = {max_abs(dagger(v.at(x)) @ v.at(x) - np.eye(n)):.2e}")
+    r = blade(x)
+    print(f"|V^dag V - I|            = {max_abs(dagger(v(x)) @ v(x) - np.eye(n)):.2e}")
     print(f"|R^2 - I|                = {max_abs(r @ r - np.eye(N)):.2e}")
     print(f"|R - R^dag|              = {max_abs(r - dagger(r)):.2e}")
     print(f"|tr R - (2n - N)|        = {abs(np.trace(r).real - (2 * n - N)):.2e}")
@@ -49,7 +48,7 @@ def main():
     for mu in (0, 2):
         sv = s.at(x, mu)
         print(f"|R S_{mu} + S_{mu} R|          = {max_abs(r @ sv + sv @ r):.2e}")
-        dr = blade.R.d(x, mu)
+        dr = blade.d(x, mu)
         print(f"|dR_{mu} + i[S_{mu}, R]|        = {max_abs(dr + 1j * (sv @ r - r @ sv)):.2e}")
 
     print(f"|dS - dS + 2i[S, S]|     = "
@@ -65,14 +64,13 @@ def main():
     print("-" * 64)
     a = extract_potential(v)
     fs = field_strength(a)
-    gap = max_abs(fs.at(x, 0, 2) - dagger(v.at(x)) @ omega.at(x, 0, 2) @ v.at(x))
+    gap = max_abs(fs.at(x, 0, 2) - dagger(v(x)) @ omega.at(x, 0, 2) @ v(x))
     print(f"|F - V^dag Omega V|      = {gap:.2e}")
 
     u = random_gauge_map(st, n, seed=SEED + 1)
-    v2 = Frame(st, N, n, v.V @ u.dagger())
-    blade2 = blade_from_frame(v2)
+    blade2 = blade_from_frame(v @ u.dagger())
     s2 = shape_operator(blade2)
-    print(f"|R - R'| after V -> Vu^dag   = {max_abs(r - blade2.at(x)):.2e}")
+    print(f"|R - R'| after V -> Vu^dag   = {max_abs(r - blade2(x)):.2e}")
     print(f"|S - S'| after V -> Vu^dag   = {max_abs(s.at(x, 1) - s2.at(x, 1)):.2e}")
     print("the gauge has been eliminated: the blade never felt u(x)")
 

@@ -3,8 +3,9 @@
 Gauge potentials are traded for frames V with V^dag dV = i A; the
 gauge-invariant content lives in the rotating blade R = 2 V V^dag - I and its
 shape operator S_mu = -(i/2) R dR.  S is a connection like A, and its
-curvature Omega a field strength like F: one lazy `Form` holds every p-form,
-and a gauge map is the U(n)-valued field itself.  The library
+curvature Omega a field strength like F: one lazy `Form` holds every p-form.
+A frame, a blade and a gauge map are each the matrix field itself, an
+N x n, N x N and n x n `FieldFn`.  The library
 constructs these objects, verifies the matrix identities connecting them,
 evaluates equation-of-motion residuals, and reproduces the electromagnetic
 plane-wave and monopole scenarios plus the stacked-block frame construction
@@ -22,8 +23,8 @@ from .gauge import (gauge_potential, gauge_map, field_strength,
                     covariant_field, covariant_derivative, covariant_derivative_matrix,
                     gauge_transform, gauge_transform_field_strength,
                     gauge_transform_matter, pure_gauge_potential)
-from .blade import (Frame, RotatingBlade, frame, extract_potential,
-                    blade_from_frame, shape_operator, blade_curvature,
+from .blade import (frame, extract_potential, blade_from_frame, projector,
+                    shape_operator, blade_curvature,
                     four_way, check_four_way, lifted_covariant_derivative,
                     shape_identity_residual, complement_frame, complement_field,
                     shape_gauge_decompose, canonical_frame, direct_rotation,

@@ -1,8 +1,10 @@
 """Frames, rotating blades, shape operators, and blade curvature.
 
-A frame V(x) is an N x n matrix field with orthonormal columns; the rotating
-blade R = 2 V V^dag - I is the gauge-invariant reflection encoding only the
-column span.  The shape operator S_mu = -(i/2) R dR plays the role of
+A frame V(x) is an N x n matrix `FieldFn` with orthonormal columns; the
+rotating blade R = 2 V V^dag - I is the N x N gauge-invariant reflection
+field encoding only the column span.  Both are plain fields: N and n are
+their `shape`, and their chart is their `spacetime`; `projector` gives
+P = (R + I)/2.  The shape operator S_mu = -(i/2) R dR plays the role of
 connection coefficients for the lifted covariant derivative, so it is a
 1-form (a `fields.Form`) like any gauge potential and its curvature a 2-form
 like F; the lifted covariant derivative is `gauge.covariant_field` with S as
@@ -10,8 +12,7 @@ the connection.  The blade curvature admits four algebraically equivalent
 expressions that are all kept as independent code paths for cross-validation.
 The gauge-fixed frames are functions of the blade alone: the canonical frame
 is the polar factor of P V0 and the direct rotation U1 = sqrt(R R0) that of
-I + R R0, where P is the projector (R + I)/2 and R0 the reflection of a
-reference frame V0.
+I + R R0, where R0 is the reflection of a reference frame V0.
 
 The seeded exp(iH) test fields state their first and second derivatives in
 closed form, so the blade, its shape operator and its curvature are analytic
@@ -28,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, Form, Spacetime, _any, _PointLRU, _worst_point, constant,
-                     hstack, identity_field, stencil_field)
+from .fields import (FieldFn, Form, _any, _PointLRU, _worst_point, constant, hstack,
+                     identity_field, stencil_field)
 from .gauge import covariant_field, field_strength, gauge_potential
 from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _require_hermitian,
                      _second_divided_differences, commutator, dagger, hermitian_part, max_abs,
@@ -39,8 +40,7 @@ from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
 
 __all__ = [
-    "Frame", "RotatingBlade",
-    "frame", "validate_frame", "extract_potential", "blade_from_frame",
+    "frame", "validate_frame", "extract_potential", "blade_from_frame", "projector",
     "shape_operator", "blade_curvature", "four_way", "check_four_way",
     "lifted_covariant_derivative",
     "lifted_covariant_derivative_projected", "shape_identity_residual",
@@ -51,53 +51,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Frame:
-    """N x n matrix field V with V^dag V = I."""
-
-    spacetime: Spacetime
-    N: int
-    n: int
-    V: FieldFn
-
-    def at(self, x):
-        return self.V(x)
-
-
-@dataclass(frozen=True)
-class RotatingBlade:
-    """Hermitian reflection field R with R^2 = I and tr R = 2n - N."""
-
-    spacetime: Spacetime
-    N: int
-    n: int
-    R: FieldFn
-
-    @property
-    def projector(self) -> FieldFn:
-        return 0.5 * (self.R + identity_field(self.spacetime, self.N))
-
-    def at(self, x):
-        return self.R(x)
-
-
-def frame(spacetime, V: FieldFn) -> Frame:
-    """The frame of an N x n matrix field V; `validate_frame` checks V^dag V = I."""
-    if len(V.shape) != 2:
+def frame(v: FieldFn) -> FieldFn:
+    """The N x n matrix field v as a frame; `validate_frame` checks V^dag V = I."""
+    if len(v.shape) != 2:
         raise DimensionMismatchError("a frame must be matrix valued")
-    N, n = V.shape
-    if n > N:
+    if v.shape[1] > v.shape[0]:
         raise DimensionMismatchError("frame needs n <= N")
-    return Frame(spacetime, N, n, V)
+    return v
 
 
-def validate_frame(f: Frame, x):
+def validate_frame(v: FieldFn, x):
     """Largest |V^dag V - I| at x, a point or a (..., d) stack.
 
     Raises a ConsistencyError naming the worst point beyond TOL.algebraic.
     """
-    v = f.V(x)
-    return _within(max_abs_each(dagger(v) @ v - np.eye(f.n)), x, TOL.algebraic,
+    vx = v(x)
+    return _within(max_abs_each(dagger(vx) @ vx - np.eye(v.shape[1])), x, TOL.algebraic,
                    "frame columns not orthonormal: error")
 
 
@@ -110,14 +79,14 @@ def _within(errs, x, tol, what):
     return err
 
 
-def reference_frame(spacetime, N, n) -> Frame:
+def reference_frame(spacetime, N, n) -> FieldFn:
     """The constant frame (I_n, 0)^T."""
     v0 = np.zeros((N, n), dtype=complex)
     v0[:n, :n] = np.eye(n)
-    return Frame(spacetime, N, n, constant(v0, spacetime))
+    return constant(v0, spacetime)
 
 
-def extract_potential(f: Frame) -> Form:
+def extract_potential(v: FieldFn) -> Form:
     """A_mu = -i V^dag dV.
 
     The result is Hermitian when the frame is genuinely orthonormal; the
@@ -126,7 +95,7 @@ def extract_potential(f: Frame) -> Form:
     or a finite-difference step too coarse for the field).
     """
     def entry(mu):
-        raw = (-1j) * (f.V.dagger() @ f.V.partial(mu))
+        raw = (-1j) * (v.dagger() @ v.partial(mu))
 
         def checked(x):
             m = np.asarray(raw.fn(x), dtype=complex)
@@ -141,29 +110,33 @@ def extract_potential(f: Frame) -> Form:
 
         return replace(raw.hermitian_part(), fn=checked, deriv2=None)
 
-    return Form(f.spacetime, 1, entry)
+    return Form(v.spacetime, 1, entry)
 
 
-def blade_from_frame(f: Frame) -> RotatingBlade:
-    """R = 2 V V^dag - I."""
-    R = 2.0 * (f.V @ f.V.dagger()) - identity_field(f.spacetime, f.N)
-    return RotatingBlade(f.spacetime, f.N, f.n, R)
+def blade_from_frame(v: FieldFn) -> FieldFn:
+    """R = 2 V V^dag - I: a Hermitian reflection field with R^2 = I and tr R = 2n - N."""
+    return 2.0 * (v @ v.dagger()) - identity_field(v.spacetime, v.shape[0])
 
 
-def shape_operator(blade: RotatingBlade) -> Form:
+def projector(r: FieldFn) -> FieldFn:
+    """P = (R + I) / 2, the projector onto the blade's span."""
+    return 0.5 * (r + identity_field(r.spacetime, r.shape[0]))
+
+
+def shape_operator(r: FieldFn) -> Form:
     """S_mu = -(i/2) R dR: d Hermitian N x N fields anti-commuting with R."""
-    return Form(blade.spacetime, 1, lambda mu: (-0.5j) * (blade.R @ blade.R.partial(mu)))
+    return Form(r.spacetime, 1, lambda mu: (-0.5j) * (r @ r.partial(mu)))
 
 
-def lifted_covariant_derivative(blade: RotatingBlade, psi: FieldFn, mu, x):
+def lifted_covariant_derivative(r: FieldFn, psi: FieldFn, mu, x):
     """d_mu psi + i S_mu psi at x, a point or a (..., d) stack, for any C^N-valued field psi."""
-    return covariant_field(shape_operator(blade), psi, mu)(x)
+    return covariant_field(shape_operator(r), psi, mu)(x)
 
 
-def lifted_covariant_derivative_projected(blade: RotatingBlade, psi: FieldFn, mu, x):
+def lifted_covariant_derivative_projected(r: FieldFn, psi: FieldFn, mu, x):
     """Equivalent projector form P d(P psi) + P_perp d(P_perp psi)."""
-    P = blade.projector
-    Pperp = identity_field(blade.spacetime, blade.N) - P
+    P = projector(r)
+    Pperp = identity_field(r.spacetime, r.shape[0]) - P
     a = P @ (P @ psi).partial(mu)
     b = Pperp @ (Pperp @ psi).partial(mu)
     return a(x) + b(x)
@@ -183,35 +156,35 @@ _FOUR_WAY_NAMES = ("commutator_probe", "shape_commutator", "blade_derivative",
                    "projector_derivative")
 
 
-def four_way(blade: RotatingBlade, x, mu, nu):
+def four_way(r: FieldFn, x, mu, nu):
     """Evaluate all four equivalent curvature expressions of the blade at x.
 
     Returns (values dict keyed by expression name, max pairwise
     discrepancy in the max-abs norm, over every point of a stack x).
     """
-    vals, discs = _four_way_values(blade, x, mu, nu)
+    vals, discs = _four_way_values(r, x, mu, nu)
     return vals, float(np.max(discs))
 
 
-def check_four_way(blade: RotatingBlade, x, mu, nu, tol=None):
+def check_four_way(r: FieldFn, x, mu, nu, tol=None):
     """Each point's four-way discrepancy at x; ConsistencyError naming the worst beyond tol."""
     tol = TOL.fd_nested() if tol is None else tol
-    discs = _four_way_values(blade, x, mu, nu)[1]
+    discs = _four_way_values(r, x, mu, nu)[1]
     _within(discs, x, tol, "curvature expressions disagree by")
     return discs
 
 
-def _four_way_values(blade: RotatingBlade, x, mu, nu):
+def _four_way_values(r: FieldFn, x, mu, nu):
     """The four expressions at x, and each point's largest pairwise discrepancy."""
-    s = shape_operator(blade)
+    s = shape_operator(r)
     smu, snu = s.at(x, mu), s.at(x, nu)
     # probe realization: apply -i [D_mu, D_nu] to the identity, all basis columns at once
-    probe = identity_field(blade.spacetime, blade.N)
+    probe = identity_field(r.spacetime, r.shape[0])
     dmu_dnu = covariant_field(s, covariant_field(s, probe, nu), mu)
     dnu_dmu = covariant_field(s, covariant_field(s, probe, mu), nu)
     probe_val = -1j * (dmu_dnu(x) - dnu_dmu(x))
-    dr_mu, dr_nu = blade.R.d(x, mu), blade.R.d(x, nu)
-    P = blade.projector
+    dr_mu, dr_nu = r.d(x, mu), r.d(x, nu)
+    P = projector(r)
     dp_mu, dp_nu = P.d(x, mu), P.d(x, nu)
     vals = {
         "commutator_probe": probe_val,
@@ -224,20 +197,20 @@ def _four_way_values(blade: RotatingBlade, x, mu, nu):
     return vals, discs
 
 
-def blade_curvature(blade: RotatingBlade) -> Form:
+def blade_curvature(r: FieldFn) -> Form:
     """Curvature of the lifted covariant derivative, as -i [S_mu, S_nu].
 
     `check_four_way` cross-validates it against the three other expressions.
     """
-    s = shape_operator(blade)
-    return Form(blade.spacetime, 2,
+    s = shape_operator(r)
+    return Form(r.spacetime, 2,
                 lambda mu, nu: (-1j) * (s[(mu,)] @ s[(nu,)] - s[(nu,)] @ s[(mu,)]))
 
 
 # ---------------------------------------------------------------------------
 # orthogonal complement and shape gauge
 
-def complement_frame(f: Frame, x):
+def complement_frame(v: FieldFn, x):
     """Deterministic orthonormal basis of the complement of range V(x), x a point or a stack.
 
     Greedy pivoted Gram-Schmidt over the identity columns: each step picks
@@ -247,62 +220,64 @@ def complement_frame(f: Frame, x):
     finite-difference derivatives stay within budget) wherever the pivot
     selection does not switch; fixtures avoid the switching set.
     """
-    return _complete_columns(np.asarray(f.V(x), dtype=complex))
+    return _complete_columns(np.asarray(v(x), dtype=complex))
 
 
-def complement_field(f: Frame) -> FieldFn:
+def complement_field(v: FieldFn) -> FieldFn:
     """The complement as a stencil leaf: finite-difference derivatives from one stacked call."""
-    return stencil_field(f.spacetime, (f.N, f.N - f.n), lambda x: complement_frame(f, x),
-                         f.V.fd_step)
+    N, n = v.shape
+    return stencil_field(v.spacetime, (N, N - n), lambda x: complement_frame(v, x), v.fd_step)
 
 
 @dataclass(frozen=True)
 class ShapeGaugeDecomposition:
     """S_mu seen as the U(N) gauge transform of A oplus C by U = (V, W)."""
 
-    frame: Frame
+    V: FieldFn
     W: FieldFn
     C: Form
     G: Form
 
     def reconstruction_residual(self, x, mu):
         """S_mu - [U (A oplus C) U^dag - i U dU^dag] at x, a point or a (..., d) stack."""
-        f = self.frame
-        u = hstack(f.V, self.W)
-        a = extract_potential(f)
-        blk = np.zeros(np.shape(x)[:-1] + (f.N, f.N), dtype=complex)
-        blk[..., :f.n, :f.n] = a.at(x, mu)
-        blk[..., f.n:, f.n:] = self.C.at(x, mu)
+        v = self.V
+        N, n = v.shape
+        u = hstack(v, self.W)
+        a = extract_potential(v)
+        blk = np.zeros(np.shape(x)[:-1] + (N, N), dtype=complex)
+        blk[..., :n, :n] = a.at(x, mu)
+        blk[..., n:, n:] = self.C.at(x, mu)
         uv = u(x)
-        s = shape_operator(blade_from_frame(f)).at(x, mu)
+        s = shape_operator(blade_from_frame(v)).at(x, mu)
         recon = uv @ blk @ dagger(uv) - 1j * (uv @ dagger(u.d(x, mu)))
         return s - recon
 
     def omega_block_residual(self, x, mu, nu):
         """Omega - U (F oplus G) U^dag at x, plus the G = W^dag Omega W gap."""
-        f = self.frame
-        a = extract_potential(f)
+        v = self.V
+        N, n = v.shape
+        a = extract_potential(v)
         fs = field_strength(a)
-        omega = blade_curvature(blade_from_frame(f)).at(x, mu, nu)
+        omega = blade_curvature(blade_from_frame(v)).at(x, mu, nu)
         g = self.G.at(x, mu, nu)
-        blk = np.zeros(np.shape(x)[:-1] + (f.N, f.N), dtype=complex)
-        blk[..., :f.n, :f.n] = fs.at(x, mu, nu)
-        blk[..., f.n:, f.n:] = g
+        blk = np.zeros(np.shape(x)[:-1] + (N, N), dtype=complex)
+        blk[..., :n, :n] = fs.at(x, mu, nu)
+        blk[..., n:, n:] = g
         w = self.W(x)
-        uv = np.concatenate([f.V(x), w], axis=-1)
+        uv = np.concatenate([v(x), w], axis=-1)
         gap = g - dagger(w) @ omega @ w
         return omega - uv @ blk @ dagger(uv), gap
 
 
-def shape_gauge_decompose(f: Frame, w: FieldFn) -> ShapeGaugeDecomposition:
+def shape_gauge_decompose(v: FieldFn, w: FieldFn) -> ShapeGaugeDecomposition:
     """Complementary connection C_mu = -i W^dag dW and its curvature G.
 
     The decomposition's `reconstruction_residual` and `omega_block_residual`
     measure how well S_mu and the curvature blocks are reproduced.
     """
-    comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(f.spacetime.dim)]
-    c = gauge_potential(f.spacetime, comps)
-    return ShapeGaugeDecomposition(f, w, c, field_strength(c))
+    comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(v.spacetime.dim)]
+    c = gauge_potential(v.spacetime, comps)
+    return ShapeGaugeDecomposition(v, w, c, field_strength(c))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +320,11 @@ def direct_rotation(p, v0):
     return u1
 
 
-def canonical_frame_field(blade: RotatingBlade, v0) -> FieldFn:
+def canonical_frame_field(r: FieldFn, v0) -> FieldFn:
     """Pointwise canonical frame as a stencil leaf (finite-difference derivatives)."""
-    P = blade.projector
-    return stencil_field(blade.spacetime, (blade.N, blade.n),
-                         lambda x: canonical_frame(P(x), v0), blade.R.fd_step)
+    P = projector(r)
+    return stencil_field(r.spacetime, np.shape(v0), lambda x: canonical_frame(P(x), v0),
+                         r.fd_step)
 
 
 def _projector_of_rank(p, n):
@@ -428,7 +403,7 @@ def random_hermitian_field(spacetime, n, seed, amplitude=0.4):
     return FieldFn(spacetime, (n, n), fn, deriv, deriv2)
 
 
-def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> Frame:
+def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> FieldFn:
     """Seeded frame V = exp(i H(x)) V0 with exact analytic first and second derivatives.
 
     The derivatives of the matrix exponential are evaluated in the eigenbasis
@@ -441,7 +416,7 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
     h = random_hermitian_field(spacetime, N, seed, amplitude)
     v0 = np.zeros((N, n), dtype=complex)
     v0[:n, :n] = np.eye(n)
-    return Frame(spacetime, N, n, _exp_i_field(h, v0, analytic))
+    return _exp_i_field(h, v0, analytic)
 
 
 def random_gauge_map(spacetime, n, seed) -> FieldFn:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blade import Frame, frame
 from .errors import DomainError, ParameterError, RankError
 from .fields import (FieldFn, Form, Spacetime, _any, _worst_point, constant, coordinate,
                      cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
@@ -226,7 +225,7 @@ def _half_arccos_trig(pi_field: FieldFn, k, which):
     return mapped(replace(pi_field, fn=checked), val, lambda u: sign / (4.0 * val(u)), d2val)
 
 
-def darboux_frame(data: DarbouxData) -> Frame:
+def darboux_frame(data: DarbouxData) -> FieldFn:
     """Stacked-block frame with N = 2(r+1) satisfying V^dag dV = i A."""
     scale = 1.0 / np.sqrt(len(data.pairs)) if data.pairs else 1.0
     mult = float(len(data.pairs))
@@ -239,7 +238,7 @@ def darboux_frame(data: DarbouxData) -> Frame:
         rows.append([scale * (exp_i((-1.0) * alpha) * sinr)])
     if not rows:
         raise ParameterError("darboux frame needs at least one pair")
-    return frame(data.spacetime, matrix_of(rows))
+    return matrix_of(rows)
 
 
 def verify_rank(data: DarbouxData):

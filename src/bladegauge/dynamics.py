@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blade import (Frame, RotatingBlade, blade_curvature, blade_from_frame,
-                    extract_potential, shape_operator)
+from .blade import (blade_curvature, blade_from_frame, extract_potential, projector,
+                    shape_operator)
 from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
 from .fields import FieldFn, Form, Grid, lattice_integral, scalar_field
@@ -28,7 +28,7 @@ __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
     "maxwell_mod_residual", "shape_gauge_ym_residual", "sigma_eom_residual",
     "LatticeBlade", "blade_lattice_from_field", "sigma_lattice_energy",
-    "sigma_lattice_gradient", "sigma_lattice_directional", "sigma_flow",
+    "sigma_lattice_gradient", "sigma_lattice_directional", "sigma_flow", "conjugate_sites",
 ]
 
 INDEX_HANDLING_NOTE = ("modified EOM evaluated as the nu-summed divergence "
@@ -67,21 +67,21 @@ def ym_action(a: Form, grid: Grid):
     return lattice_integral(scalar_field(st, density), grid)
 
 
-def sigma_action(blade: RotatingBlade, grid: Grid):
+def sigma_action(r: FieldFn, grid: Grid):
     """-1/4 integral Tr(dR d R) with one index raised."""
-    st = blade.spacetime
+    st = r.spacetime
 
     def density(x):
         total = 0.0
         for mu in range(st.dim):
-            dr = blade.R.d(x, mu)
+            dr = r.d(x, mu)
             total += st.raise_sign(mu) * np.trace(dr @ dr, axis1=-2, axis2=-1).real
         return -0.25 * total
 
     return lattice_integral(scalar_field(st, density), grid)
 
 
-def modified_eom_residual(v: Frame, x):
+def modified_eom_residual(v: FieldFn, x):
     """sum_nu d^nu ( V (D^mu F_mu nu) V^dag ) at x.
 
     Solutions of the Yang-Mills equations annihilate the inner bracket and
@@ -95,8 +95,8 @@ def modified_eom_residual(v: Frame, x):
 
     def inner(nu):
         def fn(y):
-            return v.V(y) @ ym_residual(a, nu, y, fs) @ dagger(v.V(y))
-        return FieldFn(st, (v.N, v.N), fn, None, None, v.V.fd_step)
+            return v(y) @ ym_residual(a, nu, y, fs) @ dagger(v(y))
+        return FieldFn(st, (v.shape[0],) * 2, fn, None, None, v.fd_step)
 
     total = 0
     for nu in range(st.dim):
@@ -108,7 +108,7 @@ def maxwell_mod_residual(params: EmFrameParams, x):
     """(d^mu F_mu nu) d^nu R for the N = 2 electromagnetic frame."""
     st = params.spacetime
     fs = em_faraday(params)
-    blade = blade_from_frame(em_frame(params))
+    r = blade_from_frame(em_frame(params))
     total = 0
     for nu in range(st.dim):
         j_nu = 0.0
@@ -117,24 +117,24 @@ def maxwell_mod_residual(params: EmFrameParams, x):
                 continue
             j_nu += st.raise_sign(mu) * fs.component(mu, nu).d(x, mu)
         j_nu = np.asarray(j_nu, dtype=complex)[..., None, None]
-        total += st.raise_sign(nu) * j_nu * blade.R.d(x, nu)
+        total += st.raise_sign(nu) * j_nu * r.d(x, nu)
     return total
 
 
-def shape_gauge_ym_residual(v: Frame, x, nu):
+def shape_gauge_ym_residual(v: FieldFn, x, nu):
     """P D^mu Omega_mu nu at x: the shape-gauge image of the YM equations.
 
     S is the connection and Omega its curvature, so this is P times the
     Yang-Mills residual of S.
     """
-    blade = blade_from_frame(v)
-    return blade.projector(x) @ ym_residual(shape_operator(blade), nu, x, blade_curvature(blade))
+    r = blade_from_frame(v)
+    return projector(r)(x) @ ym_residual(shape_operator(r), nu, x, blade_curvature(r))
 
 
-def sigma_eom_residual(blade: RotatingBlade, x):
+def sigma_eom_residual(r: FieldFn, x):
     """d_mu S^mu at x."""
-    s = shape_operator(blade)
-    st = blade.spacetime
+    s = shape_operator(r)
+    st = r.spacetime
     total = 0
     for mu in range(st.dim):
         total += st.raise_sign(mu) * s.component(mu).d(x, mu)
@@ -199,7 +199,7 @@ class LatticeBlade:
         return float(np.max(np.abs(prod - np.eye(self.N))))
 
 
-def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
+def blade_lattice_from_field(blade: FieldFn, grid: Grid, point_map=None,
                              periodic=None, frozen_boundary_axes=()) -> LatticeBlade:
     """Sample a blade field on grid centers.
 
@@ -212,7 +212,7 @@ def blade_lattice_from_field(blade: RotatingBlade, grid: Grid, point_map=None,
     if point_map is not None:
         # callers write point_map for one point; the blade takes the mapped stack
         pts = np.array([point_map(p) for p in pts], dtype=float)
-    sites = np.array(blade.at(pts), dtype=complex).reshape(shape + (blade.N, blade.N))
+    sites = np.array(blade(pts), dtype=complex).reshape(shape + blade.shape)
     periodic = tuple(False for _ in shape) if periodic is None else tuple(periodic)
     frozen = np.zeros(shape, dtype=bool)
     for ax in frozen_boundary_axes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blade import Frame, RotatingBlade, blade_from_frame, frame
+from .blade import blade_from_frame
 from .errors import ChartError, ParameterError
 from .fields import (FieldFn, Form, Spacetime, SPHERICAL3, _any, _worst_point, constant,
                      coordinate, cos_of, exp_i, linear, matrix_of, one_form, sin_of)
@@ -26,7 +26,7 @@ __all__ = [
     "em_potential_residual", "em_faraday", "plane_wave_params",
     "plane_wave_potential", "plane_wave_mod_condition",
     "monopole_potential", "monopole_params", "monopole_blade",
-    "monopole_field_strength", "monopole_blade_glue", "GlueReport",
+    "monopole_field_strength", "monopole_b_field", "monopole_blade_glue", "GlueReport",
     "quantization_satisfied",
 ]
 
@@ -44,11 +44,11 @@ class EmFrameParams:
         return self.rho.spacetime
 
 
-def em_frame(params: EmFrameParams) -> Frame:
+def em_frame(params: EmFrameParams) -> FieldFn:
     """V = (e^{i alpha} cos rho, e^{i beta} sin rho)^T; orthonormal by construction."""
     top = exp_i(params.alpha) * cos_of(params.rho)
     bottom = exp_i(params.beta) * sin_of(params.rho)
-    return frame(params.spacetime, matrix_of([[top], [bottom]]))
+    return matrix_of([[top], [bottom]])
 
 
 def em_complement(params: EmFrameParams) -> FieldFn:
@@ -154,7 +154,7 @@ def _patch_sign(patch):
     return 1.0 if patch == "plus" else -1.0
 
 
-def monopole_blade(g) -> RotatingBlade:
+def monopole_blade(g) -> FieldFn:
     """The patch-independent rotating blade of the monopole."""
     return blade_from_frame(em_frame(monopole_params(g, "plus")))
 
@@ -201,8 +201,8 @@ def monopole_blade_glue(g) -> GlueReport:
     th, ph = np.meshgrid(np.linspace(guard, np.pi - guard, 32), (0.0, 1.1, 3.7), indexing="ij")
     x = np.stack([np.ones_like(th), th, ph], axis=-1)
     x_wound = np.stack([np.ones_like(th), th, ph + 2.0 * np.pi], axis=-1)
-    r = blade_plus.at(x)
-    patch_mismatch = max_abs(r - blade_minus.at(x))
-    winding_mismatch = max_abs(blade_plus.at(x_wound) - r)
+    r = blade_plus(x)
+    patch_mismatch = max_abs(r - blade_minus(x))
+    winding_mismatch = max_abs(blade_plus(x_wound) - r)
     single = patch_mismatch <= TOL.gluing and winding_mismatch <= TOL.gluing
     return GlueReport(single, patch_mismatch, winding_mismatch)

@@ -10,7 +10,7 @@ finite differences.
 A d-dimensional manifold embedded in R^N by f has tangent vectors f_mu, the
 tangent projector P = F g^-1 F^T (F the N x d matrix of the f_mu, g = F^T F
 the induced metric) and the Gauss map R = 2P - I.  `embedded_blade` returns
-R as a `blade.RotatingBlade`, so the shape operator, the curvature and its
+R, an N x N reflection field, so the shape operator, the curvature and its
 four-way check, the shape identity and the covariant derivative of a real
 surface are the `blade` functions themselves.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blade import RotatingBlade, blade_curvature
+from .blade import blade_curvature
 from .errors import ChartError
 from .fields import (FieldFn, _any, _worst_point, constant, coordinate, cos_of, euclidean,
                      identity_field, sin_of, vector_of)
@@ -121,11 +121,9 @@ def _projector_field(f: FieldFn) -> FieldFn:
                    f.fd_step)
 
 
-def embedded_blade(f: FieldFn) -> RotatingBlade:
+def embedded_blade(f: FieldFn) -> FieldFn:
     """The Gauss map as a rotating blade: R = 2P - I, P the tangent projector."""
-    st, N = f.spacetime, f.shape[0]
-    R = 2.0 * _projector_field(f) - identity_field(st, N)
-    return RotatingBlade(st, N, st.dim, R)
+    return 2.0 * _projector_field(f) - identity_field(f.spacetime, f.shape[0])
 
 
 def riemann_component(f: FieldFn, x, rho, sigma, mu, nu):

@@ -1,7 +1,7 @@
 """U(n) gauge potentials, field strengths, covariant derivatives, gauge transformations.
 
 Potentials and field strengths are `fields.Form`s, and a gauge map is the
-U(n)-valued `FieldFn` itself.  Matter is a plain C^n-valued `FieldFn`, and
+U(n)-valued `FieldFn` itself, as a frame and a blade are in `blade`.  Matter is a plain C^n-valued `FieldFn`, and
 its covariant derivative D_mu psi the field `covariant_field(a, psi, mu)`;
 any matrix connection serves as A, the shape operator of a blade included
 (the lifted derivative).  The coupling constant is omitted throughout.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import darboux as dx
 from . import em
-from .blade import Frame, extract_potential, frame, random_gauge_map, random_smooth_frame
+from .blade import extract_potential, frame, random_gauge_map, random_smooth_frame
 from .errors import ChartError, ConfigError, ParameterError
 from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _worst_point,
                      constant, linear, matrix_of, one_form)
@@ -54,7 +54,7 @@ def constant_f_potential(spacetime: Spacetime, b=1.0) -> Form:
                                        for mu in range(spacetime.dim)])
 
 
-def _constant_f_frame(p, spacetime) -> Frame:
+def _constant_f_frame(p, spacetime) -> FieldFn:
     """The frame of the single Darboux pair (B x^1, x^2), whose A is B x^1 dx^2."""
     e = np.eye(spacetime.dim)
     return dx.darboux_frame(dx.darboux_data(
@@ -66,10 +66,10 @@ def _pure_gauge_map(p, spacetime):
     return random_gauge_map(spacetime, p["rank"], p["seed"])
 
 
-def _pure_gauge_frame(p, spacetime) -> Frame:
+def _pure_gauge_frame(p, spacetime) -> FieldFn:
     """V = V0 u^dag, V0 the first `rank` columns of I_ambient: A = -i u du^dag."""
     v0 = constant(np.eye(p["ambient"], p["rank"], dtype=complex), spacetime)
-    return frame(spacetime, v0 @ _pure_gauge_map(p, spacetime).dagger())
+    return frame(v0 @ _pure_gauge_map(p, spacetime).dagger())
 
 
 def load_darboux(params, spacetime=MINKOWSKI4) -> dx.DarbouxData:
@@ -168,7 +168,8 @@ PARAM_TYPES = {
     "k": _VECTOR, "n": _VECTOR, "g": _NUMBER, "B": _NUMBER,
     "patch": _scalar(lambda v: v in ("plus", "minus"), "'plus' or 'minus'"),
     "ambient": _SIZE, "rank": _SIZE, "seed": _SEED,
-    "pairs": _array(_object({"pi": _STRING, "phi": _STRING}, required=("pi", "phi"))),
+    "pairs": _array(_object({"pi": _STRING, "phi": _STRING}, required=("pi", "phi")),
+                    min_items=1),
     "domain": _object({"lo": _array(_NUMBER), "hi": _array(_NUMBER)}, required=("lo", "hi")),
 }
 
@@ -286,7 +287,7 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> Form:
                                            [c.with_step(float(step)) for c in a.values()])
 
 
-def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
+def load_frame(name_or_cfg, spacetime=None, **params) -> FieldFn:
     """A scenario's frame, by registry name plus params or from a config dict."""
     cfg, spacetime = _config(name_or_cfg, spacetime, params)
     if "tabulated" in cfg:
@@ -294,7 +295,7 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> Frame:
     else:
         v = _entry(cfg["scenario"]).frame(scenario_params(cfg), spacetime)
     step = cfg.get("fd_step")
-    return v if step is None else Frame(v.spacetime, v.N, v.n, v.V.with_step(float(step)))
+    return v if step is None else v.with_step(float(step))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +361,5 @@ def _tabulated_frame(tab, spacetime):
     arr = _table(tab, spacetime, potential=False)  # (*grid, N, n, 2)
     raw = tabulated_field(tab["axes"], arr, spacetime, arr.shape[len(tab["axes"]):-1])
     # polar projection to the nearest orthonormal frame
-    V = FieldFn(spacetime, raw.shape, lambda x: polar(np.asarray(raw.fn(x), dtype=complex))[0],
-                None, None)
-    return frame(spacetime, V)
+    return frame(FieldFn(spacetime, raw.shape,
+                         lambda x: polar(np.asarray(raw.fn(x), dtype=complex))[0], None, None))

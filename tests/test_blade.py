@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bladegauge import blade as blade_module
-from bladegauge.blade import (Frame, _exp_i_field, _complete_columns, blade_curvature,
+from bladegauge.blade import (_exp_i_field, _complete_columns, blade_curvature,
                               blade_from_frame, canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
                               check_four_way, direct_rotation,
                               extract_potential, four_way, frame,
                               lifted_covariant_derivative,
-                              lifted_covariant_derivative_projected,
+                              lifted_covariant_derivative_projected, projector,
                               random_gauge_map,
                               random_hermitian_field, random_smooth_frame,
                               reference_frame, shape_gauge_decompose,
@@ -30,7 +30,7 @@ def test_frame_orthonormal_and_validate(points4, st4):
     v = random_smooth_frame(st4, 4, 2, seed=1)
     for x in points4:
         assert validate_frame(v, x) < 1e-12
-    bad = frame(st4, 2.0 * v.V)
+    bad = frame(2.0 * v)
     with pytest.raises(ConsistencyError):
         validate_frame(bad, points4[0])
 
@@ -40,8 +40,8 @@ def test_stack_errors_name_the_failing_point(st4):
     bad = matrix_of([[constant(1.0, st4) + coordinate(st4, 0)], [0.0]])
     pts = np.array([[0.0, 0.1, 0.2, 0.3], [0.3, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6]])
     with pytest.raises(ConsistencyError, match=r"orthonormal: .* at \[0\.3, 0\.1, 0\.2, 0\.3\]$"):
-        validate_frame(frame(st4, bad), pts)
-    validate_frame(frame(st4, bad), pts[[0, 2]])
+        validate_frame(frame(bad), pts)
+    validate_frame(frame(bad), pts[[0, 2]])
     # with no budget every point fails; the message names the largest discrepancy's point
     blade = blade_from_frame(random_smooth_frame(st4, 4, 2, seed=3))
     worst = pts[np.argmax([four_way(blade, x, 0, 1)[1] for x in pts])]
@@ -54,17 +54,17 @@ def test_random_smooth_frame_deterministic(st4):
     a = random_smooth_frame(st4, 4, 2, seed=9)
     b = random_smooth_frame(st4, 4, 2, seed=9)
     x = np.array([0.1, 0.2, 0.3, 0.4])
-    assert max_abs(a.at(x) - b.at(x)) == 0.0
+    assert max_abs(a(x) - b(x)) == 0.0
     c = random_smooth_frame(st4, 4, 2, seed=10)
-    assert max_abs(a.at(x) - c.at(x)) > 1e-6
+    assert max_abs(a(x) - c(x)) > 1e-6
 
 
 def test_random_smooth_frame_analytic_deriv_matches_fd(st4, points4):
     v = random_smooth_frame(st4, 3, 1, seed=5)
-    vfd = v.V.without_analytic_derivs()
+    vfd = v.without_analytic_derivs()
     for x in points4[:3]:
         for mu in range(4):
-            assert max_abs(v.V.d(x, mu) - vfd.d(x, mu)) < 1e-5
+            assert max_abs(v.d(x, mu) - vfd.d(x, mu)) < 1e-5
 
 
 def _reference_exp_field(h, right):
@@ -150,7 +150,7 @@ def test_random_smooth_frame_bit_identical_to_unitary_exp(st4, points4, N, n, mo
     h = random_hermitian_field(st4, N, 17)
     value, deriv = _reference_exp_field(h, v0)
     v = random_smooth_frame(st4, N, n, seed=17)
-    _assert_exp_leaf_bits(points4, v.V, value, deriv, monkeypatch)
+    _assert_exp_leaf_bits(points4, v, value, deriv, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -173,8 +173,8 @@ def _fd_of_deriv_errors(f, x, steps):
 
 @pytest.mark.parametrize("field", ["frame_2_1", "frame_4_2", "gauge_map"])
 def test_exp_leaf_deriv2_is_the_limit_of_fd_of_deriv(st4, points4, field):
-    f = {"frame_2_1": lambda: random_smooth_frame(st4, 2, 1, seed=4).V,
-         "frame_4_2": lambda: random_smooth_frame(st4, 4, 2, seed=5).V,
+    f = {"frame_2_1": lambda: random_smooth_frame(st4, 2, 1, seed=4),
+         "frame_4_2": lambda: random_smooth_frame(st4, 4, 2, seed=5),
          "gauge_map": lambda: random_gauge_map(st4, 3, seed=6)}[field]()
     for x in points4[:2]:
         coarse, fine = _fd_of_deriv_errors(f, x, (2e-3, 1e-3))
@@ -246,12 +246,12 @@ def test_stencil_leaf_makes_one_complement_call_per_point_stack(st4, points4, mo
 def test_exp_leaf_arrays_are_read_only(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=3)
     x = points4[0]
-    before = v.V(x).copy()
+    before = v(x).copy()
     with pytest.raises(ValueError):
-        v.V(x)[0, 0] += 1.0
+        v(x)[0, 0] += 1.0
     with pytest.raises(ValueError):
-        v.V.d(x, 1)[0, 0] = 0.0
-    assert np.array_equal(v.V(x), before)
+        v.d(x, 1)[0, 0] = 0.0
+    assert np.array_equal(v(x), before)
 
 
 def test_extract_potential_constant_frame(st4, points4):
@@ -266,7 +266,7 @@ def test_extract_potential_gauge_transformation_law(st4, points4):
     # V' = V u^dag  =>  A' = u A u^dag - i u du^dag
     v = random_smooth_frame(st4, 4, 2, seed=13)
     u = random_gauge_map(st4, 2, seed=14)
-    vprime = Frame(st4, 4, 2, v.V @ u.dagger())
+    vprime = v @ u.dagger()
     a = extract_potential(v)
     aprime = extract_potential(vprime)
     expected = gauge_transform(a, u)
@@ -280,7 +280,7 @@ def test_extract_potential_flags_broken_frame(st4):
     # an anti-hermitian part that the consistency check must flag
     from bladegauge.fields import linear
     stretched = matrix_of([[linear(st4, [1.0, 0, 0, 0], 1.0)], [constant(0.0, st4)]])
-    a = extract_potential(Frame(st4, 2, 1, stretched))
+    a = extract_potential(stretched)
     with pytest.raises(ConsistencyError):
         a.at(np.zeros(4), 0)
 
@@ -289,7 +289,7 @@ def test_extract_potential_error_names_the_worst_point_of_a_stack(st4):
     # the anti-hermitian drift of the stretched column is |1 + x^0|, largest at x^0 = 0.5
     from bladegauge.fields import linear
     stretched = matrix_of([[linear(st4, [1.0, 0, 0, 0], 1.0)], [constant(0.0, st4)]])
-    a = extract_potential(Frame(st4, 2, 1, stretched))
+    a = extract_potential(stretched)
     xs = np.array([[0.0, 0.1, 0.2, 0.3], [0.5, 0.25, 0.0, -0.125], [-0.2, 0.0, 0.0, 0.0]])
     with pytest.raises(ConsistencyError) as err:
         a.at(xs, 0)
@@ -300,7 +300,7 @@ def test_extract_potential_error_names_the_worst_point_of_a_stack(st4):
 
 def test_blade_reference(st4):
     v = reference_frame(st4, 5, 2)
-    r = blade_from_frame(v).at(np.zeros(4))
+    r = blade_from_frame(v)(np.zeros(4))
     assert max_abs(r - np.diag([1, 1, -1, -1, -1]).astype(complex)) < 1e-14
 
 
@@ -308,16 +308,16 @@ def test_blade_gauge_invariance_exact(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=17)
     u = random_gauge_map(st4, 2, seed=18)
     b1 = blade_from_frame(v)
-    b2 = blade_from_frame(Frame(st4, 4, 2, v.V @ u.dagger()))
+    b2 = blade_from_frame(v @ u.dagger())
     for x in points4:
-        assert max_abs(b1.at(x) - b2.at(x)) < 1e-13
+        assert max_abs(b1(x) - b2(x)) < 1e-13
 
 
 def test_blade_invariants_and_trace(st4, points4):
     for N, n, seed in ((2, 1, 2), (4, 2, 3), (4, 1, 4)):
         blade = blade_from_frame(random_smooth_frame(st4, N, n, seed=seed))
         for x in points4[:3]:
-            r = blade.at(x)
+            r = blade(x)
             assert max_abs(r @ r - np.eye(N)) < 1e-12
             assert max_abs(r - dagger(r)) < 1e-13
             assert abs(np.trace(r).real - (2 * n - N)) < 1e-12
@@ -334,7 +334,7 @@ def test_shape_operator_monopole_fd_oracle():
     # recompute S = -(i/2) R dR with plain central differences on R entries
     blade = blade_from_frame(em_frame(monopole_params(0.5, "plus")))
     s = shape_operator(blade)
-    rfd = blade.R.without_analytic_derivs()
+    rfd = blade.without_analytic_derivs()
     x = np.array([1.0, np.pi / 2, 0.8])
     for mu in (1, 2):
         want = -0.5j * (rfd(x) @ rfd.d(x, mu))
@@ -346,12 +346,12 @@ def test_shape_anticommutes_and_blade_covariantly_constant(st4, points4):
     blade = blade_from_frame(random_smooth_frame(st4, 4, 2, seed=23))
     s = shape_operator(blade)
     for x in points4:
-        r = blade.at(x)
+        r = blade(x)
         for mu in range(4):
             sv = s.at(x, mu)
             assert max_abs(sv - dagger(sv)) < 1e-12
             assert max_abs(r @ sv + sv @ r) < 1e-12
-            dr = blade.R.d(x, mu)
+            dr = blade.d(x, mu)
             assert max_abs(dr + 1j * (sv @ r - r @ sv)) < 1e-12
 
 
@@ -360,7 +360,7 @@ def test_block_structure(st4, points4):
     s = shape_operator(blade)
     omega = blade_curvature(blade)
     for x in points4[:3]:
-        r = blade.at(x)
+        r = blade(x)
         for mu in range(4):
             assert max_abs(r @ s.at(x, mu) @ r + s.at(x, mu)) < 1e-12
         for mu, nu in ((0, 1), (2, 3)):
@@ -399,7 +399,7 @@ def test_field_strength_is_conjugated_curvature(points4, st4):
     fs = field_strength(extract_potential(v))
     omega = blade_curvature(blade_from_frame(v))
     for x in points4[:3]:
-        vv = v.at(x)
+        vv = v(x)
         for mu, nu in ((0, 1), (1, 3)):
             want = dagger(vv) @ omega.at(x, mu, nu) @ vv
             assert max_abs(fs.at(x, mu, nu) - want) < TOL.fd()
@@ -413,13 +413,13 @@ def test_lifted_derivative_reduces_on_lifted_matter(st4, points4):
                      [constant(0.5 + 0.1j, st4)]])
     psi_vec = FieldFn(st4, (2,), lambda x: psi(x)[:, 0],
                       lambda x, mu: psi.d(x, mu)[:, 0], None)
-    lifted = v.V @ psi_vec
+    lifted = v @ psi_vec
     a = extract_potential(v)
     from bladegauge.gauge import covariant_derivative
     for x in points4[:3]:
         for mu in range(4):
             got = lifted_covariant_derivative(blade, lifted, mu, x)
-            want = v.at(x) @ covariant_derivative(a, psi_vec, mu, x)
+            want = v(x) @ covariant_derivative(a, psi_vec, mu, x)
             assert max_abs(got - want) < 1e-8
 
 
@@ -450,8 +450,8 @@ def test_lifted_matter_is_small_gauge_invariant(st4, points4):
     u = random_gauge_map(st4, 2, seed=54)
     psi_val = np.array([0.3 + 1j, -0.7])
     for x in points4:
-        lhs = v.at(x) @ psi_val
-        rhs = (v.at(x) @ dagger(u(x))) @ (u(x) @ psi_val)
+        lhs = v(x) @ psi_val
+        rhs = (v(x) @ dagger(u(x))) @ (u(x) @ psi_val)
         assert max_abs(lhs - rhs) < 1e-13
 
 
@@ -491,7 +491,7 @@ def test_complement_em_matches_paper_subspace(st4, points4):
         pw = w @ dagger(w)
         pv = w_paper(x) @ dagger(w_paper(x))
         assert max_abs(pw - pv) < 1e-10
-        u = np.hstack([v.at(x), w])
+        u = np.hstack([v(x), w])
         assert max_abs(dagger(u) @ u - np.eye(2)) < 1e-10
 
 
@@ -499,7 +499,7 @@ def test_complement_unitary_for_random_frames(st4, points4):
     v = random_smooth_frame(st4, 5, 2, seed=67)
     for x in points4:
         w = complement_frame(v, x)
-        u = np.hstack([v.at(x), w])
+        u = np.hstack([v(x), w])
         assert max_abs(dagger(u) @ u - np.eye(5)) < 1e-10
 
 
@@ -589,17 +589,17 @@ def test_shape_gauge_decompose_constant_frame(st4):
 
 
 def test_canonical_frame_fixed_point(st4):
-    v0 = reference_frame(st4, 4, 2).at(np.zeros(4))
+    v0 = reference_frame(st4, 4, 2)(np.zeros(4))
     p0 = v0 @ dagger(v0)
     assert max_abs(canonical_frame(p0, v0) - v0) < 1e-12
 
 
 def test_canonical_frame_reproduces_subspace(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=73)
-    v0 = reference_frame(st4, 4, 2).at(np.zeros(4))
+    v0 = reference_frame(st4, 4, 2)(np.zeros(4))
     blade = blade_from_frame(v)
     for x in points4[:3]:
-        p = blade.projector(x)
+        p = projector(blade)(x)
         vc = canonical_frame(p, v0)
         assert max_abs(dagger(vc) @ vc - np.eye(2)) < 1e-12
         assert max_abs(vc @ dagger(vc) - p) < 1e-10
@@ -637,11 +637,11 @@ def test_direct_rotation_out_of_chart():
 
 def test_direct_rotation_properties(st4, points4):
     v = random_smooth_frame(st4, 4, 1, seed=79)
-    v0 = reference_frame(st4, 4, 1).at(np.zeros(4))
+    v0 = reference_frame(st4, 4, 1)(np.zeros(4))
     r0 = 2.0 * v0 @ dagger(v0) - np.eye(4)
     blade = blade_from_frame(v)
     for x in points4[:3]:
-        p = blade.projector(x)
+        p = projector(blade)(x)
         u1 = direct_rotation(p, v0)
         vc = canonical_frame(p, v0)
         assert max_abs(dagger(u1) @ u1 - np.eye(4)) < 1e-10
@@ -653,10 +653,10 @@ def test_canonical_frame_em_gauge_fixed_potential(st4):
     # extract_potential(V_can) is hermitian and reproduces V0^dag (U1^dag dU1) V0
     params = plane_wave_params(st4, [0.8, 0, 0, 0.5], [0, 0.4, 0, 0])
     blade = blade_from_frame(em_frame(params))
-    v0 = reference_frame(st4, 2, 1).at(np.zeros(4))
+    v0 = reference_frame(st4, 2, 1)(np.zeros(4))
     vc = canonical_frame_field(blade, v0)
-    a = extract_potential(Frame(st4, 2, 1, vc))
-    u1 = FieldFn(st4, (2, 2), lambda x: direct_rotation(blade.projector(x), v0),
+    a = extract_potential(vc)
+    u1 = FieldFn(st4, (2, 2), lambda x: direct_rotation(projector(blade)(x), v0),
                  None, None)
     x = np.array([0.3, 0.2, -0.1, 0.4])
     for mu in range(4):
@@ -671,7 +671,7 @@ def test_shape_gauge_non_uniqueness_witness(st4, points4):
     # extracted potential, and generally moves the blade
     v = random_smooth_frame(st4, 4, 2, seed=83)
     u1 = random_unitary(4, seed=84)
-    v2 = Frame(st4, 4, 2, constant(u1, st4) @ v.V)
+    v2 = constant(u1, st4) @ v
     a1 = extract_potential(v)
     a2 = extract_potential(v2)
     b1 = blade_from_frame(v)
@@ -680,5 +680,5 @@ def test_shape_gauge_non_uniqueness_witness(st4, points4):
     for x in points4[:3]:
         for mu in range(4):
             assert max_abs(a1.at(x, mu) - a2.at(x, mu)) < 1e-10
-        moved = max(moved, max_abs(b1.at(x) - b2.at(x)))
+        moved = max(moved, max_abs(b1(x) - b2(x)))
     assert moved > 1e-2

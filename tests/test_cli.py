@@ -296,9 +296,11 @@ def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):
      "site [0, 0] is not a reflection"),
     ("sites", [[[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]] * 6] * 4,
      "site [0, 0] is not Hermitian"),
+    ("sites", [[["a"]]], "'sites' is not a numeric array"),
+    ("sites", [[[[[0.0, 0.0]] * 3] * 2] * 6] * 4, "lattice sites must be shaped (*grid, N, N)"),
 ], ids=["zero_spacing", "no_sites", "one_periodic_flag", "frozen_wrong_shape",
         "negative_spacing", "sites_not_re_im", "spacing_not_a_number", "periodic_not_a_list",
-        "sites_twice_identity", "sites_not_hermitian"])
+        "sites_twice_identity", "sites_not_hermitian", "sites_not_numeric", "sites_not_square"])
 def test_sigma_flow_malformed_lattice_file_exits_2(key, value, message, tmp_path, capsys):
     dump = tmp_path / "lat.json"
     assert main(["sigma-flow", "--cells", "4x6", "--steps", "1", "--dump-final", str(dump),
@@ -580,8 +582,10 @@ TABLE[..., 1, 0, 0, 0] = 0.3
     (GRID4, {"values": []}, "ym", "(schema path: tabulated/values)"),
     (GRID4, {"values": [[0.0, 1.0], [0.0]]}, "ym", "(schema path: tabulated/values)"),
     (GRID4, {}, "modified", "(schema path: tabulated/values)"),
+    (GRID4, {}, "maxmod", "(schema path: tabulated)"),
 ], ids=["centre_outside", "stencil_outside", "one_axis", "axis_not_monotone",
-        "values_without_a_matrix_axis", "values_empty", "values_ragged", "potential_as_frame"])
+        "values_without_a_matrix_axis", "values_empty", "values_ragged", "potential_as_frame",
+        "maxmod"])
 def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tmp_path,
                                                      capsys):
     inp = tmp_path / "cfg.json"

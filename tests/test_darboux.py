@@ -93,13 +93,13 @@ def test_darboux_frame_two_pair_contract(st4):
     data = darboux_data(st4, [("x0", "x1"), ("x2", "x3")], **BOX)
     assert data.N == 4
     v = darboux_frame(data)
-    assert (v.N, v.n) == (4, 1)
+    assert v.shape == (4, 1)
     a_frame = extract_potential(v)
     a_decl = darboux_potential(data)
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.uniform(-0.8, 0.8, 4)
-        assert abs(np.linalg.norm(v.at(x)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(v(x)) - 1.0) < 1e-12
         for mu in range(4):
             diff = abs(a_frame.at(x, mu)[0, 0] - a_decl.at(x, mu)[0, 0])
             assert diff < 1e-10
@@ -109,14 +109,14 @@ def test_darboux_frame_single_pair_reduces_to_em(st4, points4):
     # r = 0: the block construction is exactly the two-component parametrization
     data = darboux_data(st4, [("x0", "x1")], **BOX)
     v = darboux_frame(data)
-    assert v.N == 2
+    assert v.shape[0] == 2
     pi0 = expr_field("x0", st4)
     phi0 = expr_field("x1", st4)
     rho = 0.5 * _arccos_field(pi0)
     params = EmFrameParams(alpha=phi0, beta=-1.0 * phi0, rho=rho)
     vem = em_frame(params)
     for x in points4:
-        assert max_abs(v.at(x) - vem.at(x)) < 1e-12
+        assert max_abs(v(x) - vem(x)) < 1e-12
 
 
 def _arccos_field(f):
@@ -143,7 +143,7 @@ def test_darboux_domain_error_names_pair(st4):
     data = darboux_data(st4, [("2 * x0", "x1")], lo=[-0.3] * 4, hi=[0.3] * 4)
     v = darboux_frame(data)
     with pytest.raises(DomainError, match="pi_0"):
-        v.at(np.array([0.9, 0, 0, 0]))
+        v(np.array([0.9, 0, 0, 0]))
 
 
 def test_darboux_data_validation_rejects_large_pi(st4):
@@ -221,7 +221,7 @@ def test_expr_field_derivatives_match_fd(src, points4, st4):
 def test_darboux_frame_derivatives_match_fd(points4, st4):
     # the half-angle blocks cos(rho_k), sin(rho_k) get both orders from the chain rule
     pairs = [("0.5*sin(x0)", "x1"), ("0.4*cos(x2)", "x3")]
-    v = darboux_frame(darboux_data(st4, pairs, [-0.8] * 4, [0.8] * 4)).V
+    v = darboux_frame(darboux_data(st4, pairs, [-0.8] * 4, [0.8] * 4))
     fd = v.without_analytic_derivs()
     for x in points4:
         for mu in range(4):

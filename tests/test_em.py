@@ -24,8 +24,8 @@ def const_params(st, alpha=0.0, beta=0.0, rho=0.0):
 def test_em_frame_north_pole(st4):
     v = em_frame(const_params(st4))
     x = np.zeros(4)
-    assert max_abs(v.at(x) - np.array([[1.0], [0.0]])) < 1e-14
-    r = blade_from_frame(v).at(x)
+    assert max_abs(v(x) - np.array([[1.0], [0.0]])) < 1e-14
+    r = blade_from_frame(v)(x)
     assert max_abs(r - np.diag([1.0, -1.0])) < 1e-14
 
 
@@ -40,7 +40,7 @@ def test_em_blade_entrywise_formula(st4, points4):
             [np.cos(2 * r), np.exp(1j * (a - b)) * np.sin(2 * r)],
             [np.exp(-1j * (a - b)) * np.sin(2 * r), -np.cos(2 * r)],
         ])
-        assert max_abs(blade.at(x) - want) < 1e-13
+        assert max_abs(blade(x) - want) < 1e-13
 
 
 def test_em_blade_common_shift_invariance(st4, points4):
@@ -51,12 +51,12 @@ def test_em_blade_common_shift_invariance(st4, points4):
     b1 = blade_from_frame(em_frame(EmFrameParams(alpha, beta, rho)))
     b2 = blade_from_frame(em_frame(EmFrameParams(alpha + chi, beta + chi, rho)))
     for x in points4:
-        assert max_abs(b1.at(x) - b2.at(x)) < 1e-13
+        assert max_abs(b1(x) - b2(x)) < 1e-13
 
 
 def test_em_blade_sigma_x(st4):
     v = em_frame(const_params(st4, rho=np.pi / 4))
-    assert max_abs(blade_from_frame(v).at(np.zeros(4)) - SIGMA_X) < 1e-14
+    assert max_abs(blade_from_frame(v)(np.zeros(4)) - SIGMA_X) < 1e-14
 
 
 def test_plane_wave_solves_frame_equation(st4, points4):
@@ -268,15 +268,15 @@ def test_monopole_blades_glue_and_quantize():
 def test_monopole_blade_g_zero_constant_in_phi():
     blade = monopole_blade(0.0)
     th = 1.1
-    r1 = blade.at(np.array([1.0, th, 0.5]))
-    r2 = blade.at(np.array([1.0, th, 4.4]))
+    r1 = blade(np.array([1.0, th, 0.5]))
+    r2 = blade(np.array([1.0, th, 4.4]))
     assert max_abs(r1 - r2) < 1e-14
 
 
 def test_monopole_blade_extends_to_poles():
     blade = monopole_blade(0.5)
-    north = blade.at(np.array([1.0, 0.0, 1.234]))
-    south = blade.at(np.array([1.0, np.pi, 2.345]))
+    north = blade(np.array([1.0, 0.0, 1.234]))
+    south = blade(np.array([1.0, np.pi, 2.345]))
     assert max_abs(north - np.diag([1.0, -1.0])) < 1e-12
     assert max_abs(south - np.diag([-1.0, 1.0])) < 1e-12
 
@@ -311,5 +311,5 @@ def test_em_complement_is_unit_and_orthogonal(st4, points4):
     v = em_frame(params)
     w = em_complement(params)
     for x in points4:
-        u = np.hstack([v.at(x), w(x)])
+        u = np.hstack([v(x), w(x)])
         assert max_abs(dagger(u) @ u - np.eye(2)) < 1e-13

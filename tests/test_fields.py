@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from bladegauge.blade import frame
 from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError, RankError
 from bladegauge.fields import (Form, Grid, MINKOWSKI4, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, form_values, hstack, lattice_integral, linear,
                                mapped, matrix_of, one_form, scalar_field, sin_of,
-                               sphere_flux, stencil_field, wedge,
+                               sphere_flux, stencil_field, vector_of, wedge,
                                wedge_power_nonzero, wedge_power_values)
+from bladegauge.gauge import gauge_map, gauge_potential
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -100,6 +102,13 @@ def test_combinator_derivatives_match_fd(rng):
         assert max_abs(b.d(x, mu) - fd) < 1e-5
     # second derivatives are symmetric
     assert max_abs(b.d2(x, 0, 2) - b.d2(x, 2, 0)) < 1e-6
+    # a scalar factor on the right is the scalar rule on the left, bit for bit
+    assert np.array_equal((b * 2.0)(x), (2.0 * b)(x))
+    for mu in range(4):
+        assert np.array_equal((b * 2.0).d(x, mu), (2.0 * b).d(x, mu))
+    # the dagger of a vector field is its conjugate
+    vec = vector_of([exp_i(linear(st, [0, 0.5, 0, 0])), coordinate(st, 2)])
+    assert np.array_equal(vec.dagger()(x), np.conjugate(vec(x)))
     # every rule operand: analytic d and d2 against one and two FD levels
     for name, f in _rule_inputs(st).items():
         assert f.deriv is not None and f.deriv2 is not None, name
@@ -295,6 +304,11 @@ def test_wedge_power_rank_error():
     da = exterior_d(a)
     with pytest.raises(RankError):
         wedge_power_nonzero(a, da, 2, [np.zeros(4)])
+    # past the rank check: A = x0 dx1 has A ^ dA = 0, while x0 dx1 + x2 dx3 does not
+    x = [np.array([0.5, 0.1, 0.5, 0.2])]
+    assert not wedge_power_nonzero(a, da, 1, x)
+    b = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
+    assert wedge_power_nonzero(b, exterior_d(b), 1, x)
 
 
 def test_wedge_shuffle_signs():
@@ -389,3 +403,53 @@ def test_grid_cells_volume_and_validation():
     assert grid.centers().shape == (8, 2)
     with pytest.raises(ParameterError):
         Grid(lo=(0,), hi=(1,), cells=(0,))
+
+
+def _matrix(shape, st=MINKOWSKI4):
+    return constant(np.zeros(shape, dtype=complex), st)
+
+
+# each misuse of a constructor or of the field algebra, and the error that names it
+@pytest.mark.parametrize("misuse, error, message", [
+    pytest.param(lambda: frame(_matrix((3,))), DimensionMismatchError, "matrix valued",
+                 id="frame_not_a_matrix"),
+    pytest.param(lambda: frame(_matrix((2, 3))), DimensionMismatchError, "n <= N",
+                 id="frame_wider_than_tall"),
+    pytest.param(lambda: coordinate(MINKOWSKI4, 0) + coordinate(euclidean(4), 0),
+                 DimensionMismatchError, "different spacetimes", id="spacetimes_differ"),
+    pytest.param(lambda: _matrix((2, 2)) + _matrix((3, 3)), DimensionMismatchError,
+                 "cannot add shapes", id="add_unlike_shapes"),
+    pytest.param(lambda: _matrix((2, 3)) @ _matrix((2, 2)), DimensionMismatchError,
+                 "cannot multiply", id="matmul_matrices"),
+    pytest.param(lambda: _matrix((2, 3)) @ _matrix((2,)), DimensionMismatchError,
+                 "cannot multiply", id="matmul_matrix_vector"),
+    pytest.param(lambda: _matrix((2,)) @ _matrix((2, 2)), DimensionMismatchError,
+                 "@ undefined", id="matmul_vector_matrix"),
+    pytest.param(lambda: _matrix((2, 2)) * _matrix((2, 2)), DimensionMismatchError,
+                 "needs a scalar factor", id="pointwise_product_of_matrices"),
+    pytest.param(lambda: coordinate(MINKOWSKI4, 0) / _matrix((2, 2)), DimensionMismatchError,
+                 "scalar-shaped divisor", id="divide_by_a_matrix"),
+    pytest.param(lambda: mapped(_matrix((2, 2)), np.sin), DimensionMismatchError,
+                 "requires a scalar field", id="mapped_matrix"),
+    pytest.param(lambda: hstack(_matrix((2, 2)), _matrix((3, 1))), DimensionMismatchError,
+                 "cannot hstack", id="hstack_unlike_rows"),
+    pytest.param(lambda: linear(MINKOWSKI4, [1.0, 0.0]), DimensionMismatchError,
+                 "coefficient count", id="linear_coefficient_count"),
+    pytest.param(lambda: matrix_of([[1.0, 2.0]]), DimensionMismatchError,
+                 "at least one FieldFn entry", id="assembled_without_a_field"),
+    pytest.param(lambda: one_form(MINKOWSKI4, [constant(0.0, MINKOWSKI4)]),
+                 DimensionMismatchError, "needs d components", id="one_form_count"),
+    pytest.param(lambda: Spacetime(2, (1, 1), chart="polar"), ParameterError,
+                 "unknown chart", id="unknown_chart"),
+    pytest.param(lambda: Grid(lo=(0.0,), hi=(1.0, 1.0), cells=(1, 1)), ParameterError,
+                 "agree in length", id="grid_axes_unequal"),
+    pytest.param(lambda: gauge_potential(MINKOWSKI4, [_matrix((1, 1))]),
+                 DimensionMismatchError, "one component per", id="gauge_potential_count"),
+    pytest.param(lambda: gauge_potential(MINKOWSKI4, [_matrix((1, 1))] * 3 + [_matrix((2, 2))]),
+                 DimensionMismatchError, "square and same size", id="gauge_potential_shape"),
+    pytest.param(lambda: gauge_map(_matrix((2, 1))), DimensionMismatchError,
+                 "square matrix valued", id="gauge_map_not_square"),
+])
+def test_misuse_raises_the_named_error(misuse, error, message):
+    with pytest.raises(error, match=message):
+        misuse()

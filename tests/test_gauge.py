@@ -47,10 +47,10 @@ def test_covariant_derivative_matches_lifted_form(points4, st4):
                      [exp_i(linear(st4, [0, 0.6, 0, -0.2]))]])
     psi_vec = FieldFn(st4, (2,), lambda x: psi(x)[:, 0],
                       (lambda x, mu: psi.d(x, mu)[:, 0]), None)
-    lifted = v.V @ psi_vec
+    lifted = v @ psi_vec
     for x in points4[:3]:
         for mu in range(4):
-            want = dagger(v.V(x)) @ lifted.d(x, mu)
+            want = dagger(v(x)) @ lifted.d(x, mu)
             got = covariant_derivative(a, psi_vec, mu, x)
             assert max_abs(want - got) < 1e-9
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bladegauge.blade import (Frame, blade_curvature, blade_from_frame, extract_potential,
-                              four_way, random_gauge_map, random_smooth_frame,
+from bladegauge.blade import (blade_curvature, blade_from_frame, extract_potential,
+                              four_way, projector, random_gauge_map, random_smooth_frame,
                               shape_identity_residual, shape_operator)
 from bladegauge.embedded import cylinder, embedded_blade, gauss_curvature, plane, sphere, torus
 from bladegauge.fields import MINKOWSKI4, euclidean
@@ -47,26 +47,25 @@ def test_blade_identities(seed, shape, x):
     N, n = shape
     blade = blade_from_frame(_frame(shape, seed))
     s = shape_operator(blade)
-    r = blade.at(x)
+    r = blade(x)
     assert max_abs(r @ r - np.eye(N)) <= TOL.analytic
     assert max_abs(r - dagger(r)) <= TOL.analytic
     assert abs(np.trace(r).real - (2 * n - N)) <= 1e-8
     for mu in range(4):
         sv = s.at(x, mu)
         assert max_abs(r @ sv + sv @ r) <= TOL.analytic
-        assert max_abs(blade.R.d(x, mu) + 1j * (sv @ r - r @ sv)) <= TOL.analytic
+        assert max_abs(blade.d(x, mu) + 1j * (sv @ r - r @ sv)) <= TOL.analytic
 
 
 @PROPERTY
 @given(seed=seeds, gauge_seed=seeds, shape=shapes, x=points)
 def test_gauge_invariance(seed, gauge_seed, shape, x):
-    N, n = shape
+    _, n = shape
     v = _frame(shape, seed)
     u = random_gauge_map(MINKOWSKI4, n, seed=gauge_seed)
-    blade, blade2 = blade_from_frame(v), blade_from_frame(Frame(MINKOWSKI4, N, n,
-                                                                v.V @ u.dagger()))
+    blade, blade2 = blade_from_frame(v), blade_from_frame(v @ u.dagger())
     s, s2 = shape_operator(blade), shape_operator(blade2)
-    assert max_abs(blade.at(x) - blade2.at(x)) <= TOL.analytic
+    assert max_abs(blade(x) - blade2(x)) <= TOL.analytic
     for mu in range(4):
         assert max_abs(s.at(x, mu) - s2.at(x, mu)) <= TOL.analytic
     a = extract_potential(v)
@@ -83,7 +82,7 @@ def test_curvature_blocks(seed, shape, x):
     blade = blade_from_frame(v)
     omega = blade_curvature(blade)
     fs = field_strength(extract_potential(v))
-    vv, r = v.at(x), blade.at(x)
+    vv, r = v(x), blade(x)
     for mu, nu in ((0, 1), (2, 3)):
         om = omega.at(x, mu, nu)
         assert max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv) <= TOL.fd()
@@ -108,7 +107,7 @@ def test_embedded_blade_identities(spec, x):
     emb, k_closed = _surface(spec)
     blade = embedded_blade(emb)
     s = shape_operator(blade)
-    r = blade.at(x)
+    r = blade(x)
     _, disc = four_way(blade, x, 0, 1)
     assert disc <= TOL.fd_nested()
     assert max_abs(shape_identity_residual(s, 0, 1, x)) <= TOL.fd_nested()
@@ -159,24 +158,24 @@ def _stack_leaves():
         "coordinate": (coordinate(st, 2), *box4),
         "linear": (linear(st, [0.3, -1.2, 0.7, 2.0], offset=0.1), *box4),
         "hermitian_waves": (random_hermitian_field(st, 3, 9), *box4),
-        "exp_frame": (v.V, *box4),
+        "exp_frame": (v, *box4),
         "exp_gauge_map": (random_gauge_map(st, 2, 4), *box4),
         "tabulated": (tabulated_field(axes, samples, euclidean(2), (2, 2)),
                       [0.2, 0.2], [0.8, 0.8]),
         "tabulated_frame": (_tabulated_frame({"axes": axes, "values": samples[..., :1, :]},
-                                             euclidean(2)).V, [0.2, 0.2], [0.8, 0.8]),
+                                             euclidean(2)), [0.2, 0.2], [0.8, 0.8]),
         "complement": (complement_field(v), *box4),
         "canonical": (canonical_frame_field(blade_from_frame(v), np.eye(4, 2)), *box4),
-        "em_planewave": (em_frame(plane_wave_params(st, [1, 0, 0, 1], [0, 1, 0, 0])).V,
+        "em_planewave": (em_frame(plane_wave_params(st, [1, 0, 0, 1], [0, 1, 0, 0])),
                          *box4),
         "em_monopole_patch": (monopole_potential(0.5, "plus").component(2),
                               [0.5, 0.3, 0.0], [2.0, 2.8, 6.0]),
-        "darboux": (darboux_frame(dx).V, *box4),
+        "darboux": (darboux_frame(dx), *box4),
         "embedded_chart": (torus(2.0, 0.5), [0.0, 0.0], [6.0, 6.0]),
         "embedded_plane": (plane(), [-1.0, -1.0], [1.0, 1.0]),
         "embedded_sphere": (sphere(1.3), [0.5, 0.0], [2.5, 6.0]),
         "embedded_cylinder": (cylinder(), [0.0, -1.0], [6.0, 1.0]),
-        "embedded_blade": (embedded_blade(sphere(1.3)).R, [0.5, 0.0], [2.5, 6.0]),
+        "embedded_blade": (embedded_blade(sphere(1.3)), [0.5, 0.0], [2.5, 6.0]),
     }
 
 
@@ -187,8 +186,8 @@ def _stack_rules():
     st = MINKOWSKI4
     s = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
     t = coordinate(st, 1) + constant(2.0, st)
-    m, n = _frame((3, 3), 7).V, random_gauge_map(st, 3, 8)
-    w = _frame((3, 1), 2).V
+    m, n = _frame((3, 3), 7), random_gauge_map(st, 3, 8)
+    w = _frame((3, 1), 2)
     vec = constant(np.array([1.0, -2.0j, 0.5]), st)
     box4 = ([-0.5] * 4, [0.5] * 4)
     rules = {
@@ -292,7 +291,7 @@ def _lattice_pairs():
     grid = Grid(lo=(0.3 * np.pi, 0.0), hi=(0.7 * np.pi, 2 * np.pi), cells=(3, 4))
     lat = blade_lattice_from_field(blade, grid, point_map=lambda p: np.array([1.0, p[0], p[1]]))
     centers = grid.centers().reshape(3, 4, 2)
-    return [(lat.sites[i], blade.at(np.array([1.0, *centers[i]]))) for i in np.ndindex(3, 4)]
+    return [(lat.sites[i], blade(np.array([1.0, *centers[i]]))) for i in np.ndindex(3, 4)]
 
 
 def _sphere_flux_pairs():
@@ -353,7 +352,7 @@ def _point_call_pairs(call, sizes):
 
 def _direct_rotation_call():
     from bladegauge.blade import direct_rotation
-    p = blade_from_frame(_frame((4, 2), 11)).projector
+    p = projector(blade_from_frame(_frame((4, 2), 11)))
     return lambda y: direct_rotation(p(y), np.eye(4, 2))
 
 

@@ -72,11 +72,11 @@ def test_load_frame_builtins(points4):
     vm = load_frame("monopole", g=0.5)
     validate_frame(vm, np.array([1.0, 1.0, 2.0]))
     vr = load_frame("random_smooth", ambient=4, rank=2, seed=1)
-    assert (vr.N, vr.n) == (4, 2)
+    assert vr.shape == (4, 2)
     vd = load_frame({"scenario": "darboux",
                      "params": {"pairs": [{"pi": "x0", "phi": "x1"}],
                                 "domain": {"lo": [-0.8] * 4, "hi": [0.8] * 4}}})
-    assert vd.N == 2
+    assert vd.shape[0] == 2
     with pytest.raises(ParameterError):
         load_frame("nope")
 
@@ -120,7 +120,7 @@ def test_tabulated_potential_and_frame_roundtrip():
 def test_fd_step_is_wired_through_loaders():
     cfg = {"scenario": "planewave", "fd_step": 5e-3,
            "params": {"k": [1, 0, 0, 1], "n": [0, 1, 0, 0]}}
-    assert load_frame(cfg).V.fd_step == 5e-3
+    assert load_frame(cfg).fd_step == 5e-3
     assert all(c.fd_step == 5e-3 for c in load_potential(cfg).values())
 
 
@@ -246,6 +246,8 @@ def _tab(**changes):
                  id="signature_float"),
     pytest.param({"scenario": "darboux", "params": {"domain": {"lo": [0, 0], "hi": [1, 1]}}},
                  ["params", "domain"], id="domain_off_the_chart_dimension"),
+    pytest.param({"scenario": "darboux", "params": {"pairs": []}}, ["params", "pairs"],
+                 id="pairs_empty"),
 ])
 def test_validate_config_names_the_fault(cfg, path):
     with pytest.raises(ConfigError) as err:
@@ -295,7 +297,7 @@ def test_frame_gives_the_potential_builder_potential(name, params, points4):
 
 def test_darboux_default_pair(points4):
     v = load_frame({"scenario": "darboux"})
-    assert (v.N, v.n) == (2, 1)
+    assert v.shape == (2, 1)
     validate_frame(v, points4[0])
     a = extract_potential(v)  # A = pi d phi = 0.5 sin(x0) dx1
     x = points4[0]
