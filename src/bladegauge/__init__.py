@@ -20,9 +20,8 @@ from .fields import (Spacetime, MINKOWSKI4, SPHERICAL3, euclidean, FieldFn,
                      one_form, form_values, exterior_d, form_rank, wedge_power_nonzero,
                      sphere_flux, lattice_integral)
 from .gauge import (gauge_potential, gauge_map, field_strength,
-                    covariant_field, covariant_derivative, covariant_derivative_matrix,
-                    gauge_transform, gauge_transform_field_strength,
-                    gauge_transform_matter, pure_gauge_potential)
+                    covariant_field, covariant_derivative_matrix,
+                    gauge_transform, gauge_transform_field_strength, pure_gauge_potential)
 from .blade import (frame, extract_potential, blade_from_frame, projector,
                     shape_operator, blade_curvature,
                     four_way, check_four_way, lifted_covariant_derivative,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import reprlib
 import sys
@@ -31,18 +30,17 @@ from .blade import (blade_curvature, blade_from_frame, check_four_way, complemen
                     extract_potential, four_way, random_gauge_map, random_smooth_frame,
                     shape_gauge_decompose, shape_identity_residual, shape_operator)
 from .darboux import frame_residual_report, verify_rank
-from .dynamics import (INDEX_HANDLING_NOTE, blade_lattice_from_field,
-                       maxwell_mod_residual, modified_eom_residual,
-                       shape_gauge_ym_residual, sigma_flow,
-                       sigma_eom_residual, ym_residual)
+from .dynamics import INDEX_HANDLING_NOTE, blade_lattice_from_field, sigma_flow
+# unused here: perfbench/selftest.py checks that its tracer wraps this second binding
+from .dynamics import shape_gauge_ym_residual  # noqa: F401
 from .embedded import (christoffel_gauss_curvature, cylinder, embedded_blade, gauss_curvature,
                        plane, sphere, torus)
 from .errors import BladeGaugeError, ConfigError
-from .fields import Grid, MINKOWSKI4, form_values, sphere_flux, wedge
+from .fields import Grid, MINKOWSKI4
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs, max_abs_each
-from .scenarios import (SCENARIOS, load_darboux, load_frame, load_potential,
-                        resolve_spacetime, scenario_params, validate_config)
+from .scenarios import (EQUATIONS, SCENARIOS, load_darboux, resolve_spacetime,
+                        scenario_params, validate_config)
 from .tolerances import DEFAULT as TOL
 
 
@@ -73,8 +71,7 @@ def _build_parser():
     r = sub.add_parser("residuals", help="equation-of-motion residual sweep")
     _common_flags(r)
     r.add_argument("--fd-step", type=_float, default=None)
-    r.add_argument("--eq", required=True,
-                   choices=["ym", "modified", "maxmod", "shape", "sigma"])
+    r.add_argument("--eq", required=True, choices=list(EQUATIONS))
     r.add_argument("--grid", type=_grid, default=None,
                    help="axis spec lo:hi:cells[,lo:hi:cells...] (one per dimension)")
     r.add_argument("--csv", default=None, help="write per-point CSV here")
@@ -274,13 +271,9 @@ def cmd_verify(args):
     tol = replace(TOL, **cfg.get("tolerances", {}))
     checks = _generic_identity_checks(seed, tol)
     checks += _embedded_cross_checks(tol)
-    scenario = cfg["scenario"]
-    params = scenario_params(cfg)
-    st = resolve_spacetime(cfg)
-    extras = {}
-    if scenario in _SCENARIO_CHECKS:
-        more, extras = _SCENARIO_CHECKS[scenario](params, st, tol)
-        checks += more
+    rows, extras = SCENARIOS[cfg["scenario"]].checks(scenario_params(cfg),
+                                                    resolve_spacetime(cfg), tol)
+    checks += [_check(*row) for row in rows]
     report = _report_skeleton("verify", cfg)
     report["checks"] = checks
     report.update(extras)
@@ -372,91 +365,6 @@ def _curvature_columns(emb, x):
             max_abs_each(shape_identity_residual(s, 0, 1, x)))
 
 
-def _planewave_checks(params, st, tol):
-    k = np.asarray(params["k"], dtype=float)
-    n = np.asarray(params["n"], dtype=float)
-    p = em.plane_wave_params(st, k, n)
-    a = em.plane_wave_potential(st, k, n)
-    fs = em.em_faraday(p)
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, st.dim))
-    veq = max(max_abs(em.em_potential_residual(p, a, mu, pts)) for mu in range(st.dim))
-    # F wedge F, the 4-form obstruction to decomposability (none below dimension 4)
-    vals = form_values(fs, pts)
-    ff = max((max_abs(c) for c in wedge(vals, vals).values()), default=0.0)
-    cond = abs(em.plane_wave_mod_condition(st, k, n))
-    maxmod = max_abs(maxwell_mod_residual(p, pts[:3]))
-    checks = [
-        _check("planewave_frame_equation_residual", veq, tol.fd()),
-        _check("planewave_faraday_decomposable", ff, 1e-10),
-        _check("planewave_modified_eom_residual", maxmod, tol.fd_nested(),
-               expect_pass=cond <= 1e-12),
-    ]
-    kk = st.dot(k, k)
-    kn = st.dot(k, n)
-    if abs(kk) <= 1e-12 and abs(kn) <= 1e-12:
-        ym = max(max_abs(ym_residual(a, nu, pts[:3])) for nu in range(st.dim))
-        checks.append(_check("planewave_maxwell_residual", ym, tol.fd_nested()))
-    return checks, {}
-
-
-def _monopole_checks(params, st, tol):
-    g = float(params["g"])
-    quantized = em.quantization_satisfied(g)
-    rep = em.monopole_blade_glue(g)
-    flux = sphere_flux(em.monopole_field_strength(g))
-    flux_err = abs(flux - 4.0 * np.pi * g) / max(1.0, abs(4.0 * np.pi * g))
-    # points (1, theta, phi) off the poles: five per patch, then four for C
-    angles = np.random.default_rng(7).uniform((0.3, 0.0), (np.pi - 0.3, 2 * np.pi), (14, 2))
-    pts = np.insert(angles, 0, 1.0, axis=1)
-    veq = max(max_abs(em.em_potential_residual(em.monopole_params(g, patch),
-                                               em.monopole_potential(g, patch), mu, x))
-              for patch, x in (("plus", pts[:5]), ("minus", pts[5:10])) for mu in range(3))
-    # complementary connection on the plus patch: C = -A
-    wfield = em.em_complement(em.monopole_params(g, "plus"))
-    a = em.monopole_potential(g, "plus")
-    x = pts[10:]
-    comp = max(max_abs((-1j * (dagger(wfield(x)) @ wfield.d(x, mu)))[..., 0, 0]
-                       + a.at(x, mu)[..., 0, 0]) for mu in range(3))
-    checks = [
-        _check("monopole_frame_equation_residual", veq, tol.fd()),
-        _check("monopole_flux_matches_4pi_g", flux_err, tol.flux_rel),
-        _check("monopole_patch_gluing", rep.max_patch_mismatch, tol.gluing),
-        _check("monopole_single_valuedness", rep.max_winding_mismatch, tol.gluing,
-               expect_pass=quantized),
-        _check("monopole_complementary_connection", comp, tol.fd()),
-    ]
-    extras = {"quantization_satisfied": quantized,
-              "single_valued": rep.single_valued, "flux": flux}
-    return checks, extras
-
-
-def _darboux_checks(params, st, tol):
-    data = load_darboux(params, st)
-    rep = frame_residual_report(data)
-    measured = verify_rank(data)
-    return [
-        _check("darboux_frame_equation_residual", rep["max_residual"], tol.fd()),
-        _check("darboux_rank_matches_pairs", abs(measured - data.r), 0.5),
-    ], {}
-
-
-def _pure_gauge_checks(params, st, tol):
-    fs = field_strength(load_potential("pure_gauge", st, **params))
-    x = np.random.default_rng(11).uniform(-0.5, 0.5, (4, st.dim))
-    worst = max(max_abs(fs.at(x, mu, nu)) for mu, nu in itertools.combinations(range(st.dim), 2))
-    return [_check("pure_gauge_flatness", worst, tol.fd())], {}
-
-
-# each scenario's own checks, (params, spacetime, tol) -> (checks, report extras);
-# constant_F and random_smooth have none past the generic suites
-_SCENARIO_CHECKS = {
-    "planewave": _planewave_checks,
-    "monopole": _monopole_checks,
-    "darboux": _darboux_checks,
-    "pure_gauge": _pure_gauge_checks,
-}
-
-
 # ---------------------------------------------------------------------------
 # residuals
 
@@ -476,34 +384,13 @@ def cmd_residuals(args):
         raise ConfigError(f"--grid has {grid.dim} axes; scenario {scenario!r} lives in "
                           f"dimension {st.dim}")
     pts = grid.centers()
-    eq = args.eq
     # CSV index label -> the residual at every grid point, from one stacked call
-    if eq == "ym":
-        a = load_potential(cfg, st)
-        fs = field_strength(a)
-        residuals = {str(nu): ym_residual(a, nu, pts, fs) for nu in range(st.dim)}
-    elif eq == "modified":
-        residuals = {"sum": modified_eom_residual(load_frame(cfg, st), pts)}
-    elif eq == "maxmod":
-        if scenario != "planewave":
-            raise ConfigError(f"--eq maxmod is the N = 2 electromagnetic plane-wave "
-                              f"residual and needs scenario 'planewave'; got {scenario!r}")
-        if "tabulated" in cfg:
-            raise ConfigError("--eq maxmod builds the plane wave from params k and n and "
-                              "cannot read a table", schema_path=["tabulated"])
-        params = scenario_params(cfg)
-        p = em.plane_wave_params(st, params["k"], params["n"])
-        residuals = {"sum": maxwell_mod_residual(p, pts)}
-    elif eq == "shape":
-        v = load_frame(cfg, st)
-        residuals = {str(nu): shape_gauge_ym_residual(v, pts, nu) for nu in range(st.dim)}
-    else:  # sigma
-        residuals = {"sum": sigma_eom_residual(blade_from_frame(load_frame(cfg, st)), pts)}
+    residuals = EQUATIONS[args.eq](cfg, st, pts)
     # (points, labels): the CSV rows run over the labels at each point in turn
     norms = np.stack([max_abs_each(r) for r in residuals.values()], axis=-1)
 
     report = _report_skeleton("residuals", cfg)
-    report["equation"] = eq
+    report["equation"] = args.eq
     report["index_handling"] = INDEX_HANDLING_NOTE
     report["grid"] = {"lo": grid.lo, "hi": grid.hi, "cells": grid.cells}
     report["summary"] = {"max": float(norms.max()), "mean": float(np.mean(norms.ravel())),

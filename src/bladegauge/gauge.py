@@ -1,8 +1,9 @@
 """U(n) gauge potentials, field strengths, covariant derivatives, gauge transformations.
 
 Potentials and field strengths are `fields.Form`s, and a gauge map is the
-U(n)-valued `FieldFn` itself, as a frame and a blade are in `blade`.  Matter is a plain C^n-valued `FieldFn`, and
-its covariant derivative D_mu psi the field `covariant_field(a, psi, mu)`;
+U(n)-valued `FieldFn` itself, as a frame and a blade are in `blade`.  Matter
+is a plain C^n-valued `FieldFn`, a gauge map u takes it to `u @ psi`, and
+its covariant derivative D_mu psi is the field `covariant_field(a, psi, mu)`;
 any matrix connection serves as A, the shape operator of a blade included
 (the lifted derivative).  The coupling constant is omitted throughout.
 Potentials are hermitized on evaluation: finite-difference noise must not
@@ -24,9 +25,8 @@ from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "gauge_potential", "gauge_map", "field_strength",
-    "covariant_field", "covariant_derivative", "covariant_derivative_matrix",
-    "gauge_transform", "gauge_transform_field_strength", "gauge_transform_matter",
-    "pure_gauge_potential",
+    "covariant_field", "covariant_derivative_matrix",
+    "gauge_transform", "gauge_transform_field_strength", "pure_gauge_potential",
 ]
 
 
@@ -90,11 +90,6 @@ def covariant_field(a: Form, psi: FieldFn, mu) -> FieldFn:
     return psi.partial(mu) + 1j * (a.component(mu) @ psi)
 
 
-def covariant_derivative(a: Form, psi: FieldFn, mu, x):
-    """D_mu psi = d_mu psi + i A_mu psi at x, a point or a (..., d) stack."""
-    return covariant_field(a, psi, mu)(x)
-
-
 def covariant_derivative_matrix(a: Form, m: FieldFn, mu, x):
     """Matrix-field covariant derivative d_mu M + i [A_mu, M].
 
@@ -128,11 +123,6 @@ def gauge_transform(a: Form, u: FieldFn) -> Form:
 def gauge_transform_field_strength(f: Form, u: FieldFn) -> Form:
     """F' = u F u^dag."""
     return Form(f.spacetime, 2, lambda mu, nu: _hermitized(u @ f[(mu, nu)] @ u.dagger()))
-
-
-def gauge_transform_matter(psi: FieldFn, u: FieldFn) -> FieldFn:
-    """psi' = u psi."""
-    return u @ psi
 
 
 def pure_gauge_potential(u: FieldFn) -> Form:

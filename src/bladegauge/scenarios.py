@@ -1,15 +1,18 @@
 """Scenario configuration: one registry of named scenarios, and JSON loading.
 
 `SCENARIOS` maps each config name to its chart, the params it reads (with
-their defaults) and a frame builder, a potential builder or both.  A scenario
-with only a frame gives the potential A = -i V^dag dV of that frame.  A config
-names a scenario plus params, or supplies samples tabulated on a grid.
+their defaults), a frame builder, a potential builder or both, and the
+scenario's own `verify` checks.  A scenario with only a frame gives the
+potential A = -i V^dag dV of that frame.  `EQUATIONS` maps each residual
+equation name to the sweep that evaluates it on a config.  A config names a
+scenario plus params, or supplies samples tabulated on a grid.
 `validate_config` checks a config against the registry: `PARAM_TYPES` gives
 the type of each param and `CONFIG_KEYS` that of each top-level key.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import reprlib
 from dataclasses import dataclass
@@ -19,14 +22,17 @@ import numpy as np
 
 from . import darboux as dx
 from . import em
-from .blade import extract_potential, frame, random_gauge_map, random_smooth_frame
+from .blade import (blade_from_frame, extract_potential, frame, random_gauge_map,
+                    random_smooth_frame)
+from .dynamics import (maxwell_mod_residual, modified_eom_residual, shape_gauge_ym_residual,
+                       sigma_eom_residual, ym_residual)
 from .errors import ChartError, ConfigError, ParameterError
 from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _worst_point,
-                     constant, linear, matrix_of, one_form)
-from .gauge import gauge_potential, pure_gauge_potential
-from .linalg import polar
+                     constant, form_values, linear, matrix_of, one_form, sphere_flux, wedge)
+from .gauge import field_strength, gauge_potential, pure_gauge_potential
+from .linalg import dagger, max_abs, polar
 __all__ = [
-    "Scenario", "SCENARIOS", "PARAM_TYPES", "CONFIG_KEYS", "validate_config",
+    "Scenario", "SCENARIOS", "EQUATIONS", "PARAM_TYPES", "CONFIG_KEYS", "validate_config",
     "resolve_spacetime", "scenario_params", "load_potential", "load_frame", "load_darboux",
     "tabulated_field", "constant_f_potential",
 ]
@@ -34,16 +40,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """One config name: its chart, its params (name -> default), its builders.
+    """One config name: its chart, its params (name -> default), its builders, its checks.
 
     A builder takes (params, spacetime) with every param filled in.  Without
-    a potential builder the potential is A = -i V^dag dV of the frame.
+    a potential builder the potential is A = -i V^dag dV of the frame.  `checks`
+    takes (params, spacetime, tol) and gives the scenario's own `verify` rows,
+    each (name, value, threshold[, expect_pass]), and the report's extra keys.
     """
 
     chart: str                # "cartesian" (metric from `signature`) or "spherical"
     params: dict
     frame: Callable
     potential: Callable | None = None
+    checks: Callable = lambda params, spacetime, tol: ([], {})
 
 
 def constant_f_potential(spacetime: Spacetime, b=1.0) -> Form:
@@ -87,18 +96,93 @@ def _default_box(spacetime):
     return [-0.8] * spacetime.dim, [0.8] * spacetime.dim
 
 
+# ---------------------------------------------------------------------------
+# each scenario's own verify checks: (params, spacetime, tol) -> (rows, report extras)
+
+def _planewave_checks(params, st, tol):
+    k = np.asarray(params["k"], dtype=float)
+    n = np.asarray(params["n"], dtype=float)
+    p = em.plane_wave_params(st, k, n)
+    a = em.plane_wave_potential(st, k, n)
+    fs = em.em_faraday(p)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, st.dim))
+    veq = max(max_abs(em.em_potential_residual(p, a, mu, pts)) for mu in range(st.dim))
+    # F wedge F, the 4-form obstruction to decomposability (none below dimension 4)
+    vals = form_values(fs, pts)
+    ff = max((max_abs(c) for c in wedge(vals, vals).values()), default=0.0)
+    cond = abs(em.plane_wave_mod_condition(st, k, n))
+    maxmod = max_abs(maxwell_mod_residual(p, pts[:3]))
+    rows = [
+        ("planewave_frame_equation_residual", veq, tol.fd()),
+        ("planewave_faraday_decomposable", ff, 1e-10),
+        ("planewave_modified_eom_residual", maxmod, tol.fd_nested(), cond <= 1e-12),
+    ]
+    if abs(st.dot(k, k)) <= 1e-12 and abs(st.dot(k, n)) <= 1e-12:
+        ym = max(max_abs(ym_residual(a, nu, pts[:3])) for nu in range(st.dim))
+        rows.append(("planewave_maxwell_residual", ym, tol.fd_nested()))
+    return rows, {}
+
+
+def _monopole_checks(params, st, tol):
+    g = float(params["g"])
+    quantized = em.quantization_satisfied(g)
+    rep = em.monopole_blade_glue(g)
+    flux = sphere_flux(em.monopole_field_strength(g))
+    flux_err = abs(flux - 4.0 * np.pi * g) / max(1.0, abs(4.0 * np.pi * g))
+    # points (1, theta, phi) off the poles: five per patch, then four for C
+    angles = np.random.default_rng(7).uniform((0.3, 0.0), (np.pi - 0.3, 2 * np.pi), (14, 2))
+    pts = np.insert(angles, 0, 1.0, axis=1)
+    veq = max(max_abs(em.em_potential_residual(em.monopole_params(g, patch),
+                                               em.monopole_potential(g, patch), mu, x))
+              for patch, x in (("plus", pts[:5]), ("minus", pts[5:10])) for mu in range(3))
+    # complementary connection on the plus patch: C = -A
+    wfield = em.em_complement(em.monopole_params(g, "plus"))
+    a = em.monopole_potential(g, "plus")
+    x = pts[10:]
+    comp = max(max_abs((-1j * (dagger(wfield(x)) @ wfield.d(x, mu)))[..., 0, 0]
+                       + a.at(x, mu)[..., 0, 0]) for mu in range(3))
+    rows = [
+        ("monopole_frame_equation_residual", veq, tol.fd()),
+        ("monopole_flux_matches_4pi_g", flux_err, tol.flux_rel),
+        ("monopole_patch_gluing", rep.max_patch_mismatch, tol.gluing),
+        ("monopole_single_valuedness", rep.max_winding_mismatch, tol.gluing, quantized),
+        ("monopole_complementary_connection", comp, tol.fd()),
+    ]
+    return rows, {"quantization_satisfied": quantized, "single_valued": rep.single_valued,
+                  "flux": flux}
+
+
+def _darboux_checks(params, st, tol):
+    data = load_darboux(params, st)
+    return [
+        ("darboux_frame_equation_residual", dx.frame_residual_report(data)["max_residual"],
+         tol.fd()),
+        ("darboux_rank_matches_pairs", abs(dx.verify_rank(data) - data.r), 0.5),
+    ], {}
+
+
+def _pure_gauge_checks(params, st, tol):
+    fs = field_strength(load_potential("pure_gauge", st, **params))
+    x = np.random.default_rng(11).uniform(-0.5, 0.5, (4, st.dim))
+    worst = max(max_abs(fs.at(x, mu, nu)) for mu, nu in itertools.combinations(range(st.dim), 2))
+    return [("pure_gauge_flatness", worst, tol.fd())], {}
+
+
 SCENARIOS = {
     "planewave": Scenario(
         "cartesian", {"k": (1, 0, 0, 1), "n": (0, 1, 0, 0)},
         frame=lambda p, st: em.em_frame(em.plane_wave_params(st, p["k"], p["n"])),
-        potential=lambda p, st: em.plane_wave_potential(st, p["k"], p["n"])),
+        potential=lambda p, st: em.plane_wave_potential(st, p["k"], p["n"]),
+        checks=_planewave_checks),
     "monopole": Scenario(
         "spherical", {"g": 0.5, "patch": "plus"},
         frame=lambda p, st: em.em_frame(em.monopole_params(p["g"], p["patch"])),
-        potential=lambda p, st: em.monopole_potential(p["g"], p["patch"])),
+        potential=lambda p, st: em.monopole_potential(p["g"], p["patch"]),
+        checks=_monopole_checks),
     "pure_gauge": Scenario(
         "cartesian", {"ambient": 4, "rank": 2, "seed": 0}, frame=_pure_gauge_frame,
-        potential=lambda p, st: pure_gauge_potential(_pure_gauge_map(p, st))),
+        potential=lambda p, st: pure_gauge_potential(_pure_gauge_map(p, st)),
+        checks=_pure_gauge_checks),
     "constant_F": Scenario(
         "cartesian", {"B": 1.0}, frame=_constant_f_frame,
         potential=lambda p, st: constant_f_potential(st, p["B"])),
@@ -107,7 +191,7 @@ SCENARIOS = {
         frame=lambda p, st: random_smooth_frame(st, p["ambient"], p["rank"], p["seed"])),
     "darboux": Scenario(
         "cartesian", {"pairs": ({"pi": "0.5*sin(x0)", "phi": "x1"},), "domain": None},
-        frame=lambda p, st: dx.darboux_frame(load_darboux(p, st))),
+        frame=lambda p, st: dx.darboux_frame(load_darboux(p, st)), checks=_darboux_checks),
 }
 
 
@@ -296,6 +380,43 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> FieldFn:
         v = _entry(cfg["scenario"]).frame(scenario_params(cfg), spacetime)
     step = cfg.get("fd_step")
     return v if step is None else v.with_step(float(step))
+
+
+# ---------------------------------------------------------------------------
+# residual equations: (cfg, spacetime, points) -> {CSV index label: stacked residual}
+
+def _ym_residuals(cfg, st, pts):
+    a = load_potential(cfg, st)
+    fs = field_strength(a)
+    return {str(nu): ym_residual(a, nu, pts, fs) for nu in range(st.dim)}
+
+
+def _maxmod_residuals(cfg, st, pts):
+    if cfg["scenario"] != "planewave":
+        raise ConfigError(f"--eq maxmod is the N = 2 electromagnetic plane-wave residual "
+                          f"and needs scenario 'planewave'; got {cfg['scenario']!r}",
+                          schema_path=["scenario"])
+    if "tabulated" in cfg:
+        raise ConfigError("--eq maxmod builds the plane wave from params k and n and "
+                          "cannot read a table", schema_path=["tabulated"])
+    params = scenario_params(cfg)
+    return {"sum": maxwell_mod_residual(em.plane_wave_params(st, params["k"], params["n"]),
+                                        pts)}
+
+
+def _shape_residuals(cfg, st, pts):
+    v = load_frame(cfg, st)
+    return {str(nu): shape_gauge_ym_residual(v, pts, nu) for nu in range(st.dim)}
+
+
+EQUATIONS = {
+    "ym": _ym_residuals,
+    "modified": lambda cfg, st, pts: {"sum": modified_eom_residual(load_frame(cfg, st), pts)},
+    "maxmod": _maxmod_residuals,
+    "shape": _shape_residuals,
+    "sigma": lambda cfg, st, pts: {
+        "sum": sigma_eom_residual(blade_from_frame(load_frame(cfg, st)), pts)},
+}
 
 
 # ---------------------------------------------------------------------------

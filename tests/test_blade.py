@@ -415,11 +415,11 @@ def test_lifted_derivative_reduces_on_lifted_matter(st4, points4):
                       lambda x, mu: psi.d(x, mu)[:, 0], None)
     lifted = v @ psi_vec
     a = extract_potential(v)
-    from bladegauge.gauge import covariant_derivative
+    from bladegauge.gauge import covariant_field
     for x in points4[:3]:
         for mu in range(4):
             got = lifted_covariant_derivative(blade, lifted, mu, x)
-            want = v(x) @ covariant_derivative(a, psi_vec, mu, x)
+            want = v(x) @ covariant_field(a, psi_vec, mu)(x)
             assert max_abs(got - want) < 1e-8
 
 

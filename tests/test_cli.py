@@ -12,7 +12,7 @@ import bladegauge
 from bladegauge.cli import main
 from bladegauge.embedded import christoffel_gauss_curvature, gauss_curvature, sphere
 from bladegauge.fields import MINKOWSKI4
-from bladegauge.scenarios import SCENARIOS
+from bladegauge.scenarios import EQUATIONS, SCENARIOS
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -86,6 +86,43 @@ def test_verify_reports_are_deterministic(config, tmp_path):
         assert main(["verify", "--input", str(inp), "--seed", "7", "--report", str(out)]) == 0
         assert read_json(out)["all_passed"] is True
     assert canonical_without_timestamp(a) == canonical_without_timestamp(b)
+
+
+GENERIC_CHECK_NAMES = [
+    "blade_reflection_identity", "blade_hermiticity", "blade_trace",
+    "shape_anticommutes_with_blade", "blade_covariantly_constant",
+    "curvature_four_way_agreement", "gauge_invariance_of_blade_quantities",
+    "field_strength_gauge_covariance", "curvature_block_structure",
+    "embedded_curvature_vs_christoffel_oracle", "embedded_shape_identity",
+]
+DARBOUX_CHECK_NAMES = ["darboux_frame_equation_residual", "darboux_rank_matches_pairs"]
+# each config's own checks after the generic ones, and its extra report keys
+VERIFY_CHECK_NAMES = {
+    "planewave": (["planewave_frame_equation_residual", "planewave_faraday_decomposable",
+                   "planewave_modified_eom_residual", "planewave_maxwell_residual"], []),
+    "monopole": (["monopole_frame_equation_residual", "monopole_flux_matches_4pi_g",
+                  "monopole_patch_gluing", "monopole_single_valuedness",
+                  "monopole_complementary_connection"],
+                 ["flux", "quantization_satisfied", "single_valued"]),
+    "pure_gauge": (["pure_gauge_flatness"], []),
+    "constant_F": ([], []),
+    "random_smooth": ([], []),
+    "darboux": (DARBOUX_CHECK_NAMES, []),
+    "darboux_two_pair": (DARBOUX_CHECK_NAMES, []),
+}
+
+
+@pytest.mark.parametrize("config", list(VERIFY_CONFIGS))
+def test_verify_check_names_are_pinned(config, tmp_path):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps(VERIFY_CONFIGS[config]))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--input", str(inp), "--report", str(out)]) == 0
+    rep = read_json(out)
+    names, extras = VERIFY_CHECK_NAMES[config]
+    assert [c["name"] for c in rep["checks"]] == GENERIC_CHECK_NAMES + names
+    common = {"tool", "version", "command", "config", "timestamp", "checks", "all_passed"}
+    assert sorted(rep.keys() - common) == extras
 
 
 def test_verify_includes_embedded_cross_check(tmp_path):
@@ -376,6 +413,7 @@ def test_residuals_maxmod_needs_planewave(scenario, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "maxmod" in err and "planewave" in err and repr(scenario) in err
+    assert "(schema path: scenario)" in err
 
 
 def test_sigma_flow_large_lattice(tmp_path):
@@ -407,11 +445,6 @@ def test_residuals_ym_on_frame_scenarios(scenario, tmp_path):
     assert np.isfinite(summary["max"]) and np.isfinite(summary["mean"])
 
 
-SCENARIOS_MATRIX = ["planewave", "monopole", "pure_gauge", "constant_F", "random_smooth",
-                    "darboux"]
-EQUATIONS = ["ym", "modified", "maxmod", "shape", "sigma"]
-
-
 def _residuals_refusal(scenario, eq):
     """The reason a residuals pair exits 2, or None where it must run.
 
@@ -424,8 +457,8 @@ def _residuals_refusal(scenario, eq):
     return None
 
 
-@pytest.mark.parametrize("eq", EQUATIONS)
-@pytest.mark.parametrize("scenario", SCENARIOS_MATRIX)
+@pytest.mark.parametrize("eq", list(EQUATIONS))
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_residuals_matrix(scenario, eq, tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["residuals", "--scenario", scenario, "--eq", eq,
@@ -473,9 +506,11 @@ def _residuals_point_loop(scenario, eq, path):
     elif eq == "shape":
         v = load_frame(cfg, st)
         labels, residual = nus, lambda x, nu: shape_gauge_ym_residual(v, x, int(nu))
-    else:
+    elif eq == "sigma":
         blade = blade_from_frame(load_frame(cfg, st))
         labels, residual = ["sum"], lambda x, _: sigma_eom_residual(blade, x)
+    else:
+        raise AssertionError(f"no point-loop reference for --eq {eq!r}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(st.dim)] + ["index", "norm"])
@@ -485,7 +520,7 @@ def _residuals_point_loop(scenario, eq, path):
                                 + [label, f"{max_abs(residual(x, label)):.12e}"])
 
 
-@pytest.mark.parametrize("scenario,eq", [(s, e) for s in SCENARIOS_MATRIX for e in EQUATIONS
+@pytest.mark.parametrize("scenario,eq", [(s, e) for s in SCENARIOS for e in EQUATIONS
                                          if _residuals_refusal(s, e) is None])
 def test_residuals_stacked_sweep_equals_point_loop(scenario, eq, tmp_path):
     # a four-cell grid, so the sweep evaluates real point stacks

@@ -7,11 +7,9 @@ from bladegauge.blade import extract_potential, random_gauge_map, random_smooth_
 from bladegauge.errors import DomainError
 from bladegauge.fields import (FieldFn, closedness_residual, constant,
                                exp_i, linear, matrix_of)
-from bladegauge.gauge import (covariant_derivative,
-                              covariant_derivative_matrix, field_strength,
+from bladegauge.gauge import (covariant_derivative_matrix, covariant_field, field_strength,
                               gauge_map, gauge_potential, gauge_transform,
-                              gauge_transform_field_strength,
-                              gauge_transform_matter, pure_gauge_potential)
+                              gauge_transform_field_strength, pure_gauge_potential)
 from bladegauge.linalg import dagger, max_abs
 from bladegauge.em import plane_wave_potential
 
@@ -25,7 +23,7 @@ def test_covariant_derivative_trivial(st4):
     a = zero_potential(st4, 2)
     psi = constant(np.array([1.0, 2.0j]), st4)
     for mu in range(4):
-        assert max_abs(covariant_derivative(a, psi, mu, np.zeros(4))) == 0.0
+        assert max_abs(covariant_field(a, psi, mu)(np.zeros(4))) == 0.0
 
 
 def test_covariant_derivative_pure_gauge_flatness(points4, st4):
@@ -36,7 +34,7 @@ def test_covariant_derivative_pure_gauge_flatness(points4, st4):
     psi = matrix_of([[psi0 * exp_i(-1.0 * chi)]]) @ constant(np.array([1.0]), st4)
     for x in points4:
         for mu in range(4):
-            assert max_abs(covariant_derivative(a, psi, mu, x)) < 1e-12
+            assert max_abs(covariant_field(a, psi, mu)(x)) < 1e-12
 
 
 def test_covariant_derivative_matches_lifted_form(points4, st4):
@@ -51,7 +49,7 @@ def test_covariant_derivative_matches_lifted_form(points4, st4):
     for x in points4[:3]:
         for mu in range(4):
             want = dagger(v(x)) @ lifted.d(x, mu)
-            got = covariant_derivative(a, psi_vec, mu, x)
+            got = covariant_field(a, psi_vec, mu)(x)
             assert max_abs(want - got) < 1e-9
 
 
@@ -86,7 +84,7 @@ def test_gauge_transform_identity(st4, points4):
     u = gauge_map(constant(np.eye(1, dtype=complex), st4))
     a2 = gauge_transform(a, u)
     psi = constant(np.array([0.3 + 1j]), st4)
-    assert max_abs(gauge_transform_matter(psi, u)(points4[0]) - psi(points4[0])) < 1e-14
+    assert max_abs((u @ psi)(points4[0]) - psi(points4[0])) < 1e-14
     for x in points4:
         for mu in range(4):
             assert max_abs(a2.at(x, mu) - a.at(x, mu)) < 1e-14

@@ -358,10 +358,10 @@ def _direct_rotation_call():
 
 def _covariant_derivative_call():
     from bladegauge.fields import constant
-    from bladegauge.gauge import covariant_derivative
+    from bladegauge.gauge import covariant_field
     a = extract_potential(_frame((4, 2), 12))  # a U(2) potential
     psi = random_gauge_map(MINKOWSKI4, 2, 6) @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
-    return lambda y: np.stack([covariant_derivative(a, psi, mu, y) for mu in range(4)], axis=-2)
+    return lambda y: np.stack([covariant_field(a, psi, mu)(y) for mu in range(4)], axis=-2)
 
 
 def _lifted_covariant_derivative_call():

@@ -8,9 +8,9 @@ from bladegauge.errors import ConfigError, ParameterError
 from bladegauge.fields import MINKOWSKI4, SPHERICAL3, euclidean
 from bladegauge.gauge import field_strength
 from bladegauge.linalg import max_abs
-from bladegauge.scenarios import (PARAM_TYPES, SCENARIOS, constant_f_potential, load_frame,
-                                  load_potential, resolve_spacetime, tabulated_field,
-                                  validate_config)
+from bladegauge.scenarios import (EQUATIONS, PARAM_TYPES, SCENARIOS, constant_f_potential,
+                                  load_frame, load_potential, resolve_spacetime,
+                                  tabulated_field, validate_config)
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -314,3 +314,10 @@ def test_formats_scenario_table_matches_registry():
         rows.append(f"| `{name}` | {entry.chart} | {params} | yes | {potential} |")
     table = "\n".join(rows)
     assert table in doc, "docs/formats.md scenario table should read:\n" + table
+
+
+def test_formats_equation_table_matches_registry():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    table = doc.split("| `--eq` | reads | CSV labels |\n| --- | --- | --- |\n")[1]
+    rows = table[:table.index("\n\n")].splitlines()
+    assert [row.split("`")[1] for row in rows] == list(EQUATIONS)
