@@ -17,17 +17,17 @@ __version__ = "0.1.0"
 from .tolerances import Tolerances, DEFAULT as TOLERANCES
 from .fields import (Spacetime, MINKOWSKI4, SPHERICAL3, euclidean, FieldFn,
                      Form, Grid, constant, coordinate, linear,
-                     one_form, form_values, exterior_d, form_rank, wedge_power_nonzero,
+                     one_form, form_values, exterior_d, form_rank,
                      sphere_flux, lattice_integral)
 from .gauge import (gauge_potential, gauge_map, field_strength,
                     covariant_field, covariant_derivative_matrix,
                     gauge_transform, gauge_transform_field_strength, pure_gauge_potential)
 from .blade import (frame, extract_potential, blade_from_frame, projector,
                     shape_operator, blade_curvature,
-                    four_way, check_four_way, lifted_covariant_derivative,
+                    four_way, check_four_way,
                     shape_identity_residual, complement_frame, complement_field,
                     shape_gauge_decompose, canonical_frame, direct_rotation,
-                    random_smooth_frame, random_gauge_map, reference_frame)
+                    random_smooth_frame, random_gauge_map)
 from .em import (EmFrameParams, em_frame, em_complement, em_potential_residual,
                  em_faraday, plane_wave_params, plane_wave_potential,
                  monopole_potential, monopole_params, monopole_blade,

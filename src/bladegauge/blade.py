@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, Form, _any, _PointLRU, _worst_point, constant, hstack,
+from .fields import (FieldFn, Form, _any, _PointLRU, _worst_point, hstack,
                      identity_field, stencil_field)
-from .gauge import covariant_field, field_strength, gauge_potential
+from .gauge import covariant_field, field_strength
 from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _require_hermitian,
                      _second_divided_differences, commutator, dagger, hermitian_part, max_abs,
                      max_abs_each, polar, random_hermitian)
@@ -42,11 +42,10 @@ from .tolerances import DEFAULT as TOL
 __all__ = [
     "frame", "validate_frame", "extract_potential", "blade_from_frame", "projector",
     "shape_operator", "blade_curvature", "four_way", "check_four_way",
-    "lifted_covariant_derivative",
     "lifted_covariant_derivative_projected", "shape_identity_residual",
     "complement_frame", "complement_field", "ShapeGaugeDecomposition",
     "shape_gauge_decompose", "canonical_frame", "direct_rotation",
-    "canonical_frame_field", "reference_frame",
+    "canonical_frame_field",
     "random_smooth_frame", "random_gauge_map", "random_hermitian_field",
 ]
 
@@ -79,13 +78,6 @@ def _within(errs, x, tol, what):
     return err
 
 
-def reference_frame(spacetime, N, n) -> FieldFn:
-    """The constant frame (I_n, 0)^T."""
-    v0 = np.zeros((N, n), dtype=complex)
-    v0[:n, :n] = np.eye(n)
-    return constant(v0, spacetime)
-
-
 def extract_potential(v: FieldFn) -> Form:
     """A_mu = -i V^dag dV.
 
@@ -108,7 +100,7 @@ def extract_potential(v: FieldFn) -> Form:
                     "frame orthonormality is broken or the FD step is too coarse")
             return h
 
-        return replace(raw.hermitian_part(), fn=checked, deriv2=None)
+        return replace(raw.hermitian_part(), fn=checked)
 
     return Form(v.spacetime, 1, entry)
 
@@ -126,11 +118,6 @@ def projector(r: FieldFn) -> FieldFn:
 def shape_operator(r: FieldFn) -> Form:
     """S_mu = -(i/2) R dR: d Hermitian N x N fields anti-commuting with R."""
     return Form(r.spacetime, 1, lambda mu: (-0.5j) * (r @ r.partial(mu)))
-
-
-def lifted_covariant_derivative(r: FieldFn, psi: FieldFn, mu, x):
-    """d_mu psi + i S_mu psi at x, a point or a (..., d) stack, for any C^N-valued field psi."""
-    return covariant_field(shape_operator(r), psi, mu)(x)
 
 
 def lifted_covariant_derivative_projected(r: FieldFn, psi: FieldFn, mu, x):
@@ -270,13 +257,12 @@ class ShapeGaugeDecomposition:
 
 
 def shape_gauge_decompose(v: FieldFn, w: FieldFn) -> ShapeGaugeDecomposition:
-    """Complementary connection C_mu = -i W^dag dW and its curvature G.
+    """Complementary connection C = -i W^dag dW, `extract_potential` of W, and its curvature G.
 
     The decomposition's `reconstruction_residual` and `omega_block_residual`
     measure how well S_mu and the curvature blocks are reproduced.
     """
-    comps = [(-1j) * (w.dagger() @ w.partial(mu)) for mu in range(v.spacetime.dim)]
-    c = gauge_potential(v.spacetime, comps)
+    c = extract_potential(w)
     return ShapeGaugeDecomposition(v, w, c, field_strength(c))
 
 
@@ -414,9 +400,7 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
     analytic=False strips the derivatives to exercise finite-difference paths.
     """
     h = random_hermitian_field(spacetime, N, seed, amplitude)
-    v0 = np.zeros((N, n), dtype=complex)
-    v0[:n, :n] = np.eye(n)
-    return _exp_i_field(h, v0, analytic)
+    return _exp_i_field(h, np.eye(N, n, dtype=complex), analytic)
 
 
 def random_gauge_map(spacetime, n, seed) -> FieldFn:

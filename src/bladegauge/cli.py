@@ -467,6 +467,9 @@ def _load_lattice(path):
     """A lattice file's LatticeBlade; a ConfigError naming the key for what it cannot read."""
     from .dynamics import LatticeBlade
     payload = _read_json(path)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"lattice file {path}: {reprlib.repr(payload)} is not an object",
+                          schema_path=[])
     for key in ("sites", "spacings", "periodic"):
         if key not in payload:
             raise ConfigError(f"lattice file {path} has no {key!r}", schema_path=[key])

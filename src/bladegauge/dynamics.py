@@ -28,7 +28,7 @@ __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
     "maxwell_mod_residual", "shape_gauge_ym_residual", "sigma_eom_residual",
     "LatticeBlade", "blade_lattice_from_field", "sigma_lattice_energy",
-    "sigma_lattice_gradient", "sigma_lattice_directional", "sigma_flow", "conjugate_sites",
+    "sigma_lattice_gradient", "sigma_flow", "conjugate_sites",
 ]
 
 INDEX_HANDLING_NOTE = ("modified EOM evaluated as the nu-summed divergence "
@@ -264,12 +264,6 @@ def sigma_lattice_gradient(lat: LatticeBlade):
             lap_ax[0] -= d_ax[-1]
     x = _matmul_small(lat.sites, lap)
     return -0.5j * lat.cell_volume * (x - dagger(x))
-
-
-def sigma_lattice_directional(lat: LatticeBlade, b):
-    """Tr-pairing of the gradient with a per-site Hermitian direction b."""
-    grad = sigma_lattice_gradient(lat)
-    return float(np.sum(np.einsum("...ij,...ji->...", grad, b)).real)
 
 
 def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:

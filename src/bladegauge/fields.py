@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartError, DimensionMismatchError, ParameterError, RankError
+from .errors import ChartError, DimensionMismatchError, ParameterError
 from .linalg import hermitian_part
 from .tolerances import DEFAULT as TOL
 
@@ -64,8 +64,7 @@ __all__ = [
     "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
     "hstack", "stencil_field",
     "Form", "one_form", "exterior_d", "closedness_residual",
-    "form_values", "wedge", "wedge_power_values",
-    "wedge_power_nonzero", "form_rank", "sphere_flux",
+    "form_values", "wedge", "form_rank", "sphere_flux",
     "Grid", "lattice_integral",
 ]
 
@@ -661,24 +660,6 @@ def wedge(vals_p, vals_q):
             key = tuple(sorted(j + k))
             out[key] = out.get(key, 0.0) + _shuffle_sign(j, k) * aj * bk
     return out
-
-
-def wedge_power_values(a, da, r, x):
-    """Components of A wedge (dA)^r at x."""
-    vals = form_values(a, x)
-    dvals = form_values(da, x)
-    for _ in range(r):
-        vals = wedge(vals, dvals)
-    return vals
-
-
-def wedge_power_nonzero(a, da, r, sample_points):
-    """True if any component of A wedge (dA)^r exceeds 1e-9 at any sample."""
-    d = a.spacetime.dim
-    if 2 * r + 1 > d:
-        raise RankError(f"a ({2 * r + 1})-form cannot live in dimension {d}")
-    pts = np.asarray(sample_points, dtype=float).reshape(-1, d)
-    return any(np.any(np.abs(v) > 1e-9) for v in wedge_power_values(a, da, r, pts).values())
 
 
 def form_rank(a, sample_points, tol=1e-9):

@@ -6,9 +6,13 @@ is a plain C^n-valued `FieldFn`, a gauge map u takes it to `u @ psi`, and
 its covariant derivative D_mu psi is the field `covariant_field(a, psi, mu)`;
 any matrix connection serves as A, the shape operator of a blade included
 (the lifted derivative).  The coupling constant is omitted throughout.
-Potentials are hermitized on evaluation: finite-difference noise must not
-trip the Hermiticity invariant, so corrections below a warning threshold are
-silent and larger ones warn.
+Every connection (a potential, a gauge transform, a pure gauge) and every
+field strength is a `Form` whose components are built when first read, and
+each component is hermitized on evaluation: finite-difference noise must not
+trip the Hermiticity invariant, so corrections below the component's own
+budget are silent and larger ones warn.  The budget is TOL.hermitian_warn
+(1e-8), raised to TOL.fd(h) = 10 h^2 for a component whose first derivatives
+are finite differences of step h; no other component of the form is read.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import FieldFn, Form, _worst_point, one_form
+from .fields import FieldFn, Form, _worst_point
 from .linalg import dagger, hermitian_part, max_abs, max_abs_each
 from .tolerances import DEFAULT as TOL
 
@@ -30,8 +34,14 @@ __all__ = [
 ]
 
 
-def _hermitized(f: FieldFn, warn_tol=TOL.hermitian_warn) -> FieldFn:
-    """Wrap a matrix field so every evaluation returns its Hermitian part."""
+def _hermitized(f: FieldFn) -> FieldFn:
+    """Wrap a matrix field so every evaluation returns its Hermitian part.
+
+    A correction beyond f's budget warns: TOL.hermitian_warn, or the budget
+    of f's step when f's first derivatives are finite differences (their
+    O(h^2) anti-Hermitian noise must not warn on every evaluation).
+    """
+    warn_tol = max(TOL.hermitian_warn, TOL.fd(f.fd_step) if _fd_derived(f) else 0.0)
 
     def fn(x):
         m = np.asarray(f.fn(x), dtype=complex)
@@ -59,11 +69,7 @@ def gauge_potential(spacetime, components) -> Form:
     n = components[0].shape[0]
     if any(c.shape != (n, n) for c in components):
         raise DimensionMismatchError("all components must be square and same size")
-    # finite-difference-backed components carry O(h^2) anti-hermitian
-    # noise; warn only beyond their budget, not on every evaluation
-    warn_tol = max(TOL.hermitian_warn,
-                   TOL.fd(components[0].fd_step) if any(map(_fd_derived, components)) else 0.0)
-    return one_form(spacetime, [_hermitized(c, warn_tol) for c in components])
+    return Form(spacetime, 1, lambda mu: _hermitized(components[mu]))
 
 
 def gauge_map(f: FieldFn) -> FieldFn:
@@ -101,23 +107,19 @@ def covariant_derivative_matrix(a: Form, m: FieldFn, mu, x):
 
 
 def field_strength(a: Form) -> Form:
-    """F_mu nu = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu]."""
-    warn_tol = max(TOL.hermitian_warn, TOL.fd(a[(0,)].fd_step)
-                   if any(map(_fd_derived, a.values())) else 0.0)
-
+    """F_mu nu = d_mu A_nu - d_nu A_mu + i [A_mu, A_nu]; F_mu nu reads only A_mu and A_nu."""
     def entry(mu, nu):
         amu, anu = a[(mu,)], a[(nu,)]
-        f = anu.partial(mu) - amu.partial(nu) + 1j * (amu @ anu - anu @ amu)
-        return _hermitized(f, warn_tol)
+        return _hermitized(anu.partial(mu) - amu.partial(nu) + 1j * (amu @ anu - anu @ amu))
 
     return Form(a.spacetime, 2, entry)
 
 
 def gauge_transform(a: Form, u: FieldFn) -> Form:
     """A' = u A u^dag - i u d u^dag."""
-    comps = [u @ a[(mu,)] @ u.dagger() + (-1j) * (u @ u.dagger().partial(mu))
-             for mu in range(a.spacetime.dim)]
-    return gauge_potential(a.spacetime, comps)
+    ud = u.dagger()
+    return Form(a.spacetime, 1,
+                lambda mu: _hermitized(u @ a[(mu,)] @ ud + (-1j) * (u @ ud.partial(mu))))
 
 
 def gauge_transform_field_strength(f: Form, u: FieldFn) -> Form:
@@ -127,5 +129,5 @@ def gauge_transform_field_strength(f: Form, u: FieldFn) -> Form:
 
 def pure_gauge_potential(u: FieldFn) -> Form:
     """A = -i u d u^dag: the flat potential gauge-equivalent to zero."""
-    comps = [(-1j) * (u @ u.dagger().partial(mu)) for mu in range(u.spacetime.dim)]
-    return gauge_potential(u.spacetime, comps)
+    ud = u.dagger()
+    return Form(u.spacetime, 1, lambda mu: _hermitized((-1j) * (u @ ud.partial(mu))))

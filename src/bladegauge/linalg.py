@@ -25,8 +25,7 @@ from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "dagger", "hermitian_part", "commutator", "max_abs", "max_abs_each", "is_hermitian",
-    "polar", "unitary_exp", "unitary_exp_frechet",
-    "random_hermitian", "random_unitary",
+    "polar", "unitary_exp", "unitary_exp_frechet", "random_hermitian",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
 ]
 
@@ -231,7 +230,3 @@ def random_hermitian(n, seed, scale_=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale_ * hermitian_part(g)
 
-
-def random_unitary(n, seed):
-    """Seeded random unitary, constructed as exp(i H) of a random Hermitian."""
-    return unitary_exp(random_hermitian(n, seed), 1.0)

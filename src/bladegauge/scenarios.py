@@ -28,7 +28,7 @@ from .dynamics import (maxwell_mod_residual, modified_eom_residual, shape_gauge_
                        sigma_eom_residual, ym_residual)
 from .errors import ChartError, ConfigError, ParameterError
 from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _worst_point,
-                     constant, form_values, linear, matrix_of, one_form, sphere_flux, wedge)
+                     constant, form_values, linear, matrix_of, sphere_flux, wedge)
 from .gauge import field_strength, gauge_potential, pure_gauge_potential
 from .linalg import dagger, max_abs, polar
 __all__ = [
@@ -367,8 +367,8 @@ def load_potential(name_or_cfg, spacetime=None, **params) -> Form:
             return extract_potential(load_frame(cfg, spacetime))
         a = build(scenario_params(cfg), spacetime)
     step = cfg.get("fd_step")
-    return a if step is None else one_form(a.spacetime,
-                                           [c.with_step(float(step)) for c in a.values()])
+    return a if step is None else Form(a.spacetime, 1,
+                                       lambda mu: a[(mu,)].with_step(float(step)))
 
 
 def load_frame(name_or_cfg, spacetime=None, **params) -> FieldFn:

@@ -9,19 +9,18 @@ from bladegauge.blade import (_exp_i_field, _complete_columns, blade_curvature,
                               complement_field, complement_frame,
                               check_four_way, direct_rotation,
                               extract_potential, four_way, frame,
-                              lifted_covariant_derivative,
                               lifted_covariant_derivative_projected, projector,
                               random_gauge_map,
                               random_hermitian_field, random_smooth_frame,
-                              reference_frame, shape_gauge_decompose,
+                              shape_gauge_decompose,
                               shape_identity_residual, shape_operator,
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError, DimensionMismatchError
 from bladegauge.fields import (_LEAF_CACHE_POINTS, FieldFn, constant, coordinate, matrix_of,
                                one_form)
-from bladegauge.gauge import field_strength, gauge_transform
-from bladegauge.linalg import (dagger, max_abs, random_unitary, unitary_exp,
+from bladegauge.gauge import covariant_field, field_strength, gauge_transform
+from bladegauge.linalg import (dagger, max_abs, random_hermitian, unitary_exp,
                                unitary_exp_frechet)
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -255,7 +254,7 @@ def test_exp_leaf_arrays_are_read_only(st4, points4):
 
 
 def test_extract_potential_constant_frame(st4, points4):
-    v = reference_frame(st4, 4, 2)
+    v = constant(np.eye(4, 2, dtype=complex), st4)
     a = extract_potential(v)
     for x in points4:
         for mu in range(4):
@@ -299,7 +298,7 @@ def test_extract_potential_error_names_the_worst_point_of_a_stack(st4):
 
 
 def test_blade_reference(st4):
-    v = reference_frame(st4, 5, 2)
+    v = constant(np.eye(5, 2, dtype=complex), st4)
     r = blade_from_frame(v)(np.zeros(4))
     assert max_abs(r - np.diag([1, 1, -1, -1, -1]).astype(complex)) < 1e-14
 
@@ -324,7 +323,7 @@ def test_blade_invariants_and_trace(st4, points4):
 
 
 def test_shape_operator_constant_blade(st4, points4):
-    s = shape_operator(blade_from_frame(reference_frame(st4, 4, 2)))
+    s = shape_operator(blade_from_frame(constant(np.eye(4, 2, dtype=complex), st4)))
     for x in points4:
         for mu in range(4):
             assert max_abs(s.at(x, mu)) == 0.0
@@ -370,7 +369,7 @@ def test_block_structure(st4, points4):
 
 
 def test_curvature_constant_blade(st4):
-    omega = blade_curvature(blade_from_frame(reference_frame(st4, 4, 2)))
+    omega = blade_curvature(blade_from_frame(constant(np.eye(4, 2, dtype=complex), st4)))
     assert max_abs(omega.at(np.ones(4), 0, 1)) == 0.0
 
 
@@ -415,10 +414,9 @@ def test_lifted_derivative_reduces_on_lifted_matter(st4, points4):
                       lambda x, mu: psi.d(x, mu)[:, 0], None)
     lifted = v @ psi_vec
     a = extract_potential(v)
-    from bladegauge.gauge import covariant_field
     for x in points4[:3]:
         for mu in range(4):
-            got = lifted_covariant_derivative(blade, lifted, mu, x)
+            got = covariant_field(shape_operator(blade), lifted, mu)(x)
             want = v(x) @ covariant_field(a, psi_vec, mu)(x)
             assert max_abs(got - want) < 1e-8
 
@@ -433,15 +431,15 @@ def test_lifted_derivative_matches_projected_form(st4, points4):
                                          dtype=complex), None)
     for x in points4[:3]:
         for mu in range(4):
-            a = lifted_covariant_derivative(blade, psi, mu, x)
+            a = covariant_field(shape_operator(blade), psi, mu)(x)
             b = lifted_covariant_derivative_projected(blade, psi, mu, x)
             assert max_abs(a - b) < 1e-6
 
 
 def test_lifted_constant_everything(st4):
-    blade = blade_from_frame(reference_frame(st4, 4, 2))
+    blade = blade_from_frame(constant(np.eye(4, 2, dtype=complex), st4))
     psi = constant(np.array([1.0, 2.0, 3.0, 4.0]), st4)
-    assert max_abs(lifted_covariant_derivative(blade, psi, 1, np.zeros(4))) == 0.0
+    assert max_abs(covariant_field(shape_operator(blade), psi, 1)(np.zeros(4))) == 0.0
 
 
 def test_lifted_matter_is_small_gauge_invariant(st4, points4):
@@ -473,7 +471,7 @@ def test_shape_identity_negative_control(st4):
 
 
 def test_complement_reference_frame(st4):
-    v = reference_frame(st4, 4, 1)
+    v = constant(np.eye(4, 1, dtype=complex), st4)
     w = complement_frame(v, np.zeros(4))
     want = np.zeros((4, 3), dtype=complex)
     want[1:, :] = np.eye(3)
@@ -580,7 +578,7 @@ def _assert_decomposition_holds(dec, pts):
 
 
 def test_shape_gauge_decompose_constant_frame(st4):
-    v = reference_frame(st4, 4, 2)
+    v = constant(np.eye(4, 2, dtype=complex), st4)
     dec = shape_gauge_decompose(v, complement_field(v))
     x = np.zeros(4)
     for mu in range(4):
@@ -589,14 +587,14 @@ def test_shape_gauge_decompose_constant_frame(st4):
 
 
 def test_canonical_frame_fixed_point(st4):
-    v0 = reference_frame(st4, 4, 2)(np.zeros(4))
+    v0 = np.eye(4, 2, dtype=complex)
     p0 = v0 @ dagger(v0)
     assert max_abs(canonical_frame(p0, v0) - v0) < 1e-12
 
 
 def test_canonical_frame_reproduces_subspace(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=73)
-    v0 = reference_frame(st4, 4, 2)(np.zeros(4))
+    v0 = np.eye(4, 2, dtype=complex)
     blade = blade_from_frame(v)
     for x in points4[:3]:
         p = projector(blade)(x)
@@ -637,7 +635,7 @@ def test_direct_rotation_out_of_chart():
 
 def test_direct_rotation_properties(st4, points4):
     v = random_smooth_frame(st4, 4, 1, seed=79)
-    v0 = reference_frame(st4, 4, 1)(np.zeros(4))
+    v0 = np.eye(4, 1, dtype=complex)
     r0 = 2.0 * v0 @ dagger(v0) - np.eye(4)
     blade = blade_from_frame(v)
     for x in points4[:3]:
@@ -653,7 +651,7 @@ def test_canonical_frame_em_gauge_fixed_potential(st4):
     # extract_potential(V_can) is hermitian and reproduces V0^dag (U1^dag dU1) V0
     params = plane_wave_params(st4, [0.8, 0, 0, 0.5], [0, 0.4, 0, 0])
     blade = blade_from_frame(em_frame(params))
-    v0 = reference_frame(st4, 2, 1)(np.zeros(4))
+    v0 = np.eye(2, 1, dtype=complex)
     vc = canonical_frame_field(blade, v0)
     a = extract_potential(vc)
     u1 = FieldFn(st4, (2, 2), lambda x: direct_rotation(projector(blade)(x), v0),
@@ -670,7 +668,7 @@ def test_shape_gauge_non_uniqueness_witness(st4, points4):
     # a constant U(N) rotation satisfies V^dag (U1^dag dU1) V = 0, keeps the
     # extracted potential, and generally moves the blade
     v = random_smooth_frame(st4, 4, 2, seed=83)
-    u1 = random_unitary(4, seed=84)
+    u1 = unitary_exp(random_hermitian(4, 84))
     v2 = constant(u1, st4) @ v
     a1 = extract_potential(v)
     a2 = extract_potential(v2)

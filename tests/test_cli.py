@@ -355,6 +355,18 @@ def test_sigma_flow_malformed_lattice_file_exits_2(key, value, message, tmp_path
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["5", "true", "null"],
+                         ids=["top_level_number", "top_level_true", "top_level_null"])
+def test_sigma_flow_lattice_file_not_an_object_exits_2(text, tmp_path, capsys):
+    lat = tmp_path / "lat.json"
+    lat.write_text(text)
+    out = tmp_path / "rep.json"
+    code = main(["sigma-flow", "--init", str(lat), "--steps", "1", "--report", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert "is not an object (schema path: )" in err and "Traceback" not in err
+
+
 # the flags each surface reads; every other pairing exits 2
 EMBEDDED_READS = {"plane": (), "sphere": ("a",), "cylinder": (), "torus": ("rmaj", "rmin")}
 
@@ -695,10 +707,12 @@ def test_rank_above_ambient_exits_2(scenario, argv, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    # configs are checked against the scenario registry, with no schema library
+# configs are checked against the scenario registry, with no schema library, and
+# scipy (tabulated fields) is imported on use: importing the CLI is its start-up cost
+@pytest.mark.parametrize("library", ["jsonschema", "scipy"])
+def test_cli_import_leaves_jsonschema_unloaded(library):
     src = str(Path(bladegauge.__file__).resolve().parents[1])
-    code = "import sys, bladegauge.cli; print([m for m in sys.modules if 'jsonschema' in m])"
+    code = f"import sys, bladegauge.cli; print([m for m in sys.modules if {library!r} in m])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

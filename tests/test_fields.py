@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from bladegauge.blade import frame
-from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError, RankError
+from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError
 from bladegauge.fields import (Form, Grid, MINKOWSKI4, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, form_values, hstack, lattice_integral, linear,
                                mapped, matrix_of, one_form, scalar_field, sin_of,
-                               sphere_flux, stencil_field, vector_of, wedge,
-                               wedge_power_nonzero, wedge_power_values)
+                               sphere_flux, stencil_field, vector_of, wedge)
 from bladegauge.gauge import gauge_map, gauge_potential
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
@@ -225,7 +224,7 @@ def test_wedge_hand_values():
     a = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
     da = exterior_d(a)
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    vals = wedge_power_values(a, da, 1, x)
+    vals = wedge(form_values(a, x), form_values(da, x))
     assert abs(vals[(1, 2, 3)] - 1.0) < 1e-10
     assert abs(vals[(0, 1, 3)] - 3.0) < 1e-10
     assert abs(vals.get((0, 1, 2), 0.0)) < 1e-10
@@ -295,20 +294,6 @@ def test_form_rank_warns_when_not_constant():
     pts = [np.array([0.0, 0.5, 0.0, 0.5]), np.array([1.0, 0.5, 1.0, 0.5])]
     with pytest.warns(UserWarning, match="rank varies"):
         assert form_rank(a, pts) == 1
-
-
-def test_wedge_power_rank_error():
-    st = MINKOWSKI4
-    zero = constant(0.0, st)
-    a = one_form(st, (zero, coordinate(st, 0), zero, zero))
-    da = exterior_d(a)
-    with pytest.raises(RankError):
-        wedge_power_nonzero(a, da, 2, [np.zeros(4)])
-    # past the rank check: A = x0 dx1 has A ^ dA = 0, while x0 dx1 + x2 dx3 does not
-    x = [np.array([0.5, 0.1, 0.5, 0.2])]
-    assert not wedge_power_nonzero(a, da, 1, x)
-    b = one_form(st, (zero, coordinate(st, 0), zero, coordinate(st, 2)))
-    assert wedge_power_nonzero(b, exterior_d(b), 1, x)
 
 
 def test_wedge_shuffle_signs():

@@ -5,8 +5,8 @@ import pytest
 
 from bladegauge.blade import extract_potential, random_gauge_map, random_smooth_frame
 from bladegauge.errors import DomainError
-from bladegauge.fields import (FieldFn, closedness_residual, constant,
-                               exp_i, linear, matrix_of)
+from bladegauge.fields import (FieldFn, Form, closedness_residual, constant,
+                               euclidean, exp_i, linear, matrix_of)
 from bladegauge.gauge import (covariant_derivative_matrix, covariant_field, field_strength,
                               gauge_map, gauge_potential, gauge_transform,
                               gauge_transform_field_strength, pure_gauge_potential)
@@ -219,3 +219,38 @@ def test_hermitization_warns_on_large_drift(st4):
         warnings.simplefilter("always")
         a.at(np.zeros(4), 0)
     assert any("hermitizing" in str(w.message) for w in caught)
+
+
+def test_hermitization_budget_is_per_component():
+    # the same 1e-6 anti-Hermitian drift passes the FD-only component's budget
+    # (10 h^2 = 1e-5) and exceeds the analytic one's (1e-8): each keeps its own
+    st = euclidean(2)
+    drifting = constant(np.array([[0.0, 2e-6], [0.0, 0.0]], dtype=complex), st)
+    a = gauge_potential(st, [drifting, drifting.without_analytic_derivs()])
+    with pytest.warns(UserWarning, match="hermitizing correction 1.000e-06 exceeds 1.0e-08"):
+        a.at(np.zeros(2), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a.at(np.zeros(2), 1)
+
+
+def _recording_potential(st, built):
+    """A zero U(2) potential whose entry appends each index it builds to built."""
+    def entry(mu):
+        built.append(mu)
+        return constant(np.zeros((2, 2), dtype=complex), st)
+    return Form(st, 1, entry)
+
+
+def test_field_strength_builds_only_the_components_it_reads(st4):
+    built = []
+    field_strength(_recording_potential(st4, built))[(0, 1)]
+    assert built == [0, 1]
+
+
+def test_gauge_transform_builds_each_component_on_first_read(st4):
+    built = []
+    a2 = gauge_transform(_recording_potential(st4, built), random_gauge_map(st4, 2, seed=3))
+    assert built == []
+    a2[(2,)]
+    assert built == [2]

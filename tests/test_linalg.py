@@ -7,7 +7,7 @@ from bladegauge.errors import DimensionMismatchError, DomainError
 from bladegauge.linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, _exp_in_eigenbasis, _matmul_small,
                                _second_divided_differences, commutator, dagger, hermitian_part,
                                is_hermitian, max_abs, max_abs_each, random_hermitian,
-                               random_unitary, unitary_exp, unitary_exp_frechet)
+                               unitary_exp, unitary_exp_frechet)
 
 
 def test_identity_commutes_with_anything(rng):
@@ -116,9 +116,9 @@ def test_random_hermitian_is_hermitian_and_deterministic():
 
 
 def test_random_unitary_contract():
-    u = random_unitary(3, 5)
+    u = unitary_exp(random_hermitian(3, 5))
     assert max_abs(dagger(u) @ u - np.eye(3)) < 1e-12
-    assert max_abs(u - random_unitary(3, 5)) == 0.0
+    assert max_abs(u - unitary_exp(random_hermitian(3, 5))) == 0.0
 
 
 def test_random_hermitian_rejects_bad_dim():

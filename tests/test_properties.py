@@ -365,12 +365,12 @@ def _covariant_derivative_call():
 
 
 def _lifted_covariant_derivative_call():
-    from bladegauge.blade import lifted_covariant_derivative
     from bladegauge.fields import constant
+    from bladegauge.gauge import covariant_field
     blade = blade_from_frame(_frame((4, 2), 13))
     psi = random_gauge_map(MINKOWSKI4, 4, 7) @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
                                                           MINKOWSKI4)
-    return lambda y: np.stack([lifted_covariant_derivative(blade, psi, mu, y)
+    return lambda y: np.stack([covariant_field(shape_operator(blade), psi, mu)(y)
                                for mu in range(4)], axis=-2)
 
 
