@@ -15,7 +15,7 @@ makes the blade variables work:
 import numpy as np
 
 from bladegauge.blade import (blade_curvature, blade_from_frame, extract_potential,
-                              four_way, random_gauge_map, random_smooth_frame,
+                              four_way, random_smooth_frame,
                               shape_identity_residual, shape_operator)
 from bladegauge.fields import MINKOWSKI4
 from bladegauge.gauge import field_strength
@@ -67,7 +67,7 @@ def main():
     gap = max_abs(fs.at(x, 0, 2) - dagger(v(x)) @ omega.at(x, 0, 2) @ v(x))
     print(f"|F - V^dag Omega V|      = {gap:.2e}")
 
-    u = random_gauge_map(st, n, seed=SEED + 1)
+    u = random_smooth_frame(st, n, n, seed=SEED + 1)
     blade2 = blade_from_frame(v @ u.dagger())
     s2 = shape_operator(blade2)
     print(f"|R - R'| after V -> Vu^dag   = {max_abs(r - blade2(x)):.2e}")

@@ -27,7 +27,7 @@ from .blade import (frame, extract_potential, blade_from_frame, projector,
                     four_way, check_four_way,
                     shape_identity_residual, complement_frame, complement_field,
                     shape_gauge_decompose, canonical_frame, direct_rotation,
-                    random_smooth_frame, random_gauge_map)
+                    random_smooth_frame)
 from .em import (EmFrameParams, em_frame, em_complement, em_potential_residual,
                  em_faraday, plane_wave_params, plane_wave_potential,
                  monopole_potential, monopole_params, monopole_blade,

@@ -14,11 +14,11 @@ The gauge-fixed frames are functions of the blade alone: the canonical frame
 is the polar factor of P V0 and the direct rotation U1 = sqrt(R R0) that of
 I + R R0, where R0 is the reflection of a reference frame V0.
 
-The seeded exp(iH) test fields state their first and second derivatives in
-closed form, so the blade, its shape operator and its curvature are analytic
-to first derivatives of S.  The complement and canonical frames have no closed
-form; they are stencil leaves (`fields.stencil_field`), whose finite
-differences come from one stacked call per point stack.
+The seeded exp(iH) frames state their first and second derivatives in closed
+form, so the blade, its shape operator and its curvature are analytic to first
+derivatives of S; a square one, n = N, is a seeded U(N) gauge map.  The
+complement and canonical frames have no closed form; they are stencil leaves
+(`fields.stencil_field`), differenced by one stacked call per point stack.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "complement_frame", "complement_field", "ShapeGaugeDecomposition",
     "shape_gauge_decompose", "canonical_frame", "direct_rotation",
     "canonical_frame_field",
-    "random_smooth_frame", "random_gauge_map", "random_hermitian_field",
+    "random_smooth_frame", "random_hermitian_field",
 ]
 
 
@@ -394,23 +394,15 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
 
     The derivatives of the matrix exponential are evaluated in the eigenbasis
     (first and second divided differences), so frame identities hold to
-    rounding accuracy.
+    rounding accuracy.  With n = N, V^dag V = I makes V a seeded smooth U(N)
+    gauge map exp(i H(x)).
     One stacked eigh per distinct point stack, kept in an LRU bounded by
     points that lives with the field; the arrays returned are read-only.
     analytic=False strips the derivatives to exercise finite-difference paths.
     """
-    h = random_hermitian_field(spacetime, N, seed, amplitude)
-    return _exp_i_field(h, np.eye(N, n, dtype=complex), analytic)
-
-
-def random_gauge_map(spacetime, n, seed) -> FieldFn:
-    """Seeded smooth U(n)-valued field u(x) = exp(i h(x)).
-
-    One stacked eigh per distinct point stack, kept in an LRU bounded by
-    points that lives with the field; the arrays returned are read-only.
-    """
-    h = random_hermitian_field(spacetime, n, seed)
-    return _exp_i_field(h, None, True)
+    v = _exp_i_field(random_hermitian_field(spacetime, N, seed, amplitude),
+                     np.eye(N, n, dtype=complex))
+    return v if analytic else v.without_analytic_derivs()
 
 
 class _ExpRecord:
@@ -427,8 +419,8 @@ class _ExpRecord:
         self.derivs2 = {}     # (mu, nu) -> d_mu d_nu value
 
 
-def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
-    """The field x -> exp(i H(x)) @ right (no product when right is None).
+def _exp_i_field(h: FieldFn, right) -> FieldFn:
+    """The field x -> exp(i H(x)) @ right, for an N x n matrix right.
 
     Each distinct point stack costs one H(x), one Hermiticity check and one
     stacked eigh H = Q diag(lam) Q^dag, which the derivatives use (for N = 2
@@ -446,13 +438,12 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
     k-sum as N elementwise passes.  The value and the first derivative take the
     arithmetic of `unitary_exp` and `unitary_exp_frechet`, so they are
     bit-identical to them, and every array handed out is read-only so that no
-    caller can change what a later query returns.  analytic=False leaves the
-    derivatives to finite differences.
+    caller can change what a later query returns.
     """
     lru = _PointLRU()
 
     def publish(m):
-        out = m if right is None else m @ right
+        out = m @ right
         out.flags.writeable = False
         return out
 
@@ -505,7 +496,4 @@ def _exp_i_field(h: FieldFn, right, analytic) -> FieldFn:
         return d
 
     n = h.shape[0]
-    shape = (n, n) if right is None else (n, right.shape[1])
-    if not analytic:
-        return FieldFn(h.spacetime, shape, fn)
-    return FieldFn(h.spacetime, shape, fn, deriv, deriv2)
+    return FieldFn(h.spacetime, (n, right.shape[1]), fn, deriv, deriv2)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import em
 from .blade import (blade_curvature, blade_from_frame, check_four_way, complement_field,
-                    extract_potential, four_way, random_gauge_map, random_smooth_frame,
+                    extract_potential, four_way, random_smooth_frame,
                     shape_gauge_decompose, shape_identity_residual, shape_operator)
 from .darboux import frame_residual_report, verify_rank
 from .dynamics import INDEX_HANDLING_NOTE, blade_lattice_from_field, sigma_flow
@@ -35,7 +35,7 @@ from .dynamics import INDEX_HANDLING_NOTE, blade_lattice_from_field, sigma_flow
 from .dynamics import shape_gauge_ym_residual  # noqa: F401
 from .embedded import (christoffel_gauss_curvature, cylinder, embedded_blade, gauss_curvature,
                        plane, sphere, torus)
-from .errors import BladeGaugeError, ConfigError
+from .errors import BladeGaugeError, ConfigError, DomainError
 from .fields import Grid, MINKOWSKI4
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs, max_abs_each
@@ -246,12 +246,26 @@ def _report_skeleton(command, cfg):
 
 
 def _emit(report, path):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Print the report, or write it to path, as strict JSON (RFC 8259): no NaN or Infinity."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"report entry {next(_nonfinite_keys(report))} is not a finite number, "
+                          "and strict JSON has none") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _nonfinite_keys(obj, key=""):
+    """The /-joined key of each NaN or infinity in a report, in printed order."""
+    if isinstance(obj, float) and not np.isfinite(obj):
+        yield key
+    elif isinstance(obj, (dict, list, tuple)):
+        for k, value in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
+            yield from _nonfinite_keys(value, f"{key}/{k}".lstrip("/"))
 
 
 def _check(name, value, threshold, expect_pass=True):
@@ -296,7 +310,7 @@ def _generic_identity_checks(seed, tol):
         blade = blade_from_frame(v)
         s = shape_operator(blade)
         omega = blade_curvature(blade)
-        u = random_gauge_map(st, n, seed=seed + 301 + i)
+        u = random_smooth_frame(st, n, n, seed=seed + 301 + i)
         blade2 = blade_from_frame(v @ u.dagger())
         s2 = shape_operator(blade2)
         a = extract_potential(v)
@@ -395,6 +409,7 @@ def cmd_residuals(args):
     report["grid"] = {"lo": grid.lo, "hi": grid.hi, "cells": grid.cells}
     report["summary"] = {"max": float(norms.max()), "mean": float(np.mean(norms.ravel())),
                          "count": norms.size}
+    _emit(report, args.report)  # first, so that a report it refuses leaves no CSV either
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -402,7 +417,6 @@ def cmd_residuals(args):
             for x, row in zip(pts, norms):
                 for idx, nm in zip(residuals, row):
                     writer.writerow([f"{c:.12g}" for c in x] + [idx, f"{nm:.12e}"])
-    _emit(report, args.report)
     return 0
 
 
@@ -572,6 +586,7 @@ def cmd_embedded(args):
         "max_path_discrepancy": float(np.max(disc)),
         "max_shape_identity_residual": float(np.max(ident)),
     }
+    _emit(report, args.report)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -579,7 +594,6 @@ def cmd_embedded(args):
                              "curvature_path_discrepancy", "shape_identity_residual"])
             for row in np.column_stack([x, k, k_oracle, disc, ident]):
                 writer.writerow([f"{c:.12g}" for c in row])
-    _emit(report, args.report)
     return 0
 
 

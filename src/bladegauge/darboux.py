@@ -146,28 +146,18 @@ class DarbouxData:
 def darboux_data(spacetime, pairs, lo, hi, validate=True) -> DarbouxData:
     """Build DarbouxData from (pi, phi) pairs of FieldFns or expression strings.
 
-    Validation samples the domain box: |pi_k| <= 1 is enforced, and a warning
+    Validation samples the domain box: finite |pi_k| <= 1 is enforced, and a warning
     is emitted if the 2(r+1) gradients fail to reach full rank (degenerate
     coordinates).
     """
-    conv = []
-    for k, (p, f) in enumerate(pairs):
-        p = expr_field(p, spacetime) if isinstance(p, str) else p
-        f = expr_field(f, spacetime) if isinstance(f, str) else f
-        conv.append((p, f))
+    conv = [tuple(expr_field(g, spacetime) if isinstance(g, str) else g for g in (p, f))
+            for p, f in pairs]
     data = DarbouxData(spacetime, tuple(conv), tuple(lo), tuple(hi))
     if validate and conv:
         pts = data.sample_points()
         for k, (p, _) in enumerate(conv):
-            u = p(pts)
-            if _any(abs(u) > 1.0 + 1e-12):
-                i, point = _worst_point(abs(u), pts)
-                raise DomainError(f"|pi_{k}| > 1 at {point} (value {u[i]:.6f})")
-        grads = []
-        x0 = pts[0]
-        for p, f in conv:
-            grads.append([p.d(x0, mu) for mu in range(spacetime.dim)])
-            grads.append([f.d(x0, mu) for mu in range(spacetime.dim)])
+            _checked_pi(p, pts, k)
+        grads = [[g.d(pts[0], mu) for mu in range(spacetime.dim)] for pair in conv for g in pair]
         rank = np.linalg.matrix_rank(np.asarray(grads, dtype=float), tol=1e-8)
         if rank < min(len(grads), spacetime.dim):
             warnings.warn(f"darboux functions look dependent (gradient rank {rank})",
@@ -179,12 +169,7 @@ def darboux_one_form(data: DarbouxData) -> Form:
     """A = sum_k pi_k d phi_k as a scalar one-form."""
     def entry(mu):
         parts = [p * f.partial(mu) for p, f in data.pairs]
-        if not parts:
-            return constant(0.0, data.spacetime)
-        total = parts[0]
-        for extra in parts[1:]:
-            total = total + extra
-        return total
+        return sum(parts[1:], parts[0]) if parts else constant(0.0, data.spacetime)
 
     return Form(data.spacetime, 1, entry)
 
@@ -195,22 +180,28 @@ def darboux_potential(data: DarbouxData) -> Form:
     return gauge_potential(data.spacetime, comps)
 
 
+def _checked_pi(fn, x, k):
+    """pi_k = fn(x); DomainError naming the pair and worst point unless finite with |pi_k| <= 1."""
+    with np.errstate(all="ignore"):  # so that a NaN reaches the error, not a numpy warning
+        u = fn(x)
+    bad = np.where(np.isfinite(u), abs(u), np.inf)
+    if _any(bad > 1.0 + 1e-12):
+        i, point = _worst_point(bad, x)
+        value = np.asarray(u)[i]
+        raise DomainError(f"|pi_{k}| > 1 at {point} (value {value:.6f})" if np.isfinite(value)
+                          else f"pi_{k} is not finite at {point} (value {value})")
+    return u
+
+
 def _half_arccos_trig(pi_field: FieldFn, k, which):
     """cos(rho_k) or sin(rho_k) for rho_k = arccos(pi_k) / 2.
 
     Uses cos^2 rho = (1 + pi)/2, sin^2 rho = (1 - pi)/2 on the principal
-    branch; evaluation raises DomainError (naming the pair and point) when
-    |pi_k| > 1.  The derivative blows up as |pi_k| -> 1; near-singular points
-    are the caller's business to flag.
+    branch; evaluation raises DomainError (naming the pair and point) unless
+    pi_k is finite with |pi_k| <= 1.  The derivative blows up as |pi_k| -> 1;
+    near-singular points are the caller's business to flag.
     """
     sign = 1.0 if which == "cos" else -1.0
-
-    def checked(x):
-        u = pi_field.fn(x)
-        if _any(abs(u) > 1.0 + 1e-12):
-            i, point = _worst_point(abs(u), x)
-            raise DomainError(f"|pi_{k}| > 1 at {point} (value {np.asarray(u)[i]:.6f})")
-        return u
 
     def val(u):
         t = (1.0 + sign * u) / 2.0
@@ -222,7 +213,8 @@ def _half_arccos_trig(pi_field: FieldFn, k, which):
         v = val(u)
         return -1.0 / (16.0 * (v * v * v))
 
-    return mapped(replace(pi_field, fn=checked), val, lambda u: sign / (4.0 * val(u)), d2val)
+    checked = replace(pi_field, fn=lambda x: _checked_pi(pi_field.fn, x, k))
+    return mapped(checked, val, lambda u: sign / (4.0 * val(u)), d2val)
 
 
 def darboux_frame(data: DarbouxData) -> FieldFn:

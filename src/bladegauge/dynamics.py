@@ -20,7 +20,7 @@ from .blade import (blade_curvature, blade_from_frame, extract_potential, projec
                     shape_operator)
 from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
-from .fields import FieldFn, Form, Grid, lattice_integral, scalar_field
+from .fields import FieldFn, Form, Grid, lattice_integral
 from .gauge import covariant_derivative_matrix, field_strength
 from .linalg import _matmul_small, dagger, hermitian_part, unitary_exp
 
@@ -64,7 +64,7 @@ def ym_action(a: Form, grid: Grid):
                       * np.trace(f @ f, axis1=-2, axis2=-1).real)
         return -0.5 * total  # both index orders of the antisymmetric pair
 
-    return lattice_integral(scalar_field(st, density), grid)
+    return lattice_integral(FieldFn(st, (), density), grid)
 
 
 def sigma_action(r: FieldFn, grid: Grid):
@@ -78,7 +78,7 @@ def sigma_action(r: FieldFn, grid: Grid):
             total += st.raise_sign(mu) * np.trace(dr @ dr, axis1=-2, axis2=-1).real
         return -0.25 * total
 
-    return lattice_integral(scalar_field(st, density), grid)
+    return lattice_integral(FieldFn(st, (), density), grid)
 
 
 def modified_eom_residual(v: FieldFn, x):

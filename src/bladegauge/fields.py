@@ -50,7 +50,7 @@ import operator
 import warnings
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .tolerances import DEFAULT as TOL
 __all__ = [
     "Spacetime", "MINKOWSKI4", "euclidean", "SPHERICAL3",
     "FieldFn", "constant", "identity_field", "coordinate", "linear",
-    "scalar_field", "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
+    "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
     "hstack", "stencil_field",
     "Form", "one_form", "exterior_d", "closedness_residual",
     "form_values", "wedge", "form_rank", "sphere_flux",
@@ -220,9 +220,7 @@ class FieldFn:
 
     def with_step(self, h):
         """Copy whose finite differences take step h; an FD-backed field keeps none of its own."""
-        if self.fd_backed:
-            return FieldFn(self.spacetime, self.shape, self.fn, None, None, h)
-        return FieldFn(self.spacetime, self.shape, self.fn, self.deriv, self.deriv2, h)
+        return replace(self.without_analytic_derivs() if self.fd_backed else self, fd_step=h)
 
 
 def _check_compatible(f, g):
@@ -382,10 +380,6 @@ def linear(spacetime, coeffs, offset=0.0):
         return (float(c.dot(x)) if x.ndim == 1 else np.vecdot(x, c)) + offset
 
     return FieldFn(spacetime, (), fn, _slopes(c), _uniform(0.0))
-
-
-def scalar_field(spacetime, fn):
-    return FieldFn(spacetime, (), fn)
 
 
 def mapped(f, func, dfunc=None, d2func=None):

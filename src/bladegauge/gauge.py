@@ -1,7 +1,8 @@
 """U(n) gauge potentials, field strengths, covariant derivatives, gauge transformations.
 
 Potentials and field strengths are `fields.Form`s, and a gauge map is the
-U(n)-valued `FieldFn` itself, as a frame and a blade are in `blade`.  Matter
+U(n)-valued `FieldFn` itself: a square frame, n = N, of which
+`blade.random_smooth_frame(st, n, n, seed)` is a seeded one.  Matter
 is a plain C^n-valued `FieldFn`, a gauge map u takes it to `u @ psi`, and
 its covariant derivative D_mu psi is the field `covariant_field(a, psi, mu)`;
 any matrix connection serves as A, the shape operator of a blade included

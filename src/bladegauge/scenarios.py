@@ -22,8 +22,7 @@ import numpy as np
 
 from . import darboux as dx
 from . import em
-from .blade import (blade_from_frame, extract_potential, frame, random_gauge_map,
-                    random_smooth_frame)
+from .blade import blade_from_frame, extract_potential, frame, random_smooth_frame
 from .dynamics import (maxwell_mod_residual, modified_eom_residual, shape_gauge_ym_residual,
                        sigma_eom_residual, ym_residual)
 from .errors import ChartError, ConfigError, ParameterError
@@ -31,6 +30,7 @@ from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _wo
                      constant, form_values, linear, matrix_of, sphere_flux, wedge)
 from .gauge import field_strength, gauge_potential, pure_gauge_potential
 from .linalg import dagger, max_abs, polar
+from .tolerances import DEFAULT as TOL
 __all__ = [
     "Scenario", "SCENARIOS", "EQUATIONS", "PARAM_TYPES", "CONFIG_KEYS", "validate_config",
     "resolve_spacetime", "scenario_params", "load_potential", "load_frame", "load_darboux",
@@ -72,7 +72,7 @@ def _constant_f_frame(p, spacetime) -> FieldFn:
 
 
 def _pure_gauge_map(p, spacetime):
-    return random_gauge_map(spacetime, p["rank"], p["seed"])
+    return random_smooth_frame(spacetime, p["rank"], p["rank"], p["seed"])
 
 
 def _pure_gauge_frame(p, spacetime) -> FieldFn:
@@ -467,6 +467,9 @@ def _table(tab, spacetime, potential):
         raise ConfigError(f"values on a grid of {tuple(map(len, axes))} points must be a "
                           f"numeric array shaped (*grid, {'d, n, n' if potential else 'N, n'}, "
                           f"2) with d = {d}", schema_path=["tabulated", "values"])
+    if not potential and matrix[1] > matrix[0]:
+        raise ConfigError(f"a frame's N x n values need n <= N; got N = {matrix[0]}, "
+                          f"n = {matrix[1]}", schema_path=["tabulated", "values"])
     return arr
 
 
@@ -481,6 +484,14 @@ def _tabulated_potential(tab, spacetime):
 def _tabulated_frame(tab, spacetime):
     arr = _table(tab, spacetime, potential=False)  # (*grid, N, n, 2)
     raw = tabulated_field(tab["axes"], arr, spacetime, arr.shape[len(tab["axes"]):-1])
-    # polar projection to the nearest orthonormal frame
-    return frame(FieldFn(spacetime, raw.shape,
-                         lambda x: polar(np.asarray(raw.fn(x), dtype=complex))[0], None, None))
+
+    def projected(x):
+        # polar projection to the nearest orthonormal frame, unique at full column rank
+        v, s = polar(np.asarray(raw.fn(x), dtype=complex))
+        if _any(s.min(axis=-1) < TOL.chart_min_overlap):
+            _, point = _worst_point(-s.min(axis=-1), x)
+            raise ChartError(f"tabulated frame loses column rank at {point} (smallest "
+                             f"singular value {s.min():.3e})")
+        return v
+
+    return FieldFn(spacetime, raw.shape, projected, None, None)

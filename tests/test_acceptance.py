@@ -8,7 +8,7 @@ import numpy as np
 
 from bladegauge.blade import (blade_curvature, blade_from_frame,
                               complement_field, extract_potential, four_way,
-                              random_gauge_map, random_smooth_frame,
+                              random_smooth_frame,
                               shape_identity_residual, shape_operator)
 from bladegauge.darboux import darboux_data, darboux_frame, darboux_one_form, verify_rank
 from bladegauge.dynamics import (blade_lattice_from_field, conjugate_sites,
@@ -134,7 +134,7 @@ def test_criterion_03_gauge_elimination():
     a = extract_potential(v)
     fs = field_strength(a)
     for j in range(10):
-        u = random_gauge_map(ST, 2, seed=600 + j)
+        u = random_smooth_frame(ST, 2, 2, seed=600 + j)
         v2 = v @ u.dagger()
         blade2 = blade_from_frame(v2)
         s2 = shape_operator(blade2)

@@ -10,7 +10,6 @@ from bladegauge.blade import (_exp_i_field, _complete_columns, blade_curvature,
                               check_four_way, direct_rotation,
                               extract_potential, four_way, frame,
                               lifted_covariant_derivative_projected, projector,
-                              random_gauge_map,
                               random_hermitian_field, random_smooth_frame,
                               shape_gauge_decompose,
                               shape_identity_residual, shape_operator,
@@ -156,7 +155,7 @@ def test_random_smooth_frame_bit_identical_to_unitary_exp(st4, points4, N, n, mo
 def test_random_gauge_map_bit_identical_to_unitary_exp(st4, points4, n, monkeypatch):
     h = random_hermitian_field(st4, n, 23)
     value, deriv = _reference_exp_field(h, None)
-    u = random_gauge_map(st4, n, seed=23)
+    u = random_smooth_frame(st4, n, n, seed=23)
     _assert_exp_leaf_bits(points4, u, value, deriv, monkeypatch)
 
 
@@ -174,7 +173,7 @@ def _fd_of_deriv_errors(f, x, steps):
 def test_exp_leaf_deriv2_is_the_limit_of_fd_of_deriv(st4, points4, field):
     f = {"frame_2_1": lambda: random_smooth_frame(st4, 2, 1, seed=4),
          "frame_4_2": lambda: random_smooth_frame(st4, 4, 2, seed=5),
-         "gauge_map": lambda: random_gauge_map(st4, 3, seed=6)}[field]()
+         "gauge_map": lambda: random_smooth_frame(st4, 3, 3, seed=6)}[field]()
     for x in points4[:2]:
         coarse, fine = _fd_of_deriv_errors(f, x, (2e-3, 1e-3))
         assert coarse < TOL.fd()
@@ -189,12 +188,12 @@ def test_exp_leaf_deriv2_at_a_repeated_eigenvalue(st4):
     x0, x1, x2 = (coordinate(st4, mu) for mu in range(3))
     h = (constant(np.diag([1.0, 1.0, 2.0]), st4) + x0 * constant(a, st4)
          + (x1 * x2 + x0 * x0) * constant(b, st4))
-    u = _exp_i_field(h, None, True)
+    u = _exp_i_field(h, np.eye(3, dtype=complex))
     x = np.zeros(4)
     assert max(_fd_of_deriv_errors(u, x, (1e-3,))) < TOL.fd()
     # H(0) = I: every eigenvalue triple is confluent, and d_mu d_nu e^{iH} has a closed form
     h = constant(np.eye(3), st4) + x0 * constant(a, st4) + (x1 * x2) * constant(b, st4)
-    u = _exp_i_field(h, None, True)
+    u = _exp_i_field(h, np.eye(3, dtype=complex))
     phase = np.exp(1j)
     assert max_abs(u.d2(x, 0, 0) - phase * (-a @ a)) < 1e-14
     assert max_abs(u.d2(x, 1, 2) - phase * 1j * b) < 1e-14
@@ -264,7 +263,7 @@ def test_extract_potential_constant_frame(st4, points4):
 def test_extract_potential_gauge_transformation_law(st4, points4):
     # V' = V u^dag  =>  A' = u A u^dag - i u du^dag
     v = random_smooth_frame(st4, 4, 2, seed=13)
-    u = random_gauge_map(st4, 2, seed=14)
+    u = random_smooth_frame(st4, 2, 2, seed=14)
     vprime = v @ u.dagger()
     a = extract_potential(v)
     aprime = extract_potential(vprime)
@@ -305,7 +304,7 @@ def test_blade_reference(st4):
 
 def test_blade_gauge_invariance_exact(st4, points4):
     v = random_smooth_frame(st4, 4, 2, seed=17)
-    u = random_gauge_map(st4, 2, seed=18)
+    u = random_smooth_frame(st4, 2, 2, seed=18)
     b1 = blade_from_frame(v)
     b2 = blade_from_frame(v @ u.dagger())
     for x in points4:
@@ -445,7 +444,7 @@ def test_lifted_constant_everything(st4):
 def test_lifted_matter_is_small_gauge_invariant(st4, points4):
     # V psi = (V u^dag)(u psi) holds exactly, pointwise
     v = random_smooth_frame(st4, 4, 2, seed=53)
-    u = random_gauge_map(st4, 2, seed=54)
+    u = random_smooth_frame(st4, 2, 2, seed=54)
     psi_val = np.array([0.3 + 1j, -0.7])
     for x in points4:
         lhs = v(x) @ psi_val

@@ -646,6 +646,34 @@ def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tm
     assert "Traceback" not in err and not out.exists()
 
 
+def _frame_table(v):
+    """A tabulated config whose frame is the N x n matrix v at every node of [0, 1]^4."""
+    v = np.asarray(v, dtype=complex)
+    values = np.broadcast_to(np.stack([v.real, v.imag], axis=-1), (2,) * 4 + v.shape + (2,))
+    return {"scenario": "planewave",
+            "tabulated": {"axes": [[0.0, 1.0]] * 4, "values": values.tolist()}}
+
+
+# a table of N x n matrices without full column rank has no nearest frame to project
+# to, and one with n > N cannot hold a frame at all
+@pytest.mark.parametrize("eq", ["shape", "sigma", "modified"])
+@pytest.mark.parametrize("v, message", [
+    (np.zeros((2, 1)), "tabulated frame loses column rank at [0.25"),
+    ([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], "tabulated frame loses column rank at [0.25"),
+    (np.ones((1, 2)), "need n <= N; got N = 1, n = 2 (schema path: tabulated/values)"),
+], ids=["all_zero", "equal_columns", "n_above_N"])
+def test_residuals_on_a_tabulated_frame_without_full_rank_exit_2(v, message, eq, tmp_path,
+                                                                  capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps(_frame_table(v)))
+    out, table = tmp_path / "rep.json", tmp_path / "points.csv"
+    assert main(["residuals", "--input", str(inp), "--eq", eq, "--grid", ",".join(["0:1:2"] * 4),
+                 "--report", str(out), "--csv", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and not out.exists() and not table.exists()
+
+
 # a config or params that is not a JSON object, a darboux domain off the chart's
 # dimension, integers written as floats, and a chart too small for its scenario
 @pytest.mark.parametrize("argv, text, path", [
@@ -790,3 +818,34 @@ def test_darboux_malformed_expression_exits_2(pi, tmp_path, capsys):
     inp.write_text(json.dumps({"pairs": [{"pi": pi, "phi": "x1"}]}))
     assert main(["darboux", "--input", str(inp)]) == 2
     assert "cannot parse expression" in capsys.readouterr().err
+
+
+# a pi that is NaN on part of the domain box, or on all of it: every command that reads
+# the pair refuses it, where it used to print NaN residuals or crash in an SVD
+@pytest.mark.parametrize("command", [
+    ["darboux"], ["verify"], ["residuals", "--eq", "ym", "--grid=-0.5:0.5:2,0:1:1,0:1:1,0:1:1"],
+], ids=["darboux", "verify", "residuals"])
+@pytest.mark.parametrize("pi", ["0.5*sqrt(x0)", "sqrt(x0-5)"], ids=["partly_nan", "all_nan"])
+def test_darboux_pi_that_is_not_finite_exits_2(command, pi, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": "darboux",
+                               "params": {"pairs": [{"pi": pi, "phi": "x1"}]}}))
+    out = tmp_path / "rep.json"
+    assert main(command[:1] + ["--input", str(inp), "--report", str(out)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "error: pi_0 is not finite at [" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# strict JSON (RFC 8259) has no NaN or Infinity: a report that holds one is refused,
+# and neither it nor the CSV is written
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])
+def test_report_with_a_non_finite_number_exits_2(bad, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(EQUATIONS, "ym",
+                        lambda cfg, st, pts: {"0": np.full((len(pts), 1, 1), bad)})
+    out, table = tmp_path / "rep.json", tmp_path / "points.csv"
+    assert main(["residuals", "--scenario", "planewave", "--eq", "ym", "--grid", GRID4,
+                 "--report", str(out), "--csv", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "error: report entry summary/max is not a finite number" in err
+    assert "Traceback" not in err and not out.exists() and not table.exists()

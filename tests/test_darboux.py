@@ -151,6 +151,17 @@ def test_darboux_data_validation_rejects_large_pi(st4):
         darboux_data(st4, [("2 * x0", "x1")], **BOX)
 
 
+# sqrt of a negative coordinate is NaN, which |pi| > 1 alone lets through; under the
+# warnings-as-errors policy numpy's invalid-value warning must not come first either
+@pytest.mark.parametrize("pi", ["0.5*sqrt(x0)", "sqrt(x0-5)"], ids=["partly_nan", "all_nan"])
+def test_darboux_rejects_a_pi_that_is_not_finite(st4, pi):
+    with pytest.raises(DomainError, match=r"pi_0 is not finite at \["):
+        darboux_data(st4, [(pi, "x1")], **BOX)
+    v = darboux_frame(darboux_data(st4, [(pi, "x1")], **BOX, validate=False))
+    with pytest.raises(DomainError, match=r"pi_0 is not finite at \[-4.0, 0.0, 0.0, 0.0\]"):
+        v(np.array([-4.0, 0, 0, 0]))
+
+
 def test_darboux_dependent_pairs_warn(st4):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

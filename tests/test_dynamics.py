@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bladegauge.blade import (blade_from_frame, extract_potential,
-                              random_gauge_map, random_smooth_frame)
+from bladegauge.blade import blade_from_frame, extract_potential, random_smooth_frame
 from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
                                  conjugate_sites, maxwell_mod_residual,
                                  modified_eom_residual,
@@ -79,7 +78,7 @@ def test_ym_action_constant_field_strength(st4):
 def test_ym_action_gauge_invariant(st4):
     v = random_smooth_frame(st4, 3, 2, seed=15)
     a = extract_potential(v)
-    u = random_gauge_map(st4, 2, seed=16)
+    u = random_smooth_frame(st4, 2, 2, seed=16)
     grid = Grid(lo=(0,) * 4, hi=(0.6,) * 4, cells=(3,) * 4)
     s1 = ym_action(a, grid)
     s2 = ym_action(gauge_transform(a, u), grid)

@@ -3,11 +3,11 @@ import pytest
 
 from bladegauge.blade import frame
 from bladegauge.errors import ChartError, DimensionMismatchError, ParameterError
-from bladegauge.fields import (Form, Grid, MINKOWSKI4, SPHERICAL3,
+from bladegauge.fields import (FieldFn, Form, Grid, MINKOWSKI4, SPHERICAL3,
                                Spacetime, closedness_residual, constant,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, form_values, hstack, lattice_integral, linear,
-                               mapped, matrix_of, one_form, scalar_field, sin_of,
+                               mapped, matrix_of, one_form, sin_of,
                                sphere_flux, stencil_field, vector_of, wedge)
 from bladegauge.gauge import gauge_map, gauge_potential
 from bladegauge.linalg import max_abs
@@ -352,7 +352,7 @@ def test_lattice_integral_constant():
 
 def test_lattice_integral_sin_squared():
     st = euclidean(1)
-    f = scalar_field(st, lambda x: np.sin(x[..., 0]) ** 2)
+    f = FieldFn(st, (), lambda x: np.sin(x[..., 0]) ** 2)
     grid = Grid(lo=(0.0,), hi=(2 * np.pi,), cells=(100,))
     assert abs(lattice_integral(f, grid) - np.pi) < 0.01 * np.pi
 
@@ -364,17 +364,17 @@ def test_lattice_integral_rejects_non_scalar_and_per_point_integrands():
         lattice_integral(constant(np.eye(2), st), grid)
     # written for one point: on the stack, x[0] is the first centre, not the first coordinate
     with pytest.raises(DimensionMismatchError, match="point stack"):
-        lattice_integral(scalar_field(st, lambda x: np.sin(x[0])), grid)
+        lattice_integral(FieldFn(st, (), lambda x: np.sin(x[0])), grid)
     # two cells on a 2-d grid: x[0], the first centre, is shaped like a (P,) stack's values
     grid = Grid(lo=(0.0, 0.0), hi=(1.0, 1.0), cells=(2, 1))
     with pytest.raises(DimensionMismatchError, match="point stack"):
-        lattice_integral(scalar_field(st, lambda x: x[0]), grid)
-    assert lattice_integral(scalar_field(st, lambda x: x[..., 0]), grid) == 0.5
+        lattice_integral(FieldFn(st, (), lambda x: x[0]), grid)
+    assert lattice_integral(FieldFn(st, (), lambda x: x[..., 0]), grid) == 0.5
 
 
 def test_lattice_refinement_is_second_order():
     st = euclidean(1)
-    f = scalar_field(st, lambda x: np.exp(np.sin(x[..., 0])))
+    f = FieldFn(st, (), lambda x: np.exp(np.sin(x[..., 0])))
     exact = lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(4096,)))
     e1 = abs(lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(16,))) - exact)
     e2 = abs(lattice_integral(f, Grid(lo=(0.0,), hi=(1.5,), cells=(32,))) - exact)

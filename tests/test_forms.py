@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bladegauge.blade import (blade_curvature, blade_from_frame, complement_field,
-                              extract_potential, random_gauge_map,
-                              random_smooth_frame, shape_gauge_decompose,
+                              extract_potential, random_smooth_frame, shape_gauge_decompose,
                               shape_operator)
 from bladegauge.darboux import darboux_data, darboux_one_form, darboux_potential
 from bladegauge.em import (em_faraday, monopole_field_strength, monopole_potential,
@@ -41,7 +40,7 @@ def _darboux():
 def _one_forms():
     st = MINKOWSKI4
     v = random_smooth_frame(st, 3, 1, seed=5)
-    u = random_gauge_map(st, 1, seed=6)
+    u = random_smooth_frame(st, 1, 1, seed=6)
     a = extract_potential(v)
     return {
         "darboux_one_form": darboux_one_form(_darboux()),
@@ -67,7 +66,7 @@ def _two_forms():
         "monopole_field_strength": monopole_field_strength(0.5),
         "field_strength": fs,
         "gauge_transform_field_strength":
-            gauge_transform_field_strength(fs, random_gauge_map(st, 1, seed=6)),
+            gauge_transform_field_strength(fs, random_smooth_frame(st, 1, 1, seed=6)),
         "blade_curvature": blade_curvature(blade_from_frame(v)),
         "shape_gauge_decomposition_G": shape_gauge_decompose(v, complement_field(v)).G,
     }

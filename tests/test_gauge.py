@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bladegauge.blade import extract_potential, random_gauge_map, random_smooth_frame
+from bladegauge.blade import extract_potential, random_smooth_frame
 from bladegauge.errors import DomainError
 from bladegauge.fields import (FieldFn, Form, closedness_residual, constant,
                                euclidean, exp_i, linear, matrix_of)
@@ -71,7 +71,7 @@ def test_field_strength_plane_wave_closed_form(points4, st4):
 
 
 def test_field_strength_pure_gauge_is_flat(points4, st4):
-    u = random_gauge_map(st4, 2, seed=9)
+    u = random_smooth_frame(st4, 2, 2, seed=9)
     fs = field_strength(pure_gauge_potential(u))
     for x in points4:
         for mu in range(4):
@@ -93,7 +93,7 @@ def test_gauge_transform_identity(st4, points4):
 def test_field_strength_transforms_covariantly(points4, st4):
     v = random_smooth_frame(st4, 4, 2, seed=21)
     a = extract_potential(v)
-    u = random_gauge_map(st4, 2, seed=22)
+    u = random_smooth_frame(st4, 2, 2, seed=22)
     lhs = field_strength(gauge_transform(a, u))
     rhs = gauge_transform_field_strength(field_strength(a), u)
     for x in points4[:3]:
@@ -117,8 +117,8 @@ def test_abelian_gauge_shift(points4, st4):
 def test_gauge_transform_is_group_action(points4, st4):
     v = random_smooth_frame(st4, 4, 2, seed=31)
     a = extract_potential(v)
-    u = random_gauge_map(st4, 2, seed=32)
-    w = random_gauge_map(st4, 2, seed=33)
+    u = random_smooth_frame(st4, 2, 2, seed=32)
+    w = random_smooth_frame(st4, 2, 2, seed=33)
     lhs = gauge_transform(gauge_transform(a, u), w)
     vu = w @ u
     rhs = gauge_transform(a, vu)
@@ -145,7 +145,7 @@ def test_covariant_derivative_matrix_cases(points4, st4):
 def test_covariant_derivative_matrix_transforms_covariantly(points4, st4):
     v = random_smooth_frame(st4, 4, 2, seed=51)
     a = extract_potential(v)
-    u = random_gauge_map(st4, 2, seed=52)
+    u = random_smooth_frame(st4, 2, 2, seed=52)
     m = matrix_of([[sin_or_one(st4, i, j) for j in range(2)] for i in range(2)])
     a2 = gauge_transform(a, u)
     m2 = u @ m @ u.dagger()
@@ -250,7 +250,7 @@ def test_field_strength_builds_only_the_components_it_reads(st4):
 
 def test_gauge_transform_builds_each_component_on_first_read(st4):
     built = []
-    a2 = gauge_transform(_recording_potential(st4, built), random_gauge_map(st4, 2, seed=3))
+    a2 = gauge_transform(_recording_potential(st4, built), random_smooth_frame(st4, 2, 2, seed=3))
     assert built == []
     a2[(2,)]
     assert built == [2]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bladegauge.blade import (blade_curvature, blade_from_frame, extract_potential,
-                              four_way, projector, random_gauge_map, random_smooth_frame,
+                              four_way, projector, random_smooth_frame,
                               shape_identity_residual, shape_operator)
 from bladegauge.embedded import cylinder, embedded_blade, gauss_curvature, plane, sphere, torus
 from bladegauge.fields import MINKOWSKI4, euclidean
@@ -62,7 +62,7 @@ def test_blade_identities(seed, shape, x):
 def test_gauge_invariance(seed, gauge_seed, shape, x):
     _, n = shape
     v = _frame(shape, seed)
-    u = random_gauge_map(MINKOWSKI4, n, seed=gauge_seed)
+    u = random_smooth_frame(MINKOWSKI4, n, n, seed=gauge_seed)
     blade, blade2 = blade_from_frame(v), blade_from_frame(v @ u.dagger())
     s, s2 = shape_operator(blade), shape_operator(blade2)
     assert max_abs(blade(x) - blade2(x)) <= TOL.analytic
@@ -159,7 +159,7 @@ def _stack_leaves():
         "linear": (linear(st, [0.3, -1.2, 0.7, 2.0], offset=0.1), *box4),
         "hermitian_waves": (random_hermitian_field(st, 3, 9), *box4),
         "exp_frame": (v, *box4),
-        "exp_gauge_map": (random_gauge_map(st, 2, 4), *box4),
+        "exp_gauge_map": (random_smooth_frame(st, 2, 2, 4), *box4),
         "tabulated": (tabulated_field(axes, samples, euclidean(2), (2, 2)),
                       [0.2, 0.2], [0.8, 0.8]),
         "tabulated_frame": (_tabulated_frame({"axes": axes, "values": samples[..., :1, :]},
@@ -186,7 +186,7 @@ def _stack_rules():
     st = MINKOWSKI4
     s = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
     t = coordinate(st, 1) + constant(2.0, st)
-    m, n = _frame((3, 3), 7), random_gauge_map(st, 3, 8)
+    m, n = _frame((3, 3), 7), random_smooth_frame(st, 3, 3, 8)
     w = _frame((3, 1), 2)
     vec = constant(np.array([1.0, -2.0j, 0.5]), st)
     box4 = ([-0.5] * 4, [0.5] * 4)
@@ -360,7 +360,7 @@ def _covariant_derivative_call():
     from bladegauge.fields import constant
     from bladegauge.gauge import covariant_field
     a = extract_potential(_frame((4, 2), 12))  # a U(2) potential
-    psi = random_gauge_map(MINKOWSKI4, 2, 6) @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
+    psi = random_smooth_frame(MINKOWSKI4, 2, 2, 6) @ constant(np.array([1.0, -0.5j]), MINKOWSKI4)
     return lambda y: np.stack([covariant_field(a, psi, mu)(y) for mu in range(4)], axis=-2)
 
 
@@ -368,7 +368,7 @@ def _lifted_covariant_derivative_call():
     from bladegauge.fields import constant
     from bladegauge.gauge import covariant_field
     blade = blade_from_frame(_frame((4, 2), 13))
-    psi = random_gauge_map(MINKOWSKI4, 4, 7) @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
+    psi = random_smooth_frame(MINKOWSKI4, 4, 4, 7) @ constant(np.array([1.0, 0.5j, -0.2, 0.3]),
                                                           MINKOWSKI4)
     return lambda y: np.stack([covariant_field(shape_operator(blade), psi, mu)(y)
                                for mu in range(4)], axis=-2)
