@@ -146,18 +146,25 @@ class DarbouxData:
 def darboux_data(spacetime, pairs, lo, hi, validate=True) -> DarbouxData:
     """Build DarbouxData from (pi, phi) pairs of FieldFns or expression strings.
 
-    Validation samples the domain box: finite |pi_k| <= 1 is enforced, and a warning
-    is emitted if the 2(r+1) gradients fail to reach full rank (degenerate
-    coordinates).
+    Validation samples the domain box: finite |pi_k| <= 1, a finite phi_k and
+    finite gradients of both are enforced (DomainError naming the pair and the
+    point), and a warning is emitted if the 2(r+1) gradients at the first
+    sample fail to reach full rank (degenerate coordinates).
     """
     conv = [tuple(expr_field(g, spacetime) if isinstance(g, str) else g for g in (p, f))
             for p, f in pairs]
     data = DarbouxData(spacetime, tuple(conv), tuple(lo), tuple(hi))
     if validate and conv:
         pts = data.sample_points()
-        for k, (p, _) in enumerate(conv):
+        grads = []
+        for k, (p, f) in enumerate(conv):
             _checked_pi(p, pts, k)
-        grads = [[g.d(pts[0], mu) for mu in range(spacetime.dim)] for pair in conv for g in pair]
+            with np.errstate(all="ignore"):  # so that a NaN reaches the error, not a numpy warning
+                _require_finite(f.fn(pts), pts, f"phi_{k}")
+                for name, g in ((f"pi_{k}", p), (f"phi_{k}", f)):
+                    grad = np.stack([g.d(pts, mu) for mu in range(spacetime.dim)], axis=-1)
+                    _require_finite(grad, pts, f"the gradient of {name}")
+                    grads.append(grad[0])
         rank = np.linalg.matrix_rank(np.asarray(grads, dtype=float), tol=1e-8)
         if rank < min(len(grads), spacetime.dim):
             warnings.warn(f"darboux functions look dependent (gradient rank {rank})",
@@ -191,6 +198,14 @@ def _checked_pi(fn, x, k):
         raise DomainError(f"|pi_{k}| > 1 at {point} (value {value:.6f})" if np.isfinite(value)
                           else f"pi_{k} is not finite at {point} (value {value})")
     return u
+
+
+def _require_finite(values, x, what):
+    """DomainError naming the first point of the (P, d) stack x where values are not finite."""
+    bad = ~np.isfinite(np.reshape(values, (len(x), -1))).all(axis=1)
+    if bad.any():
+        _, point = _worst_point(bad, x)
+        raise DomainError(f"{what} is not finite at {point}")
 
 
 def _half_arccos_trig(pi_field: FieldFn, k, which):

@@ -6,6 +6,16 @@ minus a quarter of the trace density is a genuine Dirichlet energy and
 gradient descent makes sense.  The modified equation of motion is implemented
 as the nu-summed divergence, exactly as displayed; the report headers record
 this index handling.
+
+The modified and shape-gauge residuals read the blade R = 2 V V^dag - I alone,
+through its 2-jet: R, every d_mu R and the d_mu d_nu R they need, one stacked
+query of R per point stack.  With S_mu = -(i/2) R d_mu R and Omega_mu nu = -i [S_mu, S_nu],
+the current J_nu = V (D^mu F_mu nu) V^dag is P (d^mu Omega_mu nu) P, for P the
+projector (R + I)/2 (Narasimhan & Ramanan, Amer. J. Math. 83 (1961) 563; the
+curvature P dP ^ dP P of Avron, Seiler & Simon, Phys. Rev. Lett. 51 (1983) 51):
+it needs no potential, no frame gauge and no derivative of R past the second.
+`modified_eom_residual` differences J once, `shape_gauge_ym_residual` needs no
+finite difference beyond those of R's own jet.
 """
 
 from __future__ import annotations
@@ -16,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blade import (blade_curvature, blade_from_frame, extract_potential, projector,
-                    shape_operator)
+from .blade import _within, blade_from_frame, shape_operator
 from .em import EmFrameParams, em_faraday, em_frame
 from .errors import DivergenceError, ParameterError
 from .fields import FieldFn, Form, Grid, lattice_integral
 from .gauge import covariant_derivative_matrix, field_strength
-from .linalg import _matmul_small, dagger, hermitian_part, unitary_exp
+from .linalg import _matmul_small, commutator, dagger, hermitian_part, max_abs_each, unitary_exp
+from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
@@ -82,25 +92,24 @@ def sigma_action(r: FieldFn, grid: Grid):
 
 
 def modified_eom_residual(v: FieldFn, x):
-    """sum_nu d^nu ( V (D^mu F_mu nu) V^dag ) at x.
+    """sum_nu d^nu J_nu at x, with J_nu = V (D^mu F_mu nu) V^dag the blade current.
 
-    Solutions of the Yang-Mills equations annihilate the inner bracket and
-    remain solutions here; the converse fails, which is the point.  Third
-    derivatives of V enter through nested stencils, so compare against the
-    widened nested-FD budget.
+    Solutions of the Yang-Mills equations annihilate J and remain solutions
+    here; the converse fails, which is the point.  Each d_nu is the central
+    difference of step v.fd_step, and J_nu is read on just the pair
+    x +- h e_nu, one stacked jet query per nu: the one finite-difference level
+    beyond R's 2-jet.
     """
     st = v.spacetime
-    a = extract_potential(v)
-    fs = field_strength(a)
-
-    def inner(nu):
-        def fn(y):
-            return v(y) @ ym_residual(a, nu, y, fs) @ dagger(v(y))
-        return FieldFn(st, (v.shape[0],) * 2, fn, None, None, v.fd_step)
-
+    r = blade_from_frame(v)
+    x = np.asarray(x, dtype=float)
+    h = v.fd_step
     total = 0
     for nu in range(st.dim):
-        total += st.raise_sign(nu) * inner(nu).d(x, nu)
+        e = np.zeros(st.dim)
+        e[nu] = h
+        j = _blade_current(r, np.stack([x + e, x - e]), nu, x)
+        total += st.raise_sign(nu) * ((j[0] - j[1]) / (2.0 * h))
     return total
 
 
@@ -125,10 +134,72 @@ def shape_gauge_ym_residual(v: FieldFn, x, nu):
     """P D^mu Omega_mu nu at x: the shape-gauge image of the YM equations.
 
     S is the connection and Omega its curvature, so this is P times the
-    Yang-Mills residual of S.
+    Yang-Mills residual of S, read from R's 2-jet at x:
+    S_a = -(i/2) R d_a R, d_mu S_a = -(i/2) (d_mu R d_a R + R d_a d_mu R) and
+    Omega_ab = -i [S_a, S_b].  The arithmetic is that of the rules of the
+    `shape_operator` and `blade_curvature` forms, operation for operation, so
+    an analytic blade gives their bits.
     """
-    r = blade_from_frame(v)
-    return projector(r)(x) @ ym_residual(shape_operator(r), nu, x, blade_curvature(r))
+    st = v.spacetime
+    x = np.asarray(x, dtype=float)
+    rx, dr, d2 = _blade_jet(blade_from_frame(v), x, nu, x)
+    s = [-0.5j * (rx @ dr_a) for dr_a in dr]
+    total = 0
+    for mu in range(st.dim):
+        if mu == nu:
+            continue
+        ds = {a: -0.5j * (dr[mu] @ dr[a] + rx @ d2[a, mu]) for a in (mu, nu)}
+        a, b = sorted((mu, nu))
+        omega = -1j * (s[a] @ s[b] - s[b] @ s[a])
+        d_omega = -1j * ((ds[a] @ s[b] + s[a] @ ds[b]) - (ds[b] @ s[a] + s[b] @ ds[a]))
+        if mu > nu:  # Omega_mu nu = -Omega_nu mu
+            omega, d_omega = -1.0 * omega, -1.0 * d_omega
+        total += st.raise_sign(mu) * (d_omega + 1j * (s[mu] @ omega - omega @ s[mu]))
+    return 0.5 * (rx + np.eye(v.shape[0])) @ total
+
+
+def _blade_jet(r: FieldFn, y, nu, x):
+    """R, [d_mu R] and {(a, mu): d_a d_mu R} at the point stack y, for the residuals at nu.
+
+    The second derivatives are those d_mu Omega_mu nu reads: (mu, mu) and
+    (nu, mu) for every mu != nu.  Every entry is one query of r's public
+    value, d and d2 on all of y, so fields with finite-difference derivatives
+    serve as well as analytic ones.  y is the stack x, or shifted copies of it
+    stacked along a leading axis; where R misses R^2 = I by more than
+    TOL.frame_consistency (a frame that is not orthonormal), a ConsistencyError
+    names the point of x whose R, or a shift's, misses it most.
+    """
+    ry = r(y)
+    defect = max_abs_each(ry @ ry - np.eye(r.shape[0]))
+    _within(defect.reshape((-1,) + np.shape(x)[:-1]).max(axis=0), x, TOL.frame_consistency,
+            "blade is not a reflection: max |R^2 - I|")
+    dim = r.spacetime.dim
+    dr = [r.d(y, mu) for mu in range(dim)]
+    d2 = {}
+    for mu in range(dim):
+        if mu != nu:
+            d2[mu, mu] = r.d2(y, mu, mu)
+            d2[nu, mu] = r.d2(y, nu, mu)
+    return ry, dr, d2
+
+
+def _blade_current(r: FieldFn, y, nu, x):
+    """J_nu = P (d^mu Omega_mu nu) P at the point stack y; x names the points for `_blade_jet`.
+
+    Omega_mu nu = -i [d_mu P, d_nu P], so d_mu Omega_mu nu is
+    -(i/4) ([d_mu d_mu R, d_nu R] + [d_mu R, d_nu d_mu R]).  This is
+    P d^mu(P Omega_mu nu P) P: the terms with d P drop out, since P dP P = 0
+    and Omega commutes with P.
+    """
+    ry, dr, d2 = _blade_jet(r, y, nu, x)
+    st = r.spacetime
+    div = 0
+    for mu in range(st.dim):
+        if mu != nu:
+            div += st.raise_sign(mu) * (commutator(d2[mu, mu], dr[nu])
+                                        + commutator(dr[mu], d2[nu, mu]))
+    p = 0.5 * (ry + np.eye(r.shape[0]))
+    return -0.25j * (p @ div @ p)
 
 
 def sigma_eom_residual(r: FieldFn, x):

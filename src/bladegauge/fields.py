@@ -451,10 +451,11 @@ def hstack(a, b):
 
 # -- leaves that keep per-stack records --------------------------------------
 
-# points whose records one leaf keeps: a stacked `modified` sweep queries 32
-# shifted copies of its grid's exp(iH) leaf, so this holds all of them for
-# grids up to 64 points (up to about 11 MB for N = 4 once second derivatives
-# are asked for); a stencil record of P points counts its 73 P stencil points
+# points whose records one leaf keeps: a stacked `ym` sweep queries its grid
+# and 8 shifted copies of it on a frame's exp(iH) leaf, so this holds all of
+# them for grids up to 227 points (up to about 11 MB for N = 4 once second
+# derivatives are asked for); a stencil record of P points counts its 73 P
+# stencil points
 _LEAF_CACHE_POINTS = 2048
 
 

@@ -837,6 +837,23 @@ def test_darboux_pi_that_is_not_finite_exits_2(command, pi, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+# a phi that is NaN on part of the domain box, or on all of it, is refused the same
+# way, before the rank check's SVD or a report could meet the NaN
+@pytest.mark.parametrize("command", [
+    ["darboux"], ["verify"], ["residuals", "--eq", "ym", "--grid=-0.5:0.5:2,0:1:1,0:1:1,0:1:1"],
+], ids=["darboux", "verify", "residuals"])
+@pytest.mark.parametrize("phi", ["sqrt(x0)", "sqrt(x0-5)"], ids=["partly_nan", "all_nan"])
+def test_darboux_phi_that_is_not_finite_exits_2(command, phi, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps({"scenario": "darboux",
+                               "params": {"pairs": [{"pi": "0.5*sin(x0)", "phi": phi}]}}))
+    out = tmp_path / "rep.json"
+    assert main(command[:1] + ["--input", str(inp), "--report", str(out)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "error: phi_0 is not finite at [" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # strict JSON (RFC 8259) has no NaN or Infinity: a report that holds one is refused,
 # and neither it nor the CSV is written
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])

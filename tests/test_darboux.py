@@ -162,6 +162,19 @@ def test_darboux_rejects_a_pi_that_is_not_finite(st4, pi):
         v(np.array([-4.0, 0, 0, 0]))
 
 
+# a NaN phi_k or gradient row must not reach matrix_rank, whose SVD fails on it; the
+# second pair's phi, arccos(1 + 0 x0) = 0, is finite while its gradient inf * 0 is not
+@pytest.mark.parametrize("pairs,message", [
+    ([("0.5*sin(x0)", "sqrt(x0-5)")], r"phi_0 is not finite at \["),
+    ([("0.5*sin(x0)", "sqrt(x0)")], r"phi_0 is not finite at \[-"),
+    ([("0.5*sin(x0)", "x1"), ("0.4*cos(x2)", "arccos(1 + 0*x0)")],
+     r"the gradient of phi_1 is not finite at \["),
+], ids=["all_nan", "partly_nan", "gradient_only"])
+def test_darboux_rejects_a_phi_that_is_not_finite(st4, pairs, message):
+    with pytest.raises(DomainError, match=message):
+        darboux_data(st4, pairs, **BOX)
+
+
 def test_darboux_dependent_pairs_warn(st4):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

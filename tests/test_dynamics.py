@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bladegauge.blade import blade_from_frame, extract_potential, random_smooth_frame
-from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
+from bladegauge.dynamics import (LatticeBlade, _blade_current, blade_lattice_from_field,
                                  conjugate_sites, maxwell_mod_residual,
                                  modified_eom_residual,
                                  shape_gauge_ym_residual, sigma_action,
@@ -12,11 +12,11 @@ from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
                                  sigma_lattice_energy, sigma_lattice_gradient,
                                  ym_action, ym_residual)
 from bladegauge.em import em_frame, monopole_blade, plane_wave_params, plane_wave_potential
-from bladegauge.errors import DivergenceError, ParameterError
-from bladegauge.fields import Grid, constant
+from bladegauge.errors import ConsistencyError, DivergenceError, ParameterError
+from bladegauge.fields import Grid, constant, linear, matrix_of
 from bladegauge.gauge import field_strength, gauge_potential, gauge_transform
 from bladegauge.linalg import dagger, hermitian_part, max_abs, unitary_exp
-from bladegauge.scenarios import constant_f_potential
+from bladegauge.scenarios import constant_f_potential, load_frame
 from bladegauge.tolerances import DEFAULT as TOL
 
 MAXWELL_KN = (np.array([1.0, 0, 0, 1.0]), np.array([0, 1.0, 0, 0]))
@@ -220,26 +220,80 @@ def test_shape_gauge_ym_equivalence(st4, points4):
 
 
 def test_residual_points_make_one_eigh_per_distinct_point(st4, monkeypatch):
-    # exp(iH) leaves keep one spectral record per distinct point, and state
-    # their second derivatives: one modified point touches 32 distinct points
-    # (the outer stencil's 8 and the inner stencils' 24 around them), four
-    # shape queries only the point itself
+    # exp(iH) leaves keep one spectral record per distinct point stack, and state
+    # their second derivatives: one modified point reads R's 2-jet on the pair
+    # x +- h e_nu for each nu (8 matrices in 4 stacked calls), four shape
+    # queries only the point itself
     calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(a)[:-2])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     x = np.array([0.1, 0.2, 0.3, 0.4])
     modified_eom_residual(random_smooth_frame(st4, 4, 2, 1), x)
-    assert len(calls) == 32
+    assert calls == [(2,)] * 4
     calls.clear()
     v = random_smooth_frame(st4, 4, 2, 1)
     for nu in range(4):
         shape_gauge_ym_residual(v, x, nu)
-    assert len(calls) == 1
+    assert calls == [()]
+
+
+GRID_2_4 = Grid(lo=(0.0,) * 4, hi=(1.0,) * 4, cells=(2,) * 4)
+
+
+def test_blade_residuals_flag_a_frame_that_is_not_orthonormal(st4):
+    # the stretched column of extract_potential's broken-frame test gives
+    # R = diag(2 (1 + x^0)^2 - 1, -1): a reflection only at x^0 = 0, and |R^2 - I|
+    # = 11.25 at x^0 = 0.5, where the shape residual would otherwise read 0
+    stretched = matrix_of([[linear(st4, [1.0, 0, 0, 0], 1.0)], [constant(0.0, st4)]])
+    xs = np.array([[0.0, 0.1, 0.2, 0.3], [0.5, 0.25, 0.0, -0.125]])
+    for residual in (modified_eom_residual,
+                     lambda v, x: shape_gauge_ym_residual(v, x, 1)):
+        with pytest.raises(ConsistencyError, match=r"max \|R\^2 - I\|") as err:
+            residual(stretched, xs)
+        msg = str(err.value)
+        assert "[0.5, 0.25, 0.0, -0.125]" in msg and "0.3" not in msg
+
+
+def test_modified_eom_vanishes_on_a_pure_gauge_frame():
+    # F = 0, so the blade current is zero at every point, not only its divergence
+    v = load_frame("pure_gauge")
+    assert max_abs(modified_eom_residual(v, GRID_2_4.centers())) <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", ["random_smooth", "darboux"])
+def test_modified_eom_converges_at_order_two(scenario):
+    # J is read from R's exact 2-jet, so the one central difference leaves an O(h^2)
+    # error: halving the step quarters the distance to the Richardson limit
+    pts = GRID_2_4.centers()
+    v = load_frame(scenario)
+    m = {h: modified_eom_residual(v.with_step(h), pts) for h in (2e-3, 1e-3, 5e-4)}
+    limit = (4.0 * m[5e-4] - m[1e-3]) / 3.0
+    assert 3.5 <= max_abs(m[2e-3] - limit) / max_abs(m[1e-3] - limit) <= 4.5
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (4, 2)])
+def test_blade_current_is_the_frame_image_of_the_ym_residual(st4, N, n):
+    # V^dag J_nu V = D^mu F_mu nu; J is exact and ym differences F once, so the
+    # gap is ym's O(h^2) truncation error
+    x = GRID_2_4.centers()[::3]
+    v = random_smooth_frame(st4, N, n, seed=7)
+    vx = v(x)
+    gaps = []
+    for h in (2e-3, 1e-3):
+        vh = v.with_step(h)
+        a = extract_potential(vh)
+        fs = field_strength(a)
+        r = blade_from_frame(vh)
+        gap = max(max_abs(dagger(vx) @ _blade_current(r, x, nu, x) @ vx
+                          - ym_residual(a, nu, x, fs)) for nu in range(4))
+        assert gap <= TOL.fd(h)
+        gaps.append(gap)
+    assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 def test_sigma_eom_residual_constant(st4):
