@@ -17,8 +17,9 @@ I + R R0, where R0 is the reflection of a reference frame V0.
 The seeded exp(iH) frames state their first and second derivatives in closed
 form, so the blade, its shape operator and its curvature are analytic to first
 derivatives of S; a square one, n = N, is a seeded U(N) gauge map.  The
-complement and canonical frames have no closed form; they are stencil leaves
-(`fields.stencil_field`), differenced by one stacked call per point stack.
+canonical frame P V0 (V0^dag P V0)^(-1/2) and the complement W, the canonical
+frame of -R relative to the last N - n identity columns, are leaves with first
+and second derivatives in closed form, read from R's 2-jet.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import (FieldFn, Form, _any, _PointLRU, _worst_point, hstack,
-                     identity_field, stencil_field)
+from .fields import FieldFn, Form, _any, _PointLRU, _worst_point, hstack, identity_field
 from .gauge import covariant_field, field_strength
-from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _require_hermitian,
-                     _second_divided_differences, commutator, dagger, hermitian_part, max_abs,
-                     max_abs_each, polar, random_hermitian)
+from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _frechet_in_eigenbasis,
+                     _inverse_sqrt_divided_differences, _require_hermitian,
+                     _second_divided_differences, _second_frechet_in_eigenbasis, commutator,
+                     dagger, hermitian_part, max_abs, max_abs_each, polar, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
 from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
@@ -202,18 +203,23 @@ def complement_frame(v: FieldFn, x):
 
     Greedy pivoted Gram-Schmidt over the identity columns: each step picks
     the candidate with the largest residual norm (lowest index on ties) and
-    orthogonalizes it against everything accepted so far.  The greedy choice
-    keeps every accepted pivot well conditioned, so W stays smooth (and its
-    finite-difference derivatives stay within budget) wherever the pivot
-    selection does not switch; fixtures avoid the switching set.
+    orthogonalizes it against everything accepted so far.  Each accepted pivot
+    is well conditioned, but W jumps where the pivot selection switches, so
+    it is a pointwise basis only; `complement_field` is the smooth complement.
     """
     return _complete_columns(np.asarray(v(x), dtype=complex))
 
 
 def complement_field(v: FieldFn) -> FieldFn:
-    """The complement as a stencil leaf: finite-difference derivatives from one stacked call."""
+    """The smooth complement W of the frame v: the canonical frame of -R relative to W0.
+
+    -R = I - 2 V V^dag reflects the complement of range(V), and W0 = eye(N)[:, n:]
+    completes V0 = eye(N, n), so W = `canonical_frame_field(-R, W0)` equals U1 W0,
+    with U1 the direct rotation of range(V0) onto range(V).  A ChartError names
+    the point where a principal angle between the complement and range(W0) is pi/2.
+    """
     N, n = v.shape
-    return stencil_field(v.spacetime, (N, N - n), lambda x: complement_frame(v, x), v.fd_step)
+    return canonical_frame_field(-blade_from_frame(v), np.eye(N, dtype=complex)[:, n:])
 
 
 @dataclass(frozen=True)
@@ -307,10 +313,37 @@ def direct_rotation(p, v0):
 
 
 def canonical_frame_field(r: FieldFn, v0) -> FieldFn:
-    """Pointwise canonical frame as a stencil leaf (finite-difference derivatives)."""
-    P = projector(r)
-    return stencil_field(r.spacetime, np.shape(v0), lambda x: canonical_frame(P(x), v0),
-                         r.fd_step)
+    """The canonical frame of the blade r relative to the fixed N x k frame v0, as a leaf.
+
+    V_can = B K^(-1/2), with B = P V0 and K = V0^dag P V0, is the polar factor
+    of P V0 (`canonical_frame`); a `_spectral_leaf` takes its first and second
+    derivatives from r, r.d and r.d2 and the divided differences of lam^(-1/2)
+    on K's eigenvalues, the squared cosines of the principal angles between
+    range(P) and range(V0).  A ChartError names the point where the smallest
+    drops below TOL.chart_min_overlap^2.
+    """
+    v0 = np.asarray(v0, dtype=complex)
+    v0h = dagger(v0)
+    N, k = v0.shape
+    r_jet = (r, r.d, r.d2)
+
+    def jet(x, *idx):
+        p = 0.5 * r_jet[len(idx)](x, *idx)  # P = (R + I) / 2, so d P = d R / 2
+        b = (p if idx else _projector_of_rank(p + 0.5 * np.eye(N), k)) @ v0
+        return b, v0h @ b
+
+    def spectrum(x, kx):
+        lam, q = np.linalg.eigh(hermitian_part(kx))
+        low = lam.min(axis=-1, initial=np.inf)
+        if _any(low < TOL.chart_min_overlap ** 2):
+            i, point = _worst_point(-low, x)
+            where = f"stack index {list(map(int, i))}, point {point}" if i else point
+            raise ChartError(f"principal angle >= pi/2 between range(P) and range(V0) "
+                             f"at {where} (min overlap {np.sqrt(max(low[i], 0.0)):.3e})")
+        return lam, q, (q * (1.0 / np.sqrt(lam))[..., None, :]) @ dagger(q)
+
+    return _spectral_leaf(r.spacetime, (N, k), jet, spectrum,
+                          _inverse_sqrt_divided_differences, lambda m: m)
 
 
 def _projector_of_rank(p, n):
@@ -405,69 +438,56 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
     return v if analytic else v.without_analytic_derivs()
 
 
-class _ExpRecord:
-    """What one point stack of an exp(iH) field needs: eigh of H, value, derivatives."""
+class _SpectralRecord:
+    """One point stack of a spectral leaf: H = Q diag(lam) Q^dag, L, f(H) and what they make."""
 
-    __slots__ = ("lam", "q", "value", "gamma", "gamma2", "tilde", "derivs", "derivs2")
+    __slots__ = ("lam", "q", "left", "f", "value", "dd", "first", "derivs", "derivs2")
 
-    def __init__(self, lam, q, value):
-        self.lam, self.q, self.value = lam, q, value
-        self.gamma = None     # Daleckii-Krein matrices, made on the first derivative
-        self.gamma2 = None    # second divided differences, made on the first deriv2
-        self.tilde = {}       # mu -> Q^dag d_mu H Q
+    def __init__(self, lam, q, left, f, value):
+        self.lam, self.q, self.left, self.f, self.value = lam, q, left, f, value
+        self.dd = None        # f's first and second divided differences on lam
+        self.first = {}       # mu -> (d_mu L, Q^dag d_mu H Q, d_mu f(H))
         self.derivs = {}      # mu -> d_mu value
         self.derivs2 = {}     # (mu, nu) -> d_mu d_nu value
 
 
-def _exp_i_field(h: FieldFn, right) -> FieldFn:
-    """The field x -> exp(i H(x)) @ right, for an N x n matrix right.
+def _spectral_leaf(spacetime, shape, jet, spectrum, dd, finish) -> FieldFn:
+    """The leaf x -> finish(L(x) f(H(x))) for a Hermitian H(x), with analytic d and d2.
 
-    Each distinct point stack costs one H(x), one Hermiticity check and one
-    stacked eigh H = Q diag(lam) Q^dag, which the derivatives use (for N = 2
-    the value is the closed form of `unitary_exp`); the value, the divided
-    differences and each derivative are made once and kept in a record in the
-    field's point-bounded LRU (`fields._PointLRU`).  With H~_mu = Q^dag d_mu H Q,
-    Gamma the first and f[.,.,.] the second divided differences of e^{i lam},
-    d_mu e^{iH} = Q (Gamma o H~_mu) Q^dag, and
-
-        d_mu d_nu e^{iH} = Q [Gamma o H~_mu,nu
-                              + sum_k f[lam_i, lam_k, lam_j] (H~_mu,ik H~_nu,kj
-                                                               + H~_nu,ik H~_mu,kj)] Q^dag
-
-    (Higham & Relton, SIAM J. Matrix Anal. Appl. 35 (2014) 1019), with the
-    k-sum as N elementwise passes.  The value and the first derivative take the
-    arithmetic of `unitary_exp` and `unitary_exp_frechet`, so they are
-    bit-identical to them, and every array handed out is read-only so that no
-    caller can change what a later query returns.
+    jet(x, *idx) gives (L, H) differentiated along idx (L None for the identity),
+    spectrum(x, H) checks H and gives its eigh Q diag(lam) Q^dag and f(H), dd(lam)
+    f's first and second divided differences; finish is linear.  A point stack
+    costs one jet(x) and one eigh, and what is made from them is made once and
+    kept in a record in the leaf's point-bounded LRU (`fields._PointLRU`).  f(H)
+    is differentiated in H's eigenbasis (`linalg._frechet_in_eigenbasis` and
+    `_second_frechet_in_eigenbasis`), L f(H) by the Leibniz rule.  Every array
+    handed out is read-only, so no caller can change what a later query returns.
     """
     lru = _PointLRU()
 
     def publish(m):
-        out = m @ right
+        out = finish(m)
         out.flags.writeable = False
         return out
 
     def record(x):
         rec = lru.get(x)
         if rec is None:
-            hx = np.asarray(h.fn(x), dtype=complex)
-            _require_hermitian(hx, "unitary_exp")
-            lam, q = np.linalg.eigh(hermitian_part(hx))
-            value = _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
-            rec = lru.put(x, _ExpRecord(lam, q, publish(value)), x.size // x.shape[-1])
+            left, hx = jet(x)
+            lam, q, f = spectrum(x, hx)
+            rec = lru.put(x, _SpectralRecord(lam, q, left, f,
+                                             publish(f if left is None else left @ f)))
         return rec
 
-    def gamma(rec):
-        if rec.gamma is None:
-            rec.gamma = _divided_differences(rec.lam, 1.0)
-        return rec.gamma
-
-    def tilde(rec, x, mu):
-        t = rec.tilde.get(mu)
-        if t is None:
-            e = np.asarray(h.deriv(x, mu), dtype=complex)
-            t = rec.tilde[mu] = dagger(rec.q) @ e @ rec.q
-        return t
+    def first(rec, x, mu):
+        got = rec.first.get(mu)
+        if got is None:
+            if rec.dd is None:
+                rec.dd = dd(rec.lam)
+            dl, dh = jet(x, mu)
+            t = dagger(rec.q) @ dh @ rec.q
+            got = rec.first[mu] = (dl, t, _frechet_in_eigenbasis(rec.q, rec.dd[0], t))
+        return got
 
     def fn(x):
         return record(x).value
@@ -476,24 +496,45 @@ def _exp_i_field(h: FieldFn, right) -> FieldFn:
         rec = record(x)
         d = rec.derivs.get(mu)
         if d is None:
-            d = rec.derivs[mu] = publish(rec.q @ (gamma(rec) * tilde(rec, x, mu)) @ dagger(rec.q))
+            dl, _, df = first(rec, x, mu)
+            d = rec.derivs[mu] = publish(df if rec.left is None else dl @ rec.f + rec.left @ df)
         return d
 
     def deriv2(x, mu, nu):
         rec = record(x)
         d = rec.derivs2.get((mu, nu))
         if d is None:
-            if rec.gamma2 is None:
-                rec.gamma2 = _second_divided_differences(rec.lam, 1.0)
-            q, g2 = rec.q, rec.gamma2
-            tm, tn = tilde(rec, x, mu), tilde(rec, x, nu)
-            e2 = np.asarray(h.deriv2(x, mu, nu), dtype=complex)
-            inner = gamma(rec) * (dagger(q) @ e2 @ q)
-            for k in range(n):
-                inner += g2[..., :, k, :] * (tm[..., :, k:k + 1] * tn[..., k:k + 1, :]
-                                             + tn[..., :, k:k + 1] * tm[..., k:k + 1, :])
-            d = rec.derivs2[(mu, nu)] = publish(q @ inner @ dagger(q))
+            (dlm, tm, dfm), (dln, tn, dfn) = first(rec, x, mu), first(rec, x, nu)
+            d2l, d2h = jet(x, mu, nu)
+            q = rec.q
+            d = _second_frechet_in_eigenbasis(q, *rec.dd, dagger(q) @ d2h @ q, tm, tn)
+            if rec.left is not None:
+                d = d2l @ rec.f + dlm @ dfn + dln @ dfm + rec.left @ d
+            d = rec.derivs2[(mu, nu)] = publish(d)
         return d
 
+    return FieldFn(spacetime, shape, fn, deriv, deriv2)
+
+
+def _exp_i_field(h: FieldFn, right) -> FieldFn:
+    """The field x -> exp(i H(x)) @ right, for an N x n matrix right: a `_spectral_leaf`.
+
+    Each distinct point stack costs one H(x), one Hermiticity check and one eigh
+    (for N = 2 the value is the closed form of `unitary_exp`).  The value and the
+    first derivative have the bits of `unitary_exp` and `unitary_exp_frechet`.
+    """
     n = h.shape[0]
-    return FieldFn(h.spacetime, (n, right.shape[1]), fn, deriv, deriv2)
+    h_jet = (h.fn, h.deriv, h.deriv2)
+
+    def jet(x, *idx):
+        return None, np.asarray(h_jet[len(idx)](x, *idx), dtype=complex)
+
+    def spectrum(x, hx):
+        _require_hermitian(hx, "unitary_exp")
+        lam, q = np.linalg.eigh(hermitian_part(hx))
+        return lam, q, _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
+
+    return _spectral_leaf(
+        h.spacetime, (n, right.shape[1]), jet, spectrum,
+        lambda lam: (_divided_differences(lam, 1.0), _second_divided_differences(lam, 1.0)),
+        lambda m: m @ right)

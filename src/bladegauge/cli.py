@@ -48,13 +48,18 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow exits 2 under any warning policy, not as inf or NaN in a report
+        with np.errstate(over="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc} (schema path: {'/'.join(map(str, exc.schema_path))})",
               file=sys.stderr)
         return 2
     except (BladeGaugeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}; an input is too large for double precision", file=sys.stderr)
         return 2
 
 
@@ -340,7 +345,7 @@ def _generic_identity_checks(seed, tol):
         for mu, nu in ((0, 1), (1, 3)):
             om = omega.at(x, mu, nu)
             g = g_fs.at(x, mu, nu)
-            wv = w(x)  # read from the stencil record that G's first query made
+            wv = w(x)  # read from the record that G's first query made
             worst["curvature_blocks"] = max(
                 worst["curvature_blocks"],
                 max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),

@@ -26,17 +26,14 @@ A rule is analytic when its operands are, so pipelines built from analytic
 ingredients stay analytic: the embedded-surface charts and the monopole's
 A_phi are such pipelines.  The leaves state their derivatives in closed
 form: `constant`, `coordinate`, `linear`, `random_hermitian_field`, the
-exp(iH) fields of `blade` (first and second derivatives), and the tangent
-projector of `embedded`.  A `stencil_field` (the complement and canonical
-frames of `blade`) states central differences of its function as its
-derivatives, all made from one stacked call on the nested stencil; such a
-field, and every rule or `partial` over it, is marked `fd_backed`.
-`partial` turns the second derivatives of a field into the first ones of its
+exp(iH) fields and the canonical and complement frames of `blade` (first and
+second derivatives), and the tangent projector of `embedded`.  `partial`
+turns the second derivatives of a field into the first ones of its
 derivative field.
 
 Evaluation is reentrant and side-effect free; lattice and quadrature loops
 reduce in a fixed order for reproducibility.  Leaf caches, the point-bounded
-LRU (`_PointLRU`) of the stencil leaves and of the seeded exp(iH) fields in
+LRU (`_PointLRU`) of the seeded exp(iH) fields and the canonical frames in
 `blade`, are invisible to callers: they return read-only arrays with the bits
 a fresh evaluation would give.  A `Form` holds every p-form, potentials and
 field strengths alike, and builds each component on first use.
@@ -62,7 +59,7 @@ __all__ = [
     "Spacetime", "MINKOWSKI4", "euclidean", "SPHERICAL3",
     "FieldFn", "constant", "identity_field", "coordinate", "linear",
     "mapped", "sin_of", "cos_of", "exp_i", "matrix_of", "vector_of",
-    "hstack", "stencil_field",
+    "hstack",
     "Form", "one_form", "exterior_d", "closedness_residual",
     "form_values", "wedge", "form_rank", "sphere_flux",
     "Grid", "lattice_integral",
@@ -130,9 +127,6 @@ class FieldFn:
     deriv: object = None
     deriv2: object = None
     fd_step: float = TOL.fd_step
-    # derivatives that are finite differences stated as analytic ones (a
-    # stencil leaf, or a rule or partial over one); they carry O(h^2) error
-    fd_backed: bool = False
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -212,15 +206,15 @@ class FieldFn:
         return FieldFn(f.spacetime, f.shape,
                        lambda x: f.d(x, mu),
                        lambda x, nu: f.d2(x, mu, nu),
-                       None, f.fd_step, f.fd_backed)
+                       None, f.fd_step)
 
     def without_analytic_derivs(self):
         """Copy that answers derivative queries by finite differences only."""
         return FieldFn(self.spacetime, self.shape, self.fn, None, None, self.fd_step)
 
     def with_step(self, h):
-        """Copy whose finite differences take step h; an FD-backed field keeps none of its own."""
-        return replace(self.without_analytic_derivs() if self.fd_backed else self, fd_step=h)
+        """Copy whose finite differences take step h."""
+        return replace(self, fd_step=h)
 
 
 def _check_compatible(f, g):
@@ -263,10 +257,8 @@ def _matvec(m, v):
 
 def _combine_step(*fields):
     """Step for a combined field: fully-analytic operands do not constrain it."""
-    steps = [f.fd_step for f in fields if f.deriv is None or f.deriv2 is None or f.fd_backed]
-    if not steps:
-        steps = [f.fd_step for f in fields]
-    return min(steps)
+    steps = [f.fd_step for f in fields if f.deriv is None or f.deriv2 is None]
+    return min(steps or [f.fd_step for f in fields])
 
 
 # -- the three derivative rules ---------------------------------------------
@@ -297,7 +289,7 @@ def _linear(op, shape, *fs):
     deriv = _lift(op, [f.deriv for f in fs])
     deriv2 = _lift(op, [f.deriv2 for f in fs]) if deriv is not None else None
     return FieldFn(fs[0].spacetime, shape, _lift(op, [f.fn for f in fs]), deriv, deriv2,
-                   _combine_step(*fs), any(f.fd_backed for f in fs))
+                   _combine_step(*fs))
 
 
 def _product(op, shape, f, g):
@@ -312,8 +304,7 @@ def _product(op, shape, f, g):
             def deriv2(x, mu, nu):
                 return (op(fd2(x, mu, nu), gf(x)) + op(ff(x), gd2(x, mu, nu))
                         + op(fd(x, mu), gd(x, nu)) + op(fd(x, nu), gd(x, mu)))
-    return FieldFn(f.spacetime, shape, _lift(op, [ff, gf]), deriv, deriv2,
-                   _combine_step(f, g), f.fd_backed or g.fd_backed)
+    return FieldFn(f.spacetime, shape, _lift(op, [ff, gf]), deriv, deriv2, _combine_step(f, g))
 
 
 # -- constructors -----------------------------------------------------------
@@ -396,7 +387,7 @@ def mapped(f, func, dfunc=None, d2func=None):
             def deriv2(x, mu, nu):
                 u = fn(x)
                 return dfunc(u) * fd2(x, mu, nu) + d2func(u) * fd(x, mu) * fd(x, nu)
-    return FieldFn(f.spacetime, (), _lift(func, [fn]), deriv, deriv2, f.fd_step, f.fd_backed)
+    return FieldFn(f.spacetime, (), _lift(func, [fn]), deriv, deriv2, f.fd_step)
 
 
 def sin_of(f):
@@ -454,17 +445,15 @@ def hstack(a, b):
 # points whose records one leaf keeps: a stacked `ym` sweep queries its grid
 # and 8 shifted copies of it on a frame's exp(iH) leaf, so this holds all of
 # them for grids up to 227 points (up to about 11 MB for N = 4 once second
-# derivatives are asked for); a stencil record of P points counts its 73 P
-# stencil points
+# derivatives are asked for)
 _LEAF_CACHE_POINTS = 2048
 
 
 class _PointLRU:
     """A leaf's records, keyed by point stack, bounded by the points they hold.
 
-    A record of a stack of P points counts P toward `_LEAF_CACHE_POINTS`
-    (more when it holds values at further points); the oldest go first, and
-    the newest stays even when it alone holds more.
+    A record of a stack of P points counts P toward `_LEAF_CACHE_POINTS`;
+    the oldest go first, and the newest stays even when it alone holds more.
     """
 
     __slots__ = ("records", "held")
@@ -482,70 +471,14 @@ class _PointLRU:
         self.records.move_to_end(key)
         return entry[0]
 
-    def put(self, x, record, points):
-        """Keep record for the point stack x, counting it as points; returns record."""
+    def put(self, x, record):
+        """Keep record for the point stack x, counting its points; returns record."""
+        points = x.size // x.shape[-1]
         self.records[(x.shape, x.tobytes())] = (record, points)
         self.held += points
         while self.held > _LEAF_CACHE_POINTS and len(self.records) > 1:
             self.held -= self.records.popitem(last=False)[1][1]
         return record
-
-
-def stencil_field(spacetime, shape, fn, fd_step=TOL.fd_step) -> FieldFn:
-    """The field fn whose derivatives are its central differences, from one stacked call.
-
-    The first derivative query at a point stack x evaluates fn once on the
-    whole nested stencil of x, stacked along a new leading axis: x, x +- h e_mu
-    and (x +- h e_nu) +- h e_mu for every mu and nu, with the point arithmetic
-    of `FieldFn.d` and `d2`.  d and d2 then have the bits of a derivative-free
-    `FieldFn` of fn, yet they are stated as the leaf's deriv and deriv2, so
-    composites combine them by their rules instead of differencing whole
-    trees.  The record lives in the field's point-bounded LRU; a value query
-    reads it when there is one and otherwise makes one plain call.  The
-    field is marked `fd_backed`.
-    """
-    dim, h = spacetime.dim, fd_step
-    steps = [np.eye(dim)[mu] * h for mu in range(dim)]
-    lru = _PointLRU()
-
-    def stencil(x):
-        # x; then x +- h e_mu at 1 + 2 mu; then (x +- h e_nu) +- h e_mu at
-        # 1 + 2 dim + 4 (nu dim + mu), in the order ++, +-, -+, --
-        pts = [x]
-        for e in steps:
-            pts += [x + e, x - e]
-        for e in steps:
-            ys = (x + e, x - e)
-            for f in steps:
-                for y in ys:
-                    pts += [y + f, y - f]
-        return np.stack(pts)
-
-    def record(x):
-        vals = lru.get(x)
-        if vals is None:
-            pts = stencil(x)
-            vals = np.asarray(fn(pts))
-            vals.flags.writeable = False
-            lru.put(x, vals, pts.size // dim)
-        return vals
-
-    def value(x):
-        vals = lru.get(x)
-        return fn(x) if vals is None else vals[0]
-
-    def deriv(x, mu):
-        vals = record(x)
-        i = 1 + 2 * mu
-        return (vals[i] - vals[i + 1]) / (2.0 * h)
-
-    def deriv2(x, mu, nu):
-        vals = record(x)
-        i = 1 + 2 * dim + 4 * (nu * dim + mu)
-        return ((vals[i] - vals[i + 1]) / (2.0 * h)
-                - (vals[i + 2] - vals[i + 3]) / (2.0 * h)) / (2.0 * h)
-
-    return FieldFn(spacetime, shape, value, deriv, deriv2, fd_step, True)
 
 
 # ---------------------------------------------------------------------------

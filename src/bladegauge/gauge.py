@@ -42,7 +42,7 @@ def _hermitized(f: FieldFn) -> FieldFn:
     of f's step when f's first derivatives are finite differences (their
     O(h^2) anti-Hermitian noise must not warn on every evaluation).
     """
-    warn_tol = max(TOL.hermitian_warn, TOL.fd(f.fd_step) if _fd_derived(f) else 0.0)
+    warn_tol = max(TOL.hermitian_warn, TOL.fd(f.fd_step) if f.deriv is None else 0.0)
 
     def fn(x):
         m = np.asarray(f.fn(x), dtype=complex)
@@ -55,11 +55,6 @@ def _hermitized(f: FieldFn) -> FieldFn:
         return h
 
     return replace(f.hermitian_part(), fn=fn)
-
-
-def _fd_derived(f: FieldFn):
-    """Whether f's first derivatives are finite differences, stated as such or not."""
-    return f.deriv is None or f.fd_backed
 
 
 def gauge_potential(spacetime, components) -> Form:

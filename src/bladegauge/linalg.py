@@ -109,7 +109,7 @@ def unitary_exp_frechet(h, e, t=1.0):
     e = np.asarray(e, dtype=complex)
     _require_hermitian(h, "unitary_exp_frechet")
     lam, q = np.linalg.eigh(hermitian_part(h))
-    return _frechet_in_eigenbasis(q, _divided_differences(lam, t), e)
+    return _frechet_in_eigenbasis(q, _divided_differences(lam, t), dagger(q) @ e @ q)
 
 
 def _require_hermitian(h, caller):
@@ -217,9 +217,35 @@ def _second_divided_differences(lam, t):
     return np.where(close, series, quotient)
 
 
-def _frechet_in_eigenbasis(q, gamma, e):
-    """Derivative of exp(i t H) along E from H's eigenvectors q and their divided differences."""
-    return q @ (gamma * (dagger(q) @ e @ q)) @ dagger(q)
+def _inverse_sqrt_divided_differences(lam):
+    """f[a, b] and f[a, b, c] of f(x) = x^(-1/2) on positive eigenvalues lam, by (i, k, j).
+
+    With s = sqrt(lam): -1 / (s_a s_b (s_a + s_b)) and (s_a + s_b + s_c) /
+    (s_a s_b s_c (s_a + s_b) (s_b + s_c) (s_c + s_a)), which do not cancel and
+    give f'(a) and f''(a) / 2 at equal eigenvalues, so no confluent branch is needed.
+    """
+    s = np.sqrt(lam)
+    si, sj = s[..., :, None], s[..., None, :]
+    a, b, c = s[..., :, None, None], s[..., None, :, None], s[..., None, None, :]
+    return (-1.0 / (si * sj * (si + sj)),
+            (a + b + c) / (a * b * c * (a + b) * (b + c) * (c + a)))
+
+
+def _frechet_in_eigenbasis(q, gamma, e_tilde):
+    """d f(H) along E from H's eigenvectors q, f's divided differences gamma and E~ = q^dag E q."""
+    return q @ (gamma * e_tilde) @ dagger(q)
+
+
+def _second_frechet_in_eigenbasis(q, gamma, gamma2, e2_tilde, em_tilde, en_tilde):
+    """d_mu d_nu f(H) = q [gamma o E~_mu,nu + sum_k gamma2_ikj (E~_mu,ik E~_nu,kj
+    + E~_nu,ik E~_mu,kj)] q^dag, with E~ = q^dag E q for E = d_mu d_nu H, d_mu H and d_nu H
+    (Higham & Relton, SIAM J. Matrix Anal. Appl. 35 (2014) 1019); the k-sum is N passes.
+    """
+    inner = gamma * e2_tilde
+    for k in range(q.shape[-1]):
+        inner += gamma2[..., :, k, :] * (em_tilde[..., :, k:k + 1] * en_tilde[..., k:k + 1, :]
+                                         + en_tilde[..., :, k:k + 1] * em_tilde[..., k:k + 1, :])
+    return q @ inner @ dagger(q)
 
 
 def random_hermitian(n, seed, scale_=1.0):

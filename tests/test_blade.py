@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from bladegauge import blade as blade_module
 from bladegauge.blade import (_exp_i_field, _complete_columns, blade_curvature,
                               blade_from_frame, canonical_frame, canonical_frame_field,
                               complement_field, complement_frame,
@@ -16,8 +15,8 @@ from bladegauge.blade import (_exp_i_field, _complete_columns, blade_curvature,
                               validate_frame)
 from bladegauge.em import em_complement, em_frame, monopole_params, plane_wave_params
 from bladegauge.errors import ChartError, ConsistencyError, DimensionMismatchError
-from bladegauge.fields import (_LEAF_CACHE_POINTS, FieldFn, constant, coordinate, matrix_of,
-                               one_form)
+from bladegauge.fields import (_LEAF_CACHE_POINTS, FieldFn, constant, coordinate, cos_of,
+                               matrix_of, one_form, sin_of)
 from bladegauge.gauge import covariant_field, field_strength, gauge_transform
 from bladegauge.linalg import (dagger, max_abs, random_hermitian, unitary_exp,
                                unitary_exp_frechet)
@@ -198,47 +197,6 @@ def test_exp_leaf_deriv2_at_a_repeated_eigenvalue(st4):
     assert max_abs(u.d2(x, 0, 0) - phase * (-a @ a)) < 1e-14
     assert max_abs(u.d2(x, 1, 2) - phase * 1j * b) < 1e-14
     assert max_abs(u.d2(x, 0, 1)) < 1e-14
-
-
-@pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (5, 2)])
-def test_stencil_leaves_have_the_bits_of_fd(st4, points4, N, n):
-    v = random_smooth_frame(st4, N, n, seed=8, amplitude=0.3)
-    v0 = np.eye(N, n, dtype=complex)
-    leaves = {"complement": complement_field(v),
-              "canonical": canonical_frame_field(blade_from_frame(v), v0)}
-    for name, leaf in leaves.items():
-        assert leaf.fd_backed and leaf.deriv is not None and leaf.deriv2 is not None
-        fd = FieldFn(st4, leaf.shape, leaf.fn)
-        for x in (points4[0], np.asarray(points4[1:4])):
-            # a value query before and after the stencil record exists
-            assert np.array_equal(leaf(x), fd(x)), name
-            for mu in range(4):
-                assert np.array_equal(leaf.d(x, mu), fd.d(x, mu)), name
-                for nu in range(4):
-                    assert np.array_equal(leaf.d2(x, mu, nu), fd.d2(x, mu, nu)), name
-            assert np.array_equal(leaf(x), fd(x)), name
-
-
-def test_stencil_leaf_makes_one_complement_call_per_point_stack(st4, points4, monkeypatch):
-    v = random_smooth_frame(st4, 4, 2, seed=8)
-    w = complement_field(v)
-    calls = []
-    original = blade_module.complement_frame
-
-    def counting(f, x):
-        calls.append(np.shape(x))
-        return original(f, x)
-
-    monkeypatch.setattr(blade_module, "complement_frame", counting)
-    x = np.asarray(points4[:3])
-    w(x)
-    assert calls == [(3, 4)]  # a value query alone is one plain call
-    for mu in range(4):
-        w.d(x, mu)
-        for nu in range(4):
-            w.d2(x, mu, nu)
-    w(x)
-    assert calls == [(3, 4), (73, 3, 4)]  # then one call on the whole nested stencil
 
 
 def test_exp_leaf_arrays_are_read_only(st4, points4):
@@ -564,6 +522,82 @@ def test_shape_gauge_decompose_random_frame(st4, points4):
     block, gap = dec.omega_block_residual(x, 0, 2)
     assert max_abs(block) < TOL.fd_nested()
     assert max_abs(gap) < TOL.fd_nested()
+    # the complement is analytic on every shape, (6, 1) included, where the
+    # greedy-pivot complement used to jump inside its FD stencil
+    pts = np.asarray(points4[:3])
+    for N, n in [(1, 1), (2, 1), (3, 2), (4, 2), (6, 1), (6, 3)]:
+        for seed in range(4):
+            _assert_complement_is_exact(random_smooth_frame(st4, N, n, seed=seed), pts)
+
+
+def _assert_complement_is_exact(v, pts):
+    """W^dag W = I, V^dag W = 0 and G = W^dag Omega W within TOL.analytic at a point stack."""
+    N, n = v.shape
+    w = complement_field(v)
+    wv, vv = w(pts), v(pts)
+    assert max_abs(dagger(wv) @ wv - np.eye(N - n)) < TOL.analytic
+    assert max_abs(dagger(vv) @ wv) < TOL.analytic
+    g = shape_gauge_decompose(v, w).G
+    omega = blade_curvature(blade_from_frame(v))
+    for mu, nu in itertools.combinations(range(4), 2):
+        want = dagger(wv) @ omega.at(pts, mu, nu) @ wv
+        assert max_abs(g.at(pts, mu, nu) - want) < TOL.analytic
+
+
+def test_complement_on_a_3000_point_stack(st4):
+    # at this many points the greedy-pivot complement met a pivot switch inside its stencil
+    v = random_smooth_frame(st4, 4, 2, seed=12, amplitude=0.3)
+    _assert_complement_is_exact(v, np.random.default_rng(1).uniform(-0.5, 0.5, (3000, 4)))
+
+
+def _fd_of_value_errors(f, x, steps):
+    """Largest |d - central difference of the value| over every mu, per step."""
+    errs = []
+    for h in steps:
+        fd = FieldFn(f.spacetime, f.shape, f.fn, None, None, h)
+        errs.append(max(max_abs(f.d(x, mu) - fd.d(x, mu)) for mu in range(4)))
+    return errs
+
+
+def test_canonical_frame_leaves_are_analytic(st4, points4, monkeypatch):
+    v = random_smooth_frame(st4, 4, 2, seed=8)
+    xs = np.asarray(points4[:3])
+    for mu, nu in itertools.product(range(4), repeat=2):
+        v.d2(xs, mu, nu)  # v's own records, so that only the leaves' eigh calls are counted
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    for leaf in (complement_field(v), canonical_frame_field(blade_from_frame(v), np.eye(4, 2))):
+        # one eigh per point stack, whatever is asked of it
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls.clear()
+        leaf(xs)
+        for mu, nu in itertools.product(range(4), repeat=2):
+            leaf.d2(xs, mu, nu)
+            leaf.d(xs, mu)
+        leaf(xs)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        # d and d2 are the limits of central differences of the value and of d, at order 2
+        for x in points4[:2]:
+            for errs in (_fd_of_value_errors(leaf, x, (2e-3, 1e-3)),
+                         _fd_of_deriv_errors(leaf, x, (2e-3, 1e-3))):
+                assert errs[0] < TOL.fd() and 3.5 <= errs[0] / errs[1] <= 4.5
+    # range(P) is orthogonal to range(V0) where x^0 = pi/2
+    t = coordinate(st4, 0)
+    u = matrix_of([[cos_of(t)], [sin_of(t)]])
+    pts = np.zeros((3, 4))
+    pts[1, 0] = np.pi / 2
+    for leaf in (canonical_frame_field(blade_from_frame(u), np.eye(2, 1)), complement_field(u)):
+        with pytest.raises(ChartError, match=r"at stack index \[1\], point \[1\.570796"):
+            leaf(pts)
+        with pytest.raises(ChartError, match=r"range\(V0\) at \[1\.570796"):
+            leaf(pts[1])
+        leaf(pts[::2])
 
 
 def _assert_decomposition_holds(dec, pts):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,34 @@ def test_verify_includes_embedded_cross_check(tmp_path):
     assert "embedded_curvature_vs_christoffel_oracle" in names
     assert "embedded_shape_identity" in names
     assert "curvature_block_structure" in names
+
+
+def test_verify_seed_671_passes(tmp_path):
+    # the greedy-pivot complement switched pivot inside its FD stencil at this seed,
+    # so C = -i W^dag dW read about 1/(2h) and verify exited 2
+    out = tmp_path / "report.json"
+    assert main(["verify", "--scenario", "random_smooth", "--seed", "671",
+                 "--report", str(out)]) == 0
+    rep = read_json(out)
+    assert rep["all_passed"] is True and all(c["passed"] for c in rep["checks"])
+
+
+# an input too large for double precision exits 2 under either warning policy, with
+# no traceback and no report, rather than crashing on the overflow's RuntimeWarning
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "1e200,0,0,1e200"], ["verify", "--n", "0,1e200,0,0"],
+    ["residuals", "--k", "1e200,0,0,1e200", "--eq", "ym", "--grid", GRID4],
+], ids=["verify_k", "verify_n", "residuals_ym"])
+@pytest.mark.parametrize("policy", ["error", "default"])
+def test_overflowing_planewave_exits_2(argv, policy, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter(policy, RuntimeWarning)
+        assert main(argv[:1] + ["--scenario", "planewave", "--report", str(out)]
+                    + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "error: overflow encountered" in err and "too large for double precision" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_verify_tolerance_overrides(tmp_path):

@@ -8,7 +8,7 @@ from bladegauge.fields import (FieldFn, Form, Grid, MINKOWSKI4, SPHERICAL3,
                                coordinate, cos_of, euclidean, exp_i, exterior_d,
                                form_rank, form_values, hstack, lattice_integral, linear,
                                mapped, matrix_of, one_form, sin_of,
-                               sphere_flux, stencil_field, vector_of, wedge)
+                               sphere_flux, vector_of, wedge)
 from bladegauge.gauge import gauge_map, gauge_potential
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
@@ -148,22 +148,6 @@ def test_lazy_two_form_matches_an_eager_dict(points4):
         lazy[(1, 0)]
     with pytest.raises(TypeError):
         lazy[(0, 1)] = entry(0, 1)
-
-
-def test_fd_backed_propagates_through_rules_and_partial():
-    st = MINKOWSKI4
-    leaf = stencil_field(st, (), lambda x: np.sin(x[..., 0] * x[..., 1]))
-    plain = sin_of(linear(st, [0.5, 1.0, -0.3, 0.2]))
-    assert leaf.fd_backed and not plain.fd_backed
-    for f in (leaf + plain, plain * leaf, exp_i(leaf), leaf.partial(1), 2.0 * leaf,
-              matrix_of([[plain, leaf]]), leaf / plain):
-        assert f.fd_backed and f.deriv is not None
-    assert not (plain * plain).fd_backed
-    # a new step leaves an FD-backed field with finite differences at that step only
-    coarse = leaf.with_step(1e-2)
-    assert coarse.deriv is None and coarse.fd_step == 1e-2
-    x = np.array([0.3, 0.4, 0.0, 0.0])
-    assert coarse.d(x, 0) != leaf.d(x, 0)
 
 
 def test_exterior_d_hand_example():
