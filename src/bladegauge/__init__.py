@@ -35,7 +35,7 @@ from .em import (EmFrameParams, em_frame, em_complement, em_potential_residual,
 from .darboux import (DarbouxData, darboux_data, darboux_potential,
                       darboux_frame, verify_rank, expr_field)
 from .dynamics import (ym_residual, ym_action, sigma_action,
-                       modified_eom_residual, maxwell_mod_residual,
+                       modified_eom_residual, frame_ym_residual,
                        shape_gauge_ym_residual, sigma_eom_residual,
                        LatticeBlade, blade_lattice_from_field, sigma_flow,
                        sigma_lattice_energy, sigma_lattice_gradient)

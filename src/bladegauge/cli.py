@@ -55,7 +55,8 @@ def main(argv=None):
         print(f"config error: {exc} (schema path: {'/'.join(map(str, exc.schema_path))})",
               file=sys.stderr)
         return 2
-    except (BladeGaugeError, OSError, json.JSONDecodeError) as exc:
+    except (BladeGaugeError, OSError, json.JSONDecodeError, Warning) as exc:
+        # a Warning arrives here only where the warning filters raise it as an error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -7,15 +7,18 @@ gradient descent makes sense.  The modified equation of motion is implemented
 as the nu-summed divergence, exactly as displayed; the report headers record
 this index handling.
 
-The modified and shape-gauge residuals read the blade R = 2 V V^dag - I alone,
-through its 2-jet: R, every d_mu R and the d_mu d_nu R they need, one stacked
-query of R per point stack.  With S_mu = -(i/2) R d_mu R and Omega_mu nu = -i [S_mu, S_nu],
-the current J_nu = V (D^mu F_mu nu) V^dag is P (d^mu Omega_mu nu) P, for P the
-projector (R + I)/2 (Narasimhan & Ramanan, Amer. J. Math. 83 (1961) 563; the
-curvature P dP ^ dP P of Avron, Seiler & Simon, Phys. Rev. Lett. 51 (1983) 51):
-it needs no potential, no frame gauge and no derivative of R past the second.
-`modified_eom_residual` differences J once, `shape_gauge_ym_residual` needs no
-finite difference beyond those of R's own jet.
+The four frame residuals (Yang-Mills, modified, shape-gauge and sigma) read
+the blade R = 2 V V^dag - I alone, through its 2-jet: R, every d_mu R and the
+d_mu d_nu R they need, built from one stacked query of V, of each d_mu V and
+of each d_mu d_nu V needed per point stack.  With S_mu = -(i/2) R d_mu R and
+Omega_mu nu = -i [S_mu, S_nu], the current J_nu = V (D^mu F_mu nu) V^dag is
+P (d^mu Omega_mu nu) P, for P the projector (R + I)/2 (Narasimhan & Ramanan,
+Amer. J. Math. 83 (1961) 563; the curvature P dP ^ dP P of Avron, Seiler &
+Simon, Phys. Rev. Lett. 51 (1983) 51): it needs no potential, no frame gauge
+and no derivative of R past the second.  `frame_ym_residual` reads V^dag J V,
+`modified_eom_residual` differences J once, and `shape_gauge_ym_residual` and
+`sigma_eom_residual` need no finite difference beyond those of the jet.
+`ym_residual` differences F of a potential, for potentials without a frame.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blade import _within, blade_from_frame, shape_operator
-from .em import EmFrameParams, em_faraday, em_frame
+from .blade import _within
 from .errors import DivergenceError, ParameterError
 from .fields import FieldFn, Form, Grid, lattice_integral
 from .gauge import covariant_derivative_matrix, field_strength
@@ -36,7 +38,7 @@ from .tolerances import DEFAULT as TOL
 
 __all__ = [
     "ym_residual", "ym_action", "sigma_action", "modified_eom_residual",
-    "maxwell_mod_residual", "shape_gauge_ym_residual", "sigma_eom_residual",
+    "frame_ym_residual", "shape_gauge_ym_residual", "sigma_eom_residual",
     "LatticeBlade", "blade_lattice_from_field", "sigma_lattice_energy",
     "sigma_lattice_gradient", "sigma_flow", "conjugate_sites",
 ]
@@ -98,36 +100,29 @@ def modified_eom_residual(v: FieldFn, x):
     here; the converse fails, which is the point.  Each d_nu is the central
     difference of step v.fd_step, and J_nu is read on just the pair
     x +- h e_nu, one stacked jet query per nu: the one finite-difference level
-    beyond R's 2-jet.
+    beyond the frame's 2-jet.
     """
     st = v.spacetime
-    r = blade_from_frame(v)
     x = np.asarray(x, dtype=float)
     h = v.fd_step
     total = 0
     for nu in range(st.dim):
         e = np.zeros(st.dim)
         e[nu] = h
-        j = _blade_current(r, np.stack([x + e, x - e]), nu, x)
+        _, j = _blade_current(v, np.stack([x + e, x - e]), nu, x)
         total += st.raise_sign(nu) * ((j[0] - j[1]) / (2.0 * h))
     return total
 
 
-def maxwell_mod_residual(params: EmFrameParams, x):
-    """(d^mu F_mu nu) d^nu R for the N = 2 electromagnetic frame."""
-    st = params.spacetime
-    fs = em_faraday(params)
-    r = blade_from_frame(em_frame(params))
-    total = 0
-    for nu in range(st.dim):
-        j_nu = 0.0
-        for mu in range(st.dim):
-            if mu == nu:
-                continue
-            j_nu += st.raise_sign(mu) * fs.component(mu, nu).d(x, mu)
-        j_nu = np.asarray(j_nu, dtype=complex)[..., None, None]
-        total += st.raise_sign(nu) * j_nu * r.d(x, nu)
-    return total
+def frame_ym_residual(v: FieldFn, x, nu):
+    """V^dag J_nu V at x: D^mu F_mu nu of the frame's potential A = -i V^dag dV.
+
+    J_nu is read from the frame's 2-jet at x alone, so this needs no potential
+    and no finite difference beyond those of the jet itself.
+    """
+    x = np.asarray(x, dtype=float)
+    vx, j = _blade_current(v, x, nu, x)
+    return dagger(vx) @ j @ vx
 
 
 def shape_gauge_ym_residual(v: FieldFn, x, nu):
@@ -138,17 +133,17 @@ def shape_gauge_ym_residual(v: FieldFn, x, nu):
     S_a = -(i/2) R d_a R, d_mu S_a = -(i/2) (d_mu R d_a R + R d_a d_mu R) and
     Omega_ab = -i [S_a, S_b].  The arithmetic is that of the rules of the
     `shape_operator` and `blade_curvature` forms, operation for operation, so
-    an analytic blade gives their bits.
+    an analytic frame gives their bits.
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    rx, dr, d2 = _blade_jet(blade_from_frame(v), x, nu, x)
+    _, rx, dr, d2 = _blade_jet(v, x, x)
     s = [-0.5j * (rx @ dr_a) for dr_a in dr]
     total = 0
     for mu in range(st.dim):
         if mu == nu:
             continue
-        ds = {a: -0.5j * (dr[mu] @ dr[a] + rx @ d2[a, mu]) for a in (mu, nu)}
+        ds = {a: -0.5j * (dr[mu] @ dr[a] + rx @ d2(a, mu)) for a in (mu, nu)}
         a, b = sorted((mu, nu))
         omega = -1j * (s[a] @ s[b] - s[b] @ s[a])
         d_omega = -1j * ((ds[a] @ s[b] + s[a] @ ds[b]) - (ds[b] @ s[a] + s[b] @ ds[a]))
@@ -158,58 +153,68 @@ def shape_gauge_ym_residual(v: FieldFn, x, nu):
     return 0.5 * (rx + np.eye(v.shape[0])) @ total
 
 
-def _blade_jet(r: FieldFn, y, nu, x):
-    """R, [d_mu R] and {(a, mu): d_a d_mu R} at the point stack y, for the residuals at nu.
+def sigma_eom_residual(v: FieldFn, x):
+    """d_mu S^mu at x, read from R's 2-jet: only its diagonal second derivatives enter.
 
-    The second derivatives are those d_mu Omega_mu nu reads: (mu, mu) and
-    (nu, mu) for every mu != nu.  Every entry is one query of r's public
-    value, d and d2 on all of y, so fields with finite-difference derivatives
-    serve as well as analytic ones.  y is the stack x, or shifted copies of it
-    stacked along a leading axis; where R misses R^2 = I by more than
-    TOL.frame_consistency (a frame that is not orthonormal), a ConsistencyError
-    names the point of x whose R, or a shift's, misses it most.
+    d_mu S_mu = -(i/2) (d_mu R d_mu R + R d_mu d_mu R), by `shape_operator`'s rule.
     """
-    ry = r(y)
-    defect = max_abs_each(ry @ ry - np.eye(r.shape[0]))
+    st = v.spacetime
+    x = np.asarray(x, dtype=float)
+    _, rx, dr, d2 = _blade_jet(v, x, x)
+    total = 0
+    for mu in range(st.dim):
+        total += st.raise_sign(mu) * (-0.5j * (dr[mu] @ dr[mu] + rx @ d2(mu, mu)))
+    return total
+
+
+def _blade_jet(v: FieldFn, y, x):
+    """V, R, [d_mu R] and d2(a, b) = d_a d_b R at the point stack y.
+
+    V and each d_mu V come from one query of v's public value and d on all of
+    y, and each d2(a, b) from one query of v.d2 when it is asked for, so a
+    residual reads only the second derivatives it needs and holds none past
+    its use; finite-difference frames serve as well as analytic ones.  R and
+    its derivatives follow by the Leibniz rule in the operation order of
+    `blade_from_frame`'s product rule, so they have the bits of R's own jet.
+    y is the stack x, or shifted copies of it stacked along a leading axis;
+    where R misses R^2 = I by more than TOL.frame_consistency (a frame that is
+    not orthonormal), a ConsistencyError names the point of x whose R, or a
+    shift's, misses it most.
+    """
+    vy = v(y)
+    eye = np.eye(v.shape[0])
+    ry = 2.0 * (vy @ dagger(vy)) - eye
+    defect = max_abs_each(ry @ ry - eye)
     _within(defect.reshape((-1,) + np.shape(x)[:-1]).max(axis=0), x, TOL.frame_consistency,
             "blade is not a reflection: max |R^2 - I|")
-    dim = r.spacetime.dim
-    dr = [r.d(y, mu) for mu in range(dim)]
-    d2 = {}
-    for mu in range(dim):
-        if mu != nu:
-            d2[mu, mu] = r.d2(y, mu, mu)
-            d2[nu, mu] = r.d2(y, nu, mu)
-    return ry, dr, d2
+    dv = [v.d(y, mu) for mu in range(v.spacetime.dim)]
+    dr = [2.0 * (dv_mu @ dagger(vy) + vy @ dagger(dv_mu)) for dv_mu in dv]
+
+    def d2(a, b):
+        d2v = v.d2(y, a, b)
+        return 2.0 * (((d2v @ dagger(vy) + vy @ dagger(d2v)) + dv[a] @ dagger(dv[b]))
+                      + dv[b] @ dagger(dv[a]))
+
+    return vy, ry, dr, d2
 
 
-def _blade_current(r: FieldFn, y, nu, x):
-    """J_nu = P (d^mu Omega_mu nu) P at the point stack y; x names the points for `_blade_jet`.
+def _blade_current(v: FieldFn, y, nu, x):
+    """V and J_nu = P (d^mu Omega_mu nu) P at the point stack y; x names the points for `_blade_jet`.
 
     Omega_mu nu = -i [d_mu P, d_nu P], so d_mu Omega_mu nu is
     -(i/4) ([d_mu d_mu R, d_nu R] + [d_mu R, d_nu d_mu R]).  This is
     P d^mu(P Omega_mu nu P) P: the terms with d P drop out, since P dP P = 0
     and Omega commutes with P.
     """
-    ry, dr, d2 = _blade_jet(r, y, nu, x)
-    st = r.spacetime
+    vy, ry, dr, d2 = _blade_jet(v, y, x)
+    st = v.spacetime
     div = 0
     for mu in range(st.dim):
         if mu != nu:
-            div += st.raise_sign(mu) * (commutator(d2[mu, mu], dr[nu])
-                                        + commutator(dr[mu], d2[nu, mu]))
-    p = 0.5 * (ry + np.eye(r.shape[0]))
-    return -0.25j * (p @ div @ p)
-
-
-def sigma_eom_residual(r: FieldFn, x):
-    """d_mu S^mu at x."""
-    s = shape_operator(r)
-    st = r.spacetime
-    total = 0
-    for mu in range(st.dim):
-        total += st.raise_sign(mu) * s.component(mu).d(x, mu)
-    return total
+            div += st.raise_sign(mu) * (commutator(d2(mu, mu), dr[nu])
+                                        + commutator(dr[mu], d2(nu, mu)))
+    p = 0.5 * (ry + np.eye(v.shape[0]))
+    return vy, -0.25j * (p @ div @ p)
 
 
 # ---------------------------------------------------------------------------

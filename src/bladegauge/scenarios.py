@@ -4,8 +4,10 @@
 their defaults), a frame builder, a potential builder or both, and the
 scenario's own `verify` checks.  A scenario with only a frame gives the
 potential A = -i V^dag dV of that frame.  `EQUATIONS` maps each residual
-equation name to the sweep that evaluates it on a config.  A config names a
-scenario plus params, or supplies samples tabulated on a grid.
+equation name to the sweep that evaluates it on a config; every sweep reads
+the config's frame, except `ym` on a tabulated config, whose table is a
+potential.  A config names a scenario plus params, or supplies samples
+tabulated on a grid.
 `validate_config` checks a config against the registry: `PARAM_TYPES` gives
 the type of each param and `CONFIG_KEYS` that of each top-level key.
 """
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import darboux as dx
 from . import em
-from .blade import blade_from_frame, extract_potential, frame, random_smooth_frame
-from .dynamics import (maxwell_mod_residual, modified_eom_residual, shape_gauge_ym_residual,
+from .blade import extract_potential, frame, random_smooth_frame
+from .dynamics import (frame_ym_residual, modified_eom_residual, shape_gauge_ym_residual,
                        sigma_eom_residual, ym_residual)
 from .errors import ChartError, ConfigError, ParameterError
 from .fields import (FieldFn, Form, MINKOWSKI4, SPHERICAL3, Spacetime, _any, _worst_point,
@@ -111,11 +113,11 @@ def _planewave_checks(params, st, tol):
     vals = form_values(fs, pts)
     ff = max((max_abs(c) for c in wedge(vals, vals).values()), default=0.0)
     cond = abs(em.plane_wave_mod_condition(st, k, n))
-    maxmod = max_abs(maxwell_mod_residual(p, pts[:3]))
+    modified = max_abs(modified_eom_residual(em.em_frame(p), pts[:3]))
     rows = [
         ("planewave_frame_equation_residual", veq, tol.fd()),
         ("planewave_faraday_decomposable", ff, 1e-10),
-        ("planewave_modified_eom_residual", maxmod, tol.fd_nested(), cond <= 1e-12),
+        ("planewave_modified_eom_residual", modified, tol.fd_nested(), cond <= 1e-12),
     ]
     if abs(st.dot(k, k)) <= 1e-12 and abs(st.dot(k, n)) <= 1e-12:
         ym = max(max_abs(ym_residual(a, nu, pts[:3])) for nu in range(st.dim))
@@ -386,22 +388,12 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> FieldFn:
 # residual equations: (cfg, spacetime, points) -> {CSV index label: stacked residual}
 
 def _ym_residuals(cfg, st, pts):
-    a = load_potential(cfg, st)
-    fs = field_strength(a)
-    return {str(nu): ym_residual(a, nu, pts, fs) for nu in range(st.dim)}
-
-
-def _maxmod_residuals(cfg, st, pts):
-    if cfg["scenario"] != "planewave":
-        raise ConfigError(f"--eq maxmod is the N = 2 electromagnetic plane-wave residual "
-                          f"and needs scenario 'planewave'; got {cfg['scenario']!r}",
-                          schema_path=["scenario"])
-    if "tabulated" in cfg:
-        raise ConfigError("--eq maxmod builds the plane wave from params k and n and "
-                          "cannot read a table", schema_path=["tabulated"])
-    params = scenario_params(cfg)
-    return {"sum": maxwell_mod_residual(em.plane_wave_params(st, params["k"], params["n"]),
-                                        pts)}
+    if "tabulated" in cfg:  # a table of the potential, which has no frame
+        a = load_potential(cfg, st)
+        fs = field_strength(a)
+        return {str(nu): ym_residual(a, nu, pts, fs) for nu in range(st.dim)}
+    v = load_frame(cfg, st)
+    return {str(nu): frame_ym_residual(v, pts, nu) for nu in range(st.dim)}
 
 
 def _shape_residuals(cfg, st, pts):
@@ -412,10 +404,8 @@ def _shape_residuals(cfg, st, pts):
 EQUATIONS = {
     "ym": _ym_residuals,
     "modified": lambda cfg, st, pts: {"sum": modified_eom_residual(load_frame(cfg, st), pts)},
-    "maxmod": _maxmod_residuals,
     "shape": _shape_residuals,
-    "sigma": lambda cfg, st, pts: {
-        "sum": sigma_eom_residual(blade_from_frame(load_frame(cfg, st)), pts)},
+    "sigma": lambda cfg, st, pts: {"sum": sigma_eom_residual(load_frame(cfg, st), pts)},
 }
 
 

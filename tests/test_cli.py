@@ -163,6 +163,33 @@ def test_overflowing_planewave_exits_2(argv, policy, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+# B = 0 is a valid zero field whose Darboux pair (0, x^2) looks dependent: the library
+# warns, and a warning that the filters raise as an error exits 2 with its message and
+# no report, where the default filters leave it a warning and let the run finish
+@pytest.mark.parametrize("argv, cfg", [
+    (["residuals", "--eq", "ym", "--grid", GRID4], {"scenario": "constant_F", "params": {"B": 0}}),
+    (["residuals", "--eq", "modified", "--grid", GRID4],
+     {"scenario": "constant_F", "params": {"B": 0}}),
+    (["verify"], {"scenario": "darboux", "params": {"pairs": [{"pi": "x0", "phi": "x0"}]}}),
+], ids=["constant_F_ym", "constant_F_modified", "verify_darboux"])
+@pytest.mark.parametrize("policy", ["error", "default"])
+def test_library_warning_exits_2_only_as_an_error(argv, cfg, policy, tmp_path, capsys):
+    inp = tmp_path / "cfg.json"
+    inp.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(policy, UserWarning)
+        code = main(argv[:1] + ["--input", str(inp), "--report", str(out)] + argv[1:])
+    message = "darboux functions look dependent (gradient rank 1)"
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if policy == "error":
+        assert code == 2 and f"error: {message}" in err and not out.exists()
+    else:
+        assert code == 0 and read_json(out)
+        assert message in [str(w.message) for w in caught]
+
+
 def test_verify_tolerance_overrides(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "monopole", "params": {"g": 0.5},
@@ -447,16 +474,6 @@ def test_residuals_seed_needs_a_seed_param(scenario, via_config, tmp_path, capsy
         assert "does not read 'seed'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["pure_gauge", "constant_F", "random_smooth", "darboux"])
-def test_residuals_maxmod_needs_planewave(scenario, capsys):
-    code = main(["residuals", "--scenario", scenario, "--eq", "maxmod",
-                 "--grid", "0:1:1,0:1:1,0:1:1,0:1:1"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "maxmod" in err and "planewave" in err and repr(scenario) in err
-    assert "(schema path: scenario)" in err
-
-
 def test_sigma_flow_large_lattice(tmp_path):
     out = tmp_path / "rep.json"
     code = main(["sigma-flow", "--cells", "64x128", "--steps", "10",
@@ -486,15 +503,29 @@ def test_residuals_ym_on_frame_scenarios(scenario, tmp_path):
     assert np.isfinite(summary["max"]) and np.isfinite(summary["mean"])
 
 
+def test_residuals_ym_vanishes_on_a_pure_gauge_frame(tmp_path):
+    # F = 0 and the ym residual reads the frame's exact 2-jet, with no difference of F
+    out = tmp_path / "rep.json"
+    assert main(["residuals", "--scenario", "pure_gauge", "--eq", "ym",
+                 "--report", str(out)]) == 0
+    assert read_json(out)["summary"]["max"] <= 1e-12
+
+
+def test_residuals_maxmod_is_no_longer_an_equation(capsys):
+    # maxmod was 2 x modified on the N = 2 plane wave; argparse refuses the name
+    with pytest.raises(SystemExit) as exit_:
+        main(["residuals", "--scenario", "planewave", "--eq", "maxmod"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'maxmod'" in capsys.readouterr().err
+
+
 def _residuals_refusal(scenario, eq):
     """The reason a residuals pair exits 2, or None where it must run.
 
-    21 of the 30 pairs run; monopole x 5 and maxmod outside planewave x 4 exit 2.
+    20 of the 24 pairs run; monopole x 4 exits 2.
     """
     if scenario == "monopole":
         return "flat Cartesian chart"
-    if eq == "maxmod" and scenario != "planewave":
-        return "needs scenario 'planewave'"
     return None
 
 
@@ -521,35 +552,26 @@ STACK_GRID = "0:1:2,0:0.5:1,0:0.5:1,0:1:2"  # four cells off the symmetric midpo
 
 def _residuals_point_loop(scenario, eq, path):
     """The residuals CSV of STACK_GRID written by a loop over its points."""
-    from bladegauge import em
-    from bladegauge.blade import blade_from_frame
     from bladegauge.cli import _parse_grid
-    from bladegauge.dynamics import (maxwell_mod_residual, modified_eom_residual,
-                                     shape_gauge_ym_residual, sigma_eom_residual,
-                                     ym_residual)
-    from bladegauge.gauge import field_strength
+    from bladegauge.dynamics import (frame_ym_residual, modified_eom_residual,
+                                     shape_gauge_ym_residual, sigma_eom_residual)
     from bladegauge.linalg import max_abs
-    from bladegauge.scenarios import load_frame, load_potential, scenario_params
+    from bladegauge.scenarios import load_frame
     cfg = {"scenario": scenario}
     st = MINKOWSKI4
     nus = [str(nu) for nu in range(st.dim)]
     if eq == "ym":
-        a = load_potential(cfg, st)
-        fs = field_strength(a)
-        labels, residual = nus, lambda x, nu: ym_residual(a, int(nu), x, fs)
+        v = load_frame(cfg, st)
+        labels, residual = nus, lambda x, nu: frame_ym_residual(v, x, int(nu))
     elif eq == "modified":
         v = load_frame(cfg, st)
         labels, residual = ["sum"], lambda x, _: modified_eom_residual(v, x)
-    elif eq == "maxmod":
-        params = scenario_params(cfg)
-        p = em.plane_wave_params(st, params["k"], params["n"])
-        labels, residual = ["sum"], lambda x, _: maxwell_mod_residual(p, x)
     elif eq == "shape":
         v = load_frame(cfg, st)
         labels, residual = nus, lambda x, nu: shape_gauge_ym_residual(v, x, int(nu))
     elif eq == "sigma":
-        blade = blade_from_frame(load_frame(cfg, st))
-        labels, residual = ["sum"], lambda x, _: sigma_eom_residual(blade, x)
+        v = load_frame(cfg, st)
+        labels, residual = ["sum"], lambda x, _: sigma_eom_residual(v, x)
     else:
         raise AssertionError(f"no point-loop reference for --eq {eq!r}")
     with open(path, "w", newline="") as fh:
@@ -658,10 +680,8 @@ TABLE[..., 1, 0, 0, 0] = 0.3
     (GRID4, {"values": []}, "ym", "(schema path: tabulated/values)"),
     (GRID4, {"values": [[0.0, 1.0], [0.0]]}, "ym", "(schema path: tabulated/values)"),
     (GRID4, {}, "modified", "(schema path: tabulated/values)"),
-    (GRID4, {}, "maxmod", "(schema path: tabulated)"),
 ], ids=["centre_outside", "stencil_outside", "one_axis", "axis_not_monotone",
-        "values_without_a_matrix_axis", "values_empty", "values_ragged", "potential_as_frame",
-        "maxmod"])
+        "values_without_a_matrix_axis", "values_empty", "values_ragged", "potential_as_frame"])
 def test_residuals_outside_the_tabulated_box_exit_2(grid, table, eq, message, tmp_path,
                                                      capsys):
     inp = tmp_path / "cfg.json"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bladegauge.blade import blade_from_frame, extract_potential, random_smooth_frame
-from bladegauge.dynamics import (LatticeBlade, _blade_current, blade_lattice_from_field,
-                                 conjugate_sites, maxwell_mod_residual,
+from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
+                                 conjugate_sites, frame_ym_residual,
                                  modified_eom_residual,
                                  shape_gauge_ym_residual, sigma_action,
                                  sigma_eom_residual, sigma_flow,
@@ -13,10 +13,10 @@ from bladegauge.dynamics import (LatticeBlade, _blade_current, blade_lattice_fro
                                  ym_action, ym_residual)
 from bladegauge.em import em_frame, monopole_blade, plane_wave_params, plane_wave_potential
 from bladegauge.errors import ConsistencyError, DivergenceError, ParameterError
-from bladegauge.fields import Grid, constant, linear, matrix_of
+from bladegauge.fields import MINKOWSKI4, Grid, constant, linear, matrix_of
 from bladegauge.gauge import field_strength, gauge_potential, gauge_transform
 from bladegauge.linalg import dagger, hermitian_part, max_abs, unitary_exp
-from bladegauge.scenarios import constant_f_potential, load_frame
+from bladegauge.scenarios import EQUATIONS, constant_f_potential, load_frame
 from bladegauge.tolerances import DEFAULT as TOL
 
 MAXWELL_KN = (np.array([1.0, 0, 0, 1.0]), np.array([0, 1.0, 0, 0]))
@@ -124,41 +124,18 @@ def test_modified_eom_nesting_fixture(st4, points4):
 
 
 def test_maxwell_mod_residual_design(st4, points4):
-    # residual vanishes exactly when (k.k)(n.n) = (k.n)^2
+    # the plane wave's modified residual vanishes exactly when (k.k)(n.n) = (k.n)^2
     satisfying = [MAXWELL_KN, NESTING_KN]
     violating = [(np.array([1.0, 0, 0, 1.0]), np.array([1.0, 0, 0, 0])),
                  (np.array([0, 1.0, 0, 0]), np.array([1.0, 0, 2.0, 0]))]
     for k, n in satisfying:
-        params = plane_wave_params(st4, k, n)
+        v = em_frame(plane_wave_params(st4, k, n))
         for x in points4[:3]:
-            assert max_abs(maxwell_mod_residual(params, x)) < TOL.fd_nested()
+            assert max_abs(modified_eom_residual(v, x)) < TOL.fd_nested()
     for k, n in violating:
-        params = plane_wave_params(st4, k, n)
-        worst = max(max_abs(maxwell_mod_residual(params, x)) for x in points4)
+        v = em_frame(plane_wave_params(st4, k, n))
+        worst = max(max_abs(modified_eom_residual(v, x)) for x in points4)
         assert worst > 0.05
-
-
-def test_maxwell_mod_matches_modified_eom_for_em(st4, points4):
-    # for N = 2 the summed divergence reduces to (d^mu F_mu nu) d^nu R / 2
-    k, n = NESTING_KN
-    params = plane_wave_params(st4, 1.3 * k, n + np.array([0, 0.2, 0, 0]))
-    v = em_frame(params)
-    for x in points4[:2]:
-        lhs = modified_eom_residual(v, x)
-        rhs = 0.5 * maxwell_mod_residual(params, x)
-        # the remaining piece is (d^nu J_nu) P; subtract it explicitly
-        a = extract_potential(v)
-        fs = field_strength(a)
-        div = 0.0
-        h = 1e-4
-        for nu in range(4):
-            e = np.zeros(4)
-            e[nu] = h
-            jp = ym_residual(a, nu, x + e, fs)[0, 0]
-            jm = ym_residual(a, nu, x - e, fs)[0, 0]
-            div += st4.raise_sign(nu) * (jp - jm) / (2 * h)
-        p = 0.5 * (blade_from_frame(v)(x) + np.eye(2))
-        assert max_abs(lhs - rhs - complex(div) * p) < 5e-3
 
 
 def test_constrained_variation_of_potential(st4, points4):
@@ -242,6 +219,23 @@ def test_residual_points_make_one_eigh_per_distinct_point(st4, monkeypatch):
     assert calls == [()]
 
 
+def test_ym_sweep_makes_one_eigh_per_point(monkeypatch):
+    # a frame's ym residual reads the frame's 2-jet at the grid points alone, so the
+    # exp(iH) leaf diagonalizes each point once; the potential's nested differences
+    # of F made 13 matrices per point on this grid
+    matrices = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    pts = Grid(lo=(0.0,) * 4, hi=(1.0,) * 4, cells=(4,) * 4).centers()
+    EQUATIONS["ym"]({"scenario": "random_smooth", "seed": 1}, MINKOWSKI4, pts)
+    assert sum(matrices) == len(pts)
+
+
 GRID_2_4 = Grid(lo=(0.0,) * 4, hi=(1.0,) * 4, cells=(2,) * 4)
 
 
@@ -251,8 +245,9 @@ def test_blade_residuals_flag_a_frame_that_is_not_orthonormal(st4):
     # = 11.25 at x^0 = 0.5, where the shape residual would otherwise read 0
     stretched = matrix_of([[linear(st4, [1.0, 0, 0, 0], 1.0)], [constant(0.0, st4)]])
     xs = np.array([[0.0, 0.1, 0.2, 0.3], [0.5, 0.25, 0.0, -0.125]])
-    for residual in (modified_eom_residual,
-                     lambda v, x: shape_gauge_ym_residual(v, x, 1)):
+    for residual in (modified_eom_residual, sigma_eom_residual,
+                     lambda v, x: shape_gauge_ym_residual(v, x, 1),
+                     lambda v, x: frame_ym_residual(v, x, 1)):
         with pytest.raises(ConsistencyError, match=r"max \|R\^2 - I\|") as err:
             residual(stretched, xs)
         msg = str(err.value)
@@ -278,27 +273,25 @@ def test_modified_eom_converges_at_order_two(scenario):
 
 @pytest.mark.parametrize("N,n", [(2, 1), (4, 2)])
 def test_blade_current_is_the_frame_image_of_the_ym_residual(st4, N, n):
-    # V^dag J_nu V = D^mu F_mu nu; J is exact and ym differences F once, so the
-    # gap is ym's O(h^2) truncation error
+    # V^dag J_nu V = D^mu F_mu nu; J is exact and ym_residual differences F once,
+    # so the gap is ym_residual's O(h^2) truncation error
     x = GRID_2_4.centers()[::3]
     v = random_smooth_frame(st4, N, n, seed=7)
-    vx = v(x)
     gaps = []
     for h in (2e-3, 1e-3):
         vh = v.with_step(h)
         a = extract_potential(vh)
         fs = field_strength(a)
-        r = blade_from_frame(vh)
-        gap = max(max_abs(dagger(vx) @ _blade_current(r, x, nu, x) @ vx
-                          - ym_residual(a, nu, x, fs)) for nu in range(4))
+        gap = max(max_abs(frame_ym_residual(vh, x, nu) - ym_residual(a, nu, x, fs))
+                  for nu in range(4))
         assert gap <= TOL.fd(h)
         gaps.append(gap)
     assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 def test_sigma_eom_residual_constant(st4):
-    blade = blade_from_frame(constant(np.eye(4, 2, dtype=complex), st4))
-    assert max_abs(sigma_eom_residual(blade, np.zeros(4))) == 0.0
+    v = constant(np.eye(4, 2, dtype=complex), st4)
+    assert max_abs(sigma_eom_residual(v, np.zeros(4))) == 0.0
 
 
 # ---------------------------------------------------------------------------
