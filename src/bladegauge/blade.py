@@ -14,28 +14,27 @@ The gauge-fixed frames are functions of the blade alone: the canonical frame
 is the polar factor of P V0 and the direct rotation U1 = sqrt(R R0) that of
 I + R R0, where R0 is the reflection of a reference frame V0.
 
-The seeded exp(iH) frames state their first and second derivatives in closed
-form, so the blade, its shape operator and its curvature are analytic to first
-derivatives of S; a square one, n = N, is a seeded U(N) gauge map.  The
+The seeded exp(iH) frames (a square one is a seeded U(N) gauge map), the
 canonical frame P V0 (V0^dag P V0)^(-1/2) and the complement W, the canonical
 frame of -R relative to the last N - n identity columns, are leaves with first
-and second derivatives in closed form, read from R's 2-jet.
+and second derivatives in closed form.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartError, ConsistencyError, DimensionMismatchError
-from .fields import FieldFn, Form, _any, _PointLRU, _worst_point, hstack, identity_field
-from .gauge import covariant_field, field_strength
+from .fields import (FieldFn, Form, _any, _jet, _node, _pairs, _PointLRU, _worst_point, hstack,
+                     identity_field)
+from .gauge import _hermitized, covariant_field, field_strength
 from .linalg import (_divided_differences, _exp_2x2, _exp_in_eigenbasis, _frechet_in_eigenbasis,
                      _inverse_sqrt_divided_differences, _require_hermitian,
                      _second_divided_differences, _second_frechet_in_eigenbasis, commutator,
-                     dagger, hermitian_part, max_abs, max_abs_each, polar, random_hermitian)
+                     dagger, hermitian_part, max_abs_each, polar, random_hermitian)
 # perfbench/selftest.py checks that its tracer rewraps this second binding
 from .linalg import unitary_exp  # noqa: F401
 from .tolerances import DEFAULT as TOL
@@ -80,30 +79,18 @@ def _within(errs, x, tol, what):
 
 
 def extract_potential(v: FieldFn) -> Form:
-    """A_mu = -i V^dag dV.
+    """A_mu = -i V^dag dV, symmetrized on evaluation (Hermitian for an orthonormal frame).
 
-    The result is Hermitian when the frame is genuinely orthonormal; the
-    evaluation symmetrizes and raises a frame-inconsistency error when the
-    anti-hermitian drift exceeds TOL.frame_consistency (broken orthonormality
-    or a finite-difference step too coarse for the field).
+    An anti-hermitian drift beyond TOL.frame_consistency (broken orthonormality or
+    a finite-difference step too coarse for the field) raises a ConsistencyError.
     """
-    def entry(mu):
-        raw = (-1j) * (v.dagger() @ v.partial(mu))
+    def fail(point, drift):
+        return ConsistencyError(f"extracted potential not Hermitian at {point} (drift "
+                                f"{drift:.3e}); frame orthonormality is broken or the FD step "
+                                "is too coarse")
 
-        def checked(x):
-            m = np.asarray(raw.fn(x), dtype=complex)
-            h = hermitian_part(m)
-            if max_abs(m - h) > TOL.frame_consistency:
-                drifts = max_abs_each(m - h)
-                i, point = _worst_point(drifts, x)
-                raise ConsistencyError(
-                    f"extracted potential not Hermitian at {point} (drift {drifts[i]:.3e}); "
-                    "frame orthonormality is broken or the FD step is too coarse")
-            return h
-
-        return replace(raw.hermitian_part(), fn=checked)
-
-    return Form(v.spacetime, 1, entry)
+    return Form(v.spacetime, 1, lambda mu: _hermitized((-1j) * (v.dagger() @ v.partial(mu)),
+                                                        TOL.frame_consistency, fail))
 
 
 def blade_from_frame(v: FieldFn) -> FieldFn:
@@ -315,21 +302,17 @@ def direct_rotation(p, v0):
 def canonical_frame_field(r: FieldFn, v0) -> FieldFn:
     """The canonical frame of the blade r relative to the fixed N x k frame v0, as a leaf.
 
-    V_can = B K^(-1/2), with B = P V0 and K = V0^dag P V0, is the polar factor
-    of P V0 (`canonical_frame`); a `_spectral_leaf` takes its first and second
-    derivatives from r, r.d and r.d2 and the divided differences of lam^(-1/2)
-    on K's eigenvalues, the squared cosines of the principal angles between
-    range(P) and range(V0).  A ChartError names the point where the smallest
-    drops below TOL.chart_min_overlap^2.
-    """
+    V_can = B K^(-1/2), with B = P V0 and K = V0^dag P V0, the polar factor of P V0
+    (`canonical_frame`), is a `_spectral_leaf` of r; K's eigenvalues are the squared
+    cosines of the principal angles between range(P) and range(V0), and a ChartError
+    names the point where the smallest drops below TOL.chart_min_overlap^2."""
     v0 = np.asarray(v0, dtype=complex)
     v0h = dagger(v0)
     N, k = v0.shape
-    r_jet = (r, r.d, r.d2)
 
-    def jet(x, *idx):
-        p = 0.5 * r_jet[len(idx)](x, *idx)  # P = (R + I) / 2, so d P = d R / 2
-        b = (p if idx else _projector_of_rank(p + 0.5 * np.eye(N), k)) @ v0
+    def parts(m, value):
+        p = 0.5 * m  # P = (R + I) / 2, so d P = d R / 2
+        b = (_projector_of_rank(p + 0.5 * np.eye(N), k) if value else p) @ v0
         return b, v0h @ b
 
     def spectrum(x, kx):
@@ -342,8 +325,8 @@ def canonical_frame_field(r: FieldFn, v0) -> FieldFn:
                              f"at {where} (min overlap {np.sqrt(max(low[i], 0.0)):.3e})")
         return lam, q, (q * (1.0 / np.sqrt(lam))[..., None, :]) @ dagger(q)
 
-    return _spectral_leaf(r.spacetime, (N, k), jet, spectrum,
-                          _inverse_sqrt_divided_differences, lambda m: m)
+    return _spectral_leaf(r, (N, k), parts, spectrum, _inverse_sqrt_divided_differences,
+                          lambda m: m)
 
 
 def _projector_of_rank(p, n):
@@ -404,33 +387,28 @@ def random_hermitian_field(spacetime, n, seed, amplitude=0.4):
     ws = rng.uniform(-1.0, 1.0, size=(waves, spacetime.dim))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=waves)
 
-    def waves_at(func, x):
-        # func(w_j . x + p_j) for every wave j at once, one factor per wave:
-        # scalars for a lone point, (..., 1, 1) stacks otherwise
-        s = func(np.vecdot(x[..., None, :], ws) + phases)
-        return s if x.ndim == 1 else np.moveaxis(s, -1, 0)[..., None, None]
+    def waves_at(s, x):  # one factor per wave: scalars at a point, (..., 1, 1) at a stack
+        return s if x.ndim == 1 else [s[..., j, None, None] for j in range(waves)]
 
-    def fn(x):
-        return sum(m * s for m, s in zip(mats, waves_at(np.sin, x)))
+    def rule(x, memo, want):
+        phase = np.vecdot(x[..., None, :], ws) + phases  # w_j . x + p_j for every wave j
+        sines = waves_at(np.sin(phase), x)
+        v = sum(m * s for m, s in zip(mats, sines))
+        if want is None:
+            return v, None, None
+        col = (-1,) + (1,) * (x.ndim + 1)  # mu first, then the stack and matrix axes
+        d1 = sum(m * w.reshape(col) * c for m, w, c in zip(mats, ws, waves_at(np.cos(phase), x)))
+        return v, d1, sum(-m * w[want.first].reshape(col) * w[want.second].reshape(col) * s
+                          for m, w, s in zip(mats, ws, sines)) if want else None
 
-    def deriv(x, mu):
-        return sum(m * w[mu] * c for m, w, c in zip(mats, ws, waves_at(np.cos, x)))
-
-    def deriv2(x, mu, nu):
-        return sum(-m * w[mu] * w[nu] * s for m, w, s in zip(mats, ws, waves_at(np.sin, x)))
-
-    return FieldFn(spacetime, (n, n), fn, deriv, deriv2)
+    return _node(spacetime, (n, n), 2, rule)
 
 
 def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> FieldFn:
     """Seeded frame V = exp(i H(x)) V0 with exact analytic first and second derivatives.
 
-    The derivatives of the matrix exponential are evaluated in the eigenbasis
-    (first and second divided differences), so frame identities hold to
-    rounding accuracy.  With n = N, V^dag V = I makes V a seeded smooth U(N)
-    gauge map exp(i H(x)).
-    One stacked eigh per distinct point stack, kept in an LRU bounded by
-    points that lives with the field; the arrays returned are read-only.
+    They are taken in H's eigenbasis (`_spectral_leaf`), so frame identities hold to
+    rounding; with n = N, V is a seeded smooth U(N) gauge map exp(i H(x)).
     analytic=False strips the derivatives to exercise finite-difference paths.
     """
     v = _exp_i_field(random_hermitian_field(spacetime, N, seed, amplitude),
@@ -441,27 +419,23 @@ def random_smooth_frame(spacetime, N, n, seed, amplitude=0.4, analytic=True) -> 
 class _SpectralRecord:
     """One point stack of a spectral leaf: H = Q diag(lam) Q^dag, L, f(H) and what they make."""
 
-    __slots__ = ("lam", "q", "left", "f", "value", "dd", "first", "derivs", "derivs2")
+    __slots__ = ("lam", "q", "left", "f", "value", "dd", "first", "second")
 
     def __init__(self, lam, q, left, f, value):
         self.lam, self.q, self.left, self.f, self.value = lam, q, left, f, value
-        self.dd = None        # f's first and second divided differences on lam
-        self.first = {}       # mu -> (d_mu L, Q^dag d_mu H Q, d_mu f(H))
-        self.derivs = {}      # mu -> d_mu value
-        self.derivs2 = {}     # (mu, nu) -> d_mu d_nu value
+        self.dd = self.first = None  # f's divided differences; every d_mu's (dL, E~, df, d value)
+        self.second = {}  # (mu, nu) -> d_mu d_nu value
 
 
-def _spectral_leaf(spacetime, shape, jet, spectrum, dd, finish) -> FieldFn:
+def _spectral_leaf(source: FieldFn, shape, parts, spectrum, dd, finish) -> FieldFn:
     """The leaf x -> finish(L(x) f(H(x))) for a Hermitian H(x), with analytic d and d2.
 
-    jet(x, *idx) gives (L, H) differentiated along idx (L None for the identity),
-    spectrum(x, H) checks H and gives its eigh Q diag(lam) Q^dag and f(H), dd(lam)
-    f's first and second divided differences; finish is linear.  A point stack
-    costs one jet(x) and one eigh, and what is made from them is made once and
-    kept in a record in the leaf's point-bounded LRU (`fields._PointLRU`).  f(H)
-    is differentiated in H's eigenbasis (`linalg._frechet_in_eigenbasis` and
-    `_second_frechet_in_eigenbasis`), L f(H) by the Leibniz rule.  Every array
-    handed out is read-only, so no caller can change what a later query returns.
+    parts(m, value) takes source's value (value True) or a stack of its derivatives
+    to the matching (L, H) (L None for the identity); spectrum(x, H) checks H and gives
+    its eigh Q diag(lam) Q^dag and f(H), dd(lam) f's divided differences; finish is
+    linear.  A point stack costs one eigh; every d_mu, at once, and each pair's d_mu d_nu
+    are made once from it and kept, read-only, in a record in the leaf's LRU
+    (`fields._PointLRU`).  f(H) is differentiated in H's eigenbasis, L f(H) by Leibniz.
     """
     lru = _PointLRU()
 
@@ -470,64 +444,52 @@ def _spectral_leaf(spacetime, shape, jet, spectrum, dd, finish) -> FieldFn:
         out.flags.writeable = False
         return out
 
-    def record(x):
+    def rule(x, memo, want):
         rec = lru.get(x)
+        missing = want and _pairs([p for p in want if rec is None or p not in rec.second])
+        src = None
+        if rec is None or want is not None and (rec.first is None or missing):
+            src = _jet(source, x, memo, missing or (None if want is None else ()))
         if rec is None:
-            left, hx = jet(x)
+            left, hx = parts(src[0], True)
             lam, q, f = spectrum(x, hx)
             rec = lru.put(x, _SpectralRecord(lam, q, left, f,
                                              publish(f if left is None else left @ f)))
-        return rec
-
-    def first(rec, x, mu):
-        got = rec.first.get(mu)
-        if got is None:
-            if rec.dd is None:
-                rec.dd = dd(rec.lam)
-            dl, dh = jet(x, mu)
-            t = dagger(rec.q) @ dh @ rec.q
-            got = rec.first[mu] = (dl, t, _frechet_in_eigenbasis(rec.q, rec.dd[0], t))
-        return got
-
-    def fn(x):
-        return record(x).value
-
-    def deriv(x, mu):
-        rec = record(x)
-        d = rec.derivs.get(mu)
-        if d is None:
-            dl, _, df = first(rec, x, mu)
-            d = rec.derivs[mu] = publish(df if rec.left is None else dl @ rec.f + rec.left @ df)
-        return d
-
-    def deriv2(x, mu, nu):
-        rec = record(x)
-        d = rec.derivs2.get((mu, nu))
-        if d is None:
-            (dlm, tm, dfm), (dln, tn, dfn) = first(rec, x, mu), first(rec, x, nu)
-            d2l, d2h = jet(x, mu, nu)
-            q = rec.q
-            d = _second_frechet_in_eigenbasis(q, *rec.dd, dagger(q) @ d2h @ q, tm, tn)
+        if want is None:
+            return rec.value, None, None
+        q = rec.q
+        if rec.first is None:
+            rec.dd = dd(rec.lam)
+            dl, dh = parts(src[1], False)
+            t = dagger(q) @ dh @ q
+            df = _frechet_in_eigenbasis(q, rec.dd[0], t)
+            rec.first = (dl, t, df, publish(df if rec.left is None else
+                                            dl @ rec.f + rec.left @ df))
+        if not want:
+            return rec.value, rec.first[3], None
+        if missing:
+            dl, t, df, _ = rec.first
+            a, b = missing.first, missing.second
+            d2l, d2h = parts(src[2], False)
+            d2 = _second_frechet_in_eigenbasis(q, *rec.dd, dagger(q) @ d2h @ q, t[a], t[b])
             if rec.left is not None:
-                d = d2l @ rec.f + dlm @ dfn + dln @ dfm + rec.left @ d
-            d = rec.derivs2[(mu, nu)] = publish(d)
-        return d
+                d2 = d2l @ rec.f + dl[a] @ df[b] + dl[b] @ df[a] + rec.left @ d2
+            d2 = publish(d2)
+            rec.second.update(zip(missing, d2))
+            if len(missing) == len(want):
+                return rec.value, rec.first[3], d2
+        d2 = np.stack([rec.second[p] for p in want])
+        d2.flags.writeable = False
+        return rec.value, rec.first[3], d2
 
-    return FieldFn(spacetime, shape, fn, deriv, deriv2)
+    return _node(source.spacetime, shape, 2, rule, TOL.fd_step, (source,))
 
 
 def _exp_i_field(h: FieldFn, right) -> FieldFn:
-    """The field x -> exp(i H(x)) @ right, for an N x n matrix right: a `_spectral_leaf`.
-
-    Each distinct point stack costs one H(x), one Hermiticity check and one eigh
-    (for N = 2 the value is the closed form of `unitary_exp`).  The value and the
-    first derivative have the bits of `unitary_exp` and `unitary_exp_frechet`.
-    """
+    """The field x -> exp(i H(x)) @ right, for an N x n matrix right: a `_spectral_leaf`
+    whose value and first derivatives have the bits of `unitary_exp` (for N = 2 its closed
+    form) and `unitary_exp_frechet`; a point stack costs one Hermiticity check and eigh."""
     n = h.shape[0]
-    h_jet = (h.fn, h.deriv, h.deriv2)
-
-    def jet(x, *idx):
-        return None, np.asarray(h_jet[len(idx)](x, *idx), dtype=complex)
 
     def spectrum(x, hx):
         _require_hermitian(hx, "unitary_exp")
@@ -535,6 +497,6 @@ def _exp_i_field(h: FieldFn, right) -> FieldFn:
         return lam, q, _exp_2x2(hx, 1.0) if n == 2 else _exp_in_eigenbasis(lam, q, 1.0)
 
     return _spectral_leaf(
-        h.spacetime, (n, right.shape[1]), jet, spectrum,
+        h, (n, right.shape[1]), lambda m, value: (None, np.asarray(m, dtype=complex)), spectrum,
         lambda lam: (_divided_differences(lam, 1.0), _second_divided_differences(lam, 1.0)),
         lambda m: m @ right)

@@ -36,7 +36,7 @@ from .dynamics import shape_gauge_ym_residual  # noqa: F401
 from .embedded import (christoffel_gauss_curvature, cylinder, embedded_blade, gauss_curvature,
                        plane, sphere, torus)
 from .errors import BladeGaugeError, ConfigError, DomainError
-from .fields import Grid, MINKOWSKI4
+from .fields import Grid, MINKOWSKI4, _sharing
 from .gauge import field_strength, gauge_transform, gauge_transform_field_strength
 from .linalg import dagger, max_abs, max_abs_each
 from .scenarios import (EQUATIONS, SCENARIOS, load_darboux, resolve_spacetime,
@@ -290,9 +290,10 @@ def cmd_verify(args):
     # validate_config admits only the overrides the checks compare against
     tol = replace(TOL, **cfg.get("tolerances", {}))
     checks = _generic_identity_checks(seed, tol)
-    checks += _embedded_cross_checks(tol)
-    rows, extras = SCENARIOS[cfg["scenario"]].checks(scenario_params(cfg),
-                                                    resolve_spacetime(cfg), tol)
+    with _sharing():  # the checks below query a few stacks each; see _generic_identity_checks
+        checks += _embedded_cross_checks(tol)
+        rows, extras = SCENARIOS[cfg["scenario"]].checks(scenario_params(cfg),
+                                                        resolve_spacetime(cfg), tol)
     checks += [_check(*row) for row in rows]
     report = _report_skeleton("verify", cfg)
     report["checks"] = checks
@@ -305,10 +306,13 @@ def cmd_verify(args):
 def _generic_identity_checks(seed, tol):
     """The nine blade identities on four seeded random frames, three points each."""
     rng = np.random.default_rng(seed)
-    worst = {"reflection": 0.0, "hermiticity": 0.0, "trace": 0.0,
-             "anticommute": 0.0, "covariant_constancy": 0.0,
-             "four_way": 0.0, "gauge_invariance": 0.0,
-             "gauge_covariance_F": 0.0, "curvature_blocks": 0.0}
+    worst = dict.fromkeys(("reflection", "hermiticity", "trace", "anticommute",
+                           "covariant_constancy", "four_way", "gauge_invariance",
+                           "gauge_covariance_F", "curvature_blocks"), 0.0)
+
+    def bump(key, *values):
+        worst[key] = max(worst[key], *values)
+
     st = MINKOWSKI4
     for i in range(4):
         N, n = (2, 1) if i % 2 == 0 else (4, 2)
@@ -326,34 +330,26 @@ def _generic_identity_checks(seed, tol):
         w = complement_field(v)
         g_fs = shape_gauge_decompose(v, w).G
         x = rng.uniform(-0.5, 0.5, (3, st.dim))
-        r = blade(x)
-        worst["reflection"] = max(worst["reflection"], max_abs(r @ r - np.eye(N)))
-        worst["hermiticity"] = max(worst["hermiticity"], max_abs(r - dagger(r)))
-        worst["trace"] = max(worst["trace"], max_abs(
-            np.trace(r, axis1=-2, axis2=-1).real - (2 * n - N)))
-        for mu in range(st.dim):
-            sv = s.at(x, mu)
-            worst["anticommute"] = max(worst["anticommute"], max_abs(r @ sv + sv @ r))
-            worst["covariant_constancy"] = max(
-                worst["covariant_constancy"],
-                max_abs(blade.d(x, mu) + 1j * (sv @ r - r @ sv)))
-            worst["gauge_invariance"] = max(worst["gauge_invariance"],
-                                            max_abs(sv - s2.at(x, mu)))
-        worst["gauge_invariance"] = max(worst["gauge_invariance"], max_abs(r - blade2(x)))
-        _, disc = four_way(blade, x, 0, 2)
-        worst["four_way"] = max(worst["four_way"], disc)
-        vv = v(x)
-        for mu, nu in ((0, 1), (1, 3)):
-            om = omega.at(x, mu, nu)
-            g = g_fs.at(x, mu, nu)
-            wv = w(x)  # read from the record that G's first query made
-            worst["curvature_blocks"] = max(
-                worst["curvature_blocks"],
-                max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),
-                max_abs(g - dagger(wv) @ om @ wv))
-            worst["gauge_covariance_F"] = max(
-                worst["gauge_covariance_F"],
-                max_abs(fs2.at(x, mu, nu) - fs2_expect.at(x, mu, nu)))
+        with _sharing():  # every check below queries x: each node's jet there is made once
+            r = blade(x)
+            bump("reflection", max_abs(r @ r - np.eye(N)))
+            bump("hermiticity", max_abs(r - dagger(r)))
+            bump("trace", max_abs(np.trace(r, axis1=-2, axis2=-1).real - (2 * n - N)))
+            for mu in range(st.dim):
+                sv = s.at(x, mu)
+                bump("anticommute", max_abs(r @ sv + sv @ r))
+                bump("covariant_constancy", max_abs(blade.d(x, mu) + 1j * (sv @ r - r @ sv)))
+                bump("gauge_invariance", max_abs(sv - s2.at(x, mu)))
+            bump("gauge_invariance", max_abs(r - blade2(x)))
+            bump("four_way", four_way(blade, x, 0, 2)[1])
+            vv = v(x)
+            for mu, nu in ((0, 1), (1, 3)):
+                om = omega.at(x, mu, nu)
+                g = g_fs.at(x, mu, nu)
+                wv = w(x)
+                bump("curvature_blocks", max_abs(fs.at(x, mu, nu) - dagger(vv) @ om @ vv),
+                     max_abs(g - dagger(wv) @ om @ wv))
+                bump("gauge_covariance_F", max_abs(fs2.at(x, mu, nu) - fs2_expect.at(x, mu, nu)))
     fd = tol.fd()
     nested = tol.fd_nested()
     return [
@@ -388,6 +384,11 @@ def _curvature_columns(emb, x):
 # ---------------------------------------------------------------------------
 # residuals
 
+# grid points per residual call: `modified` holds R's 2-jet on two shifted copies, 1.5 MB
+# for N = 4, and a frame leaf's records stay in its LRU (fields._LEAF_CACHE_POINTS)
+_SWEEP_POINTS = 512
+
+
 def cmd_residuals(args):
     cfg = _resolve_config(args)
     scenario = cfg["scenario"]
@@ -404,8 +405,10 @@ def cmd_residuals(args):
         raise ConfigError(f"--grid has {grid.dim} axes; scenario {scenario!r} lives in "
                           f"dimension {st.dim}")
     pts = grid.centers()
-    # CSV index label -> the residual at every grid point, from one stacked call
-    residuals = EQUATIONS[args.eq](cfg, st, pts)
+    # CSV index label -> the residual at every grid point, a flat-memory slice at a time
+    parts = [EQUATIONS[args.eq](cfg, st, pts[i:i + _SWEEP_POINTS])
+             for i in range(0, len(pts), _SWEEP_POINTS)]
+    residuals = {label: np.concatenate([p[label] for p in parts]) for label in parts[0]}
     # (points, labels): the CSV rows run over the labels at each point in turn
     norms = np.stack([max_abs_each(r) for r in residuals.values()], axis=-1)
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 import ast
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, RankError
-from .fields import (FieldFn, Form, Spacetime, _any, _worst_point, constant, coordinate,
-                     cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
+from .fields import (FieldFn, Form, Spacetime, _any, _jet, _node, _worst_point, constant,
+                     coordinate, cos_of, exp_i, form_rank, mapped, matrix_of, sin_of)
 from .gauge import gauge_potential
 from .linalg import max_abs
 
@@ -158,11 +158,11 @@ def darboux_data(spacetime, pairs, lo, hi, validate=True) -> DarbouxData:
         pts = data.sample_points()
         grads = []
         for k, (p, f) in enumerate(conv):
-            _checked_pi(p, pts, k)
+            _checked_pi(p, k)(pts)
             with np.errstate(all="ignore"):  # so that a NaN reaches the error, not a numpy warning
-                _require_finite(f.fn(pts), pts, f"phi_{k}")
+                _require_finite(f(pts), pts, f"phi_{k}")
                 for name, g in ((f"pi_{k}", p), (f"phi_{k}", f)):
-                    grad = np.stack([g.d(pts, mu) for mu in range(spacetime.dim)], axis=-1)
+                    grad = np.stack(_jet(g, pts, {}, ())[1], axis=-1)  # every d_mu, one query
                     _require_finite(grad, pts, f"the gradient of {name}")
                     grads.append(grad[0])
         rank = np.linalg.matrix_rank(np.asarray(grads, dtype=float), tol=1e-8)
@@ -187,17 +187,20 @@ def darboux_potential(data: DarbouxData) -> Form:
     return gauge_potential(data.spacetime, comps)
 
 
-def _checked_pi(fn, x, k):
-    """pi_k = fn(x); DomainError naming the pair and worst point unless finite with |pi_k| <= 1."""
-    with np.errstate(all="ignore"):  # so that a NaN reaches the error, not a numpy warning
-        u = fn(x)
-    bad = np.where(np.isfinite(u), abs(u), np.inf)
-    if _any(bad > 1.0 + 1e-12):
-        i, point = _worst_point(bad, x)
-        value = np.asarray(u)[i]
-        raise DomainError(f"|pi_{k}| > 1 at {point} (value {value:.6f})" if np.isfinite(value)
-                          else f"pi_{k} is not finite at {point} (value {value})")
-    return u
+def _checked_pi(pi_field: FieldFn, k) -> FieldFn:
+    """pi_k, finite with |pi_k| <= 1 at every evaluation or a DomainError naming the point."""
+    def rule(x, memo, want):
+        with np.errstate(all="ignore"):  # so that a NaN reaches the error, not a numpy warning
+            u, d1, d2 = _jet(pi_field, x, memo, want)
+        bad = np.where(np.isfinite(u), abs(u), np.inf)
+        if _any(bad > 1.0 + 1e-12):
+            i, point = _worst_point(bad, x)
+            value = np.asarray(u)[i]
+            raise DomainError(f"|pi_{k}| > 1 at {point} (value {value:.6f})" if np.isfinite(value)
+                              else f"pi_{k} is not finite at {point} (value {value})")
+        return u, d1, d2
+
+    return _node(pi_field.spacetime, (), pi_field.order, rule, pi_field.fd_step, (pi_field,))
 
 
 def _require_finite(values, x, what):
@@ -208,14 +211,10 @@ def _require_finite(values, x, what):
         raise DomainError(f"{what} is not finite at {point}")
 
 
-def _half_arccos_trig(pi_field: FieldFn, k, which):
-    """cos(rho_k) or sin(rho_k) for rho_k = arccos(pi_k) / 2.
-
-    Uses cos^2 rho = (1 + pi)/2, sin^2 rho = (1 - pi)/2 on the principal
-    branch; evaluation raises DomainError (naming the pair and point) unless
-    pi_k is finite with |pi_k| <= 1.  The derivative blows up as |pi_k| -> 1;
-    near-singular points are the caller's business to flag.
-    """
+def _half_arccos_trig(pi_field: FieldFn, which):
+    """cos(rho_k) or sin(rho_k) for rho_k = arccos(pi_k) / 2, pi_k a `_checked_pi` field,
+    from cos^2 rho = (1 + pi)/2, sin^2 rho = (1 - pi)/2 on the principal branch.  The
+    derivative blows up as |pi_k| -> 1; the caller flags near-singular points."""
     sign = 1.0 if which == "cos" else -1.0
 
     def val(u):
@@ -228,8 +227,7 @@ def _half_arccos_trig(pi_field: FieldFn, k, which):
         v = val(u)
         return -1.0 / (16.0 * (v * v * v))
 
-    checked = replace(pi_field, fn=lambda x: _checked_pi(pi_field.fn, x, k))
-    return mapped(checked, val, lambda u: sign / (4.0 * val(u)), d2val)
+    return mapped(pi_field, val, lambda u: sign / (4.0 * val(u)), d2val)
 
 
 def darboux_frame(data: DarbouxData) -> FieldFn:
@@ -239,8 +237,9 @@ def darboux_frame(data: DarbouxData) -> FieldFn:
     rows = []
     for k, (p, f) in enumerate(data.pairs):
         alpha = mult * f
-        cosr = _half_arccos_trig(p, k, "cos")
-        sinr = _half_arccos_trig(p, k, "sin")
+        # one checked pi_k under both, so that a query evaluates it once
+        pi = _checked_pi(p, k)
+        cosr, sinr = _half_arccos_trig(pi, "cos"), _half_arccos_trig(pi, "sin")
         rows.append([scale * (exp_i(alpha) * cosr)])
         rows.append([scale * (exp_i((-1.0) * alpha) * sinr)])
     if not rows:

@@ -8,9 +8,8 @@ as the nu-summed divergence, exactly as displayed; the report headers record
 this index handling.
 
 The four frame residuals (Yang-Mills, modified, shape-gauge and sigma) read
-the blade R = 2 V V^dag - I alone, through its 2-jet: R, every d_mu R and the
-d_mu d_nu R they need, built from one stacked query of V, of each d_mu V and
-of each d_mu d_nu V needed per point stack.  With S_mu = -(i/2) R d_mu R and
+the blade R = 2 V V^dag - I alone, through one query of its 2-jet per point
+stack: R, every d_mu R and the d_mu d_nu R they need.  With S_mu = -(i/2) R d_mu R and
 Omega_mu nu = -i [S_mu, S_nu], the current J_nu = V (D^mu F_mu nu) V^dag is
 P (d^mu Omega_mu nu) P, for P the projector (R + I)/2 (Narasimhan & Ramanan,
 Amer. J. Math. 83 (1961) 563; the curvature P dP ^ dP P of Avron, Seiler &
@@ -29,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blade import _within
+from .blade import _within, blade_from_frame
 from .errors import DivergenceError, ParameterError
-from .fields import FieldFn, Form, Grid, lattice_integral
+from .fields import FieldFn, Form, Grid, _jet, _pairs, _stenciled, lattice_integral
 from .gauge import covariant_derivative_matrix, field_strength
 from .linalg import _matmul_small, commutator, dagger, hermitian_part, max_abs_each, unitary_exp
 from .tolerances import DEFAULT as TOL
@@ -137,13 +136,13 @@ def shape_gauge_ym_residual(v: FieldFn, x, nu):
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    _, rx, dr, d2 = _blade_jet(v, x, x)
+    _, rx, dr, d2 = _blade_jet(v, x, x, _current_pairs(st.dim, nu))
     s = [-0.5j * (rx @ dr_a) for dr_a in dr]
     total = 0
     for mu in range(st.dim):
         if mu == nu:
             continue
-        ds = {a: -0.5j * (dr[mu] @ dr[a] + rx @ d2(a, mu)) for a in (mu, nu)}
+        ds = {a: -0.5j * (dr[mu] @ dr[a] + rx @ d2[a, mu]) for a in (mu, nu)}
         a, b = sorted((mu, nu))
         omega = -1j * (s[a] @ s[b] - s[b] @ s[a])
         d_omega = -1j * ((ds[a] @ s[b] + s[a] @ ds[b]) - (ds[b] @ s[a] + s[b] @ ds[a]))
@@ -160,42 +159,30 @@ def sigma_eom_residual(v: FieldFn, x):
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    _, rx, dr, d2 = _blade_jet(v, x, x)
+    _, rx, dr, d2 = _blade_jet(v, x, x, [(mu, mu) for mu in range(st.dim)])
     total = 0
     for mu in range(st.dim):
-        total += st.raise_sign(mu) * (-0.5j * (dr[mu] @ dr[mu] + rx @ d2(mu, mu)))
+        total += st.raise_sign(mu) * (-0.5j * (dr[mu] @ dr[mu] + rx @ d2[mu, mu]))
     return total
 
 
-def _blade_jet(v: FieldFn, y, x):
-    """V, R, [d_mu R] and d2(a, b) = d_a d_b R at the point stack y.
-
-    V and each d_mu V come from one query of v's public value and d on all of
-    y, and each d2(a, b) from one query of v.d2 when it is asked for, so a
-    residual reads only the second derivatives it needs and holds none past
-    its use; finite-difference frames serve as well as analytic ones.  R and
-    its derivatives follow by the Leibniz rule in the operation order of
-    `blade_from_frame`'s product rule, so they have the bits of R's own jet.
-    y is the stack x, or shifted copies of it stacked along a leading axis;
-    where R misses R^2 = I by more than TOL.frame_consistency (a frame that is
-    not orthonormal), a ConsistencyError names the point of x whose R, or a
-    shift's, misses it most.
-    """
-    vy = v(y)
-    eye = np.eye(v.shape[0])
-    ry = 2.0 * (vy @ dagger(vy)) - eye
-    defect = max_abs_each(ry @ ry - eye)
+def _blade_jet(v: FieldFn, y, x, pairs):
+    """V, R, the stack of every d_mu R and {(a, b): d_a d_b R} over pairs at the point stack y,
+    from one query of R = `blade_from_frame(v)`, a frame without analytic derivatives
+    taking the stencils of its own d and d2 (`fields._stenciled`).  y is x, or shifted
+    copies of it along a leading axis; where R misses R^2 = I by more than
+    TOL.frame_consistency, a ConsistencyError names the point of x missing it most."""
+    v = _stenciled(v)
+    y, want, memo = np.asarray(y, dtype=float), _pairs(pairs), {}
+    ry, dr, d2 = _jet(blade_from_frame(v), y, memo, want)
+    defect = max_abs_each(ry @ ry - np.eye(v.shape[0]))
     _within(defect.reshape((-1,) + np.shape(x)[:-1]).max(axis=0), x, TOL.frame_consistency,
             "blade is not a reflection: max |R^2 - I|")
-    dv = [v.d(y, mu) for mu in range(v.spacetime.dim)]
-    dr = [2.0 * (dv_mu @ dagger(vy) + vy @ dagger(dv_mu)) for dv_mu in dv]
+    return _jet(v, y, memo, want)[0], ry, dr, dict(zip(want, d2))
 
-    def d2(a, b):
-        d2v = v.d2(y, a, b)
-        return 2.0 * (((d2v @ dagger(vy) + vy @ dagger(d2v)) + dv[a] @ dagger(dv[b]))
-                      + dv[b] @ dagger(dv[a]))
 
-    return vy, ry, dr, d2
+def _current_pairs(dim, nu):  # the (mu, mu) and (nu, mu) d_a d_b R that J_nu reads, mu != nu
+    return [(a, mu) for mu in range(dim) if mu != nu for a in (mu, nu)]
 
 
 def _blade_current(v: FieldFn, y, nu, x):
@@ -206,13 +193,13 @@ def _blade_current(v: FieldFn, y, nu, x):
     P d^mu(P Omega_mu nu P) P: the terms with d P drop out, since P dP P = 0
     and Omega commutes with P.
     """
-    vy, ry, dr, d2 = _blade_jet(v, y, x)
     st = v.spacetime
+    vy, ry, dr, d2 = _blade_jet(v, y, x, _current_pairs(st.dim, nu))
     div = 0
     for mu in range(st.dim):
         if mu != nu:
-            div += st.raise_sign(mu) * (commutator(d2(mu, mu), dr[nu])
-                                        + commutator(dr[mu], d2(nu, mu)))
+            div += st.raise_sign(mu) * (commutator(d2[mu, mu], dr[nu])
+                                        + commutator(dr[mu], d2[nu, mu]))
     p = 0.5 * (ry + np.eye(v.shape[0]))
     return vy, -0.25j * (p @ div @ p)
 

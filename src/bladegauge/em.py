@@ -9,13 +9,13 @@ coordinate inert in the angular sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blade import blade_from_frame
 from .errors import ChartError, ParameterError
-from .fields import (FieldFn, Form, Spacetime, SPHERICAL3, _any, _worst_point, constant,
+from .fields import (FieldFn, Form, Spacetime, SPHERICAL3, _any, _linear, _worst_point, constant,
                      coordinate, cos_of, exp_i, linear, matrix_of, one_form, sin_of)
 from .gauge import gauge_potential
 from .linalg import max_abs
@@ -117,8 +117,7 @@ def _pole_guarded_phi_component(g, sign):
     """A_phi = g (sign - cos theta) with the excluded pole fenced off."""
     theta = coordinate(SPHERICAL3, 1)
 
-    def checked(x):
-        t = theta.fn(x)
+    def checked(x, t):
         # sign * theta peaks at the point deepest toward the excluded pole
         if _any(t > np.pi - TOL.pole_guard if sign > 0 else t < TOL.pole_guard):
             i, point = _worst_point(sign * t, x)
@@ -127,7 +126,7 @@ def _pole_guarded_phi_component(g, sign):
                              f"near {pole} at {point} (theta={np.asarray(t)[i]})")
         return t
 
-    guarded = replace(theta, fn=checked)
+    guarded = _linear(lambda m: m, (), theta, value=checked)
     return matrix_of([[g * (constant(sign, SPHERICAL3) - cos_of(guarded))]])
 
 

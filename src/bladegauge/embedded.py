@@ -2,10 +2,8 @@
 
 A chart is a real (N,)-valued `FieldFn` f on euclidean(d) whose tangent
 vectors f_mu are independent.  The built-in charts (plane, sphere, cylinder,
-torus) state only their values, assembled with `vector_of` from coordinates,
-sines, cosines, sums and products, so the `fields` rules give their first
-and second derivatives; a chart without analytic derivatives takes FieldFn's
-finite differences.
+torus) are `vector_of` pipelines, so the `fields` rules give their first and
+second derivatives; a chart without them takes finite differences.
 
 A d-dimensional manifold embedded in R^N by f has tangent vectors f_mu, the
 tangent projector P = F g^-1 F^T (F the N x d matrix of the f_mu, g = F^T F
@@ -21,11 +19,9 @@ Omega_real = -[S_real_mu, S_real_nu] = i Omega, whose tangent part is the
 Riemann tensor, R_{rho sigma mu nu} = f_rho . (Omega_real f_sigma).
 `riemann_component` applies the factor i.
 
-Every function takes a point or a (..., 2) stack of chart points, and entry
-i of a stacked result has the bits of the query at x[i] alone.  An
-independent intrinsic oracle, `christoffel_gauss_curvature`, is included for
-acceptance cross-checks; it differentiates only the induced metric and is
-test infrastructure, not part of the modelling API.
+Every function takes a point or a (..., 2) stack of chart points.  The intrinsic
+oracle `christoffel_gauss_curvature` differentiates only the induced metric; it is
+test infrastructure for acceptance cross-checks, not part of the modelling API.
 """
 
 from __future__ import annotations
@@ -34,8 +30,8 @@ import numpy as np
 
 from .blade import blade_curvature
 from .errors import ChartError
-from .fields import (FieldFn, _any, _worst_point, constant, coordinate, cos_of, euclidean,
-                     identity_field, sin_of, vector_of)
+from .fields import (FieldFn, _any, _jet, _memo, _node, _pairs, _worst_point, constant,
+                     coordinate, cos_of, euclidean, identity_field, sin_of, vector_of)
 
 __all__ = [
     "plane", "sphere", "cylinder", "torus",
@@ -80,12 +76,8 @@ def torus(rmaj=2.0, rmin=0.5):
 
 def tangent_frame(f: FieldFn, x):
     """N x d matrix of tangent vectors f_mu."""
-    return np.stack([np.real(f.d(x, mu)) for mu in range(f.spacetime.dim)], axis=-1)
-
-
-def _tangent_derivative(f: FieldFn, x, mu):
-    """N x d matrix of the d_mu f_nu."""
-    return np.stack([np.real(f.d2(x, nu, mu)) for nu in range(f.spacetime.dim)], axis=-1)
+    x = np.asarray(x, dtype=float)
+    return np.stack(np.real(_jet(f, x, _memo(x), ())[1]), axis=-1)
 
 
 def induced_metric(f: FieldFn, x):
@@ -104,21 +96,23 @@ def _metric(fr, x):
 
 def _projector_field(f: FieldFn) -> FieldFn:
     """P = F g^-1 F^T; d_mu P in closed form when the chart has analytic second derivatives."""
+    dim = f.spacetime.dim
+    # d_mu f_nu for every (mu, nu), mu the slower index
+    pairs = _pairs([(nu, mu) for mu in range(dim) for nu in range(dim)])
 
-    def fn(x):
-        fr = tangent_frame(f, x)
-        return fr @ np.linalg.solve(_metric(fr, x), fr.mT)
-
-    def deriv(x, mu):
-        fr, dfr = tangent_frame(f, x), _tangent_derivative(f, x, mu)
+    def rule(x, memo, want):
+        _, d1, d2 = _jet(f, x, memo, () if want is None else pairs)
+        fr = np.stack(np.real(d1), axis=-1)  # a new C-order stack, as matmul's BLAS path reads
+        value = fr @ np.linalg.solve(_metric(fr, x), fr.mT)
+        if want is None:
+            return value, None, None
+        dfr = np.stack(np.real(d2).reshape((dim, dim) + d2.shape[1:]).swapaxes(0, 1), axis=-1)
         frt, dfrt = fr.mT, dfr.mT
         ginv = np.linalg.inv(frt @ fr)
         dginv = -ginv @ (dfrt @ fr + frt @ dfr) @ ginv
-        return dfr @ ginv @ frt + fr @ dginv @ frt + fr @ ginv @ dfrt
+        return value, dfr @ ginv @ frt + fr @ dginv @ frt + fr @ ginv @ dfrt, None
 
-    analytic = f.deriv2 is not None
-    return FieldFn(f.spacetime, (f.shape[0],) * 2, fn, deriv if analytic else None, None,
-                   f.fd_step)
+    return _node(f.spacetime, (f.shape[0],) * 2, f.order // 2, rule, f.fd_step, (f,))
 
 
 def embedded_blade(f: FieldFn) -> FieldFn:

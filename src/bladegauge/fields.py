@@ -1,42 +1,31 @@
 """Point-evaluable fields over flat spacetime.
 
-A `FieldFn` bundles a point evaluator with optional analytic first and second
-derivatives; whenever an analytic derivative is missing, queries fall back to
-central finite differences (second derivatives use nested first-order
-stencils).
-
 Every field takes a stack of points: x shaped (..., d) gives values shaped
-(...) + field shape, and so do `d` and `d2`.  A single point (d,) is the
-stack with no batch axes.  Entry i of a stacked result has the bits of the
-same query at the point x[i] alone, so library callers pass their sample
-points as one (P, d) stack and make one call per query; `lattice_integral`
-evaluates its integrand once on the grid's stack of cell centres.  Only the
-`point_map` of `dynamics.blade_lattice_from_field` takes one point at a time,
-because its callers write it for a single lattice point.
+(...) + field shape, and so do `d` and `d2`; a single point (d,) is the stack
+with no batch axes, and callers make one call per query.  Entry i of a stacked
+result has the bits of the query at x[i] alone for the stacks tier-1 tests
+check, up to 9 points; larger ones can differ in the last bits (ROADMAP item 4).
 
-Every combinator states its derivatives through one of three rules:
+A `FieldFn` is a node of a graph, and a query walks it once: each node computes
+its jet at the stack, its value, every d_mu on one leading axis and only the
+d_mu d_nu pairs the query reads, from its operands' jets (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), by one of three rules:
 
 - linear: `+`, `-`, scalar `*`, `dagger`, `hermitian_part`, `hstack`,
-  `matrix_of` and `vector_of`; each derivative order is the same operation
-  on the operands' derivatives of that order;
+  `matrix_of` and `vector_of`; each order is the operation on that order;
 - product: pointwise `*` and `@` (Leibniz rule);
 - chain: `mapped`, and through it `sin_of`, `cos_of`, `exp_i` and `/`.
 
-A rule is analytic when its operands are, so pipelines built from analytic
-ingredients stay analytic: the embedded-surface charts and the monopole's
-A_phi are such pipelines.  The leaves state their derivatives in closed
-form: `constant`, `coordinate`, `linear`, `random_hermitian_field`, the
-exp(iH) fields and the canonical and complement frames of `blade` (first and
-second derivatives), and the tangent projector of `embedded`.  `partial`
-turns the second derivatives of a field into the first ones of its
-derivative field.
+A node states the orders all its operands state, and takes central differences
+of itself past them (nested for second derivatives), as `without_analytic_derivs`
+does everywhere.  The leaves state theirs in closed form: `constant`,
+`coordinate`, `linear`, `random_hermitian_field`, the exp(iH), canonical and
+complement frames of `blade` and the tangent projector of `embedded`.
+`partial` turns second derivatives into the first ones of a derivative field.
 
-Evaluation is reentrant and side-effect free; lattice and quadrature loops
-reduce in a fixed order for reproducibility.  Leaf caches, the point-bounded
-LRU (`_PointLRU`) of the seeded exp(iH) fields and the canonical frames in
-`blade`, are invisible to callers: they return read-only arrays with the bits
-a fresh evaluation would give.  A `Form` holds every p-form, potentials and
-field strengths alike, and builds each component on first use.
+Loops reduce in a fixed order; the point LRU (`_PointLRU`) of the `blade`
+leaves hands out read-only arrays with the bits a fresh evaluation would give.
+A `Form` holds every p-form and builds each component on first use.
 """
 
 from __future__ import annotations
@@ -47,7 +36,7 @@ import operator
 import warnings
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,44 +101,42 @@ def euclidean(d):
 # ---------------------------------------------------------------------------
 # FieldFn
 
-@dataclass(frozen=True)
 class FieldFn:
-    """Point-evaluable field with optional analytic derivatives.
+    """A field node stating derivatives up to its order (0, 1 or 2); FieldFn(spacetime,
+    shape, fn, deriv, deriv2) is a leaf from closures fn(x), deriv(x, mu) and
+    deriv2(x, mu, nu), each taking a (..., d) stack of points."""
 
-    fn(x) -> value; deriv(x, mu) -> d value / d x^mu; deriv2(x, mu, nu)
-    symmetric in (mu, nu) within the finite-difference budget.  Each takes
-    a (..., d) stack of points and returns a (...) + shape stack of values.
-    """
+    __slots__ = ("spacetime", "shape", "order", "fd_step", "_rule", "_uses")
 
-    spacetime: Spacetime
-    shape: tuple
-    fn: object
-    deriv: object = None
-    deriv2: object = None
-    fd_step: float = TOL.fd_step
+    def __init__(self, spacetime, shape, fn, deriv=None, deriv2=None, fd_step=TOL.fd_step):
+        dim, vshape = spacetime.dim, tuple(shape)
+
+        def rule(x, memo, want):
+            full = x.shape[:-1] + vshape
+            return (fn(x), None if want is None else
+                    np.stack([np.broadcast_to(deriv(x, mu), full) for mu in range(dim)]),
+                    np.stack([np.broadcast_to(deriv2(x, a, b), full) for a, b in want])
+                    if want else None)
+
+        self.spacetime, self.shape, self._rule, self.fd_step = spacetime, vshape, rule, fd_step
+        self.order, self._uses = 0 if deriv is None else 1 if deriv2 is None else 2, 0
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return _jet(self, x, _memo(x), None)[0]
 
     def d(self, x, mu):
         x = np.asarray(x, dtype=float)
-        if self.deriv is not None:
-            return self.deriv(x, mu)
-        h = self.fd_step
-        e = np.zeros(self.spacetime.dim)
-        e[mu] = h
-        return (self.fn(x + e) - self.fn(x - e)) / (2.0 * h)
+        return _first(self, x, _memo(x), mu)
 
     def d2(self, x, mu, nu):
         x = np.asarray(x, dtype=float)
-        if self.deriv2 is not None:
-            return self.deriv2(x, mu, nu)
-        h = self.fd_step
-        e = np.zeros(self.spacetime.dim)
-        e[nu] = h
-        return (self.d(x + e, mu) - self.d(x - e, mu)) / (2.0 * h)
+        return _second(self, x, _memo(x), mu, nu)
 
-    # -- algebra ------------------------------------------------------------
+    # the queries as a leaf's closures: deriv and deriv2 are None past the field's order
+    fn = property(lambda f: f)
+    deriv = property(lambda f: f.d if f.order else None)
+    deriv2 = property(lambda f: f.d2 if f.order == 2 else None)
 
     def __add__(self, other):
         return _linear(operator.add, _sum_shape(self, other), self, other)
@@ -201,24 +188,115 @@ class FieldFn:
         return _linear(hermitian_part, self.shape, self)
 
     def partial(self, mu):
-        """The field x -> d self / d x^mu; its deriv taps self's second derivatives."""
-        f = self
-        return FieldFn(f.spacetime, f.shape,
-                       lambda x: f.d(x, mu),
-                       lambda x, nu: f.d2(x, mu, nu),
-                       None, f.fd_step)
+        """The field x -> d self / d x^mu; its first derivatives are self's second ones, all
+        asked at once of an analytic self, so its partials share them, else row mu's alone."""
+        f, dim = self, self.spacetime.dim
+        rows = _pairs(itertools.product(range(dim) if f.order == 2 else (mu,), range(dim)))
+        row = slice(mu * dim, (mu + 1) * dim) if f.order == 2 else slice(None)
+
+        def rule(x, memo, want):
+            if want is None:
+                return _first(f, x, memo, mu), None, None
+            _, d1, d2 = _jet(f, x, memo, rows)
+            return d1[mu], d2[row], None
+        return _node(f.spacetime, f.shape, 1, rule, f.fd_step, (f,))
 
     def without_analytic_derivs(self):
         """Copy that answers derivative queries by finite differences only."""
-        return FieldFn(self.spacetime, self.shape, self.fn, None, None, self.fd_step)
+        f = self
+        return _node(f.spacetime, f.shape, 0,
+                     lambda x, memo, want: (_jet(f, x, memo, None)[0], None, None), f.fd_step,
+                     (f,))
 
     def with_step(self, h):
         """Copy whose finite differences take step h."""
-        return replace(self, fd_step=h)
+        return _node(self.spacetime, self.shape, self.order, self._rule, h)
+
+
+def _node(spacetime, shape, order, rule, fd_step=TOL.fd_step, args=()):
+    """The FieldFn whose jet is rule(x, memo, want) from those of the fields args."""
+    f = object.__new__(FieldFn)
+    f.spacetime, f.shape, f.order, f._rule, f.fd_step = spacetime, shape, order, rule, fd_step
+    f._uses = 0
+    for a in args:
+        a._uses += 1
+    return f
+
+
+class _Pairs(tuple):
+    """The (mu, nu) pairs of a second-derivative query, with the mu and nu index lists."""
+
+
+def _pairs(pairs):
+    p = _Pairs(tuple(pairs))
+    p.first, p.second = [a for a, _ in p], [b for _, b in p]
+    return p
+
+
+def _jet(f, x, memo, want):
+    """(value, first, second) of f at the point stack x: want is None for the value alone,
+    () for it and every d_mu stacked as (d, ...) + shape, or `_pairs` for those and each
+    pair's d_mu d_nu stacked as (k, ...) + shape.  memo maps (node, want) to a jet at x,
+    so a node read again is computed once, and no node hashes the stack."""
+    key = (f, want)
+    if key in memo:
+        return memo[key]
+    stated = want is None or f.order >= (2 if want else 1)
+    jet = f._rule(x, memo, want) if stated else _fd_jet(f, x, memo, want)
+    if f._uses != 1:  # a node that one other reads is asked once for each of its jets
+        memo[key] = jet
+    return jet
+
+
+_SESSIONS = []  # per `_sharing` block, innermost last: {point stack: its memo}
+
+
+def _memo(x):
+    """A query's memo at the stack x: inside `_sharing`, the one every query at x shares."""
+    return _SESSIONS[-1].setdefault((x.shape, x.tobytes()), {}) if _SESSIONS else {}
+
+
+class _sharing:
+    """A block whose queries at equal stacks share a memo: each node's jet there is made once."""
+
+    def __enter__(self):
+        _SESSIONS.append({})
+
+    def __exit__(self, *exc):
+        _SESSIONS.pop()
+
+
+def _stenciled(f):
+    """f with every order to 2: where f states no derivative, the stencils of `d` and `d2`."""
+    return f if f.order == 2 else _node(f.spacetime, f.shape, 2, functools.partial(_jet, f),
+                                        f.fd_step, (f,))
+
+
+def _first(f, x, memo, mu):
+    """d_mu f at x: from f's jet, or the central difference of f's values when f has none."""
+    if f.order:
+        return _jet(f, x, memo, ())[1][mu]
+    e = f.fd_step * np.eye(f.spacetime.dim)[mu]
+    return (f(x + e) - f(x - e)) / (2.0 * f.fd_step)
+
+
+def _second(f, x, memo, mu, nu):
+    """d_mu d_nu f at x: from f's jet, or the central difference of d_mu f along nu."""
+    if f.order == 2:
+        return _jet(f, x, memo, _pairs([(mu, nu)]))[2][0]
+    e = f.fd_step * np.eye(f.spacetime.dim)[nu]
+    return (f.d(x + e, mu) - f.d(x - e, mu)) / (2.0 * f.fd_step)
+
+
+def _fd_jet(f, x, memo, want):
+    """f's jet past its order: each missing entry is the stencil `d` or `d2` would take."""
+    v, d1, _ = _jet(f, x, memo, None if f.order == 0 else ())
+    d1 = np.stack([_first(f, x, memo, mu) for mu in range(f.spacetime.dim)]) if d1 is None else d1
+    return v, d1, np.stack([_second(f, x, memo, a, b) for a, b in want]) if want else None
 
 
 def _check_compatible(f, g):
-    if f.spacetime != g.spacetime:
+    if f.spacetime is not g.spacetime and f.spacetime != g.spacetime:
         raise DimensionMismatchError("fields live on different spacetimes")
 
 
@@ -255,65 +333,54 @@ def _matvec(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _combine_step(*fields):
-    """Step for a combined field: fully-analytic operands do not constrain it."""
-    steps = [f.fd_step for f in fields if f.deriv is None or f.deriv2 is None]
-    return min(steps or [f.fd_step for f in fields])
+# -- the three derivative rules: each order is one operation on stacked arrays ------
 
-
-# -- the three derivative rules ---------------------------------------------
-# A rule gives the combined field an analytic deriv when every operand has
-# one, and an analytic deriv2 when every operand has both; a missing order
-# falls back to finite differences of the combined field.  So a rule reads
-# its operands' fn, deriv and deriv2 directly, never the FD-aware d and d2.
-
-def _lift(op, gs):
-    """x -> op(g1(x), ..., gk(x)) with the same arguments to every g; None if a g is.
-
-    The rules build closures rather than functools.partial objects: a lone
-    point's query runs through dozens of them, and a closure call is cheaper.
-    """
-    if None in gs:
-        return None
-    if len(gs) == 1:
-        g, = gs
-        return lambda *args: op(g(*args))
-    if len(gs) == 2:
-        g, h = gs
-        return lambda *args: op(g(*args), h(*args))
-    return lambda *args: op(*[g(*args) for g in gs])
-
-
-def _linear(op, shape, *fs):
-    """The field op(f1, ..., fk) for op linear: every order is op of that order."""
-    deriv = _lift(op, [f.deriv for f in fs])
-    deriv2 = _lift(op, [f.deriv2 for f in fs]) if deriv is not None else None
-    return FieldFn(fs[0].spacetime, shape, _lift(op, [f.fn for f in fs]), deriv, deriv2,
-                   _combine_step(*fs))
+def _linear(op, shape, *fs, value=None):
+    """The field op(f1, ..., fk) for op linear: every order is op of that order.  value(x,
+    v1, ..., vk), when given, replaces op for the value alone, as a check or correction."""
+    def rule(x, memo, want):
+        vs, d1s, d2s = zip(*[_jet(f, x, memo, want) for f in fs])
+        v = op(*vs) if value is None else value(x, *vs)
+        if want is None:
+            return v, None, None
+        return v, op(*d1s), op(*d2s) if want else None
+    steps = [f.fd_step for f in fs if f.order < 2]  # fully-analytic operands do not constrain it
+    return _node(fs[0].spacetime, shape, min(f.order for f in fs), rule,
+                 min(steps or [f.fd_step for f in fs]), fs)
 
 
 def _product(op, shape, f, g):
     """The field op(f, g) for op bilinear (Leibniz rule)."""
-    ff, gf, fd, gd, fd2, gd2 = f.fn, g.fn, f.deriv, g.deriv, f.deriv2, g.deriv2
-    deriv = deriv2 = None
-    if fd is not None and gd is not None:
-        def deriv(x, mu):
-            return op(fd(x, mu), gf(x)) + op(ff(x), gd(x, mu))
-
-        if fd2 is not None and gd2 is not None:
-            def deriv2(x, mu, nu):
-                return (op(fd2(x, mu, nu), gf(x)) + op(ff(x), gd2(x, mu, nu))
-                        + op(fd(x, mu), gd(x, nu)) + op(fd(x, nu), gd(x, mu)))
-    return FieldFn(f.spacetime, shape, _lift(op, [ff, gf]), deriv, deriv2, _combine_step(f, g))
+    def rule(x, memo, want):
+        fv, fd, fdd = _jet(f, x, memo, want)
+        gv, gd, gdd = _jet(g, x, memo, want)
+        v = op(fv, gv)
+        if want is None:
+            return v, None, None
+        d1 = op(fd, gv) + op(fv, gd)
+        if not want:
+            return v, d1, None
+        a, b = want.first, want.second
+        return v, d1, op(fdd, gv) + op(fv, gdd) + op(fd[a], gd[b]) + op(fd[b], gd[a])
+    steps = [h.fd_step for h in (f, g) if h.order < 2] or [f.fd_step, g.fd_step]
+    return _node(f.spacetime, shape, min(f.order, g.order), rule, min(steps), (f, g))
 
 
 # -- constructors -----------------------------------------------------------
 
-def _uniform(value, shape=()):
-    """The function x, *args -> value at every point of the stack x, (...) + shape."""
-    def at(x, *args):
-        return value if x.ndim == 1 else np.broadcast_to(value, x.shape[:-1] + shape)
-    return at
+def _uniform(fn, shape, dim, grad=None):
+    """The rule of a field with values fn(x), first derivatives grad (zero if None) and
+    zero second derivatives at every point of a stack."""
+    g = np.zeros((dim,) + shape, dtype=float if shape == () else complex) if grad is None else grad
+    zero = np.zeros_like(g[0])
+
+    def rule(x, memo, want):
+        if want is None:
+            return fn(x), None, None
+        lead = x.shape[:-1]
+        d1 = np.broadcast_to(g.reshape((dim,) + (1,) * len(lead) + shape), (dim,) + lead + shape)
+        return fn(x), d1, np.broadcast_to(zero, (len(want),) + lead + shape) if want else None
+    return rule
 
 
 def _any(mask):
@@ -334,30 +401,22 @@ def _worst_point(err, x):
 def constant(value, spacetime):
     value = np.asarray(value, dtype=complex) if not np.isscalar(value) else value
     shape = () if np.isscalar(value) else value.shape
-    zero = 0.0 if shape == () else np.zeros(shape, dtype=complex)
-    zeros = _uniform(zero, shape)
-    return FieldFn(spacetime, shape, _uniform(value, shape), zeros, zeros)
+    return _node(spacetime, shape, 2, _uniform(
+        lambda x: value if x.ndim == 1 else np.broadcast_to(value, x.shape[:-1] + shape),
+        shape, spacetime.dim))
 
 
 def identity_field(spacetime, n):
     return constant(np.eye(n, dtype=complex), spacetime)
 
 
-def _slopes(c):
-    """x, mu -> c[mu] at every point of the stack x: a linear leaf's first derivative."""
-    c = [float(cm) for cm in c]
-
-    def deriv(x, mu):
-        return c[mu] if x.ndim == 1 else np.full(x.shape[:-1], c[mu])
-    return deriv
-
-
 # A lone point's linear leaves give Python floats, whose arithmetic is faster
 # than that of numpy scalars; the bits are the same.
 
 def coordinate(spacetime, mu):
-    return FieldFn(spacetime, (), lambda x: float(x[mu]) if x.ndim == 1 else x[..., mu],
-                   _slopes(np.eye(spacetime.dim)[mu]), _uniform(0.0))
+    return _node(spacetime, (), 2, _uniform(
+        lambda x: float(x[mu]) if x.ndim == 1 else x[..., mu], (), spacetime.dim,
+        np.eye(spacetime.dim)[mu]))
 
 
 def linear(spacetime, coeffs, offset=0.0):
@@ -370,24 +429,23 @@ def linear(spacetime, coeffs, offset=0.0):
         # ndarray.dot and np.vecdot run the same dot kernel, so the bits agree
         return (float(c.dot(x)) if x.ndim == 1 else np.vecdot(x, c)) + offset
 
-    return FieldFn(spacetime, (), fn, _slopes(c), _uniform(0.0))
+    return _node(spacetime, (), 2, _uniform(fn, (), spacetime.dim, c))
 
 
 def mapped(f, func, dfunc=None, d2func=None):
     """Compose a scalar field with a smooth scalar function (chain rule)."""
     if f.shape != ():
         raise DimensionMismatchError("mapped requires a scalar field")
-    fn, fd, fd2 = f.fn, f.deriv, f.deriv2
-    deriv = deriv2 = None
-    if dfunc is not None and fd is not None:
-        def deriv(x, mu):
-            return dfunc(fn(x)) * fd(x, mu)
 
-        if d2func is not None and fd2 is not None:
-            def deriv2(x, mu, nu):
-                u = fn(x)
-                return dfunc(u) * fd2(x, mu, nu) + d2func(u) * fd(x, mu) * fd(x, nu)
-    return FieldFn(f.spacetime, (), _lift(func, [fn]), deriv, deriv2, f.fd_step)
+    def rule(x, memo, want):
+        u, fd, fdd = _jet(f, x, memo, want)
+        if want is None:
+            return func(u), None, None
+        du = dfunc(u)
+        return (func(u), du * fd,
+                du * fdd + d2func(u) * fd[want.first] * fd[want.second] if want else None)
+    order = 0 if dfunc is None else 1 if d2func is None else 2
+    return _node(f.spacetime, (), min(order, f.order), rule, f.fd_step, (f,))
 
 
 def sin_of(f):
@@ -427,7 +485,7 @@ def _assemble(shape, *entries):
     """The (...) + shape stack whose matrix entries, row by row, are the entry stacks."""
     m = np.array(entries, dtype=complex)  # the entries first, then the stack axes
     if m.ndim > 1:
-        m = np.moveaxis(m, 0, -1)  # the reshape below copies it into C order
+        m = m.transpose(tuple(range(1, m.ndim)) + (0,))  # the reshape copies it into C order
     return m.reshape(m.shape[:-1] + shape)
 
 
@@ -442,10 +500,10 @@ def hstack(a, b):
 
 # -- leaves that keep per-stack records --------------------------------------
 
-# points whose records one leaf keeps: a stacked `ym` sweep queries its grid
-# and 8 shifted copies of it on a frame's exp(iH) leaf, so this holds all of
-# them for grids up to 227 points (up to about 11 MB for N = 4 once second
-# derivatives are asked for)
+# points whose records one leaf keeps: `ym` and `shape` query a frame's exp(iH) leaf on
+# the same stack once per index, so a record must outlive its query; `modified` queries
+# 8 shifted copies of its points, each once, and this holds all 8 for up to 256 points
+# (about 11 MB for N = 4 once second derivatives are kept)
 _LEAF_CACHE_POINTS = 2048
 
 
@@ -487,12 +545,10 @@ class _PointLRU:
 class Form(Mapping):
     """A p-form: the read-only map {strictly increasing index tuple: component field}.
 
-    entry(*idx) builds the component of an increasing idx the first time it
-    is asked for, so a check that reads two of the six components of a 4-d
-    2-form builds only those two.  `component` and `at` take indices in any
-    order: an odd permutation gives the negated field, a repeated index zero.
-    Components are scalar for abelian forms and matrices for connections
-    (potentials, shape operators) and their curvatures.
+    entry(*idx) builds the component of an increasing idx when first asked for.
+    `component` and `at` take indices in any order: an odd permutation gives the
+    negated field, a repeated index zero.  Components are scalar for abelian forms
+    and matrices for connections (potentials, shape operators) and their curvatures.
     """
 
     __slots__ = ("spacetime", "degree", "_entry", "_keys", "_built")

@@ -9,22 +9,19 @@ any matrix connection serves as A, the shape operator of a blade included
 (the lifted derivative).  The coupling constant is omitted throughout.
 Every connection (a potential, a gauge transform, a pure gauge) and every
 field strength is a `Form` whose components are built when first read, and
-each component is hermitized on evaluation: finite-difference noise must not
-trip the Hermiticity invariant, so corrections below the component's own
-budget are silent and larger ones warn.  The budget is TOL.hermitian_warn
-(1e-8), raised to TOL.fd(h) = 10 h^2 for a component whose first derivatives
-are finite differences of step h; no other component of the form is read.
+each component is hermitized on evaluation (`_hermitized`): finite-difference
+noise must not trip the Hermiticity invariant, so corrections within the
+component's own budget are silent and larger ones warn.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .fields import FieldFn, Form, _worst_point
+from .fields import FieldFn, Form, _linear, _worst_point
 from .linalg import dagger, hermitian_part, max_abs, max_abs_each
 from .tolerances import DEFAULT as TOL
 
@@ -35,26 +32,29 @@ __all__ = [
 ]
 
 
-def _hermitized(f: FieldFn) -> FieldFn:
+def _hermitized(f: FieldFn, tol=None, error=None) -> FieldFn:
     """Wrap a matrix field so every evaluation returns its Hermitian part.
 
-    A correction beyond f's budget warns: TOL.hermitian_warn, or the budget
-    of f's step when f's first derivatives are finite differences (their
-    O(h^2) anti-Hermitian noise must not warn on every evaluation).
+    A correction beyond tol raises error(point, drift), or warns without one; tol is
+    TOL.hermitian_warn by default, or the budget of f's step where f's first derivatives
+    are finite differences, whose O(h^2) anti-Hermitian noise must not warn every time.
     """
-    warn_tol = max(TOL.hermitian_warn, TOL.fd(f.fd_step) if f.deriv is None else 0.0)
+    if tol is None:
+        tol = max(TOL.hermitian_warn, TOL.fd(f.fd_step) if f.order == 0 else 0.0)
 
-    def fn(x):
-        m = np.asarray(f.fn(x), dtype=complex)
+    def checked(x, m):
+        m = np.asarray(m, dtype=complex)
         h = hermitian_part(m)
-        if max_abs(m - h) > warn_tol:
+        if max_abs(m - h) > tol:
             drifts = max_abs_each(m - h)
             i, point = _worst_point(drifts, x)
-            warnings.warn(f"hermitizing correction {drifts[i]:.3e} exceeds {warn_tol:.1e} "
+            if error is not None:
+                raise error(point, drifts[i])
+            warnings.warn(f"hermitizing correction {drifts[i]:.3e} exceeds {tol:.1e} "
                           f"at {point}", stacklevel=2)
         return h
 
-    return replace(f.hermitian_part(), fn=fn)
+    return _linear(hermitian_part, f.shape, f, value=checked)
 
 
 def gauge_potential(spacetime, components) -> Form:
@@ -74,8 +74,8 @@ def gauge_map(f: FieldFn) -> FieldFn:
         raise DimensionMismatchError("gauge map must be square matrix valued")
     n = f.shape[0]
 
-    def checked(x):
-        u = np.asarray(f.fn(x), dtype=complex)
+    def checked(x, u):
+        u = np.asarray(u, dtype=complex)
         defect = dagger(u) @ u - np.eye(n)
         if max_abs(defect) > TOL.hermitian_input:
             defects = max_abs_each(defect)
@@ -84,7 +84,7 @@ def gauge_map(f: FieldFn) -> FieldFn:
                               f"(max |u^dag u - I| {defects[i]:.3e})")
         return u
 
-    return replace(f, fn=checked)
+    return _linear(lambda m: m, f.shape, f, value=checked)
 
 
 def covariant_field(a: Form, psi: FieldFn, mu) -> FieldFn:

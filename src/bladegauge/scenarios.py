@@ -477,7 +477,7 @@ def _tabulated_frame(tab, spacetime):
 
     def projected(x):
         # polar projection to the nearest orthonormal frame, unique at full column rank
-        v, s = polar(np.asarray(raw.fn(x), dtype=complex))
+        v, s = polar(np.asarray(raw(x), dtype=complex))
         if _any(s.min(axis=-1) < TOL.chart_min_overlap):
             _, point = _worst_point(-s.min(axis=-1), x)
             raise ChartError(f"tabulated frame loses column rank at {point} (smallest "

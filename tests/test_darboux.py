@@ -9,6 +9,7 @@ from bladegauge.darboux import (darboux_data, darboux_frame,
                                 frame_residual_report, verify_rank)
 from bladegauge.em import em_frame, EmFrameParams
 from bladegauge.errors import DomainError, ParameterError, RankError
+from bladegauge.fields import FieldFn
 from bladegauge.linalg import max_abs
 from bladegauge.tolerances import DEFAULT as TOL
 
@@ -160,6 +161,25 @@ def test_darboux_rejects_a_pi_that_is_not_finite(st4, pi):
     v = darboux_frame(darboux_data(st4, [(pi, "x1")], **BOX, validate=False))
     with pytest.raises(DomainError, match=r"pi_0 is not finite at \[-4.0, 0.0, 0.0, 0.0\]"):
         v(np.array([-4.0, 0, 0, 0]))
+
+
+# the frame's cos(rho_k) and sin(rho_k) read one checked pi_k, and a query evaluates each
+# field node once, so pi_k's value runs once per value, d or d2 query of the frame
+def test_darboux_frame_query_evaluates_pi_once(st4):
+    base = expr_field("0.5*sin(x0)", st4)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return base(x)
+
+    pi = FieldFn(st4, (), counted, base.deriv, base.deriv2)
+    v = darboux_frame(darboux_data(st4, [(pi, "x1")], **BOX))
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 4))
+    for query in (lambda: v(x), lambda: v.d(x, 0), lambda: v.d2(x, 0, 1)):
+        calls.clear()
+        query()
+        assert calls == [3]
 
 
 # a NaN phi_k or gradient row must not reach matrix_rank, whose SVD fails on it; the

@@ -108,14 +108,22 @@ def test_combinator_derivatives_match_fd(rng):
     # the dagger of a vector field is its conjugate
     vec = vector_of([exp_i(linear(st, [0, 0.5, 0, 0])), coordinate(st, 2)])
     assert np.array_equal(vec.dagger()(x), np.conjugate(vec(x)))
-    # every rule operand: analytic d and d2 against one and two FD levels
+    # every rule operand: analytic d and d2 against one and two FD levels, and the FD
+    # error at h = 1e-2 over that at h = 5e-3 near 4, so a jet off by O(h) or O(1) fails
+    def assert_second_order(name, order, idx, want):
+        err = [max_abs(getattr(fd.with_step(h), order)(x, *idx) - want) for h in (1e-2, 5e-3)]
+        if err[0] > 1e-12:
+            assert 3.5 <= err[0] / err[1] <= 4.5, (name, idx, err)
+
     for name, f in _rule_inputs(st).items():
         assert f.deriv is not None and f.deriv2 is not None, name
         fd = f.without_analytic_derivs()
         for mu in range(4):
             assert max_abs(f.d(x, mu) - fd.d(x, mu)) < TOL.fd(), name
+            assert_second_order(name, "d", (mu,), f.d(x, mu))
             for nu in range(4):
                 assert max_abs(f.d2(x, mu, nu) - fd.d2(x, mu, nu)) < TOL.fd_nested(), name
+                assert_second_order(name, "d2", (mu, nu), f.d2(x, mu, nu))
 
 
 def test_lazy_two_form_matches_an_eager_dict(points4):
