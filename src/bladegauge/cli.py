@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import reprlib
 import sys
@@ -64,6 +65,9 @@ def main(argv=None):
         return 2
 
 
+# one parser per process: parse_args leaves it as it was, and building it costs about
+# a millisecond of every in-process call
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="bladegauge",
                                 description="rotating-blade verification tool")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blade import _within, blade_from_frame
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, DomainError, ParameterError
 from .fields import FieldFn, Form, Grid, _jet, _pairs, _stenciled, lattice_integral
 from .gauge import covariant_derivative_matrix, field_strength
 from .linalg import _matmul_small, commutator, dagger, hermitian_part, max_abs_each, unitary_exp
@@ -283,11 +283,20 @@ def blade_lattice_from_field(blade: FieldFn, grid: Grid, point_map=None,
     return LatticeBlade(sites, grid.spacings, periodic, frozen)
 
 
-def _link_differences(lat: LatticeBlade, axis):
-    """R_{s+e} - R_s on each link along axis; periodic axes wrap, open ones lose a layer."""
-    if not lat.periodic[axis]:
-        return np.diff(lat.sites, axis=axis)
-    return np.diff(lat.sites, axis=axis, append=lat.sites.take([0], axis=axis))
+def _link_differences(lat: LatticeBlade):
+    """R_{s+e} - R_s on each link, per axis: periodic axes wrap, open ones lose a layer."""
+    return [np.diff(lat.sites, axis=ax) if not periodic else
+            np.diff(lat.sites, axis=ax, append=lat.sites.take([0], axis=ax))
+            for ax, periodic in enumerate(lat.periodic)]
+
+
+def _link_energy(lat: LatticeBlade):
+    """`sigma_lattice_energy` and the link differences D it sums, one array per axis."""
+    diffs = _link_differences(lat)
+    total = 0.0
+    for d, h in zip(diffs, lat.spacings):
+        total += float(np.vdot(d, d).real) / h ** 2
+    return 0.25 * lat.cell_volume * total, diffs
 
 
 def sigma_lattice_energy(lat: LatticeBlade):
@@ -298,11 +307,27 @@ def sigma_lattice_energy(lat: LatticeBlade):
     of squares sum_ij |D_ij|^2: one np.vdot per axis, nonnegative.  The
     all-plus convention makes gradient descent meaningful.
     """
-    total = 0.0
-    for ax in range(lat.ndim_lattice):
-        d = _link_differences(lat, ax)
-        total += float(np.vdot(d, d).real) / lat.spacings[ax] ** 2
-    return 0.25 * lat.cell_volume * total
+    return _link_energy(lat)[0]
+
+
+def _laplacian(lat: LatticeBlade, diffs):
+    """L_s = sum_e (D_s - D_{s-e}) / h_e^2 from the link differences D; scales each D in place."""
+    lap = np.zeros_like(lat.sites)
+    for ax, d in enumerate(diffs):
+        d *= 1.0 / lat.spacings[ax] ** 2
+        # site s has the link to s + e (d[s]) and the link from s - e (d[s - 1])
+        lap_ax, d_ax = lap.swapaxes(0, ax), d.swapaxes(0, ax)
+        lap_ax[:len(d_ax)] += d_ax
+        lap_ax[1:] -= d_ax[:len(lap_ax) - 1]
+        if lat.periodic[ax]:
+            lap_ax[0] -= d_ax[-1]
+    return lap
+
+
+def _commutator_gradient(lat: LatticeBlade, lap):
+    """G = -(vol/2) i (X - X^dag) with X = R L: Hermitian to the last bit."""
+    x = _matmul_small(lat.sites, lap)
+    return -0.5j * lat.cell_volume * (x - dagger(x))
 
 
 def sigma_lattice_gradient(lat: LatticeBlade):
@@ -315,18 +340,58 @@ def sigma_lattice_gradient(lat: LatticeBlade):
     With X = R L, G = -(vol/2) i (X - X^dag) is Hermitian to the last bit.
     Frozen sites enter their neighbours' L_s, so Dirichlet data drive the flow.
     """
-    lap = np.zeros_like(lat.sites)
-    for ax in range(lat.ndim_lattice):
-        d = _link_differences(lat, ax)
-        d *= 1.0 / lat.spacings[ax] ** 2
-        # site s has the link to s + e (d[s]) and the link from s - e (d[s - 1])
-        lap_ax, d_ax = lap.swapaxes(0, ax), d.swapaxes(0, ax)
-        lap_ax[:len(d_ax)] += d_ax
-        lap_ax[1:] -= d_ax[:len(lap_ax) - 1]
-        if lat.periodic[ax]:
-            lap_ax[0] -= d_ax[-1]
-    x = _matmul_small(lat.sites, lap)
-    return -0.5j * lat.cell_volume * (x - dagger(x))
+    return _commutator_gradient(lat, _laplacian(lat, _link_differences(lat)))
+
+
+def _bloch_vectors(m):
+    """v_x + i v_y and v_z of the Hermitian part m0 I + v . sigma of each 2x2 matrix in a stack.
+
+    They are the lower off-diagonal entry and half the diagonal difference.
+    """
+    return (0.5 * (m[..., 1, 0] + np.conjugate(m[..., 0, 1])),
+            0.5 * (m[..., 0, 0].real - m[..., 1, 1].real))
+
+
+def _rotate_bloch_vectors(sites, lap, weight, eta):
+    """One N = 2 flow step in place: R_s -> e^{-i eta G_s} R_s e^{i eta G_s}.
+
+    For the Bloch vectors r and l of the sites' and the Laplacian's Hermitian
+    parts, -(vol/2) i [R, L] = g . sigma with g = vol (r x l); `weight` is vol
+    on moving sites and 0 on frozen ones.  The conjugation rotates r by
+    theta = 2 eta |g| about g.  With phi = eta |g| and w = (sin phi / |g|) g,
+    the Euler-Rodrigues form of the increment,
+        2 cos phi (w x r) + 2 w x (w x r)
+          = (cos theta - 1) r + (sin theta / |g|) g x r + ((1 - cos theta) / |g|^2) (g . r) g,
+    has no cancellation in 1 - cos theta and is exactly 0 at g = 0.  On the
+    planes a_perp = a_x + i a_y and a_z, (a x b)_perp = i (a_z b_perp - b_z a_perp)
+    and (a x b)_z = Im(conj(a_perp) b_perp).  The increment enters the sites as a
+    Hermitian matrix, so Hermitian sites stay Hermitian to the last bit.  Raises
+    DomainError, before any sin or cos, where g is not finite.
+    """
+    r_perp, r_z = _bloch_vectors(sites)
+    l_perp, l_z = _bloch_vectors(lap)
+    g_perp = 1j * weight * (r_z * l_perp - l_z * r_perp)
+    g_z = weight * (np.conjugate(r_perp) * l_perp).imag
+    norm = np.hypot(np.abs(g_perp), g_z)
+    # np.max propagates NaN, and hypot turns an infinite component into inf
+    if not np.isfinite(norm.max()):
+        site = np.unravel_index(np.argmin(np.isfinite(norm)), norm.shape)
+        raise DomainError(f"sigma_flow: the energy gradient at site "
+                          f"{tuple(int(i) for i in site)} is not finite "
+                          f"(|g| = {norm[site]}); the lattice holds a NaN or an infinity")
+    phi = eta * norm
+    # sin(phi) / |g|, with |g| floored at the smallest normal double: 0 / tiny = 0 at g = 0
+    k = np.sin(phi) / np.maximum(norm, np.finfo(float).tiny)
+    w_perp, w_z = k * g_perp, k * g_z
+    t_perp = 1j * (w_z * r_perp - r_z * w_perp)
+    t_z = (np.conjugate(w_perp) * r_perp).imag
+    c2 = 2.0 * np.cos(phi)
+    d_perp = c2 * t_perp + 2j * (w_z * t_perp - t_z * w_perp)
+    d_z = c2 * t_z + 2.0 * (np.conjugate(w_perp) * t_perp).imag
+    sites[..., 1, 0] += d_perp
+    sites[..., 0, 1] += np.conjugate(d_perp)
+    sites.real[..., 0, 0] += d_z
+    sites.real[..., 1, 1] -= d_z
 
 
 def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:
@@ -338,14 +403,19 @@ def conjugate_sites(lat: LatticeBlade, b, eps=1.0) -> LatticeBlade:
 
 
 def sigma_flow(lat: LatticeBlade, steps, eta):
-    """Gradient descent by per-site unitary conjugation.
+    """Gradient descent by per-site unitary conjugation R_s -> e^{-i eta G_s} R_s e^{i eta G_s}.
 
-    Each step conjugates the whole site stack at once by exp(-i eta G_s), with
-    G_s the energy gradient, zeroed on frozen sites so that their factor is exactly
-    I.  R^2 = I is preserved exactly and the energy trace is non-increasing for
-    small enough eta; the one-sided e^{-2i eta G} R lets R - R^dag grow about 1000x
-    per 100 steps.  The exactly Hermitian G goes to `unitary_exp` (N = 2: closed
-    form, no eigh) as it is.  Ten consecutive increasing steps raise DivergenceError.
+    G_s is the energy gradient, zeroed on frozen sites so that they keep their
+    values exactly.  For N = 2, G_s = g_s . sigma, and each step rotates every
+    site's Bloch vector by 2 eta |g_s| about g_s in closed form
+    (`_rotate_bloch_vectors`: elementwise passes over the vectors' x + iy and z
+    planes, no matrix product), so Hermitian sites stay exactly Hermitian; other
+    N conjugate the site stack by `unitary_exp(G, -eta)`.  R^2 = I is preserved
+    to rounding and the energy trace is non-increasing for small enough eta.
+    Each step's energy and the next step's Laplacian read one set of link
+    differences, and every trace entry is `sigma_lattice_energy` of the sites,
+    bit for bit.  A NaN that reaches the generator raises DomainError before the
+    sites move; ten consecutive increasing steps raise DivergenceError.
     Returns the final lattice and the energy trace: the start, then one per step.
     """
     if steps < 0:
@@ -353,16 +423,24 @@ def sigma_flow(lat: LatticeBlade, steps, eta):
     if not 0 < eta < np.inf:
         raise ParameterError(f"eta must be finite and positive, got {eta}")
     current = lat.copy()
-    best = sigma_lattice_energy(current)
+    best, diffs = _link_energy(current)
     trace = [best]
+    if current.N == 2:
+        weight = np.full(current.grid_shape, current.cell_volume)
+        if current.frozen is not None:
+            weight[current.frozen] = 0.0
     bad_streak = 0
     for step in range(steps):
-        grad = sigma_lattice_gradient(current)
-        if current.frozen is not None:
-            grad[current.frozen] = 0.0
-        u = unitary_exp(grad, -eta)
-        current.sites = _matmul_small(_matmul_small(u, current.sites), dagger(u))
-        energy = sigma_lattice_energy(current)
+        lap = _laplacian(current, diffs)
+        if current.N == 2:
+            _rotate_bloch_vectors(current.sites, lap, weight, eta)
+        else:
+            grad = _commutator_gradient(current, lap)
+            if current.frozen is not None:
+                grad[current.frozen] = 0.0
+            u = unitary_exp(grad, -eta)
+            current.sites = _matmul_small(_matmul_small(u, current.sites), dagger(u))
+        energy, diffs = _link_energy(current)
         # a descending flow sets a new best (or plateaus) every step; staying
         # above the best energy for many steps means eta overshoots
         if energy > best + 1e-14 * (1.0 + abs(best)):

@@ -361,6 +361,25 @@ def test_sigma_flow_command(tmp_path):
     assert abs(rep2["energy_trace"][0] - trace[-1]) < 1e-9
 
 
+def test_one_parser_serves_every_command(tmp_path):
+    # main builds its parser once per process; a parse leaves no flag behind
+    from bladegauge import cli
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["sigma-flow", "--steps", "7", "--cells", "4x6"])
+    other = parser.parse_args(["residuals", "--scenario", "planewave", "--eq", "ym",
+                               "--csv", "points.csv"])
+    again = parser.parse_args(["sigma-flow"])
+    assert (first.steps, first.cells, first.func) == (7, (4, 6), cli.cmd_sigma_flow)
+    assert (other.csv, other.func) == ("points.csv", cli.cmd_residuals)
+    assert (again.steps, again.cells) == (200, None) and not hasattr(again, "csv")
+    assert main(["embedded", "--surface", "sphere", "--samples", "3",
+                 "--report", str(tmp_path / "emb.json")]) == 0
+    assert main(["sigma-flow", "--cells", "4x6", "--steps", "2",
+                 "--report", str(tmp_path / "flow.json")]) == 0
+    assert read_json(tmp_path / "flow.json")["config"]["steps"] == 2
+
+
 @pytest.mark.parametrize("flag, value", [("--g", "1.5"), ("--cells", "9x9"),
                                          ("--theta-band", "0.1:0.2")])
 def test_sigma_flow_band_flags_with_init_exit_2(flag, value, tmp_path, capsys):

@@ -12,7 +12,7 @@ from bladegauge.dynamics import (LatticeBlade, blade_lattice_from_field,
                                  sigma_lattice_energy, sigma_lattice_gradient,
                                  ym_action, ym_residual)
 from bladegauge.em import em_frame, monopole_blade, plane_wave_params, plane_wave_potential
-from bladegauge.errors import ConsistencyError, DivergenceError, ParameterError
+from bladegauge.errors import ConsistencyError, DivergenceError, DomainError, ParameterError
 from bladegauge.fields import MINKOWSKI4, Grid, constant, linear, matrix_of
 from bladegauge.gauge import field_strength, gauge_potential, gauge_transform
 from bladegauge.linalg import dagger, hermitian_part, max_abs, unitary_exp
@@ -503,3 +503,76 @@ def test_flow_matches_per_site_reference(frozen):
         assert np.array_equal(final.sites[lat.frozen], lat.sites[lat.frozen])
     else:
         assert max_abs(final.sites[0] - lat.sites[0]) > 0.0
+
+
+def mixed_rank_lattice(rng, shape=(6, 7)):
+    """Exactly Hermitian reflections of random rank per site: -I, U diag(1, -1) U^dag or I.
+
+    A 3x3 block of equal rank-1 sites gives its centre (2, 3) L = 0, so g = 0
+    there as at every rank-0 and rank-2 site; about a fifth of the sites are frozen.
+    """
+    g = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+    q, _ = np.linalg.qr(g)
+    rank_one = hermitian_part((q * np.array([1.0, -1.0])) @ dagger(q))
+    rank = rng.integers(0, 3, shape)
+    scalar = (rank - 1.0)[..., None, None] * np.eye(2)
+    sites = np.where((rank == 1)[..., None, None], rank_one, scalar)
+    sites[1:4, 2:5] = rank_one[0, 0]
+    return LatticeBlade(sites, (0.3, 0.2), (True, False), rng.random(shape) < 0.2)
+
+
+def bloch_norm(h):
+    """|g| of each traceless part g . sigma in a stack of Hermitian 2x2 matrices."""
+    return np.hypot(np.abs(h[..., 1, 0]), 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real)
+
+
+# the largest eta |g| on the lattice: small, theta = 2 eta |g| near pi, and
+# several turns (both sides round eta |g| to a few ulps, so the match loosens
+# in proportion; past about 20 it no longer holds to 1e-14)
+@pytest.mark.parametrize("turn", [1e-3, np.pi / 2 - 1e-3, np.pi / 2, 10.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_bloch_step_matches_conjugation_site_by_site(turn, seed):
+    lat = mixed_rank_lattice(np.random.default_rng(seed))
+    grad = sigma_lattice_gradient(lat)
+    grad[lat.frozen] = 0.0
+    norm = bloch_norm(grad)
+    eta = turn / np.max(norm)
+    final, trace = sigma_flow(lat, steps=1, eta=eta)
+    for idx in np.ndindex(lat.grid_shape):
+        u = unitary_exp(grad[idx], -eta)
+        np.testing.assert_allclose(final.sites[idx], u @ lat.sites[idx] @ dagger(u),
+                                   rtol=0, atol=1e-14)
+    assert np.array_equal(final.sites, dagger(final.sites))
+    still = lat.frozen | (norm == 0.0)
+    assert norm[2, 3] == 0.0 and np.sum(norm == 0.0) > np.sum(lat.frozen)
+    # frozen and g = 0 sites keep their values exactly (a zero entry may change
+    # sign, as it did under the matrix step's identity factor)
+    assert np.array_equal(final.sites[still], lat.sites[still])
+    assert trace == [sigma_lattice_energy(lat), sigma_lattice_energy(final)]
+
+
+def test_matrix_flow_matches_per_site_reference():
+    # N != 2 keeps the unitary_exp conjugation; a rank-1 reflection in C^3 on a
+    # mixed periodic/open lattice with a frozen column
+    lat = random_reflection_lattice(np.random.default_rng(3), (5, 4), (True, False), n=3, k=1)
+    lat.frozen = np.zeros(lat.grid_shape, dtype=bool)
+    lat.frozen[:, 0] = True
+    eta = 0.05 / max_abs(sigma_lattice_gradient(lat))
+    final, trace = sigma_flow(lat, steps=6, eta=eta)
+    ref, ref_trace = per_site_flow(lat, steps=6, eta=eta)
+    np.testing.assert_allclose(final.sites, ref.sites, rtol=0, atol=1e-14)
+    # the energies are about 50 here
+    np.testing.assert_allclose(trace, ref_trace, rtol=1e-14, atol=0)
+    assert trace[-1] < trace[0]
+    assert np.array_equal(final.sites[lat.frozen], lat.sites[lat.frozen])
+    assert trace[-1] == sigma_lattice_energy(final)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flow_with_a_nan_site_raises_domain_error(n):
+    # the N = 2 step checks its generator before any sin or cos, as unitary_exp's
+    # Hermitian check does for other N; pyproject.toml turns RuntimeWarning into an error
+    lat = random_reflection_lattice(np.random.default_rng(n), (4, 5), (False, True), n=n, k=1)
+    lat.sites[2, 3, 0, 1] = np.nan
+    with pytest.raises(DomainError, match="site|stack index"):
+        sigma_flow(lat, steps=3, eta=1e-3)
