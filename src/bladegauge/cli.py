@@ -31,7 +31,7 @@ from .blade import (blade_curvature, blade_from_frame, check_four_way, complemen
                     extract_potential, four_way, random_smooth_frame,
                     shape_gauge_decompose, shape_identity_residual, shape_operator)
 from .darboux import frame_residual_report, verify_rank
-from .dynamics import INDEX_HANDLING_NOTE, blade_lattice_from_field, sigma_flow
+from .dynamics import blade_lattice_from_field, sigma_flow
 # unused here: perfbench/selftest.py checks that its tracer wraps this second binding
 from .dynamics import shape_gauge_ym_residual  # noqa: F401
 from .embedded import (christoffel_gauss_curvature, cylinder, embedded_blade, gauss_curvature,
@@ -388,8 +388,8 @@ def _curvature_columns(emb, x):
 # ---------------------------------------------------------------------------
 # residuals
 
-# grid points per residual call: `modified` holds R's 2-jet on two shifted copies, 1.5 MB
-# for N = 4, and a frame leaf's records stay in its LRU (fields._LEAF_CACHE_POINTS)
+# grid points per residual call: `modified` holds R's 2-jet with all ten d_a d_b R for d = 4,
+# 2 MB for N = 4, and a frame leaf's records stay in its LRU (fields._LEAF_CACHE_POINTS)
 _SWEEP_POINTS = 512
 
 
@@ -409,16 +409,17 @@ def cmd_residuals(args):
         raise ConfigError(f"--grid has {grid.dim} axes; scenario {scenario!r} lives in "
                           f"dimension {st.dim}")
     pts = grid.centers()
-    # CSV index label -> the residual at every grid point, a flat-memory slice at a time
-    parts = [EQUATIONS[args.eq](cfg, st, pts[i:i + _SWEEP_POINTS])
-             for i in range(0, len(pts), _SWEEP_POINTS)]
-    residuals = {label: np.concatenate([p[label] for p in parts]) for label in parts[0]}
-    # (points, labels): the CSV rows run over the labels at each point in turn
-    norms = np.stack([max_abs_each(r) for r in residuals.values()], axis=-1)
+    equation, norms = EQUATIONS[args.eq], []
+    for i in range(0, len(pts), _SWEEP_POINTS):  # norms a slice at a time, each residual
+        part = equation(cfg, st, pts[i:i + _SWEEP_POINTS])  # popped as its norms are taken
+        labels = list(part)
+        norms.append(np.stack([max_abs_each(part.pop(label)) for label in labels], axis=-1))
+    norms = np.concatenate(norms)
 
     report = _report_skeleton("residuals", cfg)
     report["equation"] = args.eq
-    report["index_handling"] = INDEX_HANDLING_NOTE
+    # an EQUATIONS entry is a sweep function, which may state no index handling
+    report["index_handling"] = getattr(equation, "index_handling", None)
     report["grid"] = {"lo": grid.lo, "hi": grid.hi, "cells": grid.cells}
     report["summary"] = {"max": float(norms.max()), "mean": float(np.mean(norms.ravel())),
                          "count": norms.size}
@@ -428,7 +429,7 @@ def cmd_residuals(args):
             writer = csv.writer(fh)
             writer.writerow([f"x{i}" for i in range(st.dim)] + ["index", "norm"])
             for x, row in zip(pts, norms):
-                for idx, nm in zip(residuals, row):
+                for idx, nm in zip(labels, row):
                     writer.writerow([f"{c:.12g}" for c in x] + [idx, f"{nm:.12e}"])
     return 0
 

@@ -4,8 +4,8 @@ Residual evaluators keep the Lorentzian signature of the fields they receive;
 the sigma-model gradient flow runs in Euclidean (all-plus) signature, where
 minus a quarter of the trace density is a genuine Dirichlet energy and
 gradient descent makes sense.  The modified equation of motion is implemented
-as the nu-summed divergence, exactly as displayed; the report headers record
-this index handling.
+as the nu-summed divergence, exactly as displayed; each residual report records
+its equation's index handling (`scenarios.EQUATIONS`).
 
 The four frame residuals (Yang-Mills, modified, shape-gauge and sigma) read
 the blade R = 2 V V^dag - I alone, through one query of its 2-jet per point
@@ -14,8 +14,9 @@ Omega_mu nu = -i [S_mu, S_nu], the current J_nu = V (D^mu F_mu nu) V^dag is
 P (d^mu Omega_mu nu) P, for P the projector (R + I)/2 (Narasimhan & Ramanan,
 Amer. J. Math. 83 (1961) 563; the curvature P dP ^ dP P of Avron, Seiler &
 Simon, Phys. Rev. Lett. 51 (1983) 51): it needs no potential, no frame gauge
-and no derivative of R past the second.  `frame_ym_residual` reads V^dag J V,
-`modified_eom_residual` differences J once, and `shape_gauge_ym_residual` and
+and no derivative of R past the second.  `frame_ym_residual` reads V^dag J V and
+`modified_eom_residual` sum_nu d^nu J_nu, in which Omega's antisymmetry cancels
+sum d^nu d^mu Omega_mu nu; they, `shape_gauge_ym_residual` and
 `sigma_eom_residual` need no finite difference beyond those of the jet.
 `ym_residual` differences F of a potential, for potentials without a frame.
 """
@@ -41,11 +42,6 @@ __all__ = [
     "LatticeBlade", "blade_lattice_from_field", "sigma_lattice_energy",
     "sigma_lattice_gradient", "sigma_flow", "conjugate_sites",
 ]
-
-INDEX_HANDLING_NOTE = ("modified EOM evaluated as the nu-summed divergence "
-                       "sum_nu d^nu ( V (D^mu F_mu nu) V^dag ); "
-                       "indices raised with the diagonal flat metric")
-
 
 # ---------------------------------------------------------------------------
 # continuum residuals
@@ -93,34 +89,38 @@ def sigma_action(r: FieldFn, grid: Grid):
 
 
 def modified_eom_residual(v: FieldFn, x):
-    """sum_nu d^nu J_nu at x, with J_nu = V (D^mu F_mu nu) V^dag the blade current.
+    """sum_nu d^nu J_nu at x, with J_nu = P K_nu P = V (D^mu F_mu nu) V^dag the blade current.
 
     Solutions of the Yang-Mills equations annihilate J and remain solutions
-    here; the converse fails, which is the point.  Each d_nu is the central
-    difference of step v.fd_step, and J_nu is read on just the pair
-    x +- h e_nu, one stacked jet query per nu: the one finite-difference level
-    beyond the frame's 2-jet.
+    here; the converse fails, which is the point.  With K_nu = d^mu Omega_mu nu and
+    Omega antisymmetric, sum_nu d^nu K_nu = sum_mu nu d^nu d^mu Omega_mu nu = 0, so the
+    divergence is sum_nu sign(nu) (d_nu P K_nu P + P K_nu d_nu P), d_nu P = d_nu R / 2:
+    one query of R's 2-jet at x, each unordered pair's d_a d_b R asked once.
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    h = v.fd_step
+    _, rx, dr, d2 = _blade_jet(v, x, itertools.combinations_with_replacement(range(st.dim), 2))
+    d2.update({(b, a): d2_ab for (a, b), d2_ab in d2.items()})
+    p = 0.5 * (rx + np.eye(v.shape[0]))
     total = 0
     for nu in range(st.dim):
-        e = np.zeros(st.dim)
-        e[nu] = h
-        _, j = _blade_current(v, np.stack([x + e, x - e]), nu, x)
-        total += st.raise_sign(nu) * ((j[0] - j[1]) / (2.0 * h))
+        k, dp = -0.25j * _blade_divergence(st, dr, d2, nu), 0.5 * dr[nu]
+        total += st.raise_sign(nu) * (dp @ k @ p + p @ k @ dp)
     return total
 
 
 def frame_ym_residual(v: FieldFn, x, nu):
     """V^dag J_nu V at x: D^mu F_mu nu of the frame's potential A = -i V^dag dV.
 
-    J_nu is read from the frame's 2-jet at x alone, so this needs no potential
+    J_nu = P K_nu P = P d^mu(P Omega_mu nu P) P (the terms with dP drop out, as P dP P = 0
+    and Omega commutes with P) is read from the frame's 2-jet at x alone: no potential,
     and no finite difference beyond those of the jet itself.
     """
+    st = v.spacetime
     x = np.asarray(x, dtype=float)
-    vx, j = _blade_current(v, x, nu, x)
+    vx, rx, dr, d2 = _blade_jet(v, x, _current_pairs(st.dim, nu))
+    p = 0.5 * (rx + np.eye(v.shape[0]))
+    j = -0.25j * (p @ _blade_divergence(st, dr, d2, nu) @ p)
     return dagger(vx) @ j @ vx
 
 
@@ -136,7 +136,7 @@ def shape_gauge_ym_residual(v: FieldFn, x, nu):
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    _, rx, dr, d2 = _blade_jet(v, x, x, _current_pairs(st.dim, nu))
+    _, rx, dr, d2 = _blade_jet(v, x, _current_pairs(st.dim, nu))
     s = [-0.5j * (rx @ dr_a) for dr_a in dr]
     total = 0
     for mu in range(st.dim):
@@ -159,49 +159,41 @@ def sigma_eom_residual(v: FieldFn, x):
     """
     st = v.spacetime
     x = np.asarray(x, dtype=float)
-    _, rx, dr, d2 = _blade_jet(v, x, x, [(mu, mu) for mu in range(st.dim)])
+    _, rx, dr, d2 = _blade_jet(v, x, [(mu, mu) for mu in range(st.dim)])
     total = 0
     for mu in range(st.dim):
         total += st.raise_sign(mu) * (-0.5j * (dr[mu] @ dr[mu] + rx @ d2[mu, mu]))
     return total
 
 
-def _blade_jet(v: FieldFn, y, x, pairs):
-    """V, R, the stack of every d_mu R and {(a, b): d_a d_b R} over pairs at the point stack y,
+def _blade_jet(v: FieldFn, x, pairs):
+    """V, R, the stack of every d_mu R and {(a, b): d_a d_b R} over pairs at the point stack x,
     from one query of R = `blade_from_frame(v)`, a frame without analytic derivatives
-    taking the stencils of its own d and d2 (`fields._stenciled`).  y is x, or shifted
-    copies of it along a leading axis; where R misses R^2 = I by more than
-    TOL.frame_consistency, a ConsistencyError names the point of x missing it most."""
+    taking the stencils of its own d and d2 (`fields._stenciled`).  Where R misses
+    R^2 = I by more than TOL.frame_consistency, a ConsistencyError names the point
+    missing it most."""
     v = _stenciled(v)
-    y, want, memo = np.asarray(y, dtype=float), _pairs(pairs), {}
-    ry, dr, d2 = _jet(blade_from_frame(v), y, memo, want)
-    defect = max_abs_each(ry @ ry - np.eye(v.shape[0]))
-    _within(defect.reshape((-1,) + np.shape(x)[:-1]).max(axis=0), x, TOL.frame_consistency,
+    want, memo = _pairs(pairs), {}
+    rx, dr, d2 = _jet(blade_from_frame(v), x, memo, want)
+    _within(max_abs_each(rx @ rx - np.eye(v.shape[0])), x, TOL.frame_consistency,
             "blade is not a reflection: max |R^2 - I|")
-    return _jet(v, y, memo, want)[0], ry, dr, dict(zip(want, d2))
+    return _jet(v, x, memo, want)[0], rx, dr, dict(zip(want, d2))
 
 
 def _current_pairs(dim, nu):  # the (mu, mu) and (nu, mu) d_a d_b R that J_nu reads, mu != nu
     return [(a, mu) for mu in range(dim) if mu != nu for a in (mu, nu)]
 
 
-def _blade_current(v: FieldFn, y, nu, x):
-    """V and J_nu = P (d^mu Omega_mu nu) P at the point stack y; x names the points for `_blade_jet`.
-
-    Omega_mu nu = -i [d_mu P, d_nu P], so d_mu Omega_mu nu is
-    -(i/4) ([d_mu d_mu R, d_nu R] + [d_mu R, d_nu d_mu R]).  This is
-    P d^mu(P Omega_mu nu P) P: the terms with d P drop out, since P dP P = 0
-    and Omega commutes with P.
-    """
-    st = v.spacetime
-    vy, ry, dr, d2 = _blade_jet(v, y, x, _current_pairs(st.dim, nu))
+def _blade_divergence(st, dr, d2, nu):
+    """4i K_nu from R's 2-jet, for the d_a d_b R of `_current_pairs`: K_nu = d^mu Omega_mu nu,
+    and Omega_mu nu = -i [d_mu P, d_nu P] makes d_mu Omega_mu nu equal to
+    -(i/4) ([d_mu d_mu R, d_nu R] + [d_mu R, d_nu d_mu R])."""
     div = 0
     for mu in range(st.dim):
         if mu != nu:
             div += st.raise_sign(mu) * (commutator(d2[mu, mu], dr[nu])
                                         + commutator(dr[mu], d2[nu, mu]))
-    p = 0.5 * (ry + np.eye(v.shape[0]))
-    return vy, -0.25j * (p @ div @ p)
+    return div
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +235,6 @@ class LatticeBlade:
     @property
     def N(self):
         return self.sites.shape[-1]
-
-    @property
-    def ndim_lattice(self):
-        return len(self.grid_shape)
 
     @property
     def cell_volume(self):

@@ -501,9 +501,9 @@ def hstack(a, b):
 # -- leaves that keep per-stack records --------------------------------------
 
 # points whose records one leaf keeps: `ym` and `shape` query a frame's exp(iH) leaf on
-# the same stack once per index, so a record must outlive its query; `modified` queries
-# 8 shifted copies of its points, each once, and this holds all 8 for up to 256 points
-# (about 11 MB for N = 4 once second derivatives are kept)
+# the same stack once per index, so a record must outlive its query; a residual sweep
+# queries one slice of up to 512 points (cli._SWEEP_POINTS) at a time, and this holds
+# four (about 13 MB for N = 4 once `ym`'s second derivatives are kept)
 _LEAF_CACHE_POINTS = 2048
 
 

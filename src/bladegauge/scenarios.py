@@ -4,10 +4,10 @@
 their defaults), a frame builder, a potential builder or both, and the
 scenario's own `verify` checks.  A scenario with only a frame gives the
 potential A = -i V^dag dV of that frame.  `EQUATIONS` maps each residual
-equation name to the sweep that evaluates it on a config; every sweep reads
-the config's frame, except `ym` on a tabulated config, whose table is a
-potential.  A config names a scenario plus params, or supplies samples
-tabulated on a grid.
+equation name to the sweep that evaluates it on a config, which carries the
+index handling its reports state; every sweep reads the config's frame,
+except `ym` on a tabulated config, whose table is a potential.  A config
+names a scenario plus params, or supplies samples tabulated on a grid.
 `validate_config` checks a config against the registry: `PARAM_TYPES` gives
 the type of each param and `CONFIG_KEYS` that of each top-level key.
 """
@@ -387,6 +387,11 @@ def load_frame(name_or_cfg, spacetime=None, **params) -> FieldFn:
 # ---------------------------------------------------------------------------
 # residual equations: (cfg, spacetime, points) -> {CSV index label: stacked residual}
 
+def _equation(sweep, name, how):  # sweep, carrying its reports' index handling
+    sweep.index_handling = f"{name}: {how}; indices raised with the diagonal flat metric"
+    return sweep
+
+
 def _ym_residuals(cfg, st, pts):
     if "tabulated" in cfg:  # a table of the potential, which has no frame
         a = load_potential(cfg, st)
@@ -402,10 +407,16 @@ def _shape_residuals(cfg, st, pts):
 
 
 EQUATIONS = {
-    "ym": _ym_residuals,
-    "modified": lambda cfg, st, pts: {"sum": modified_eom_residual(load_frame(cfg, st), pts)},
-    "shape": _shape_residuals,
-    "sigma": lambda cfg, st, pts: {"sum": sigma_eom_residual(load_frame(cfg, st), pts)},
+    "ym": _equation(_ym_residuals, "ym", "D^mu F_mu nu per free index nu, as V^dag J_nu V from "
+                    "R's 2-jet at each point, or by nested differences of a tabulated A"),
+    "modified": _equation(
+        lambda cfg, st, pts: {"sum": modified_eom_residual(load_frame(cfg, st), pts)}, "modified",
+        "the nu-summed divergence sum_nu d^nu J_nu of J_nu = V (D^mu F_mu nu) V^dag, read from "
+        "R's 2-jet at each point"),
+    "shape": _equation(_shape_residuals, "shape",
+                       "P D^mu Omega_mu nu per free index nu, from R's 2-jet at each point"),
+    "sigma": _equation(lambda cfg, st, pts: {"sum": sigma_eom_residual(load_frame(cfg, st), pts)},
+                       "sigma", "d_mu S^mu, from R's 2-jet at each point"),
 }
 
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import bladegauge
+from bladegauge import cli
 from bladegauge.cli import main
 from bladegauge.embedded import christoffel_gauss_curvature, gauss_curvature, sphere
 from bladegauge.fields import MINKOWSKI4
-from bladegauge.scenarios import EQUATIONS, SCENARIOS
+from bladegauge.scenarios import EQUATIONS, SCENARIOS, load_frame
 from bladegauge.tolerances import DEFAULT as TOL
 
 
@@ -215,29 +216,26 @@ def test_verify_tolerance_overrides(tmp_path):
 
 
 def test_residuals_fd_step_override(tmp_path):
-    # a coarser step inflates the finite-difference residual of the
-    # frame-variation equation in a visible, second-order way; the fixture is
-    # a generic pair solving (k.k)(n.n) = (k.n)^2 (n = a k + b ell with ell
-    # null and k-orthogonal), so the exact residual vanishes and only the
-    # truncation error remains
-    k = np.array([0.2, 1.0, 0.3, 0.4])
-    a = (-0.6 + np.sqrt(0.36 - 4 * 0.96 * 0.05)) / (2 * 0.96)
-    ell = np.array([np.hypot(a, 1.0), a, 1.0, 0.0])
-    n = 0.7 * k + 0.8 * ell
+    # a tabulated frame states no derivative, so its stencils take the config's step,
+    # and polar projection makes the frame nonlinear inside a cell: the step moves
+    # the residual there by its truncation error
+    axes = [[0.0, 0.5, 1.0]] * 4
+    nodes = np.stack(np.meshgrid(*map(np.array, axes), indexing="ij"), axis=-1)
+    v = np.asarray(load_frame("random_smooth")(nodes))
+    table = {"scenario": "random_smooth",
+             "tabulated": {"axes": axes, "values": np.stack([v.real, v.imag], -1).tolist()}}
     reports = {}
     # the coarse step once more through --fd-step, on a config without fd_step
     for tag, step, flags in (("fine", 1e-3, []), ("coarse", 2e-2, []),
                              ("coarse_flag", None, ["--fd-step", "2e-2"])):
         cfgfile = tmp_path / f"{tag}.json"
-        cfg = {"scenario": "planewave", "params": {"k": list(k), "n": list(n)}}
-        cfgfile.write_text(json.dumps(cfg if step is None else {**cfg, "fd_step": step}))
+        cfgfile.write_text(json.dumps(table if step is None else {**table, "fd_step": step}))
         out = tmp_path / f"{tag}_rep.json"
         assert main(["residuals", "--input", str(cfgfile), "--eq", "modified",
-                     "--grid", "0:1:1,0:1:1,0:1:1,0:1:1",
+                     "--grid", "0:0.5:1,0:0.5:1,0:0.5:1,0:0.5:1",
                      "--report", str(out), *flags]) == 0
         reports[tag] = read_json(out)["summary"]
-    assert reports["fine"]["max"] < 1e-6
-    assert reports["coarse"]["max"] > 20 * reports["fine"]["max"]
+    assert abs(reports["coarse"]["max"] - reports["fine"]["max"]) > 1e-6 * reports["fine"]["max"]
     assert reports["coarse_flag"] == reports["coarse"]
 
 
@@ -286,6 +284,31 @@ def test_residuals_modified_eq(tmp_path):
     rep = read_json(out)
     assert rep["summary"]["max"] <= 1e-4
     assert "nu-summed" in rep["index_handling"]
+
+
+@pytest.mark.parametrize("eq", list(EQUATIONS))
+def test_residuals_report_their_own_index_handling(eq, tmp_path):
+    # each equation states how it handles its indices; only `modified` sums over nu
+    out = tmp_path / "rep.json"
+    assert main(["residuals", "--scenario", "random_smooth", "--eq", eq, "--grid", GRID4,
+                 "--report", str(out)]) == 0
+    note = read_json(out)["index_handling"]
+    assert note.startswith(f"{eq}: ") and "diagonal flat metric" in note
+    assert ("nu-summed divergence" in note) == (eq == "modified")
+
+
+@pytest.mark.parametrize("eq", list(EQUATIONS))
+def test_residuals_in_slices_match_one_slice(eq, monkeypatch, tmp_path):
+    # 81 points in slices of 7 (the last one of 4) give the bytes of one 81-point slice
+    runs = {}
+    for tag, points in (("one", None), ("sliced", 7)):
+        if points is not None:
+            monkeypatch.setattr(cli, "_SWEEP_POINTS", points)
+        out, table = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        assert main(["residuals", "--scenario", "random_smooth", "--eq", eq,
+                     "--report", str(out), "--csv", str(table)]) == 0
+        runs[tag] = canonical_without_timestamp(out), table.read_bytes()
+    assert runs["sliced"] == runs["one"]
 
 
 def test_residuals_reject_monopole_chart(tmp_path):
